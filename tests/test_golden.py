@@ -1,0 +1,118 @@
+"""Golden outputs: exit code and stdout hash of every CLI command, frozen.
+
+Each command runs in-process through ``logrew.cli.main`` on every file in
+``presentations/``, in text form and with ``--json``, plus ``express`` on
+the published loops of the s/e monoid.  The expected exit codes and
+sha256 digests of stdout live in ``tests/golden.json``; a refactor must
+leave every one of them unchanged.  ``--interreduce`` is not covered.
+
+Record the file afresh (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from logrew.cli import main
+import logrew.twocell as tc
+
+from fixture_loops import SE_LOOPS, loop_cell
+
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
+
+# per presentation: a word to reduce, an equal pair, an unequal pair
+WORDS = {
+    "ab_monoid": ("b a a b a b b", ("a b b a", "a"), ("a", "b")),
+    "abc_cyclic": ("a b c a b c b", ("a b c", "c c"), ("a", "b")),
+    "free_monoid": ("x y x", ("x y", "x y"), ("x", "y")),
+    "int_monoid": ("a b b a a b", ("a a b", "a"), ("a", "1")),
+    "se_monoid": ("s s s e s e s e", ("s s s e", "s e"), ("s", "e")),
+}
+
+
+def presentation_cases(name: str) -> dict[str, list[str]]:
+    """Case name -> argv for every command on one presentation file."""
+    path = str(PRESENTATIONS / f"{name}.txt")
+    word, equal, unequal = WORDS[name]
+    commands = {
+        "complete": ["complete", path],
+        "complete-limit": ["complete", path, "--limits", "3,64,64"],
+        "nf": ["nf", path, word],
+        "reduce": ["reduce", path, word],
+        "reduce-expand": ["reduce", path, word, "--expand"],
+        "prove": ["prove", path, *equal],
+        "prove-expand": ["prove", path, *equal, "--expand"],
+        "prove-unequal": ["prove", path, *unequal],
+        "endos": ["endos", path],
+        "endos-minimize": ["endos", path, "--minimize"],
+    }
+    cases = {}
+    for label, argv in commands.items():
+        cases[f"{name}:{label}"] = argv
+        cases[f"{name}:{label}:json"] = argv + ["--json"]
+    return cases
+
+
+def express_cases(workdir: Path) -> dict[str, list[str]]:
+    """Case name -> argv for ``express`` on each published s/e loop."""
+    path = str(PRESENTATIONS / "se_monoid.txt")
+    cases = {}
+    for loop in SE_LOOPS:
+        cellfile = workdir / f"{loop}.json"
+        cellfile.write_text(json.dumps(tc.cell_to_json(loop_cell(loop))))
+        cases[f"se_monoid:express:{loop}"] = ["express", path, str(cellfile)]
+        cases[f"se_monoid:express:{loop}:json"] = ["express", path, str(cellfile), "--json"]
+    return cases
+
+
+def outcome(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def presentation_names() -> list[str]:
+    return sorted(p.stem for p in PRESENTATIONS.glob("*.txt"))
+
+
+def check(cases: dict[str, list[str]]) -> None:
+    golden = json.loads(GOLDEN.read_text())
+    changed = [name for name, argv in cases.items() if outcome(argv) != golden.get(name)]
+    assert not changed, f"outputs differ from tests/golden.json: {changed}"
+
+
+@pytest.mark.parametrize("name", presentation_names())
+def test_golden_presentation(name):
+    check(presentation_cases(name))
+
+
+def test_golden_express_published_loops(tmp_path):
+    check(express_cases(tmp_path))
+
+
+def record() -> None:
+    import tempfile
+
+    cases = {}
+    for name in presentation_names():
+        cases.update(presentation_cases(name))
+    with tempfile.TemporaryDirectory() as workdir:
+        cases.update(express_cases(Path(workdir)))
+        golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(golden)} cases in {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_golden.py --record")
+    record()
