@@ -17,16 +17,6 @@ import logrew.twocell as tc
 DEFAULT = Path(__file__).resolve().parent.parent / "presentations" / "se_monoid.txt"
 
 
-def render_cell(cell):
-    parts = []
-    for step in cell.steps:
-        sign = "" if step.exp == 1 else "^-1"
-        prefix = (word_to_str(step.prefix) + " ") if step.prefix else ""
-        suffix = (" " + word_to_str(step.suffix)) if step.suffix else ""
-        parts.append(f"{prefix}{step.rule}{sign}{suffix}")
-    return " . ".join(parts) if parts else "1"
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("presentation", nargs="?", default=str(DEFAULT))
@@ -52,7 +42,7 @@ def main():
         if element != current:
             print(f"\nEndorewrites of {element}:")
             current = element
-        print(f"  {gen.gid} on {word_to_str(gen.base_word)}: {render_cell(gen.cell)}")
+        print(f"  {gen.gid} on {word_to_str(gen.base_word)}: {tc.render(gen.cell)}")
 
     if gens.generators:
         sample = gens.generators[-1]
@@ -62,7 +52,7 @@ def main():
             name = factor.gen or "trivial"
             print(f"  {name}^{factor.exp} whiskered"
                   f" [{word_to_str(factor.x)}] _ [{word_to_str(factor.z)}]")
-        print(f"  residual: {render_cell(dec.residual)}")
+        print(f"  residual: {tc.render(dec.residual)}")
         print(f"  abelianization check: {tc.abelianize(sample.cell)}")
 
 

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 parse or usage error, 2 completion limit
-exceeded, 3 words not equal, 4 invalid certificate.  Data goes to
+exceeded, 3 words not equal, 4 invalid certificate or cell (malformed,
+over letters outside the alphabet, or not replaying).  Data goes to
 stdout, diagnostics to stderr; ``--json`` switches the rendering, the
 JSON being the source of truth either way.
 """
@@ -13,7 +14,7 @@ import json
 import logging
 import sys as _sys
 
-from .core import ParseError, parse_presentation, word_from_str, word_to_str
+from .core import Alphabet, ParseError, Word, parse_presentation, word_from_str, word_to_str
 from . import twocell
 from .engine import (
     Verdict, expand_log, normal_form, prove, reduce_logged,
@@ -24,11 +25,15 @@ from .completion import (
     system_to_json,
 )
 from .endorewrites import (
-    GeneratorSet, UnmatchedDiamond, decomposition_to_json, express, generate,
-    generator_set_to_json,
+    UnmatchedDiamond, decomposition_to_json, express, generate,
+    generator_set_to_json, minimize,
 )
+from .twocell import ChainError, TwoCell
 
 OK, USAGE, LIMIT, NOT_EQUAL, BAD_CERT = 0, 1, 2, 3, 4
+
+# what reading a bad certificate or cell file raises (ParseError included)
+BAD_CELL_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def _limits(text: str) -> CompletionLimits:
@@ -48,9 +53,39 @@ def _emit(data: dict, as_json: bool, render) -> None:
         render(data)
 
 
+def _emit_cell(cell: TwoCell, args, system, arrow: str) -> None:
+    """Print a reduction or proof with its target, expanded on ``--expand``."""
+    if args.expand:
+        cell = expand_log(cell, system)
+    data = twocell.cell_to_json(cell)
+    data["target"] = word_to_str(twocell.target(cell, system.rule_map))
+
+    def render(data):
+        print(f"{data['source']} {arrow} {data['target']}")
+        for step in data["steps"]:
+            sign = "" if step["exp"] == 1 else "^-1"
+            print(f"  [{step['prefix']}] {step['rule']}{sign} [{step['suffix']}]")
+
+    _emit(data, args.json, render)
+
+
 def _load_presentation(path: str):
     with open(path, encoding="utf-8") as handle:
         return parse_presentation(handle.read())
+
+
+def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
+    """A two-cell JSON file over the alphabet, with its declared target if
+    any; raises one of BAD_CELL_ERRORS on any other file content."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    cell = twocell.cell_from_json(data)
+    for word in (cell.source, *(step.prefix + step.suffix for step in cell.steps)):
+        alphabet.check_word(word)
+    target = word_from_str(data["target"], alphabet) if "target" in data else None
+    return cell, target
 
 
 def _complete(path: str, limits: CompletionLimits, do_interreduce: bool):
@@ -87,26 +122,14 @@ def cmd_nf(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    presentation, init, result = _complete(args.file, args.limits, args.interreduce)
+    presentation, _, result = _complete(args.file, args.limits, args.interreduce)
     word = word_from_str(args.word, presentation.alphabet)
-    cell = reduce_logged(word, result.system)
-    if args.expand:
-        cell = expand_log(cell, result.system)
-    data = twocell.cell_to_json(cell)
-    data["target"] = word_to_str(twocell.target(cell, result.system.rule_map))
-
-    def render(data):
-        print(f"{data['source']} -> {data['target']}")
-        for step in data["steps"]:
-            sign = "" if step["exp"] == 1 else "^-1"
-            print(f"  [{step['prefix']}] {step['rule']}{sign} [{step['suffix']}]")
-
-    _emit(data, args.json, render)
+    _emit_cell(reduce_logged(word, result.system), args, result.system, "->")
     return OK if result.status == "complete" else LIMIT
 
 
 def cmd_prove(args) -> int:
-    presentation, init, result = _complete(args.file, args.limits, args.interreduce)
+    presentation, _, result = _complete(args.file, args.limits, args.interreduce)
     w1 = word_from_str(args.word1, presentation.alphabet)
     w2 = word_from_str(args.word2, presentation.alphabet)
     outcome = prove(w1, w2, result.system)
@@ -116,30 +139,16 @@ def cmd_prove(args) -> int:
     if outcome is Verdict.UNKNOWN:
         print("unknown: system is not complete within limits", file=_sys.stderr)
         return LIMIT
-    cell = outcome
-    if args.expand:
-        cell = expand_log(cell, result.system)
-    data = twocell.cell_to_json(cell)
-    data["target"] = word_to_str(twocell.target(cell, result.system.rule_map))
-
-    def render(data):
-        print(f"{data['source']} = {data['target']}")
-        for step in data["steps"]:
-            sign = "" if step["exp"] == 1 else "^-1"
-            print(f"  [{step['prefix']}] {step['rule']}{sign} [{step['suffix']}]")
-
-    _emit(data, args.json, render)
+    _emit_cell(outcome, args, result.system, "=")
     return OK
 
 
 def cmd_verify(args) -> int:
     presentation = _load_presentation(args.file)
     init = system_from_presentation(presentation)
-    with open(args.certificate, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
-        cell = twocell.cell_from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
+        cell, declared = _load_cell(args.certificate, presentation.alphabet)
+    except BAD_CELL_ERRORS as err:
         print(f"malformed certificate: {err}", file=_sys.stderr)
         return BAD_CERT
     bad = twocell.validate(cell, init.rule_map)
@@ -147,9 +156,9 @@ def cmd_verify(args) -> int:
         print(f"invalid certificate at step {bad}", file=_sys.stderr)
         return BAD_CERT
     reached = twocell.target(cell, init.rule_map)
-    if "target" in data and word_from_str(data["target"]) != reached:
+    if declared is not None and declared != reached:
         print(
-            f"certificate ends at {word_to_str(reached)}, declared {data['target']}",
+            f"certificate ends at {word_to_str(reached)}, declared {word_to_str(declared)}",
             file=_sys.stderr,
         )
         return BAD_CERT
@@ -164,61 +173,20 @@ def cmd_endos(args) -> int:
         return LIMIT
     gens = generate(result, init)
     if args.minimize:
-        gens = _minimize(gens)
-    data = generator_set_to_json(gens)
+        gens = minimize(gens)
 
     def render(data):
-        groups: dict[str, list] = {}
-        for gen in data["generators"]:
-            groups.setdefault(gen["base_element"], []).append(gen)
+        groups: dict[Word, list] = {}
+        for gen in gens.generators:
+            groups.setdefault(gen.base_element, []).append(gen)
         for element, members in groups.items():
-            print(f"Endorewrites of {element}:")
+            print(f"Endorewrites of {word_to_str(element)}:")
             for gen in members:
-                print(f"  {gen['id']} on {gen['base_word']} "
-                      f"({_render_cell(gen['cell'])})")
+                print(f"  {gen.gid} on {word_to_str(gen.base_word)} "
+                      f"({twocell.render(gen.cell)})")
 
-    _emit(data, args.json, render)
+    _emit(generator_set_to_json(gens), args.json, render)
     return OK
-
-
-def _render_cell(data: dict) -> str:
-    parts = []
-    for step in data["steps"]:
-        sign = "" if step["exp"] == 1 else "^-1"
-        prefix = "" if step["prefix"] == "1" else step["prefix"] + " "
-        suffix = "" if step["suffix"] == "1" else " " + step["suffix"]
-        parts.append(f"{prefix}{step['rule']}{sign}{suffix}")
-    return " . ".join(parts) if parts else "1"
-
-
-def _minimize(gens: GeneratorSet) -> GeneratorSet:
-    """Heuristic shrink: drop generators whose abelianization is spanned
-    by the kept ones.  Generators with zero abelianization are never
-    dropped (the filter cannot see them)."""
-    from fractions import Fraction
-
-    kept = []
-    basis: list[dict] = []
-
-    def reduces_to_zero(vector: dict) -> bool:
-        vec = {k: Fraction(v) for k, v in vector.items()}
-        for row in basis:
-            pivot = next(iter(row))
-            if pivot in vec:
-                coef = vec[pivot] / row[pivot]
-                for k, v in row.items():
-                    vec[k] = vec.get(k, Fraction(0)) - coef * v
-                vec = {k: v for k, v in vec.items() if v}
-        return not vec
-
-    for gen in gens.generators:
-        vector = twocell.abelianize(gen.cell)
-        if vector and reduces_to_zero(vector):
-            continue
-        kept.append(gen)
-        if vector:
-            basis.append({k: Fraction(v) for k, v in vector.items()})
-    return GeneratorSet(tuple(kept), gens.origin_index, gens.system)
 
 
 def cmd_express(args) -> int:
@@ -227,22 +195,19 @@ def cmd_express(args) -> int:
         print("completion exceeded limits; cannot express", file=_sys.stderr)
         return LIMIT
     gens = generate(result, init)
-    with open(args.cell, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
-        cell = twocell.cell_from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
+        cell, _ = _load_cell(args.cell, presentation.alphabet)
+    except BAD_CELL_ERRORS as err:
         print(f"malformed cell: {err}", file=_sys.stderr)
-        return BAD_CERT
-    bad = twocell.validate(cell, gens.system.rule_map)
-    if bad is not None:
-        print(f"cell does not replay at step {bad}", file=_sys.stderr)
         return BAD_CERT
     try:
         decomposition = express(cell, gens)
     except UnmatchedDiamond as err:
         print(f"unmatched diamond: {err}", file=_sys.stderr)
         return USAGE
+    except ChainError as err:  # the cell does not replay or is not a loop
+        print(f"invalid cell: {err}", file=_sys.stderr)
+        return BAD_CERT
     data = decomposition_to_json(decomposition)
 
     def render(data):
@@ -250,7 +215,7 @@ def cmd_express(args) -> int:
         for factor in data["factors"]:
             print(f"  {factor['gen']}^{factor['exp']} whiskered "
                   f"[{factor['x']}] _ [{factor['z']}]")
-        print(f"residual: {_render_cell(data['residual'])}")
+        print(f"residual: {twocell.render(decomposition.residual)}")
 
     _emit(data, args.json, render)
     return OK

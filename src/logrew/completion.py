@@ -13,10 +13,9 @@ every other placement, including self-overlaps, is kept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
+from .core import EMPTY, Rule, Word, word_from_str, word_to_str
 from . import twocell
 from .engine import LoggedSystem, expand_log, reduce_logged
 from .twocell import Step, TwoCell
@@ -128,9 +127,9 @@ def critical_pair(overlap: Overlap, sys: LoggedSystem) -> CriticalPair:
     return CriticalPair(left, right, overlap)
 
 
-def resolve(cp: CriticalPair, sys: LoggedSystem, order: OrderSpec | None = None) -> Resolved | NewRule:
+def resolve(cp: CriticalPair, sys: LoggedSystem) -> Resolved | NewRule:
     """Reduce both sides; equal reducts give an endorewrite, unequal a new rule."""
-    order = order or sys.order
+    order = sys.order
     if order is None:
         raise ValueError("resolve needs an OrderSpec (none on the system)")
     rules = sys.rule_map
@@ -139,10 +138,7 @@ def resolve(cp: CriticalPair, sys: LoggedSystem, order: OrderSpec | None = None)
     z_left = twocell.target(down_left, rules)
     z_right = twocell.target(down_right, rules)
     if z_left == z_right:
-        endo = twocell.compose_all(
-            [cp.left, down_left, twocell.invert(down_right, rules), twocell.invert(cp.right, rules)],
-            rules,
-        )
+        endo = twocell.diamond(cp.left, down_left, down_right, cp.right, rules)
         return Resolved(twocell.free_reduce(endo))
     # new rule: greater reduct -> smaller reduct, log oriented source = lhs
     if order.greater(z_left, z_right):
@@ -162,8 +158,9 @@ def resolve(cp: CriticalPair, sys: LoggedSystem, order: OrderSpec | None = None)
     return NewRule(Rule(rid, lhs, rhs), log)
 
 
-def _pair_queue(n_rules: int, new_start: int) -> list[tuple[int, int]]:
-    """Rule-index pairs still to search: both orientations, at least one new."""
+def _pair_queue(sys: LoggedSystem, new_start: int) -> list[CriticalPair]:
+    """Critical pairs still to search: rules in both orientations, at least one new."""
+    n_rules = len(sys.rules)
     pairs = [
         (i, j)
         for i in range(n_rules)
@@ -171,7 +168,11 @@ def _pair_queue(n_rules: int, new_start: int) -> list[tuple[int, int]]:
         if i >= new_start or j >= new_start
     ]
     pairs.sort(key=lambda ij: (min(ij), max(ij), ij[0]))
-    return pairs
+    return [
+        critical_pair(overlap, sys)
+        for i, j in pairs
+        for overlap in find_overlaps(sys.rules[i], sys.rules[j])
+    ]
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -188,10 +189,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     passes = 0
     while True:
         passes += 1
-        queue: list[CriticalPair] = []
-        for i, j in _pair_queue(len(sys.rules), new_start):
-            for overlap in find_overlaps(sys.rules[i], sys.rules[j]):
-                queue.append(critical_pair(overlap, sys))
+        queue = _pair_queue(sys, new_start)
         new_start = len(sys.rules)
         while queue:
             cp = queue.pop(0)
@@ -207,31 +205,15 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         if len(sys.rules) == new_start:
             return CompletionResult("complete", sys.as_complete(), ())
         if passes >= limits.max_passes:
-            pending = tuple(
-                critical_pair(ov, sys)
-                for i, j in _pair_queue(len(sys.rules), new_start)
-                for ov in find_overlaps(sys.rules[i], sys.rules[j])
-            )
-            return CompletionResult("limit", sys, pending)
+            return CompletionResult("limit", sys, tuple(_pair_queue(sys, new_start)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, CriticalPair | None]:
     """Check every critical pair resolves; returns a failing witness otherwise."""
-    for a in sys.rules:
-        for b in sys.rules:
-            for overlap in find_overlaps(a, b):
-                cp = critical_pair(overlap, sys)
-                if isinstance(resolve(cp, sys), NewRule):
-                    return False, cp
+    for cp in _pair_queue(sys, 0):
+        if isinstance(resolve(cp, sys), NewRule):
+            return False, cp
     return True, None
-
-
-def _reducible(w: Word, rules: list[Rule]) -> bool:
-    for rule in rules:
-        k = len(rule.lhs)
-        if k and any(w[p:p + k] == rule.lhs for p in range(len(w) - k + 1)):
-            return True
-    return False
 
 
 def interreduce(sys: LoggedSystem) -> LoggedSystem:
@@ -247,11 +229,11 @@ def interreduce(sys: LoggedSystem) -> LoggedSystem:
         changed = False
         for idx, rule in enumerate(kept):
             rest = [r for r in kept if r.rid != rule.rid]
-            if _reducible(rule.lhs, rest):
+            if any(occurrences(r.lhs, rule.lhs) for r in rest):
                 del kept[idx]
                 changed = True
                 break
-    base = LoggedSystem(tuple(kept), dict(sys.provenance), dict(sys.logs), order=sys.order)
+    base = LoggedSystem(tuple(kept), order=sys.order)  # reduces right-hand sides only
     out_rules, provenance, logs = [], {}, {}
     for rule in kept:
         if sys.provenance[rule.rid] == "initial":
@@ -260,12 +242,12 @@ def interreduce(sys: LoggedSystem) -> LoggedSystem:
             continue
         down = reduce_logged(rule.rhs, base)
         new_rhs = twocell.target(down, base.rule_map)
-        log = sys.logs[rule.rid]
+        log = sys.logs[rule.rid]  # may cite dropped rules, so sys, not base
         if new_rhs != rule.rhs:
-            log = twocell.compose(log, down, base.rule_map)
+            log = twocell.compose(log, down, sys.rule_map)
         out_rules.append(Rule(rule.rid, rule.lhs, new_rhs))
         provenance[rule.rid] = "derived"
-        logs[rule.rid] = expand_log(log, base)
+        logs[rule.rid] = expand_log(log, sys)
     out = LoggedSystem(tuple(out_rules), provenance, logs, order=sys.order)
     ok, _ = is_complete(out)
     return out.as_complete() if ok else out
@@ -301,7 +283,3 @@ def system_from_json(data: dict) -> CompletionResult:
     status = data.get("status", "limit")
     sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete")
     return CompletionResult(status, sys, ())
-
-
-def dumps(result: CompletionResult) -> str:
-    return json.dumps(system_to_json(result), indent=2, sort_keys=True)

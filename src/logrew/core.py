@@ -86,16 +86,20 @@ class OrderSpec:
         if self.kind != "shortlex":
             raise ValueError(f"unsupported order kind {self.kind!r}")
 
+    def key(self, w: Word) -> tuple[int, tuple[int, ...]]:
+        """Sort key putting greater words first: longer first, then by the
+        first differing letter, earlier declared first.  ``(len(w), key(w))``
+        sorts by length ascending, then greatest word first in a length."""
+        return -len(w), tuple(map(self.alphabet.rank, w))
+
     def compare(self, a: Word, b: Word) -> int:
         """Return LESS, EQUAL or GREATER for a versus b."""
         if len(a) != len(b):
             return LESS if len(a) < len(b) else GREATER
-        for x, y in zip(a, b):
-            rx, ry = self.alphabet.rank(x), self.alphabet.rank(y)
-            if rx != ry:
-                # smaller rank means higher precedence, hence a greater word
-                return GREATER if rx < ry else LESS
-        return EQUAL
+        ka, kb = self.key(a), self.key(b)
+        if ka == kb:
+            return EQUAL
+        return GREATER if ka < kb else LESS
 
     def greater(self, a: Word, b: Word) -> bool:
         return self.compare(a, b) == GREATER

@@ -10,12 +10,11 @@ table so that the extracted product replays to the input exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .core import EMPTY, Rule, Word, word_to_str
 from . import twocell
-from .engine import LoggedSystem, normal_form, reduce_logged
+from .engine import LoggedSystem, normal_form, prove, reduce_logged
 from .twocell import ChainError, Step, TwoCell
 from .completion import CompletionResult, CriticalPair, Overlap, critical_pair, find_overlaps
 
@@ -26,30 +25,6 @@ class UnmatchedDiamond(ValueError):
 
 def is_endorewrite(cell: TwoCell, rules: dict[str, Rule]) -> bool:
     return twocell.validate(cell, rules) is None and twocell.target(cell, rules) == cell.source
-
-
-def _word_key(sys: LoggedSystem, w: Word):
-    """Ascending shortlex key: greater words sort later."""
-    if sys.order is not None:
-        return len(w), tuple(sys.order.alphabet.rank(x) for x in w)
-    return len(w), w
-
-
-def _loop_key(sys: LoggedSystem, cell: TwoCell):
-    """Canonical-choice key: prefer the greatest base word, then least steps."""
-    if sys.order is not None:
-        ranks = tuple(sys.order.alphabet.rank(x) for x in cell.source)
-    else:
-        ranks = cell.source
-    return (-len(cell.source), ranks), twocell.cell_key(cell)
-
-
-def _descending_key(sys: LoggedSystem):
-    """Sort key under which the shortlex-greatest word is the maximum."""
-    if sys.order is not None:
-        alphabet = sys.order.alphabet
-        return lambda w: (len(w), tuple(-alphabet.rank(x) for x in w))
-    return lambda w: (len(w), tuple(-ord(c) for c in "".join(w)))
 
 
 def _closure_legs(left: Step, right: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
@@ -108,15 +83,16 @@ def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
     return down_left, down_right
 
 
+def _loop(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
+    """The resolving legs of a critical pair and its loop, free reduced."""
+    leg_left, leg_right = _pair_legs(cp, sys)
+    loop = twocell.diamond(cp.left, leg_left, leg_right, cp.right, sys.rule_map)
+    return leg_left, leg_right, twocell.free_reduce(loop)
+
+
 def delta(cp: CriticalPair, sys: LoggedSystem) -> TwoCell:
     """The loop left . leg_left . leg_right^-1 . right^-1, free reduced."""
-    rules = sys.rule_map
-    leg_left, leg_right = _pair_legs(cp, sys)
-    loop = twocell.compose_all(
-        [cp.left, leg_left, twocell.invert(leg_right, rules), twocell.invert(cp.right, rules)],
-        rules,
-    )
-    return twocell.free_reduce(loop)
+    return _loop(cp, sys)[2]
 
 
 @dataclass
@@ -124,7 +100,6 @@ class OriginRecord:
     """Everything known about one overlap placement of the completed system."""
 
     overlap: Overlap
-    pair: CriticalPair
     leg_left: TwoCell
     leg_right: TwoCell
     delta: TwoCell
@@ -144,27 +119,23 @@ class Generator:
 @dataclass
 class GeneratorSet:
     generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)
+    origin_index: dict = field(repr=False)  # (rules, u1, v1, u2, v2) -> OriginRecord
     system: LoggedSystem = field(repr=False)
+    _by_id: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_id = {gen.gid: gen for gen in self.generators}
 
     def by_id(self, gid: str) -> Generator:
-        for gen in self.generators:
-            if gen.gid == gid:
-                return gen
-        raise KeyError(gid)
-
-
-def _origin_key(left_rule: str, right_rule: str, u1: Word, v1: Word, u2: Word, v2: Word):
-    return left_rule, right_rule, u1, v1, u2, v2
+        return self._by_id[gid]
 
 
 def _union_system(completed: LoggedSystem, init: LoggedSystem) -> LoggedSystem:
     rules = list(completed.rules)
     provenance = dict(completed.provenance)
     logs = dict(completed.logs)
-    have = {r.rid for r in rules}
     for rule in init.rules:
-        if rule.rid not in have:
+        if rule.rid not in completed.rule_map:
             rules.append(rule)
             provenance[rule.rid] = init.provenance[rule.rid]
             if rule.rid in init.logs:
@@ -205,7 +176,8 @@ def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
         TwoCell(words[k], core.steps[k:] + core.steps[:k])
         for k in range(len(core.steps))
     ]
-    best = min(candidates, key=lambda c: _loop_key(sys, c))
+    # the greatest base word, then the least step sequence
+    best = min(candidates, key=lambda c: (sys.order.key(c.source), twocell.cell_key(c)))
     polished = strip(twocell.interchange_normalize(best, rules))
     if len(polished.steps) < len(best.steps):
         return conjugacy_reduce(polished, sys)
@@ -223,6 +195,8 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
     sys = _union_system(comp.system, init)
+    if sys.order is None:
+        raise ValueError("generator extraction needs an OrderSpec (none on the systems)")
     rules = sys.rule_map
 
     records: dict = {}
@@ -230,16 +204,9 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     for a in sys.rules:
         for b in sys.rules:
             for overlap in find_overlaps(a, b):
-                cp = critical_pair(overlap, sys)
-                leg_left, leg_right = _pair_legs(cp, sys)
-                loop = twocell.free_reduce(twocell.compose_all(
-                    [cp.left, leg_left, twocell.invert(leg_right, rules),
-                     twocell.invert(cp.right, rules)],
-                    rules,
-                ))
-                rec = OriginRecord(overlap, cp, leg_left, leg_right, loop)
-                key = _origin_key(overlap.left_rule, overlap.right_rule,
-                                  overlap.u1, overlap.v1, overlap.u2, overlap.v2)
+                rec = OriginRecord(overlap, *_loop(critical_pair(overlap, sys), sys))
+                key = (overlap.left_rule, overlap.right_rule,
+                       overlap.u1, overlap.v1, overlap.u2, overlap.v2)
                 records[key] = rec
                 protos.append(rec)
 
@@ -268,11 +235,12 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
             if ikey != ckey:
                 seen[ikey] = (idx, -1)
 
-    # stable ids: order by base element, then discovery
+    # stable ids: order by base element (shortest first, the greatest word
+    # first within a length), then discovery
     base_elements = [normal_form(rec.overlap.superposition, sys) for rec in chosen]
     ordering = sorted(
         range(len(chosen)),
-        key=lambda i: (_word_key(sys, base_elements[i]), i),
+        key=lambda i: (len(base_elements[i]), sys.order.key(base_elements[i]), i),
     )
     gid_of = {idx: f"g{n}" for n, idx in enumerate(ordering, start=1)}
     generators = tuple(
@@ -298,71 +266,34 @@ def base_element(cell: TwoCell, sys: LoggedSystem) -> Word:
     return normal_form(cell.source, sys)
 
 
-# ---------------------------------------------------------------------------
-# digraph filling
+def minimize(gens: GeneratorSet) -> GeneratorSet:
+    """Heuristic shrink: drop generators whose abelianization is spanned
+    by the kept ones.  Generators with zero abelianization are never
+    dropped (the filter cannot see them)."""
+    from fractions import Fraction
 
+    kept = []
+    basis: list[dict] = []
 
-@dataclass(frozen=True)
-class ReductionDigraph:
-    vertices: frozenset
-    edges: frozenset  # forward-oriented Steps
-    base: Word
+    def reduces_to_zero(vector: dict) -> bool:
+        vec = {k: Fraction(v) for k, v in vector.items()}
+        for row in basis:
+            pivot = next(iter(row))
+            if pivot in vec:
+                coef = vec[pivot] / row[pivot]
+                for k, v in row.items():
+                    vec[k] = vec.get(k, Fraction(0)) - coef * v
+                vec = {k: v for k, v in vec.items() if v}
+        return not vec
 
-
-def digraph_fill(a: TwoCell, b: TwoCell, sys: LoggedSystem) -> tuple[ReductionDigraph, list[TwoCell]]:
-    """Fill the digraph of two parallel cells into confluence diamonds.
-
-    Vertices are processed greatest first; at each vertex with two or
-    more distinct outgoing reductions, consecutive pairs are resolved to
-    normal form and the resolution paths join the digraph.  Returns the
-    filled digraph and the diamond loops in processing order.
-    """
-    rules = sys.rule_map
-    if a.source != b.source:
-        raise ChainError("cells do not share a source")
-    if twocell.target(a, rules) != twocell.target(b, rules):
-        raise ChainError("cells do not share a target")
-    rule_index = {rule.rid: i for i, rule in enumerate(sys.rules)}
-    desc = _descending_key(sys)
-
-    vertices: set[Word] = set()
-    edges: set[Step] = set()
-    for cell in (a, b):
-        vertices.update(twocell.intermediate_words(cell, rules))
-        for step in cell.steps:
-            edges.add(step if step.exp == 1 else twocell.invert_step(step))
-
-    diamonds: list[TwoCell] = []
-    pending = set(vertices)
-    processed: set[Word] = set()
-    while pending:
-        v = max(pending, key=desc)
-        pending.remove(v)
-        processed.add(v)
-        outgoing = sorted(
-            (e for e in edges if twocell.step_source(e, rules) == v),
-            key=lambda e: (len(e.prefix), rule_index[e.rule]),
-        )
-        for e1, e2 in zip(outgoing, outgoing[1:]):
-            down1 = reduce_logged(twocell.step_target(e1, rules), sys)
-            down2 = reduce_logged(twocell.step_target(e2, rules), sys)
-            if twocell.target(down1, rules) != twocell.target(down2, rules):
-                raise ValueError("branching does not resolve; the system is incomplete")
-            dia = twocell.compose_all(
-                [TwoCell(v, (e1,)), down1, twocell.invert(down2, rules),
-                 twocell.invert(TwoCell(v, (e2,)), rules)],
-                rules,
-            )
-            diamonds.append(twocell.free_reduce(dia))
-            for down in (down1, down2):
-                words = twocell.intermediate_words(down, rules)
-                vertices.update(words)
-                edges.update(down.steps)
-                for w in words:
-                    if w not in processed:
-                        pending.add(w)
-    base = max(vertices, key=desc)
-    return ReductionDigraph(frozenset(vertices), frozenset(edges), base), diamonds
+    for gen in gens.generators:
+        vector = twocell.abelianize(gen.cell)
+        if vector and reduces_to_zero(vector):
+            continue
+        kept.append(gen)
+        if vector:
+            basis.append({k: Fraction(v) for k, v in vector.items()})
+    return GeneratorSet(tuple(kept), gens.origin_index, gens.system)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +342,7 @@ def _match_overlap(v: Word, first: Step, second: Step, gens: GeneratorSet):
     else:
         k = len(l1) - q2
         parts = (EMPTY, l2[k:], l1[:q2], EMPTY)
-    key = _origin_key(first.rule, second.rule, *parts)
-    record = gens.origin_index.get(key)
+    record = gens.origin_index.get((first.rule, second.rule, *parts))
     if record is None:
         raise UnmatchedDiamond(
             f"no generator origin for rules {first.rule},{second.rule} on {word_to_str(v)}"
@@ -430,9 +360,8 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     """
     sys = gens.system
     rules = sys.rule_map
-    rule_index = {rule.rid: i for i, rule in enumerate(sys.rules)}
     first, second = sorted(
-        (down_a, down_b), key=lambda s: (len(s.prefix), rule_index[s.rule])
+        (down_a, down_b), key=lambda s: (len(s.prefix), sys.position(s.rule))
     )
     swapped = (first, second) != (down_a, down_b)
     l1 = rules[first.rule].lhs
@@ -440,11 +369,8 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     p1, p2 = len(first.prefix), len(second.prefix)
     if p2 >= p1 + len(l1):
         leg_first, leg_second = _closure_legs(first, second, sys)
-        dia = twocell.compose_all(
-            [TwoCell(v, (first,)), leg_first,
-             twocell.invert(leg_second, rules), twocell.invert(TwoCell(v, (second,)), rules)],
-            rules,
-        )
+        dia = twocell.diamond(TwoCell(v, (first,)), leg_first, leg_second,
+                              TwoCell(v, (second,)), rules)
         meta = (None, v[:p1], v[p2 + len(l2):], 1)
     else:
         record, x, z = _match_overlap(v, first, second, gens)
@@ -475,11 +401,8 @@ def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, orientation: 
             # conjugacy-merged representative living on another base word:
             # bridge through the common normal form so the whiskered
             # reference stays replayable
-            down_here = reduce_logged(twocell.target(conjugator, rules), sys)
-            down_there = reduce_logged(x + rep.base_word + z, sys)
-            conjugator = twocell.free_reduce(twocell.compose_all(
-                [conjugator, down_here, twocell.invert(down_there, rules)], rules,
-            ))
+            bridge = prove(twocell.target(conjugator, rules), x + rep.base_word + z, sys)
+            conjugator = twocell.free_reduce(twocell.compose(conjugator, bridge, rules))
     factors.append(Factor(
         gen=gid,
         x=x,
@@ -560,15 +483,14 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
             break
 
 
-def express(cell: TwoCell, gens: GeneratorSet, sys: LoggedSystem | None = None) -> Decomposition:
+def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
     """Decompose an endorewrite into conjugated, whiskered generator loops.
 
     The factor cells multiply out, at the base word, to a cell that free
     reduces back to the input; the residual records the leftover loop
     (the identity whenever extraction succeeded).
     """
-    sys = sys or gens.system
-    rules = sys.rule_map
+    rules = gens.system.rule_map
     bad = twocell.validate(cell, rules)
     if bad is not None:
         raise ChainError("input does not replay", index=bad)
@@ -629,10 +551,3 @@ def decomposition_to_json(dec: Decomposition) -> dict:
         "residual": twocell.cell_to_json(dec.residual),
     }
 
-
-def dumps_generators(gens: GeneratorSet) -> str:
-    return json.dumps(generator_set_to_json(gens), indent=2, sort_keys=True)
-
-
-def dumps_decomposition(dec: Decomposition) -> str:
-    return json.dumps(decomposition_to_json(dec), indent=2, sort_keys=True)

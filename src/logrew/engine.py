@@ -30,11 +30,17 @@ class LoggedSystem:
     complete: bool = False
     order: OrderSpec | None = None
     _index: dict = field(init=False, repr=False, compare=False)
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # own copies, so the caller's dicts are never written or shared
+        provenance = dict(self.provenance)
         for rule in self.rules:
-            self.provenance.setdefault(rule.rid, "initial")
+            provenance.setdefault(rule.rid, "initial")
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "logs", dict(self.logs))
         object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
+        object.__setattr__(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
 
     @property
     def rule_map(self) -> dict[str, Rule]:
@@ -42,6 +48,10 @@ class LoggedSystem:
 
     def rule(self, rid: str) -> Rule:
         return self._index[rid]
+
+    def position(self, rid: str) -> int:
+        """Index of the rule in ``rules``: the tie-break between redexes at one position."""
+        return self._position[rid]
 
     def initial_rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if self.provenance[r.rid] == "initial")

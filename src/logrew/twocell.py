@@ -123,6 +123,12 @@ def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     )
 
 
+def diamond(left: TwoCell, leg_left: TwoCell, leg_right: TwoCell, right: TwoCell,
+            rules: dict[str, Rule]) -> TwoCell:
+    """The loop left . leg_left . leg_right^-1 . right^-1 around a branching, not free reduced."""
+    return compose_all([left, leg_left, invert(leg_right, rules), invert(right, rules)], rules)
+
+
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
     return TwoCell(
         u + cell.source + v,
@@ -212,6 +218,17 @@ def abelianize(cell: TwoCell) -> dict[str, int]:
 def cell_key(cell: TwoCell):
     """Hashable identity of a cell, for dedup tables."""
     return cell.source, tuple((s.prefix, s.rule, s.exp, s.suffix) for s in cell.steps)
+
+
+def render(cell: TwoCell) -> str:
+    """One-line form: ``prefix rule^-1 suffix`` per step, joined by `` . ``; ``1`` if none."""
+    parts = []
+    for s in cell.steps:
+        sign = "" if s.exp == 1 else "^-1"
+        prefix = word_to_str(s.prefix) + " " if s.prefix else ""
+        suffix = " " + word_to_str(s.suffix) if s.suffix else ""
+        parts.append(f"{prefix}{s.rule}{sign}{suffix}")
+    return " . ".join(parts) if parts else "1"
 
 
 def cell_to_json(cell: TwoCell) -> dict:

@@ -136,20 +136,6 @@ def random_loop(rng, sys: LoggedSystem, source: Word, n_steps: int) -> TwoCell:
     return tc.compose(out, back, rules)
 
 
-def random_reduction(rng, sys: LoggedSystem, source: Word) -> TwoCell:
-    """A maximal reduction path choosing redexes at random."""
-    steps = []
-    w = source
-    while True:
-        redexes = find_redexes(w, sys)
-        if not redexes:
-            return TwoCell(source, tuple(steps))
-        pos, rid = rng.choice(redexes)
-        rule = sys.rule(rid)
-        steps.append(Step(w[:pos], rid, 1, w[pos + len(rule.lhs):]))
-        w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
-
-
 def random_word(rng, letters, max_len, min_len=0) -> Word:
     return tuple(rng.choice(letters) for _ in range(rng.randint(min_len, max_len)))
 

@@ -226,3 +226,63 @@ def test_json_outputs_stable_between_runs(capsys):
         _, out, _ = run(capsys, "endos", SE, "--json")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+A5 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+a b a b a b a b a b = 1
+"""
+
+
+def test_interreduce_a5_exits_cleanly(capsys, tmp_path):
+    f = tmp_path / "a5.txt"
+    f.write_text(A5)
+    code, out, err = run(capsys, "complete", str(f), "--interreduce", "--json")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["status"] == "complete"
+    assert len(data["rules"]) == 8
+    code, out, err = run(capsys, "endos", str(f), "--interreduce", "--json")
+    assert code == 0 and "Traceback" not in err
+    assert len(json.loads(out)["generators"]) == 107
+
+
+BAD_CELLS = {
+    "not-json": '{"source": "s e", "steps": [',
+    "list": "[1, 2]",
+    "string": '"s e"',
+    "number": "5",
+    "source-letter": json.dumps({"source": "q q", "steps": []}),
+    "prefix-letter": json.dumps({"source": "s s s e", "steps": [
+        {"prefix": "q", "rule": "r2", "exp": 1, "suffix": "e"}]}),
+    "suffix-letter": json.dumps({"source": "s s s e", "steps": [
+        {"prefix": "1", "rule": "r2", "exp": 1, "suffix": "q"}]}),
+    "target-letter": json.dumps({"source": "s e", "steps": [], "target": "q"}),
+    "word-not-string": json.dumps({"source": 5, "steps": []}),
+}
+
+
+def test_bad_cell_input_exits_4(capsys, tmp_path):
+    for name, text in BAD_CELLS.items():
+        cellfile = tmp_path / f"{name}.json"
+        cellfile.write_text(text)
+        for command in ("verify", "express"):
+            code, out, err = run(capsys, command, SE, str(cellfile))
+            assert code == 4, (command, name)
+            assert "Traceback" not in err, (command, name)
+            assert out == "", (command, name)
+
+
+def test_express_rejects_a_cell_that_is_not_a_loop(capsys, tmp_path):
+    cellfile = tmp_path / "path.json"
+    cellfile.write_text(json.dumps({
+        "source": "s s s e",
+        "steps": [{"prefix": "1", "rule": "r2", "exp": 1, "suffix": "e"}],
+    }))
+    code, _, err = run(capsys, "express", SE, str(cellfile))
+    assert code == 4
+    assert "not an endorewrite" in err

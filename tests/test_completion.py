@@ -7,7 +7,7 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, Resolved, critical_pair, dumps, find_overlaps,
+    CompletionLimits, NewRule, Resolved, critical_pair, find_overlaps,
     interreduce, is_complete, logged_knuth_bendix, system_from_json,
     system_to_json,
 )
@@ -239,6 +239,59 @@ def test_interreduce_identity_on_canonical_system(ab_completion):
     assert reduced.complete
 
 
+A5 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+a b a b a b a b a b = 1
+"""
+
+
+def test_interreduce_a5_logs_replay_on_initial_rules():
+    # kept derived rules cite dropped ones in their logs; expanding those
+    # logs against the reduced system alone used to raise ChainError
+    init = system_from_presentation(parse_presentation(A5))
+    completed = logged_knuth_bendix(init).system
+    reduced = interreduce(completed)
+    assert len(completed.rules) == 16
+    assert len(reduced.rules) == 8
+    assert reduced.complete
+    for rule in reduced.rules:
+        if reduced.provenance[rule.rid] == "derived":
+            log = reduced.logs[rule.rid]
+            assert log.source == rule.lhs
+            assert tc.target(log, init.rule_map) == rule.rhs
+
+
+def test_interreduce_rewrites_rhs_through_dropped_rule():
+    # r1 is dropped (r3 reduces its lhs) while r3's log cites it, and r3's
+    # rhs is reducible by r2, so the log is extended and expanded
+    order = OrderSpec(Alphabet(("c", "b", "a")))
+    r1 = Rule("r1", W("c"), W("a"))
+    r2 = Rule("r2", W("b"), W("a"))
+    r3 = Rule("r3", W("c"), W("b"))
+    log3 = TwoCell(W("c"), (Step((), "r1", 1, ()), Step((), "r2", -1, ())))
+    sys = LoggedSystem((r1, r2, r3), {"r3": "derived"}, {"r3": log3}, order=order)
+    reduced = interreduce(sys)
+    assert [(r.rid, r.lhs, r.rhs) for r in reduced.rules] == [("r2", W("b"), W("a")), ("r3", W("c"), W("a"))]
+    log = reduced.logs["r3"]
+    assert log.source == W("c")
+    assert tc.target(log, {"r1": r1, "r2": r2}) == W("a")
+
+
+def test_system_does_not_write_into_caller_dicts():
+    provenance, logs = {}, {}
+    rule = Rule("r1", W("a a"), W("a"))
+    sys = LoggedSystem((rule,), provenance, logs)
+    assert provenance == {} and logs == {}
+    assert sys.provenance == {"r1": "initial"}
+    grown = sys.with_rule(Rule("r2", W("a a a"), W("a")), TwoCell(W("a a a"), ()))
+    assert sys.provenance == {"r1": "initial"} and sys.logs == {}
+    assert grown.provenance == {"r1": "initial", "r2": "derived"}
+
+
 def test_system_json_round_trip(ab_completion):
     data = system_to_json(ab_completion)
     again = system_from_json(json.loads(json.dumps(data)))
@@ -246,4 +299,4 @@ def test_system_json_round_trip(ab_completion):
     assert again.system.rules == ab_completion.system.rules
     assert again.system.logs == ab_completion.system.logs
     assert again.system.complete
-    assert dumps(ab_completion) == dumps(again)
+    assert system_to_json(ab_completion) == system_to_json(again)

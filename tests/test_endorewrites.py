@@ -1,5 +1,5 @@
-"""Loop extraction, generating sets, conjugacy reduction, digraph filling,
-and expression of loops over the generators."""
+"""Loop extraction, generating sets, conjugacy reduction, and expression
+of loops over the generators."""
 
 import random
 from collections import Counter
@@ -7,20 +7,20 @@ from collections import Counter
 import pytest
 
 from logrew.core import word_from_str, word_to_str
-from logrew.engine import normal_form, reduce_logged, system_from_presentation
+from logrew.engine import normal_form, system_from_presentation
 from logrew.completion import (
     CriticalPair, critical_pair, find_overlaps, logged_knuth_bendix,
 )
 from logrew.endorewrites import (
     UnmatchedDiamond, base_element, conjugacy_reduce, delta,
-    decomposition_to_json, digraph_fill, express, generate,
+    decomposition_to_json, express, generate,
     generator_set_to_json, is_endorewrite,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    random_cell, random_loop, random_reduction, random_word,
+    random_cell, random_loop, random_word,
     signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
@@ -139,34 +139,6 @@ def test_conjugacy_invariance(rng, se_system, se_rules):
         conjugated = tc.compose_all(
             [tc.invert(beta, se_rules), gamma, beta], se_rules)
         assert conjugacy_reduce(conjugated, se_system) == conjugacy_reduce(gamma, se_system)
-
-
-def test_digraph_fill_published_overlap(se_system, se_rules):
-    left = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
-    right = TwoCell(W("s s s e"), (Step(W("s"), "r3", 1, W("1")),))
-    digraph, diamonds = digraph_fill(left, right, se_system)
-    assert len(diamonds) == 1
-    assert diamonds[0] == loop_cell("se_1")
-    assert digraph.base == W("s s s e")
-    assert W("s e") in digraph.vertices
-
-
-def test_digraph_fill_equal_cells_no_diamonds(se_system):
-    cell = reduce_logged(W("e s e s e"), se_system)
-    digraph, diamonds = digraph_fill(cell, cell, se_system)
-    assert diamonds == []
-
-
-def test_digraph_fill_terminates_on_random_pairs(rng, se_system, se_rules):
-    for _ in range(500):
-        w = random_word(rng, ("s", "e"), 8, min_len=1)
-        a = random_reduction(rng, se_system, w)
-        b = random_reduction(rng, se_system, w)
-        digraph, diamonds = digraph_fill(a, b, se_system)
-        for dia in diamonds:
-            assert is_endorewrite(dia, se_rules)
-        assert digraph.base == max(
-            digraph.vertices, key=lambda v: (len(v), [-ord(c) for c in "".join(v)]))
 
 
 def test_express_identity(se_generators):

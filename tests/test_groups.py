@@ -1,0 +1,120 @@
+"""Invariants on finite groups beyond the s/e fixture.
+
+Three presentations, written out here: the Coxeter group S4, the
+alternating group A4 as the triangle group <a, b | a^2, b^3, (ab)^3>, and
+Z4 x Z5.  For each, the completed system must have as many normal forms
+as the group has elements, every derived log must expand to a cell on
+the initial rules from the rule's lhs to its rhs, proofs of equal words
+must replay on the initial rules, and ``express`` must leave an identity
+residual on random loops.
+"""
+
+import random
+
+import pytest
+
+from logrew import parse_presentation, system_from_presentation
+from logrew.completion import logged_knuth_bendix
+from logrew.endorewrites import express, generate
+from logrew.engine import expand_log, normal_form, prove
+import logrew.twocell as tc
+
+from helpers import random_cell, random_loop, random_word
+
+S4 = """monoid
+letters: a b c
+order: shortlex
+rules:
+a a = 1
+b b = 1
+c c = 1
+a b a b a b = 1
+a c a c = 1
+b c b c b c = 1
+"""
+
+A4 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+a b a b a b = 1
+"""
+
+Z4_Z5 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a a a = 1
+b b b b b = 1
+b a = a b
+"""
+
+GROUPS = {"S4": (S4, 24), "A4": (A4, 12), "Z4xZ5": (Z4_Z5, 20)}
+
+
+@pytest.fixture(scope="module", params=sorted(GROUPS))
+def group(request):
+    text, order = GROUPS[request.param]
+    presentation = parse_presentation(text)
+    init = system_from_presentation(presentation)
+    completion = logged_knuth_bendix(init)
+    assert completion.status == "complete"
+    return presentation.alphabet.letters, init, completion, order
+
+
+def elements(letters, sys):
+    """Normal forms reachable from the empty word by right multiplication."""
+    seen = {normal_form((), sys)}
+    frontier = list(seen)
+    while frontier:
+        word = frontier.pop()
+        for letter in letters:
+            nf = normal_form(word + (letter,), sys)
+            if nf not in seen:
+                seen.add(nf)
+                frontier.append(nf)
+    return seen
+
+
+def test_normal_forms_count_group_elements(group):
+    letters, _, completion, order = group
+    assert len(elements(letters, completion.system)) == order
+
+
+def test_derived_logs_expand_to_initial_rules(group):
+    _, init, completion, _ = group
+    sys = completion.system
+    derived = [rule for rule in sys.rules if sys.provenance[rule.rid] == "derived"]
+    for rule in derived:
+        expanded = expand_log(sys.logs[rule.rid], sys)
+        assert expanded.source == rule.lhs
+        assert tc.target(expanded, init.rule_map) == rule.rhs
+
+
+def test_proofs_of_equal_words_replay_on_initial_rules(group):
+    letters, init, completion, _ = group
+    sys = completion.system
+    rng = random.Random(7)
+    for _ in range(20):
+        w1 = random_word(rng, letters, 10, min_len=1)
+        w2 = tc.target(random_cell(rng, init, w1, rng.randint(1, 6)), init.rule_map)
+        cell = prove(w1, w2, sys)
+        certificate = expand_log(cell, sys)
+        assert certificate.source == w1
+        assert tc.target(certificate, init.rule_map) == w2
+
+
+def test_express_leaves_identity_residual(group):
+    letters, init, completion, _ = group
+    gens = generate(completion, init)
+    rng = random.Random(11)
+    factors = 0
+    for _ in range(6):
+        base = random_word(rng, letters, 5, min_len=1)
+        loop = random_loop(rng, gens.system, base, rng.randint(1, 6))
+        dec = express(loop, gens)
+        assert dec.residual.steps == ()
+        factors += len(dec.factors)
+    assert factors > 0
