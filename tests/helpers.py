@@ -13,6 +13,17 @@ from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
 
 
+# A5 = <a, b | a^2, b^3, (ab)^5>: completes to 16 rules, interreduces to 8
+A5 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+a b a b a b a b a b = 1
+"""
+
+
 def words_over(letters, max_len):
     for n in range(max_len + 1):
         yield from (tuple(w) for w in product(letters, repeat=n))

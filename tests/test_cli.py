@@ -7,6 +7,7 @@ from logrew.cli import main
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
+from helpers import A5
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 SE = str(PRESENTATIONS / "se_monoid.txt")
@@ -226,16 +227,6 @@ def test_json_outputs_stable_between_runs(capsys):
         _, out, _ = run(capsys, "endos", SE, "--json")
         outputs.append(out)
     assert outputs[0] == outputs[1]
-
-
-A5 = """monoid
-letters: a b
-order: shortlex
-rules:
-a a = 1
-b b b = 1
-a b a b a b a b a b = 1
-"""
 
 
 def test_interreduce_a5_exits_cleanly(capsys, tmp_path):

@@ -14,7 +14,7 @@ from logrew.completion import (
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
 
-from helpers import brute_force_overlaps, congruence_classes, words_over
+from helpers import A5, brute_force_overlaps, congruence_classes, words_over
 
 W = word_from_str
 
@@ -237,16 +237,6 @@ def test_interreduce_identity_on_canonical_system(ab_completion):
     reduced = interreduce(ab_completion.system)
     assert reduced.rules == ab_completion.system.rules
     assert reduced.complete
-
-
-A5 = """monoid
-letters: a b
-order: shortlex
-rules:
-a a = 1
-b b b = 1
-a b a b a b a b a b = 1
-"""
 
 
 def test_interreduce_a5_logs_replay_on_initial_rules():
