@@ -88,18 +88,18 @@ def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
     return cell, target
 
 
-def _complete(path: str, limits: CompletionLimits, do_interreduce: bool):
-    presentation = _load_presentation(path)
+def _complete(presentation, args):
+    """The initial system and its completion under ``--limits``/``--interreduce``."""
     init = system_from_presentation(presentation)
-    result = logged_knuth_bendix(init, limits)
-    if do_interreduce and result.status == "complete":
+    result = logged_knuth_bendix(init, args.limits)
+    if args.interreduce and result.status == "complete":
         reduced = interreduce(result.system)
         result = CompletionResult(result.status, reduced, result.pending)
-    return presentation, init, result
+    return init, result
 
 
 def cmd_complete(args) -> int:
-    _, _, result = _complete(args.file, args.limits, args.interreduce)
+    _, result = _complete(_load_presentation(args.file), args)
     data = system_to_json(result)
 
     def render(data):
@@ -115,21 +115,24 @@ def cmd_complete(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    presentation, _, result = _complete(args.file, args.limits, args.interreduce)
+    presentation = _load_presentation(args.file)
+    _, result = _complete(presentation, args)
     word = word_from_str(args.word, presentation.alphabet)
     print(word_to_str(normal_form(word, result.system)))
     return OK if result.status == "complete" else LIMIT
 
 
 def cmd_reduce(args) -> int:
-    presentation, _, result = _complete(args.file, args.limits, args.interreduce)
+    presentation = _load_presentation(args.file)
+    _, result = _complete(presentation, args)
     word = word_from_str(args.word, presentation.alphabet)
     _emit_cell(reduce_logged(word, result.system), args, result.system, "->")
     return OK if result.status == "complete" else LIMIT
 
 
 def cmd_prove(args) -> int:
-    presentation, _, result = _complete(args.file, args.limits, args.interreduce)
+    presentation = _load_presentation(args.file)
+    _, result = _complete(presentation, args)
     w1 = word_from_str(args.word1, presentation.alphabet)
     w2 = word_from_str(args.word2, presentation.alphabet)
     outcome = prove(w1, w2, result.system)
@@ -167,7 +170,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_endos(args) -> int:
-    presentation, init, result = _complete(args.file, args.limits, args.interreduce)
+    init, result = _complete(_load_presentation(args.file), args)
     if result.status != "complete":
         print("completion exceeded limits; no generator set", file=_sys.stderr)
         return LIMIT
@@ -190,16 +193,17 @@ def cmd_endos(args) -> int:
 
 
 def cmd_express(args) -> int:
-    presentation, init, result = _complete(args.file, args.limits, args.interreduce)
-    if result.status != "complete":
-        print("completion exceeded limits; cannot express", file=_sys.stderr)
-        return LIMIT
-    gens = generate(result, init)
+    presentation = _load_presentation(args.file)
     try:
         cell, _ = _load_cell(args.cell, presentation.alphabet)
     except BAD_CELL_ERRORS as err:
         print(f"malformed cell: {err}", file=_sys.stderr)
         return BAD_CERT
+    init, result = _complete(presentation, args)
+    if result.status != "complete":
+        print("completion exceeded limits; cannot express", file=_sys.stderr)
+        return LIMIT
+    gens = generate(result, init)
     try:
         decomposition = express(cell, gens)
     except UnmatchedDiamond as err:
@@ -292,8 +296,11 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=_sys.stderr)
         return USAGE
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=_sys.stderr)
+    except OSError as err:
+        print(f"cannot read {err.filename}: {err.strerror}", file=_sys.stderr)
+        return USAGE
+    except UnicodeDecodeError:  # the presentation; cells are read under BAD_CELL_ERRORS
+        print(f"cannot read {args.file}: not UTF-8 text", file=_sys.stderr)
         return USAGE
 
 

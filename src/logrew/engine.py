@@ -3,6 +3,12 @@
 The reduction strategy is fixed to leftmost position, then lowest rule
 index, so logs are reproducible.  Derived rules carry an unexpanded log;
 ``expand_log`` rewrites any cell so it references initial rules only.
+
+Redexes are found through a trie of the left-hand sides built with each
+``LoggedSystem`` (the index automaton of Sims 1994, without the failure
+links of Aho & Corasick 1975).  After a rewrite at position p, reduction
+resumes at max(0, p - maxlhs + 1): the redex at p was the leftmost, so
+one starting further left would lie wholly in the unchanged prefix.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ class LoggedSystem:
     order: OrderSpec | None = None
     _index: dict = field(init=False, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False)
+    _trie: dict = field(init=False, repr=False, compare=False)
+    _maxlhs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # own copies, so the caller's dicts are never written or shared
@@ -41,6 +49,16 @@ class LoggedSystem:
         object.__setattr__(self, "logs", dict(self.logs))
         object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
         object.__setattr__(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
+        # letter -> child; None -> ids of the rules whose lhs ends there, in rule order
+        trie: dict = {}
+        for rule in self.rules:
+            if rule.lhs:
+                node = trie
+                for letter in rule.lhs:
+                    node = node.setdefault(letter, {})
+                node.setdefault(None, []).append(rule.rid)
+        object.__setattr__(self, "_trie", trie)
+        object.__setattr__(self, "_maxlhs", max((len(r.lhs) for r in self.rules), default=0))
 
     @property
     def rule_map(self) -> dict[str, Rule]:
@@ -73,15 +91,23 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
     return LoggedSystem(orient(p), order=p.order)
 
 
-def find_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
-    """All (position, rule id) with the rule's lhs at that position."""
-    hits = []
-    for pos in range(len(w) + 1):
-        for rule in sys.rules:
-            k = len(rule.lhs)
-            if k and w[pos:pos + k] == rule.lhs:
-                hits.append((pos, rule.rid))
+def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[str]:
+    """Ids of the rules whose lhs occurs in w at pos, in rule order."""
+    node, hits = sys._trie, []
+    for letter in w[pos:pos + sys._maxlhs]:
+        node = node.get(letter)
+        if node is None:
+            break
+        hits += node.get(None, ())
+    if len(hits) > 1:
+        hits.sort(key=sys.position)
     return hits
+
+
+def find_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
+    """All (position, rule id) with the rule's lhs at that position, by
+    position, then rule index."""
+    return [(pos, rid) for pos in range(len(w)) for rid in _redexes_at(w, pos, sys)]
 
 
 def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tuple[Word, Step]:
@@ -96,28 +122,31 @@ def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tupl
     return step.prefix + outw + step.suffix, step
 
 
+def _reduce(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
+    """The normal form of w by leftmost, lowest-index rewriting; each step
+    is appended to steps unless steps is None."""
+    current, pos = w, 0
+    while pos < len(current):
+        hits = _redexes_at(current, pos, sys)
+        if not hits:
+            pos += 1
+            continue
+        current, step = apply_step(current, pos, hits[0], 1, sys)
+        if steps is not None:
+            steps.append(step)
+        pos = max(0, pos - sys._maxlhs + 1)
+    return current
+
+
 def reduce_logged(w: Word, sys: LoggedSystem) -> TwoCell:
     """Reduce to an irreducible word, logging every application."""
-    steps = []
-    current = w
-    while True:
-        redexes = find_redexes(current, sys)
-        if not redexes:
-            return TwoCell(w, tuple(steps))
-        pos, rid = redexes[0]
-        current, step = apply_step(current, pos, rid, 1, sys)
-        steps.append(step)
+    steps: list[Step] = []
+    _reduce(w, sys, steps)
+    return TwoCell(w, tuple(steps))
 
 
 def normal_form(w: Word, sys: LoggedSystem) -> Word:
-    current = w
-    while True:
-        redexes = find_redexes(current, sys)
-        if not redexes:
-            return current
-        pos, rid = redexes[0]
-        rule = sys.rule(rid)
-        current = current[:pos] + rule.rhs + current[pos + len(rule.lhs):]
+    return _reduce(w, sys, None)
 
 
 def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:

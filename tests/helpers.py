@@ -1,6 +1,7 @@
 """Shared oracles and random-walk generators for the test suite.
 
-The oracles are deliberately naive: exhaustive reduction-graph search,
+The oracles are deliberately naive: a rescan of every rule at every
+position for redexes and reduction, exhaustive reduction-graph search,
 union-find congruence closure, brute-force overlap scans.  Tests compare
 the library against these, never against itself.
 """
@@ -8,7 +9,7 @@ the library against these, never against itself.
 from itertools import product
 
 from logrew.core import Word
-from logrew.engine import LoggedSystem, find_redexes, reduce_logged
+from logrew.engine import LoggedSystem, reduce_logged
 from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
 
@@ -29,10 +30,35 @@ def words_over(letters, max_len):
         yield from (tuple(w) for w in product(letters, repeat=n))
 
 
+def scan_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
+    """All (position, rule id) with the rule's lhs at that position, by
+    position, then rule index: every rule tried at every position."""
+    hits = []
+    for pos in range(len(w) + 1):
+        for rule in sys.rules:
+            k = len(rule.lhs)
+            if k and w[pos:pos + k] == rule.lhs:
+                hits.append((pos, rule.rid))
+    return hits
+
+
+def scan_reduce(w: Word, sys: LoggedSystem) -> TwoCell:
+    """Leftmost, lowest-index reduction, rescanning the whole word after
+    every step."""
+    steps = []
+    current = w
+    while redexes := scan_redexes(current, sys):
+        pos, rid = redexes[0]
+        rule = sys.rule(rid)
+        steps.append(Step(current[:pos], rid, 1, current[pos + len(rule.lhs):]))
+        current = current[:pos] + rule.rhs + current[pos + len(rule.lhs):]
+    return TwoCell(w, tuple(steps))
+
+
 def one_step_reducts(w: Word, sys: LoggedSystem):
     """Every word reachable in one forward rule application."""
     out = []
-    for pos, rid in find_redexes(w, sys):
+    for pos, rid in scan_redexes(w, sys):
         rule = sys.rule(rid)
         out.append(w[:pos] + rule.rhs + w[pos + len(rule.lhs):])
     return out
@@ -119,7 +145,7 @@ def random_cell(rng, sys: LoggedSystem, source: Word, n_steps: int) -> TwoCell:
     steps = []
     w = source
     for _ in range(n_steps):
-        options = [(pos, rid, 1) for pos, rid in find_redexes(w, sys)]
+        options = [(pos, rid, 1) for pos, rid in scan_redexes(w, sys)]
         for rule in sys.rules:
             k = len(rule.rhs)
             for pos in range(len(w) - k + 1):

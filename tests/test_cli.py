@@ -1,7 +1,13 @@
 """Command line behavior: exit codes, JSON round trips, renderings."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+import pytest
 
 from logrew.cli import main
 import logrew.twocell as tc
@@ -60,9 +66,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
-def test_missing_file_exit_code(capsys):
-    code, _, err = run(capsys, "complete", "/no/such/file.txt")
+@pytest.mark.parametrize("argv", [
+    ("complete", "/no/such/file.txt"),
+    ("complete", "{latin1}"),
+    ("complete", "{dir}"),
+    ("verify", SE, "{dir}"),
+    ("express", SE, "{dir}"),
+], ids=["missing", "not-utf8", "directory", "verify-cell-directory", "express-cell-directory"])
+def test_missing_file_exit_code(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("monoid\nletters: é\n".encode("latin-1"))
+    paths = {"latin1": str(latin1), "dir": str(tmp_path)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
+    assert out == "" and err.startswith("cannot read")
 
 
 def test_nf(capsys):
@@ -268,6 +285,18 @@ def test_bad_cell_input_exits_4(capsys, tmp_path):
             assert out == "", (command, name)
 
 
+def test_express_checks_the_cell_before_completing(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("logrew.cli.generate", lambda *_: pytest.fail("generate ran"))
+    presentation = tmp_path / "a5.txt"
+    presentation.write_text(A5)
+    cellfile = tmp_path / "bad.json"
+    cellfile.write_text(json.dumps({"source": "q", "steps": []}))
+    for limits in ((), ("--limits", "3,1,4")):  # 3 rules stop A5's completion
+        code, out, err = run(capsys, "express", str(presentation), str(cellfile), *limits)
+        assert code == 4 and out == "", limits
+        assert "malformed cell" in err
+
+
 def test_express_rejects_a_cell_that_is_not_a_loop(capsys, tmp_path):
     cellfile = tmp_path / "path.json"
     cellfile.write_text(json.dumps({
@@ -277,3 +306,40 @@ def test_express_rejects_a_cell_that_is_not_a_loop(capsys, tmp_path):
     code, _, err = run(capsys, "express", SE, str(cellfile))
     assert code == 4
     assert "not an endorewrite" in err
+
+
+def spliced(original: bytes):
+    """original with one slice replaced by random bytes or text, or random bytes."""
+    n = len(original)
+    patch = st.one_of(st.binary(max_size=12), st.text(max_size=12).map(str.encode))
+    splice = st.tuples(st.integers(0, n), st.integers(0, n), patch).map(
+        lambda t: original[:min(t[:2])] + t[2] + original[max(t[:2]):])
+    return st.one_of(st.just(original), splice, st.binary(max_size=200))
+
+
+CELL = json.dumps({**tc.cell_to_json(loop_cell("e_2")), "target": "e e s s"}).encode()
+LIMITS = ("--limits", "8,4,8")
+COMMANDS = st.sampled_from([
+    ("complete", "P", *LIMITS), ("nf", "P", "W", *LIMITS),
+    ("reduce", "P", "W", "--expand", "--json", *LIMITS), ("prove", "P", "W", "V", *LIMITS),
+    ("endos", "P", "--json", *LIMITS), ("verify", "P", "C"),
+    ("express", "P", "C", "--json", *LIMITS),
+])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(command=COMMANDS, presentation=spliced(Path(SE).read_bytes()), cell=spliced(CELL),
+       words=st.lists(st.text(alphabet="se1 x", max_size=12), min_size=2, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_cli_survives_mangled_input(fuzz_dir, command, presentation, cell, words):
+    (fuzz_dir / "fuzz.txt").write_bytes(presentation)
+    (fuzz_dir / "fuzz.json").write_bytes(cell)
+    paths = {"P": str(fuzz_dir / "fuzz.txt"), "C": str(fuzz_dir / "fuzz.json"),
+             "W": words[0], "V": words[1]}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([paths.get(arg, arg) for arg in command])
+    assert code in range(5)

@@ -2,17 +2,22 @@
 
 import random
 
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 import pytest
 
-from logrew.core import GREATER, word_from_str
+from logrew.core import GREATER, Rule, word_from_str
 from logrew.engine import (
-    Verdict, apply_step, expand_log, find_redexes, normal_form, prove,
-    reduce_logged,
+    LoggedSystem, Verdict, apply_step, expand_log, find_redexes, normal_form,
+    prove, reduce_logged,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
-from helpers import all_normal_forms, random_cell, random_word, words_over
+from helpers import (
+    all_normal_forms, random_cell, random_word, scan_redexes, scan_reduce,
+    words_over,
+)
 
 W = word_from_str
 
@@ -83,6 +88,57 @@ def test_normal_form_examples(se_system):
     assert normal_form(W("s e s"), se_system) == W("s e s")
     reachable = {normal_form(w, se_system) for w in words_over(("s", "e"), 6)}
     assert reachable == {W(x) for x in ("1", "e", "s", "e s", "s e", "s s", "e s e", "s e s")}
+
+
+@st.composite
+def systems_and_words(draw):
+    """A random terminating system over 2 or 3 letters, and a word of up to
+    200 letters.  Left-hand sides are drawn fresh, equal to an earlier one,
+    around an earlier one, or extending an earlier one; the rules are then
+    shuffled, so a longer lhs sharing a position may come first or last."""
+    letters = ("a", "b", "c")[:draw(st.integers(2, 3))]
+
+    def words(lo, hi):
+        return st.lists(st.sampled_from(letters), min_size=lo, max_size=hi).map(tuple)
+
+    lhss = [draw(words(1, 4))]
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.sampled_from(lhss))
+        kind = draw(st.sampled_from(("fresh", "same", "inside", "prefix")))
+        if kind == "fresh":
+            lhss.append(draw(words(1, 4)))
+        elif kind == "same":
+            lhss.append(base)
+        elif kind == "inside":
+            lhss.append(draw(words(1, 2)) + base + draw(words(0, 2)))
+        else:
+            lhss.append(base + draw(words(1, 2)))
+    rules = []
+    for lhs in lhss:
+        # shorter right-hand sides keep every reduction under 200 steps
+        rhs = draw(words(0, len(lhs) - 1))
+        rules.append(Rule(f"r{len(rules) + 1}", lhs, rhs))
+    sys = LoggedSystem(tuple(draw(st.permutations(rules))))
+    n = draw(st.integers(0, 200))
+    return sys, draw(words(n, n))
+
+
+def system(*rules):
+    return LoggedSystem(tuple(Rule(f"r{i}", W(l), W(r)) for i, (l, r) in enumerate(rules, 1)))
+
+
+@given(systems_and_words())
+# at position 0 the longer lhs has the lower rule index
+@example((system(("a b", "b"), ("a", "1")), W("a b")))
+# rewriting b at 2 makes a redex at 0 = 2 - maxlhs + 1
+@example((system(("a a a", "1"), ("b", "a")), W("a a b")))
+@settings(max_examples=150, deadline=None)
+def test_indexed_reduction_matches_rescan(case):
+    sys, w = case
+    assert find_redexes(w, sys) == scan_redexes(w, sys)
+    expected = scan_reduce(w, sys)
+    assert reduce_logged(w, sys) == expected
+    assert normal_form(w, sys) == tc.target(expected, sys.rule_map)
 
 
 def test_prove_examples(se_system, se_rules):

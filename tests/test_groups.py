@@ -1,8 +1,8 @@
 """Invariants on finite groups beyond the s/e fixture.
 
-Three presentations, written out here: the Coxeter group S4, the
-alternating group A4 as the triangle group <a, b | a^2, b^3, (ab)^3>, and
-Z4 x Z5.  For each, the completed system must have as many normal forms
+Four presentations: the Coxeter group S4, the alternating group A4 as
+the triangle group <a, b | a^2, b^3, (ab)^3>, and Z4 x Z5, written out
+here, and A5 = <a, b | a^2, b^3, (ab)^5> from the helpers.  For each, the completed system must have as many normal forms
 as the group has elements, every derived log must expand to a cell on
 the initial rules from the rule's lhs to its rhs, proofs of equal words
 must replay on the initial rules, and ``express`` must leave an identity
@@ -19,7 +19,7 @@ from logrew.endorewrites import express, generate
 from logrew.engine import expand_log, normal_form, prove
 import logrew.twocell as tc
 
-from helpers import random_cell, random_loop, random_word
+from helpers import A5, random_cell, random_loop, random_word
 
 S4 = """monoid
 letters: a b c
@@ -51,7 +51,7 @@ b b b b b = 1
 b a = a b
 """
 
-GROUPS = {"S4": (S4, 24), "A4": (A4, 12), "Z4xZ5": (Z4_Z5, 20)}
+GROUPS = {"S4": (S4, 24), "A4": (A4, 12), "Z4xZ5": (Z4_Z5, 20), "A5": (A5, 60)}
 
 
 @pytest.fixture(scope="module", params=sorted(GROUPS))
