@@ -2,9 +2,10 @@
 
 Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
-the published loops of the s/e monoid.  The expected exit codes and
-sha256 digests of stdout live in ``tests/golden.json``; a refactor must
-leave every one of them unchanged.  ``--interreduce`` is not covered.
+the published loops of the s/e monoid.  ``complete`` and ``endos`` also
+run with ``--interreduce``.  The expected exit codes and sha256 digests
+of stdout live in ``tests/golden.json``; a refactor must leave every one
+of them unchanged.
 
 Record the file afresh (only when an output is meant to change) with
 
@@ -45,6 +46,7 @@ def presentation_cases(name: str) -> dict[str, list[str]]:
     commands = {
         "complete": ["complete", path],
         "complete-limit": ["complete", path, "--limits", "3,64,64"],
+        "complete-interreduce": ["complete", path, "--interreduce"],
         "nf": ["nf", path, word],
         "reduce": ["reduce", path, word],
         "reduce-expand": ["reduce", path, word, "--expand"],
@@ -53,6 +55,7 @@ def presentation_cases(name: str) -> dict[str, list[str]]:
         "prove-unequal": ["prove", path, *unequal],
         "endos": ["endos", path],
         "endos-minimize": ["endos", path, "--minimize"],
+        "endos-interreduce": ["endos", path, "--interreduce"],
     }
     cases = {}
     for label, argv in commands.items():
