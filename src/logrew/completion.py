@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EMPTY, Rule, Word, word_from_str, word_to_str
+from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
 from .engine import LoggedSystem, expand_log, reduce_logged
 from .twocell import Step, TwoCell
@@ -56,11 +56,6 @@ class CompletionResult:
     status: str  # "complete" | "limit"
     system: LoggedSystem
     pending: tuple[CriticalPair, ...] = ()
-
-
-@dataclass(frozen=True)
-class Resolved:
-    endorewrite: TwoCell
 
 
 @dataclass(frozen=True)
@@ -127,35 +122,29 @@ def critical_pair(overlap: Overlap, sys: LoggedSystem) -> CriticalPair:
     return CriticalPair(left, right, overlap)
 
 
-def resolve(cp: CriticalPair, sys: LoggedSystem) -> Resolved | NewRule:
-    """Reduce both sides; equal reducts give an endorewrite, unequal a new rule."""
-    order = sys.order
-    if order is None:
-        raise ValueError("resolve needs an OrderSpec (none on the system)")
+def resolve(cp: CriticalPair, sys: LoggedSystem) -> NewRule | None:
+    """Reduce both sides: unequal reducts give a new rule, equal ones None.
+
+    The loop a resolved pair closes is built by ``endorewrites.delta``.
+    """
     rules = sys.rule_map
     down_left = reduce_logged(twocell.target(cp.left, rules), sys)
     down_right = reduce_logged(twocell.target(cp.right, rules), sys)
     z_left = twocell.target(down_left, rules)
     z_right = twocell.target(down_right, rules)
     if z_left == z_right:
-        endo = twocell.diamond(cp.left, down_left, down_right, cp.right, rules)
-        return Resolved(twocell.free_reduce(endo))
-    # new rule: greater reduct -> smaller reduct, log oriented source = lhs
-    if order.greater(z_left, z_right):
-        lhs, rhs = z_left, z_right
-        log = twocell.compose_all(
-            [twocell.invert(down_left, rules), twocell.invert(cp.left, rules), cp.right, down_right],
-            rules,
-        )
-    else:
-        lhs, rhs = z_right, z_left
-        log = twocell.compose_all(
-            [twocell.invert(down_right, rules), twocell.invert(cp.right, rules), cp.left, down_left],
-            rules,
-        )
-    log = twocell.free_reduce(log)
-    rid = f"r{len(sys.rules) + 1}"
-    return NewRule(Rule(rid, lhs, rhs), log)
+        return None
+    # new rule: greater reduct -> smaller reduct, logged up the greater side
+    # and down the other; the one change of sign is between two distinct
+    # steps, so the log is free reduced
+    sides = [(z_left, cp.left, down_left), (z_right, cp.right, down_right)]
+    if not sys.order.greater(z_left, z_right):
+        sides.reverse()
+    (lhs, up, down_up), (rhs, over, down_over) = sides
+    log = twocell.compose_all(
+        [twocell.invert(down_up, rules), twocell.invert(up, rules), over, down_over], rules,
+    )
+    return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
 def _pair_queue(sys: LoggedSystem, new_start: int) -> list[CriticalPair]:
@@ -194,7 +183,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         while queue:
             cp = queue.pop(0)
             outcome = resolve(cp, sys)
-            if isinstance(outcome, Resolved):
+            if outcome is None:
                 continue
             if (
                 len(sys.rules) + 1 > limits.max_rules
@@ -211,7 +200,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
 def is_complete(sys: LoggedSystem) -> tuple[bool, CriticalPair | None]:
     """Check every critical pair resolves; returns a failing witness otherwise."""
     for cp in _pair_queue(sys, 0):
-        if isinstance(resolve(cp, sys), NewRule):
+        if resolve(cp, sys) is not None:
             return False, cp
     return True, None
 
@@ -270,7 +259,9 @@ def system_to_json(result: CompletionResult) -> dict:
     }
 
 
-def system_from_json(data: dict) -> CompletionResult:
+def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
+    """A saved system under ``order``, which the JSON does not carry;
+    ``logged_knuth_bendix`` resumes a partial one."""
     rules = []
     provenance = {}
     logs = {}
@@ -281,5 +272,5 @@ def system_from_json(data: dict) -> CompletionResult:
         if entry.get("log") is not None:
             logs[rule.rid] = twocell.cell_from_json(entry["log"])
     status = data.get("status", "limit")
-    sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete")
+    sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete", order=order)
     return CompletionResult(status, sys, ())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import EMPTY, Rule, Word, word_to_str
+from .core import Rule, Word, word_to_str
 from . import twocell
 from .engine import LoggedSystem, normal_form, prove, reduce_logged
 from .twocell import ChainError, Step, TwoCell
@@ -27,29 +27,26 @@ def is_endorewrite(cell: TwoCell, rules: dict[str, Rule]) -> bool:
     return twocell.validate(cell, rules) is None and twocell.target(cell, rules) == cell.source
 
 
-def _closure_legs(left: Step, right: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """One-step diamond closure for two disjoint redexes on one word."""
-    rules = sys.rule_map
-    t_left = twocell.step_target(left, rules)
-    t_right = twocell.step_target(right, rules)
-    in_l, out_l = twocell.step_io(left, rules)
-    in_r, out_r = twocell.step_io(right, rules)
-    p_l, p_r = len(left.prefix), len(right.prefix)
-    if p_r >= p_l + len(in_l):
-        shift = len(out_l) - len(in_l)
-        leg_left = Step(t_left[:p_r + shift], right.rule, right.exp, t_left[p_r + shift + len(in_r):])
-        leg_right = Step(t_right[:p_l], left.rule, left.exp, t_right[p_l + len(in_l):])
-    elif p_l >= p_r + len(in_r):
-        shift = len(out_r) - len(in_r)
-        leg_left = Step(t_left[:p_r], right.rule, right.exp, t_left[p_r + len(in_r):])
-        leg_right = Step(t_right[:p_l + shift], left.rule, left.exp, t_right[p_l + shift + len(in_l):])
-    else:
-        raise ValueError("redexes are not disjoint")
-    return TwoCell(t_left, (leg_left,)), TwoCell(t_right, (leg_right,))
+def _strip(word: Word, a: Step, b: Step, rules: dict[str, Rule]) -> tuple[Word, Word, Step, Step]:
+    """The whiskers x, z common to two overlapping steps on word, and the
+    two steps on their minimal superposition, word = x . superposition . z."""
+    lo = min(len(a.prefix), len(b.prefix))
+    hi = max(len(s.prefix) + len(twocell.step_io(s, rules)[0]) for s in (a, b))
+    cut = len(word) - hi
+
+    def inner(s: Step) -> Step:
+        return Step(s.prefix[lo:], s.rule, s.exp, s.suffix[:len(s.suffix) - cut])
+
+    return word[:lo], word[hi:], inner(a), inner(b)
+
+
+def _origin_key(a: Step, b: Step) -> tuple:
+    """The ``origin_index`` key of two steps on a minimal superposition."""
+    return a.rule, b.rule, a.prefix, a.suffix, b.prefix, b.suffix
 
 
 def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """Resolving legs for a critical pair.
+    """Resolving legs for a critical pair of one-step cells.
 
     Disjoint redexes close in one step each (the interchange diamond).
     Overlapping redexes resolve on their minimal superposition, the legs
@@ -57,30 +54,20 @@ def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
     on the minimal word both sides reduce to the normal form.
     """
     rules = sys.rule_map
-    if len(cp.left.steps) == 1 and len(cp.right.steps) == 1:
-        s1, s2 = cp.left.steps[0], cp.right.steps[0]
-        in1, _ = twocell.step_io(s1, rules)
-        in2, _ = twocell.step_io(s2, rules)
-        p1, p2 = len(s1.prefix), len(s2.prefix)
-        if p1 + len(in1) <= p2 or p2 + len(in2) <= p1:
-            return _closure_legs(s1, s2, sys)
-        word = cp.left.source
-        lo = min(p1, p2)
-        hi = max(p1 + len(in1), p2 + len(in2))
-        if lo > 0 or hi < len(word):
-            x, z = word[:lo], word[hi:]
-            inner = CriticalPair(
-                TwoCell(word[lo:hi], (Step(s1.prefix[lo:], s1.rule, s1.exp, s1.suffix[:len(s1.suffix) - len(z)]),)),
-                TwoCell(word[lo:hi], (Step(s2.prefix[lo:], s2.rule, s2.exp, s2.suffix[:len(s2.suffix) - len(z)]),)),
-                cp.origin,
-            )
-            leg_left, leg_right = _pair_legs(inner, sys)
-            return twocell.whisker(x, leg_left, z), twocell.whisker(x, leg_right, z)
-    down_left = reduce_logged(twocell.target(cp.left, rules), sys)
-    down_right = reduce_logged(twocell.target(cp.right, rules), sys)
+    [s1], [s2] = cp.left.steps, cp.right.steps
+    in1, _ = twocell.step_io(s1, rules)
+    in2, _ = twocell.step_io(s2, rules)
+    p1, p2 = len(s1.prefix), len(s2.prefix)
+    if p1 + len(in1) <= p2 or p2 + len(in2) <= p1:
+        t1, t2 = twocell.step_target(s1, rules), twocell.step_target(s2, rules)
+        return (TwoCell(t1, (twocell.transport(s2, s1, t1, rules),)),
+                TwoCell(t2, (twocell.transport(s1, s2, t2, rules),)))
+    x, z, a, b = _strip(cp.left.source, s1, s2, rules)
+    down_left = reduce_logged(twocell.step_target(a, rules), sys)
+    down_right = reduce_logged(twocell.step_target(b, rules), sys)
     if twocell.target(down_left, rules) != twocell.target(down_right, rules):
         raise ValueError("critical pair does not resolve; the system is incomplete")
-    return down_left, down_right
+    return twocell.whisker(x, down_left, z), twocell.whisker(x, down_right, z)
 
 
 def _loop(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
@@ -119,7 +106,7 @@ class Generator:
 @dataclass
 class GeneratorSet:
     generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)  # (rules, u1, v1, u2, v2) -> OriginRecord
+    origin_index: dict = field(repr=False)  # _origin_key -> OriginRecord
     system: LoggedSystem = field(repr=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -143,7 +130,7 @@ def _union_system(completed: LoggedSystem, init: LoggedSystem) -> LoggedSystem:
     return LoggedSystem(
         tuple(rules), provenance, logs,
         complete=completed.complete,
-        order=completed.order or init.order,
+        order=completed.order,
     )
 
 
@@ -195,8 +182,6 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
     sys = _union_system(comp.system, init)
-    if sys.order is None:
-        raise ValueError("generator extraction needs an OrderSpec (none on the systems)")
     rules = sys.rule_map
 
     records: dict = {}
@@ -204,10 +189,9 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     for a in sys.rules:
         for b in sys.rules:
             for overlap in find_overlaps(a, b):
-                rec = OriginRecord(overlap, *_loop(critical_pair(overlap, sys), sys))
-                key = (overlap.left_rule, overlap.right_rule,
-                       overlap.u1, overlap.v1, overlap.u2, overlap.v2)
-                records[key] = rec
+                cp = critical_pair(overlap, sys)
+                rec = OriginRecord(overlap, *_loop(cp, sys))
+                records[_origin_key(*cp.left.steps, *cp.right.steps)] = rec
                 protos.append(rec)
 
     seen: dict = {}
@@ -320,29 +304,11 @@ class Decomposition:
 def _match_overlap(v: Word, first: Step, second: Step, gens: GeneratorSet):
     """Locate the origin record for two overlapping redexes on v.
 
-    Strips the shared whiskers down to the minimal superposition and
-    rebuilds the placement the way ``find_overlaps`` enumerates it.
+    Strips the shared whiskers x, z off v; the steps left on the minimal
+    superposition are the ones ``critical_pair`` builds from the overlap.
     """
-    rules = gens.system.rule_map
-    l1 = rules[first.rule].lhs
-    l2 = rules[second.rule].lhs
-    p1, p2 = len(first.prefix), len(second.prefix)
-    end = max(p1 + len(l1), p2 + len(l2))
-    x, z = v[:p1], v[end:]
-    q2 = p2 - p1
-    if q2 == 0:
-        if len(l1) < len(l2):
-            parts = (EMPTY, l2[len(l1):], EMPTY, EMPTY)
-        elif len(l1) > len(l2):
-            parts = (EMPTY, EMPTY, EMPTY, l1[len(l2):])
-        else:
-            parts = (EMPTY, EMPTY, EMPTY, EMPTY)
-    elif q2 + len(l2) <= len(l1):
-        parts = (EMPTY, EMPTY, l1[:q2], l1[q2 + len(l2):])
-    else:
-        k = len(l1) - q2
-        parts = (EMPTY, l2[k:], l1[:q2], EMPTY)
-    record = gens.origin_index.get((first.rule, second.rule, *parts))
+    x, z, a, b = _strip(v, first, second, gens.system.rule_map)
+    record = gens.origin_index.get(_origin_key(a, b))
     if record is None:
         raise UnmatchedDiamond(
             f"no generator origin for rules {first.rule},{second.rule} on {word_to_str(v)}"
@@ -355,8 +321,8 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
 
     Returns (dia, leg_a, leg_b, meta, swapped): dia is the loop
     first . leg_first . leg_second^-1 . second^-1 at v in sorted step
-    order, legs are rematched to the (down_a, down_b) order, and meta is
-    (record-or-None, x, z, representative exponent).
+    order, free reduced; legs are rematched to the (down_a, down_b) order,
+    and meta is (record-or-None, x, z, representative exponent).
     """
     sys = gens.system
     rules = sys.rule_map
@@ -368,9 +334,8 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     l2 = rules[second.rule].lhs
     p1, p2 = len(first.prefix), len(second.prefix)
     if p2 >= p1 + len(l1):
-        leg_first, leg_second = _closure_legs(first, second, sys)
-        dia = twocell.diamond(TwoCell(v, (first,)), leg_first, leg_second,
-                              TwoCell(v, (second,)), rules)
+        cp = CriticalPair(TwoCell(v, (first,)), TwoCell(v, (second,)), None)
+        leg_first, leg_second, dia = _loop(cp, sys)
         meta = (None, v[:p1], v[p2 + len(l2):], 1)
     else:
         record, x, z = _match_overlap(v, first, second, gens)

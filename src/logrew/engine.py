@@ -34,7 +34,7 @@ class LoggedSystem:
     provenance: dict = field(default_factory=dict)
     logs: dict = field(default_factory=dict)
     complete: bool = False
-    order: OrderSpec | None = None
+    order: OrderSpec = field(kw_only=True)
     _index: dict = field(init=False, repr=False, compare=False)
     _position: dict = field(init=False, repr=False, compare=False)
     _trie: dict = field(init=False, repr=False, compare=False)

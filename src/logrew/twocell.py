@@ -130,6 +130,8 @@ def diamond(left: TwoCell, leg_left: TwoCell, leg_right: TwoCell, right: TwoCell
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
+    if not u and not v:
+        return cell
     return TwoCell(
         u + cell.source + v,
         tuple(Step(u + s.prefix, s.rule, s.exp, s.suffix + v) for s in cell.steps),
@@ -145,11 +147,29 @@ def free_reduce(cell: TwoCell) -> TwoCell:
     """Cancel adjacent step pairs that differ only in exponent sign."""
     stack: list[Step] = []
     for step in cell.steps:
-        if stack and stack[-1] == invert_step(step):
+        if stack and stack[-1].exp == -step.exp and stack[-1] == invert_step(step):
             stack.pop()
         else:
             stack.append(step)
     return TwoCell(cell.source, tuple(stack))
+
+
+def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> Step:
+    """``step`` moved onto ``word``, the target of ``across``.
+
+    Both steps stand on one word on disjoint regions; a step right of
+    ``across`` shifts by the change in length ``across`` makes.  Two empty
+    regions at one position are ordered by what their steps put there, so
+    moving either step across the other closes the square.
+    """
+    in_s, out_s = step_io(step, rules)
+    in_a, out_a = step_io(across, rules)
+    p, q = len(step.prefix), len(across.prefix)
+    if p >= q + len(in_a) and (p + len(in_s) > q or out_s > out_a):
+        p += len(out_a) - len(in_a)
+    elif p + len(in_s) > q:
+        raise ValueError("steps are not disjoint")
+    return Step(word[:p], step.rule, step.exp, word[p + len(in_s):])
 
 
 def _swap_adjacent(word: Word, first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
@@ -158,7 +178,7 @@ def _swap_adjacent(word: Word, first: Step, second: Step, rules: dict[str, Rule]
     ``word`` is the word the first step stands on.  Returns None when the
     regions interact or are already in left-to-right order.
     """
-    in1, out1 = step_io(first, rules)
+    _, out1 = step_io(first, rules)
     in2, _ = step_io(second, rules)
     p1 = len(first.prefix)
     p2 = len(second.prefix)
@@ -166,12 +186,11 @@ def _swap_adjacent(word: Word, first: Step, second: Step, rules: dict[str, Rule]
     right_of = p2 >= p1 + len(out1)
     if not left_of or right_of:
         return None
-    # second's redex is untouched by first, so it exists in `word` at p2
-    new_first = Step(word[:p2], second.rule, second.exp, word[p2 + len(in2):])
-    middle = step_target(new_first, rules)
-    shift = p1 + len(step_io(new_first, rules)[1]) - len(in2)
-    new_second = Step(middle[:shift], first.rule, first.exp, middle[shift + len(in1):])
-    return new_first, new_second
+    # close the square of first^-1 and second on the word between them,
+    # where their regions never tie as they may on `word`
+    undo = invert_step(first)
+    back = transport(undo, second, step_target(second, rules), rules)
+    return transport(second, undo, word, rules), invert_step(back)
 
 
 def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:

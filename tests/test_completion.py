@@ -1,16 +1,19 @@
 """Overlap search, critical-pair resolution, logged completion."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from logrew.core import Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
 from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, Resolved, critical_pair, find_overlaps,
-    interreduce, is_complete, logged_knuth_bendix, system_from_json,
-    system_to_json,
+    CompletionLimits, NewRule, critical_pair, find_overlaps, interreduce,
+    is_complete, logged_knuth_bendix, system_from_json, system_to_json,
 )
+from logrew.endorewrites import delta
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
 
@@ -79,9 +82,8 @@ def test_find_overlaps_against_brute_force(se_init):
 def test_resolve_published_overlap(se_init, se_presentation):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s s e")]
-    outcome = resolve_for(se_init, ov)
-    assert isinstance(outcome, Resolved)
-    loop = outcome.endorewrite
+    assert resolve_for(se_init, ov) is None
+    loop = delta(critical_pair(ov, se_init), se_init)
     assert loop.source == W("s s s s e")
     assert tc.target(loop, se_init.rule_map) == loop.source
 
@@ -95,9 +97,8 @@ def resolve_for(sys, overlap):
 def test_resolve_small_overlap_two_step_loop(se_init):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
-    outcome = resolve_for(se_init, ov)
-    assert isinstance(outcome, Resolved)
-    assert outcome.endorewrite == TwoCell(W("s s s e"), (
+    assert resolve_for(se_init, ov) is None
+    assert delta(critical_pair(ov, se_init), se_init) == TwoCell(W("s s s e"), (
         Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", -1, W("1")),
     ))
 
@@ -106,7 +107,10 @@ def test_every_published_pair_resolves(se_init):
     for a in se_init.rules:
         for b in se_init.rules:
             for ov in find_overlaps(a, b):
-                assert isinstance(resolve_for(se_init, ov), Resolved)
+                assert resolve_for(se_init, ov) is None
+                loop = delta(critical_pair(ov, se_init), se_init)
+                assert loop.source == ov.superposition
+                assert tc.target(loop, se_init.rule_map) == loop.source
 
 
 def test_resolve_new_rule_ab(ab_init):
@@ -274,7 +278,7 @@ def test_interreduce_rewrites_rhs_through_dropped_rule():
 def test_system_does_not_write_into_caller_dicts():
     provenance, logs = {}, {}
     rule = Rule("r1", W("a a"), W("a"))
-    sys = LoggedSystem((rule,), provenance, logs)
+    sys = LoggedSystem((rule,), provenance, logs, order=OrderSpec(Alphabet(("a",))))
     assert provenance == {} and logs == {}
     assert sys.provenance == {"r1": "initial"}
     grown = sys.with_rule(Rule("r2", W("a a a"), W("a")), TwoCell(W("a a a"), ()))
@@ -284,9 +288,25 @@ def test_system_does_not_write_into_caller_dicts():
 
 def test_system_json_round_trip(ab_completion):
     data = system_to_json(ab_completion)
-    again = system_from_json(json.loads(json.dumps(data)))
+    again = system_from_json(json.loads(json.dumps(data)), ab_completion.system.order)
     assert again.status == ab_completion.status
     assert again.system.rules == ab_completion.system.rules
     assert again.system.logs == ab_completion.system.logs
     assert again.system.complete
     assert system_to_json(ab_completion) == system_to_json(again)
+
+
+@pytest.mark.parametrize("name", ["abc_cyclic", "ab_monoid"])
+def test_saved_partial_system_resumes(name):
+    # the saved JSON has no order, so it is passed back in on loading
+    path = Path(__file__).resolve().parent.parent / "presentations" / f"{name}.txt"
+    init = system_from_presentation(parse_presentation(path.read_text()))
+    partial = logged_knuth_bendix(init, CompletionLimits(3, 64, 64))
+    assert partial.status == "limit"
+    data = json.loads(json.dumps(system_to_json(partial)))
+    resumed = logged_knuth_bendix(system_from_json(data, init.order).system)
+    direct = logged_knuth_bendix(init)
+    assert resumed.status == direct.status == "complete"
+    assert [(r.lhs, r.rhs) for r in resumed.system.rules] == [
+        (r.lhs, r.rhs) for r in direct.system.rules
+    ]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import pytest
 
-from logrew.core import GREATER, Rule, word_from_str
+from logrew.core import GREATER, Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
     LoggedSystem, Verdict, apply_step, expand_log, find_redexes, normal_form,
     prove, reduce_logged,
@@ -118,13 +118,16 @@ def systems_and_words(draw):
         # shorter right-hand sides keep every reduction under 200 steps
         rhs = draw(words(0, len(lhs) - 1))
         rules.append(Rule(f"r{len(rules) + 1}", lhs, rhs))
-    sys = LoggedSystem(tuple(draw(st.permutations(rules))))
+    sys = LoggedSystem(tuple(draw(st.permutations(rules))), order=OrderSpec(Alphabet(letters)))
     n = draw(st.integers(0, 200))
     return sys, draw(words(n, n))
 
 
 def system(*rules):
-    return LoggedSystem(tuple(Rule(f"r{i}", W(l), W(r)) for i, (l, r) in enumerate(rules, 1)))
+    return LoggedSystem(
+        tuple(Rule(f"r{i}", W(l), W(r)) for i, (l, r) in enumerate(rules, 1)),
+        order=OrderSpec(Alphabet(("a", "b"))),
+    )
 
 
 @given(systems_and_words())

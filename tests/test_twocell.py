@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from logrew.core import word_from_str
+from logrew.core import Rule, word_from_str
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
@@ -285,3 +285,90 @@ def test_cell_laws_property(seed, se_system, se_rules):
     norm = tc.interchange_normalize(cell, se_rules)
     assert tc.target(norm, se_rules) == tc.target(cell, se_rules)
     assert tc.abelianize(norm) == tc.abelianize(cell)
+
+
+def _draw_rules(draw):
+    """Up to four rules over 2 or 3 letters, some with an empty rhs, and a
+    strategy for words over those letters."""
+    letters = ("a", "b", "c")[:draw(st.integers(2, 3))]
+
+    def words(lo, hi):
+        return st.lists(st.sampled_from(letters), min_size=lo, max_size=hi).map(tuple)
+
+    rules = {}
+    for n in range(1, draw(st.integers(1, 4)) + 1):
+        lhs = draw(words(1, 3))
+        rhs = draw(st.one_of(st.just(()), words(0, len(lhs) - 1)))
+        rules[f"r{n}"] = Rule(f"r{n}", lhs, rhs)
+    return rules, words
+
+
+def _draw_rule(draw, rules):
+    """A rule id, an exponent +1 or -1, and the input of such a step."""
+    rid, exp = draw(st.sampled_from(sorted(rules))), draw(st.sampled_from((1, -1)))
+    return rid, exp, rules[rid].lhs if exp == 1 else rules[rid].rhs
+
+
+@st.composite
+def disjoint_steps(draw):
+    """Rules, a word, and two steps on disjoint regions of it.  The word is
+    x . in1 . y . in2 . z, so two empty inputs with y empty sit at one
+    position."""
+    rules, words = _draw_rules(draw)
+    rid1, exp1, in1 = _draw_rule(draw, rules)
+    rid2, exp2, in2 = _draw_rule(draw, rules)
+    x, y, z = draw(words(0, 2)), draw(words(0, 2)), draw(words(0, 2))
+    steps = [Step(x, rid1, exp1, y + in2 + z), Step(x + in1 + y, rid2, exp2, z)]
+    if draw(st.booleans()):
+        steps.reverse()
+    return rules, x + in1 + y + in2 + z, *steps
+
+
+@st.composite
+def adjacent_steps(draw):
+    """Rules, a word, a step on it, and any step on that step's target."""
+    rules, words = _draw_rules(draw)
+    rid, exp, inw = _draw_rule(draw, rules)
+    x, z = draw(words(0, 3)), draw(words(0, 3))
+    first = Step(x, rid, exp, z)
+    middle = tc.step_target(first, rules)
+    seconds = [
+        Step(middle[:p], rule.rid, sign, middle[p + len(taken):])
+        for rule in rules.values()
+        for sign, taken in ((1, rule.lhs), (-1, rule.rhs))
+        for p in range(len(middle) + 1)
+        if middle[p:p + len(taken)] == taken
+    ]
+    return rules, x + inw + z, first, draw(st.sampled_from(seconds))
+
+
+# the tie: inverse steps of rules with an empty rhs, with empty inputs at position 1
+TIE_RULES = {"r1": Rule("r1", W("a a"), ()), "r2": Rule("r2", W("b b"), ())}
+TIE_STEPS = Step(W("a"), "r1", -1, W("b")), Step(W("a"), "r2", -1, W("b"))
+
+
+@given(disjoint_steps())
+@example((TIE_RULES, W("a b"), *TIE_STEPS))
+@example((TIE_RULES, W("a b"), *reversed(TIE_STEPS)))
+@settings(max_examples=200, deadline=None)
+def test_transport_closes_the_square(case):
+    rules, word, step, across = case
+    assert tc.step_source(step, rules) == tc.step_source(across, rules) == word
+    t_step, t_across = tc.step_target(step, rules), tc.step_target(across, rules)
+    step_moved = tc.transport(step, across, t_across, rules)
+    across_moved = tc.transport(across, step, t_step, rules)
+    assert tc.step_source(step_moved, rules) == t_across
+    assert tc.step_source(across_moved, rules) == t_step
+    assert tc.step_target(step_moved, rules) == tc.step_target(across_moved, rules)
+
+
+@given(adjacent_steps())
+# r2 puts b b at position 1 left of the a a that r1 put there
+@example((TIE_RULES, W("a b"), TIE_STEPS[0], Step(W("a"), "r2", -1, W("a a b"))))
+@settings(max_examples=200, deadline=None)
+def test_swap_adjacent_keeps_endpoints(case):
+    rules, word, first, second = case
+    pair = TwoCell(word, (first, second))
+    swapped = tc._swap_adjacent(word, first, second, rules)
+    if swapped is not None:
+        assert tc.target(TwoCell(word, swapped), rules) == tc.target(pair, rules)
