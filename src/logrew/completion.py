@@ -7,8 +7,9 @@ Overlap cases, for rules a: l1 -> r1 and b: l2 -> r2:
     iii) l1 v1    = u2 l2       (proper suffix/prefix overlap, a left)
     iv)  l1       = u2 l2 v2    (l2 inside l1)
 
-The identical self-placement (all contexts empty, same rule) is excluded;
-every other placement, including self-overlaps, is kept.
+The identical self-placement (all contexts empty, same rule) is excluded.
+``critical_pairs`` takes each unordered branching once, for completion,
+``is_complete`` and ``endorewrites.generate``.
 """
 
 from __future__ import annotations
@@ -147,30 +148,27 @@ def resolve(cp: CriticalPair, sys: LoggedSystem) -> NewRule | None:
     return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
-def _pair_queue(sys: LoggedSystem, new_start: int) -> list[CriticalPair]:
-    """Critical pairs still to search: rules in both orientations, at least one new."""
-    n_rules = len(sys.rules)
-    pairs = [
-        (i, j)
-        for i in range(n_rules)
-        for j in range(n_rules)
-        if i >= new_start or j >= new_start
-    ]
-    pairs.sort(key=lambda ij: (min(ij), max(ij), ij[0]))
+def critical_pairs(sys: LoggedSystem, new_start: int) -> list[CriticalPair]:
+    """Each unordered critical branching once, between rules i <= j with
+    j >= new_start, in order of (i, j); case iii of a rule against itself
+    is dropped, since it is case ii with the two steps swapped."""
+    rules = sys.rules
     return [
         critical_pair(overlap, sys)
-        for i, j in pairs
-        for overlap in find_overlaps(sys.rules[i], sys.rules[j])
+        for i in range(len(rules))
+        for j in range(max(i, new_start), len(rules))
+        for overlap in find_overlaps(rules[i], rules[j])
+        if i < j or overlap.case != "iii"
     ]
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
     """Complete the system, logging every derived rule.
 
-    Passes alternate overlap search (between all rules and the rules added
-    in the previous pass, both orientations) with FIFO critical-pair
-    resolution.  Exceeding a limit returns the partial system together
-    with the unprocessed pairs.
+    Passes alternate overlap search (each unordered branching between a
+    rule and a rule added in the previous pass, once) with FIFO
+    critical-pair resolution.  Exceeding a limit returns the partial
+    system together with the unprocessed pairs.
     """
     limits = limits or CompletionLimits()
     sys = init
@@ -178,7 +176,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     passes = 0
     while True:
         passes += 1
-        queue = _pair_queue(sys, new_start)
+        queue = critical_pairs(sys, new_start)
         new_start = len(sys.rules)
         while queue:
             cp = queue.pop(0)
@@ -194,12 +192,12 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         if len(sys.rules) == new_start:
             return CompletionResult("complete", sys.as_complete(), ())
         if passes >= limits.max_passes:
-            return CompletionResult("limit", sys, tuple(_pair_queue(sys, new_start)))
+            return CompletionResult("limit", sys, tuple(critical_pairs(sys, new_start)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, CriticalPair | None]:
     """Check every critical pair resolves; returns a failing witness otherwise."""
-    for cp in _pair_queue(sys, 0):
+    for cp in critical_pairs(sys, 0):
         if resolve(cp, sys) is not None:
             return False, cp
     return True, None

@@ -16,7 +16,7 @@ from .core import Rule, Word, word_to_str
 from . import twocell
 from .engine import LoggedSystem, normal_form, prove, reduce_logged
 from .twocell import ChainError, Step, TwoCell
-from .completion import CompletionResult, CriticalPair, Overlap, critical_pair, find_overlaps
+from .completion import CompletionResult, CriticalPair, Overlap, critical_pairs
 
 
 class UnmatchedDiamond(ValueError):
@@ -40,9 +40,10 @@ def _strip(word: Word, a: Step, b: Step, rules: dict[str, Rule]) -> tuple[Word, 
     return word[:lo], word[hi:], inner(a), inner(b)
 
 
-def _origin_key(a: Step, b: Step) -> tuple:
-    """The ``origin_index`` key of two steps on a minimal superposition."""
-    return a.rule, b.rule, a.prefix, a.suffix, b.prefix, b.suffix
+def _origin_key(a: Step, b: Step) -> frozenset:
+    """The ``origin_index`` key of two steps on a minimal superposition,
+    whichever of them comes first."""
+    return frozenset(((a.rule, a.prefix, a.suffix), (b.rule, b.prefix, b.suffix)))
 
 
 def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
@@ -106,7 +107,7 @@ class Generator:
 @dataclass
 class GeneratorSet:
     generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)  # _origin_key -> OriginRecord
+    origin_index: dict = field(repr=False)  # _origin_key -> OriginRecord, one per branching
     system: LoggedSystem = field(repr=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -114,6 +115,8 @@ class GeneratorSet:
         self._by_id = {gen.gid: gen for gen in self.generators}
 
     def by_id(self, gid: str) -> Generator:
+        if gid not in self._by_id:
+            raise UnmatchedDiamond(f"generator {gid} is not in the set")
         return self._by_id[gid]
 
 
@@ -172,12 +175,13 @@ def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
 
 
 def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
-    """Endorewrite generators from all overlaps of the completed system.
+    """Endorewrite generators from the critical branchings of the completed system.
 
-    Loops that normalize to an identity are dropped; duplicates modulo
-    interchange normal form, inversion, and conjugacy reduction merge
-    into one generator.  Every overlap placement keeps a record pointing
-    at its representative, which ``express`` uses to match diamonds.
+    Each unordered branching gives one loop.  Loops that normalize to an
+    identity are dropped; duplicates modulo interchange normal form,
+    inversion, and conjugacy reduction merge into one generator.  Every
+    branching keeps one record pointing at its representative, which
+    ``express`` uses to match diamonds.
     """
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
@@ -186,13 +190,10 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
 
     records: dict = {}
     protos: list[OriginRecord] = []
-    for a in sys.rules:
-        for b in sys.rules:
-            for overlap in find_overlaps(a, b):
-                cp = critical_pair(overlap, sys)
-                rec = OriginRecord(overlap, *_loop(cp, sys))
-                records[_origin_key(*cp.left.steps, *cp.right.steps)] = rec
-                protos.append(rec)
+    for cp in critical_pairs(sys, 0):
+        rec = OriginRecord(cp.origin, *_loop(cp, sys))
+        records[_origin_key(*cp.left.steps, *cp.right.steps)] = rec
+        protos.append(rec)
 
     seen: dict = {}
     chosen: list[OriginRecord] = []
@@ -243,11 +244,6 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
             rec.gid = gid_of[idx]
             rec.exp = exp
     return GeneratorSet(generators, records, sys)
-
-
-def base_element(cell: TwoCell, sys: LoggedSystem) -> Word:
-    """Normal form of the loop's base word; groups loops per monoid element."""
-    return normal_form(cell.source, sys)
 
 
 def minimize(gens: GeneratorSet) -> GeneratorSet:
@@ -306,6 +302,7 @@ def _match_overlap(v: Word, first: Step, second: Step, gens: GeneratorSet):
 
     Strips the shared whiskers x, z off v; the steps left on the minimal
     superposition are the ones ``critical_pair`` builds from the overlap.
+    Returns the record, x, z and the two redexes in the record's order.
     """
     x, z, a, b = _strip(v, first, second, gens.system.rule_map)
     record = gens.origin_index.get(_origin_key(a, b))
@@ -313,15 +310,19 @@ def _match_overlap(v: Word, first: Step, second: Step, gens: GeneratorSet):
         raise UnmatchedDiamond(
             f"no generator origin for rules {first.rule},{second.rule} on {word_to_str(v)}"
         )
-    return record, x, z
+    o = record.overlap
+    if a != Step(o.u1, o.left_rule, 1, o.v1):
+        first, second = second, first
+    return record, x, z, first, second
 
 
 def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     """Diamond data for two distinct forward steps from v.
 
     Returns (dia, leg_a, leg_b, meta, swapped): dia is the loop
-    first . leg_first . leg_second^-1 . second^-1 at v in sorted step
-    order, free reduced; legs are rematched to the (down_a, down_b) order,
+    first . leg_first . leg_second^-1 . second^-1 at v, free reduced, with
+    disjoint steps in sorted order and overlapping ones in the order of
+    their origin record; legs are rematched to the (down_a, down_b) order,
     and meta is (record-or-None, x, z, representative exponent).
     """
     sys = gens.system
@@ -329,20 +330,18 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     first, second = sorted(
         (down_a, down_b), key=lambda s: (len(s.prefix), sys.position(s.rule))
     )
-    swapped = (first, second) != (down_a, down_b)
-    l1 = rules[first.rule].lhs
-    l2 = rules[second.rule].lhs
     p1, p2 = len(first.prefix), len(second.prefix)
-    if p2 >= p1 + len(l1):
+    if p2 >= p1 + len(rules[first.rule].lhs):
         cp = CriticalPair(TwoCell(v, (first,)), TwoCell(v, (second,)), None)
         leg_first, leg_second, dia = _loop(cp, sys)
-        meta = (None, v[:p1], v[p2 + len(l2):], 1)
+        meta = (None, v[:p1], v[p2 + len(rules[second.rule].lhs):], 1)
     else:
-        record, x, z = _match_overlap(v, first, second, gens)
+        record, x, z, first, second = _match_overlap(v, first, second, gens)
         leg_first = twocell.whisker(x, record.leg_left, z)
         leg_second = twocell.whisker(x, record.leg_right, z)
         dia = twocell.whisker(x, record.delta, z)
         meta = (record, x, z, record.exp)
+    swapped = (first, second) != (down_a, down_b)
     if swapped:
         return dia, leg_second, leg_first, meta, True
     return dia, leg_first, leg_second, meta, False

@@ -71,9 +71,6 @@ class LoggedSystem:
         """Index of the rule in ``rules``: the tie-break between redexes at one position."""
         return self._position[rid]
 
-    def initial_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if self.provenance[r.rid] == "initial")
-
     def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
         return LoggedSystem(
             self.rules + (rule,),
