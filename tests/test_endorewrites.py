@@ -4,23 +4,26 @@ of loops over the generators."""
 import random
 from collections import Counter
 
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 import pytest
 
-from logrew.core import word_from_str, word_to_str
-from logrew.engine import normal_form, system_from_presentation
+from logrew.core import parse_presentation, word_from_str, word_to_str
+from logrew.engine import expand_log, normal_form, system_from_presentation
 from logrew.completion import (
-    CriticalPair, critical_pair, find_overlaps, logged_knuth_bendix,
+    CompletionLimits, CriticalPair, critical_pair, find_overlaps,
+    logged_knuth_bendix, resolve,
 )
 from logrew.endorewrites import (
     UnmatchedDiamond, _origin_key, conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
-    generator_set_to_json, is_endorewrite,
+    generator_set_to_json, is_endorewrite, minimize,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    random_cell, random_loop, random_word,
+    A5, random_cell, random_loop, random_word,
     signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
@@ -226,6 +229,69 @@ def test_express_rejects_missing_origin(se_generators):
     )
     with pytest.raises(UnmatchedDiamond):
         express(cell, gutted)
+
+
+def test_express_over_minimized_set_names_dropped_generator():
+    init = system_from_presentation(parse_presentation(A5))
+    gens = generate(logged_knuth_bendix(init), init)
+    small = minimize(gens)
+    kept = {gen.gid for gen in small.generators}
+    dropped = {gen.gid for gen in gens.generators} - kept
+    assert len(dropped) == 31
+    for gid in sorted(dropped):
+        with pytest.raises(UnmatchedDiamond, match=f"generator {gid} is not in the set"):
+            express(gens.by_id(gid).cell, small)
+
+
+@st.composite
+def presentations(draw):
+    """Small presentations over 2 or 3 letters with 1 to 4 relations."""
+    letters = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    word = st.lists(st.sampled_from(letters), max_size=4).map(lambda w: " ".join(w) or "1")
+    relations = draw(st.lists(
+        st.tuples(word, word).filter(lambda r: r[0] != r[1]), min_size=1, max_size=4))
+    return "".join(
+        [f"monoid\nletters: {' '.join(letters)}\norder: shortlex\nrules:\n"]
+        + [f"{lhs} = {rhs}\n" for lhs, rhs in relations]
+    )
+
+
+MERGING = "monoid\nletters: a b\norder: shortlex\nrules:\na b b b = 1\na b = b b a\n"
+
+
+def test_generators_merge_distinct_branchings():
+    init = system_from_presentation(parse_presentation(MERGING))
+    gens = generate(logged_knuth_bendix(init), init)
+    assert len(gens.origin_index) == 35
+    assert len(gens.generators) == 31
+    assert all(rec.gid is not None for rec in gens.origin_index.values())
+
+
+@given(presentations())
+@example(MERGING)
+@settings(max_examples=60, deadline=None)
+def test_branchings_taken_once_complete_and_express(text):
+    init = system_from_presentation(parse_presentation(text))
+    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
+    if comp.status != "complete":
+        return
+    sys = comp.system
+    # completion took each branching once; the mirror images resolve too
+    for a in sys.rules:
+        for b in sys.rules:
+            for ov in find_overlaps(a, b):
+                assert resolve(critical_pair(ov, sys), sys) is None
+    for rule in sys.rules:
+        if sys.provenance[rule.rid] == "derived":
+            expanded = expand_log(sys.logs[rule.rid], sys)
+            assert expanded.source == rule.lhs
+            assert tc.validate(expanded, init.rule_map) is None
+            assert tc.target(expanded, init.rule_map) == rule.rhs
+    gens = generate(comp, init)
+    rules = gens.system.rule_map
+    for rec in gens.origin_index.values():
+        for loop in (rec.delta, tc.invert(rec.delta, rules)):
+            assert express(loop, gens).residual == identity(loop.source)
 
 
 def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):

@@ -1,0 +1,31 @@
+"""Smoke tests of the scripts in ``scripts/``, run in-process on the s/e monoid."""
+
+import runpy
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SE = str(ROOT / "presentations" / "se_monoid.txt")
+
+
+def run_script(name, monkeypatch, capsys, *args):
+    script = str(ROOT / "scripts" / name)
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    runpy.run_path(script, run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_survey_endorewrites(monkeypatch, capsys):
+    out = run_script("survey_endorewrites.py", monkeypatch, capsys, SE)
+    assert "completion: complete, 6 rules" in out
+    assert "28 generating endorewrites" in out
+    assert "  residual: 1\n" in out
+
+
+def test_census_normal_forms(monkeypatch, capsys):
+    out = run_script("census_normal_forms.py", monkeypatch, capsys, SE)
+    lines = out.splitlines()
+    assert lines[0] == "8 distinct elements among words of length <= 7"
+    rows = {line.split("<-")[0].strip(): line.split("<-")[1].strip() for line in lines[1:]}
+    assert rows["s s"] == "3 words"
+    assert rows["e s e"] == "122 words"
