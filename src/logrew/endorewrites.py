@@ -330,11 +330,13 @@ def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
     first, second = sorted(
         (down_a, down_b), key=lambda s: (len(s.prefix), sys.position(s.rule))
     )
+    l1 = rules[first.rule].lhs
+    l2 = rules[second.rule].lhs
     p1, p2 = len(first.prefix), len(second.prefix)
-    if p2 >= p1 + len(rules[first.rule].lhs):
+    if p2 >= p1 + len(l1):
         cp = CriticalPair(TwoCell(v, (first,)), TwoCell(v, (second,)), None)
         leg_first, leg_second, dia = _loop(cp, sys)
-        meta = (None, v[:p1], v[p2 + len(rules[second.rule].lhs):], 1)
+        meta = (None, v[:p1], v[p2 + len(l2):], 1)
     else:
         record, x, z, first, second = _match_overlap(v, first, second, gens)
         leg_first = twocell.whisker(x, record.leg_left, z)
