@@ -24,6 +24,19 @@ b b b = 1
 a b a b a b a b a b = 1
 """
 
+# the Coxeter group S4: completes to 20 rules
+S4 = """monoid
+letters: a b c
+order: shortlex
+rules:
+a a = 1
+b b = 1
+c c = 1
+a b a b a b = 1
+a c a c = 1
+b c b c b c = 1
+"""
+
 
 def words_over(letters, max_len):
     for n in range(max_len + 1):

@@ -2,8 +2,8 @@
 
 Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
-the published loops of the s/e monoid.  ``complete`` and ``endos`` also
-run with ``--interreduce``.  The expected exit codes and sha256 digests
+the published loops of the s/e monoid and on seeded random loops over
+A5 and S4.  ``complete`` and ``endos`` also run with ``--interreduce``.  The expected exit codes and sha256 digests
 of stdout live in ``tests/golden.json``; a refactor must leave every one
 of them unchanged.
 
@@ -16,15 +16,19 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from logrew import parse_presentation, system_from_presentation
 from logrew.cli import main
+from logrew.completion import logged_knuth_bendix
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
+from helpers import A5, S4, random_loop, random_word
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -76,6 +80,36 @@ def express_cases(workdir: Path) -> dict[str, list[str]]:
     return cases
 
 
+# Seeds of random loops whose decompositions, between them, resolve
+# branchings at an internal peak and at the base of the loop, on disjoint
+# and on overlapping redexes, met in record order and reversed: all eight
+# combinations on each group.
+GROUP_LOOPS = {"A5": (A5, (197, 325, 1446)), "S4": (S4, (120, 204, 851))}
+
+
+def group_loop(text: str, seed: int) -> tc.TwoCell:
+    """The seeded random loop on a random word of at most 5 letters."""
+    presentation = parse_presentation(text)
+    sys = logged_knuth_bendix(system_from_presentation(presentation)).system
+    rng = random.Random(seed)
+    base = random_word(rng, presentation.alphabet.letters, 5, min_len=1)
+    return random_loop(rng, sys, base, rng.randint(1, 6))
+
+
+def group_express_cases(workdir: Path) -> dict[str, list[str]]:
+    """Case name -> argv for ``express`` on the seeded loops of GROUP_LOOPS."""
+    cases = {}
+    for name, (text, seeds) in GROUP_LOOPS.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(text)
+        for seed in seeds:
+            cellfile = workdir / f"{name}-{seed}.json"
+            cellfile.write_text(json.dumps(tc.cell_to_json(group_loop(text, seed))))
+            cases[f"{name}:express:seed{seed}"] = ["express", str(path), str(cellfile)]
+            cases[f"{name}:express:seed{seed}:json"] = ["express", str(path), str(cellfile), "--json"]
+    return cases
+
+
 def outcome(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -102,6 +136,10 @@ def test_golden_express_published_loops(tmp_path):
     check(express_cases(tmp_path))
 
 
+def test_golden_express_group_loops(tmp_path):
+    check(group_express_cases(tmp_path))
+
+
 def record() -> None:
     import tempfile
 
@@ -110,6 +148,7 @@ def record() -> None:
         cases.update(presentation_cases(name))
     with tempfile.TemporaryDirectory() as workdir:
         cases.update(express_cases(Path(workdir)))
+        cases.update(group_express_cases(Path(workdir)))
         golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(golden)} cases in {GOLDEN}")

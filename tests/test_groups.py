@@ -1,8 +1,9 @@
 """Invariants on finite groups beyond the s/e fixture.
 
-Four presentations: the Coxeter group S4, the alternating group A4 as
-the triangle group <a, b | a^2, b^3, (ab)^3>, and Z4 x Z5, written out
-here, and A5 = <a, b | a^2, b^3, (ab)^5> from the helpers.  For each, the completed system must have as many normal forms
+Four presentations: the alternating group A4 as the triangle group
+<a, b | a^2, b^3, (ab)^3> and Z4 x Z5, written out here, and the
+Coxeter group S4 and A5 = <a, b | a^2, b^3, (ab)^5> from the helpers.
+For each, the completed system must have as many normal forms
 as the group has elements, every derived log must expand to a cell on
 the initial rules from the rule's lhs to its rhs, proofs of equal words
 must replay on the initial rules, and ``express`` must leave an identity
@@ -19,19 +20,7 @@ from logrew.endorewrites import express, generate
 from logrew.engine import expand_log, normal_form, prove
 import logrew.twocell as tc
 
-from helpers import A5, random_cell, random_loop, random_word
-
-S4 = """monoid
-letters: a b c
-order: shortlex
-rules:
-a a = 1
-b b = 1
-c c = 1
-a b a b a b = 1
-a c a c = 1
-b c b c b c = 1
-"""
+from helpers import A5, S4, random_cell, random_loop, random_word
 
 A4 = """monoid
 letters: a b
