@@ -1,6 +1,7 @@
-"""Overlap detection, logged critical pairs, and logged Knuth-Bendix completion.
+"""Critical branchings, their logged resolution, and logged Knuth-Bendix completion.
 
-Overlap cases, for rules a: l1 -> r1 and b: l2 -> r2:
+A critical branching (``Overlap``) is two forward steps u1 a v1 and
+u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
 
     i)   u1 l1 v1 = l2          (l1 inside l2)
     ii)  u1 l1    = l2 v2       (proper suffix/prefix overlap, b left)
@@ -24,21 +25,12 @@ from .twocell import Step, TwoCell
 
 @dataclass(frozen=True)
 class Overlap:
+    """A critical branching: two forward steps on the superposition."""
+
     case: str
-    left_rule: str
-    right_rule: str
-    u1: Word
-    v1: Word
-    u2: Word
-    v2: Word
     superposition: Word
-
-
-@dataclass(frozen=True)
-class CriticalPair:
-    left: TwoCell
-    right: TwoCell
-    origin: Overlap
+    left: Step
+    right: Step
 
 
 @dataclass(frozen=True)
@@ -56,7 +48,7 @@ class CompletionLimits:
 class CompletionResult:
     status: str  # "complete" | "limit"
     system: LoggedSystem
-    pending: tuple[CriticalPair, ...] = ()
+    pending: tuple[Overlap, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -74,14 +66,9 @@ def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
     """All overlap placements of a (as the first rule) against b (as the second)."""
     l1, l2 = a.lhs, b.lhs
     found: list[Overlap] = []
-    placements = set()
 
     def add(case, u1, v1, u2, v2, sup):
-        key = (u1, v1, u2, v2)
-        if key in placements:
-            return
-        placements.add(key)
-        found.append(Overlap(case, a.rid, b.rid, u1, v1, u2, v2, sup))
+        found.append(Overlap(case, sup, Step(u1, a.rid, 1, v1), Step(u2, b.rid, 1, v2)))
 
     # case i: l1 occurs inside l2
     for p in occurrences(l1, l2):
@@ -104,33 +91,22 @@ def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
     # case iv: l2 occurs inside l1
     for p in occurrences(l2, l1):
         u2, v2 = l1[:p], l1[p + len(l2):]
-        if a.rid == b.rid and not u2 and not v2:
-            continue
+        if not u2 and not v2:
+            continue  # l1 = l2: case i has this placement, or it is the identical one
         add("iv", EMPTY, EMPTY, u2, v2, l1)
     return found
 
 
-def critical_pair(overlap: Overlap, sys: LoggedSystem) -> CriticalPair:
-    """The whiskered pair of one-step cells sharing the superposition."""
-    left = TwoCell(
-        overlap.superposition,
-        (Step(overlap.u1, overlap.left_rule, 1, overlap.v1),),
-    )
-    right = TwoCell(
-        overlap.superposition,
-        (Step(overlap.u2, overlap.right_rule, 1, overlap.v2),),
-    )
-    return CriticalPair(left, right, overlap)
-
-
-def resolve(cp: CriticalPair, sys: LoggedSystem) -> NewRule | None:
+def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     """Reduce both sides: unequal reducts give a new rule, equal ones None.
 
-    The loop a resolved pair closes is built by ``endorewrites.delta``.
+    The loop a resolved branching closes is built by ``endorewrites.delta``.
     """
     rules = sys.rule_map
-    down_left = reduce_logged(twocell.target(cp.left, rules), sys)
-    down_right = reduce_logged(twocell.target(cp.right, rules), sys)
+    left = TwoCell(overlap.superposition, (overlap.left,))
+    right = TwoCell(overlap.superposition, (overlap.right,))
+    down_left = reduce_logged(twocell.target(left, rules), sys)
+    down_right = reduce_logged(twocell.target(right, rules), sys)
     z_left = twocell.target(down_left, rules)
     z_right = twocell.target(down_right, rules)
     if z_left == z_right:
@@ -138,7 +114,7 @@ def resolve(cp: CriticalPair, sys: LoggedSystem) -> NewRule | None:
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
     # steps, so the log is free reduced
-    sides = [(z_left, cp.left, down_left), (z_right, cp.right, down_right)]
+    sides = [(z_left, left, down_left), (z_right, right, down_right)]
     if not sys.order.greater(z_left, z_right):
         sides.reverse()
     (lhs, up, down_up), (rhs, over, down_over) = sides
@@ -148,13 +124,13 @@ def resolve(cp: CriticalPair, sys: LoggedSystem) -> NewRule | None:
     return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
-def critical_pairs(sys: LoggedSystem, new_start: int) -> list[CriticalPair]:
+def critical_pairs(sys: LoggedSystem, new_start: int) -> list[Overlap]:
     """Each unordered critical branching once, between rules i <= j with
     j >= new_start, in order of (i, j); case iii of a rule against itself
     is dropped, since it is case ii with the two steps swapped."""
     rules = sys.rules
     return [
-        critical_pair(overlap, sys)
+        overlap
         for i in range(len(rules))
         for j in range(max(i, new_start), len(rules))
         for overlap in find_overlaps(rules[i], rules[j])
@@ -179,15 +155,15 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         queue = critical_pairs(sys, new_start)
         new_start = len(sys.rules)
         while queue:
-            cp = queue.pop(0)
-            outcome = resolve(cp, sys)
+            overlap = queue.pop(0)
+            outcome = resolve(overlap, sys)
             if outcome is None:
                 continue
             if (
                 len(sys.rules) + 1 > limits.max_rules
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
-                return CompletionResult("limit", sys, (cp, *queue))
+                return CompletionResult("limit", sys, (overlap, *queue))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             return CompletionResult("complete", sys.as_complete(), ())
@@ -195,11 +171,11 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             return CompletionResult("limit", sys, tuple(critical_pairs(sys, new_start)))
 
 
-def is_complete(sys: LoggedSystem) -> tuple[bool, CriticalPair | None]:
-    """Check every critical pair resolves; returns a failing witness otherwise."""
-    for cp in critical_pairs(sys, 0):
-        if resolve(cp, sys) is not None:
-            return False, cp
+def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
+    """Check every critical branching resolves; returns a failing witness otherwise."""
+    for overlap in critical_pairs(sys, 0):
+        if resolve(overlap, sys) is not None:
+            return False, overlap
     return True, None
 
 

@@ -77,14 +77,9 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """An admissible well-ordering on words.  Only shortlex is implemented."""
+    """The shortlex well-ordering on words over an alphabet."""
 
     alphabet: Alphabet
-    kind: str = "shortlex"
-
-    def __post_init__(self):
-        if self.kind != "shortlex":
-            raise ValueError(f"unsupported order kind {self.kind!r}")
 
     def key(self, w: Word) -> tuple[int, tuple[int, ...]]:
         """Sort key putting greater words first: longer first, then by the
@@ -163,7 +158,7 @@ def parse_presentation(text: str) -> Presentation:
     kind = order_line[len("order:"):].strip()
     if kind != "shortlex":
         raise ParseError(f"unsupported order {kind!r}", line=number)
-    order = OrderSpec(alphabet, kind)
+    order = OrderSpec(alphabet)
 
     number, rules_head = take("rules:")
     if rules_head != "rules:":

@@ -1,8 +1,8 @@
 """Endorewrites: loops in the rewrite algebra and their generating sets.
 
-A resolved critical pair yields a loop on its superposition (the two
+A resolved critical branching yields a loop on its superposition (the two
 reductions composed against each other).  Over a completed system the
-loops of all overlaps generate every endorewrite up to interchange and
+loops of all branchings generate every endorewrite up to interchange and
 conjugacy; ``express`` finds such a decomposition by eliminating peaks of
 a loop's walk, resolving each local branching against the generator
 table so that the extracted product replays to the input exactly.
@@ -16,15 +16,11 @@ from .core import Rule, Word, word_to_str
 from . import twocell
 from .engine import LoggedSystem, normal_form, prove, reduce_logged
 from .twocell import ChainError, Step, TwoCell
-from .completion import CompletionResult, CriticalPair, Overlap, critical_pairs
+from .completion import CompletionResult, Overlap, critical_pairs
 
 
 class UnmatchedDiamond(ValueError):
     """A branching whose overlap is missing from the generator table."""
-
-
-def is_endorewrite(cell: TwoCell, rules: dict[str, Rule]) -> bool:
-    return twocell.validate(cell, rules) is None and twocell.target(cell, rules) == cell.source
 
 
 def _strip(word: Word, a: Step, b: Step, rules: dict[str, Rule]) -> tuple[Word, Word, Step, Step]:
@@ -40,14 +36,14 @@ def _strip(word: Word, a: Step, b: Step, rules: dict[str, Rule]) -> tuple[Word, 
     return word[:lo], word[hi:], inner(a), inner(b)
 
 
-def _origin_key(a: Step, b: Step) -> frozenset:
-    """The ``origin_index`` key of two steps on a minimal superposition,
-    whichever of them comes first."""
-    return frozenset(((a.rule, a.prefix, a.suffix), (b.rule, b.prefix, b.suffix)))
+def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
+    """Whether two forward steps on one word rewrite disjoint regions."""
+    (p, ls), (q, lt) = ((len(u.prefix), len(rules[u.rule].lhs)) for u in (s, t))
+    return p + ls <= q or q + lt <= p
 
 
-def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """Resolving legs for a critical pair of one-step cells.
+def _pair_legs(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
+    """Resolving legs for two forward steps on word.
 
     Disjoint redexes close in one step each (the interchange diamond).
     Overlapping redexes resolve on their minimal superposition, the legs
@@ -55,37 +51,33 @@ def _pair_legs(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
     on the minimal word both sides reduce to the normal form.
     """
     rules = sys.rule_map
-    [s1], [s2] = cp.left.steps, cp.right.steps
-    in1, _ = twocell.step_io(s1, rules)
-    in2, _ = twocell.step_io(s2, rules)
-    p1, p2 = len(s1.prefix), len(s2.prefix)
-    if p1 + len(in1) <= p2 or p2 + len(in2) <= p1:
+    if _disjoint(s1, s2, rules):
         t1, t2 = twocell.step_target(s1, rules), twocell.step_target(s2, rules)
         return (TwoCell(t1, (twocell.transport(s2, s1, t1, rules),)),
                 TwoCell(t2, (twocell.transport(s1, s2, t2, rules),)))
-    x, z, a, b = _strip(cp.left.source, s1, s2, rules)
+    x, z, a, b = _strip(word, s1, s2, rules)
     down_left = reduce_logged(twocell.step_target(a, rules), sys)
     down_right = reduce_logged(twocell.step_target(b, rules), sys)
     if twocell.target(down_left, rules) != twocell.target(down_right, rules):
-        raise ValueError("critical pair does not resolve; the system is incomplete")
+        raise ValueError("critical branching does not resolve; the system is incomplete")
     return twocell.whisker(x, down_left, z), twocell.whisker(x, down_right, z)
 
 
-def _loop(cp: CriticalPair, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
-    """The resolving legs of a critical pair and its loop, free reduced."""
-    leg_left, leg_right = _pair_legs(cp, sys)
-    loop = twocell.diamond(cp.left, leg_left, leg_right, cp.right, sys.rule_map)
-    return leg_left, leg_right, twocell.free_reduce(loop)
+def _loop(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
+    """The resolving legs of two forward steps on word and their loop, free reduced."""
+    leg1, leg2 = _pair_legs(word, s1, s2, sys)
+    loop = twocell.diamond(TwoCell(word, (s1,)), leg1, leg2, TwoCell(word, (s2,)), sys.rule_map)
+    return leg1, leg2, twocell.free_reduce(loop)
 
 
-def delta(cp: CriticalPair, sys: LoggedSystem) -> TwoCell:
-    """The loop left . leg_left . leg_right^-1 . right^-1, free reduced."""
-    return _loop(cp, sys)[2]
+def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
+    """The loop s1 . leg1 . leg2^-1 . s2^-1 at word, free reduced."""
+    return _loop(word, s1, s2, sys)[2]
 
 
 @dataclass
 class OriginRecord:
-    """Everything known about one overlap placement of the completed system."""
+    """Everything known about one critical branching of the completed system."""
 
     overlap: Overlap
     leg_left: TwoCell
@@ -107,7 +99,7 @@ class Generator:
 @dataclass
 class GeneratorSet:
     generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)  # _origin_key -> OriginRecord, one per branching
+    origin_index: dict = field(repr=False)  # frozenset of the two steps -> OriginRecord
     system: LoggedSystem = field(repr=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -188,17 +180,15 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     sys = _union_system(comp.system, init)
     rules = sys.rule_map
 
-    records: dict = {}
-    protos: list[OriginRecord] = []
-    for cp in critical_pairs(sys, 0):
-        rec = OriginRecord(cp.origin, *_loop(cp, sys))
-        records[_origin_key(*cp.left.steps, *cp.right.steps)] = rec
-        protos.append(rec)
+    records = {
+        frozenset((o.left, o.right)): OriginRecord(o, *_loop(o.superposition, o.left, o.right, sys))
+        for o in critical_pairs(sys, 0)
+    }
 
     seen: dict = {}
     chosen: list[OriginRecord] = []
-    rep_of: dict[int, tuple[int, int]] = {}
-    for n, rec in enumerate(protos):
+    rep_of: list[tuple[OriginRecord, int, int]] = []  # record, index in chosen, exponent
+    for rec in records.values():
         norm = twocell.interchange_normalize(rec.delta, rules)
         if not norm.steps:
             continue  # trivial loop: no generator, the record keeps gid None
@@ -208,14 +198,14 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
         ikey = twocell.cell_key(icanon)
         if ckey in seen:
             idx, exp = seen[ckey]
-            rep_of[n] = (idx, exp)
+            rep_of.append((rec, idx, exp))
         elif ikey in seen:
             idx, exp = seen[ikey]
-            rep_of[n] = (idx, -exp)
+            rep_of.append((rec, idx, -exp))
         else:
             idx = len(chosen)
             chosen.append(rec)
-            rep_of[n] = (idx, 1)
+            rep_of.append((rec, idx, 1))
             seen[ckey] = (idx, 1)
             if ikey != ckey:
                 seen[ikey] = (idx, -1)
@@ -238,11 +228,8 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
         )
         for idx in ordering
     )
-    for n, rec in enumerate(protos):
-        if n in rep_of:
-            idx, exp = rep_of[n]
-            rec.gid = gid_of[idx]
-            rec.exp = exp
+    for rec, idx, exp in rep_of:
+        rec.gid, rec.exp = gid_of[idx], exp
     return GeneratorSet(generators, records, sys)
 
 
@@ -297,67 +284,42 @@ class Decomposition:
     residual: TwoCell
 
 
-def _match_overlap(v: Word, first: Step, second: Step, gens: GeneratorSet):
-    """Locate the origin record for two overlapping redexes on v.
-
-    Strips the shared whiskers x, z off v; the steps left on the minimal
-    superposition are the ones ``critical_pair`` builds from the overlap.
-    Returns the record, x, z and the two redexes in the record's order.
-    """
-    x, z, a, b = _strip(v, first, second, gens.system.rule_map)
-    record = gens.origin_index.get(_origin_key(a, b))
-    if record is None:
-        raise UnmatchedDiamond(
-            f"no generator origin for rules {first.rule},{second.rule} on {word_to_str(v)}"
-        )
-    o = record.overlap
-    if a != Step(o.u1, o.left_rule, 1, o.v1):
-        first, second = second, first
-    return record, x, z, first, second
-
-
-def _resolve_branching(v: Word, down_a: Step, down_b: Step, gens: GeneratorSet):
+def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
     """Diamond data for two distinct forward steps from v.
 
-    Returns (dia, leg_a, leg_b, meta, swapped): dia is the loop
-    first . leg_first . leg_second^-1 . second^-1 at v, free reduced, with
-    disjoint steps in sorted order and overlapping ones in the order of
-    their origin record; legs are rematched to the (down_a, down_b) order,
-    and meta is (record-or-None, x, z, representative exponent).
+    Returns (dia, leg_a, leg_b, meta): dia is the loop
+    a . leg_a . leg_b^-1 . b^-1 at v, free reduced, and meta is
+    (record-or-None, x, z, exponent of the representative in dia), where
+    x and z are the whiskers common to a and b.  Overlapping steps are
+    looked up by their steps on the minimal superposition; the record
+    holds them in its own order, so the other order inverts its loop.
     """
     sys = gens.system
     rules = sys.rule_map
-    first, second = sorted(
-        (down_a, down_b), key=lambda s: (len(s.prefix), sys.position(s.rule))
-    )
-    l1 = rules[first.rule].lhs
-    l2 = rules[second.rule].lhs
-    p1, p2 = len(first.prefix), len(second.prefix)
-    if p2 >= p1 + len(l1):
-        cp = CriticalPair(TwoCell(v, (first,)), TwoCell(v, (second,)), None)
-        leg_first, leg_second, dia = _loop(cp, sys)
-        meta = (None, v[:p1], v[p2 + len(l2):], 1)
-    else:
-        record, x, z, first, second = _match_overlap(v, first, second, gens)
-        leg_first = twocell.whisker(x, record.leg_left, z)
-        leg_second = twocell.whisker(x, record.leg_right, z)
-        dia = twocell.whisker(x, record.delta, z)
-        meta = (record, x, z, record.exp)
-    swapped = (first, second) != (down_a, down_b)
-    if swapped:
-        return dia, leg_second, leg_first, meta, True
-    return dia, leg_first, leg_second, meta, False
+    x, z, inner_a, inner_b = _strip(v, a, b, rules)
+    if _disjoint(a, b, rules):
+        # a trivial diamond has exponent 1 with its left step first
+        leg_a, leg_b, dia = _loop(v, a, b, sys)
+        return dia, leg_a, leg_b, (None, x, z, 1 if len(a.prefix) < len(b.prefix) else -1)
+    record = gens.origin_index.get(frozenset((inner_a, inner_b)))
+    if record is None:
+        raise UnmatchedDiamond(
+            f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
+        )
+    leg_a, leg_b = (twocell.whisker(x, leg, z) for leg in (record.leg_left, record.leg_right))
+    dia = twocell.whisker(x, record.delta, z)
+    if inner_a == record.overlap.left:
+        return dia, leg_a, leg_b, (record, x, z, record.exp)
+    return twocell.invert(dia, rules), leg_b, leg_a, (record, x, z, -record.exp)
 
 
-def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, orientation: int,
-                 gens: GeneratorSet):
-    """Record one extracted diamond as a loop at the decomposition base."""
+def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet):
+    """Record one extracted diamond, conjugated by conj, as a loop at the decomposition base."""
     record, x, z, rep_exp = meta
     sys = gens.system
     rules = sys.rule_map
-    body = dia if orientation == 1 else twocell.invert(dia, rules)
     cell = twocell.free_reduce(twocell.compose_all(
-        [conj, body, twocell.invert(conj, rules)], rules,
+        [conj, dia, twocell.invert(conj, rules)], rules,
     ))
     conjugator = twocell.free_reduce(conj)
     gid = None if record is None else record.gid
@@ -374,7 +336,7 @@ def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, orientation: 
         x=x,
         z=z,
         conjugator=conjugator,
-        exp=orientation * rep_exp,
+        exp=rep_exp,
         cell=cell,
     ))
 
@@ -391,8 +353,8 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
     while stack:
         task = stack.pop()
         if task[0] == "emit":
-            _, econj, dia, meta, orientation = task
-            _emit_factor(factors, econj, dia, meta, orientation, gens)
+            _, econj, dia, meta = task
+            _emit_factor(factors, econj, dia, meta, gens)
             continue
         _, loop, conj = task
         while loop.steps:
@@ -407,14 +369,15 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
                 apex = twocell.target(TwoCell(loop.source, steps[:i + 1]), rules)
                 down_a = twocell.invert_step(steps[i])
                 down_b = steps[i + 1]
-                dia, leg_a, leg_b, meta, swapped = _resolve_branching(apex, down_a, down_b, gens)
+                # the peak down_a^-1 . down_b becomes leg_a . leg_b^-1; the
+                # factor is the diamond the other way round, read at the apex
+                dia, leg_b, leg_a, meta = _resolve_branching(apex, down_b, down_a, gens)
                 up_path = TwoCell(loop.source, steps[:i + 1])
                 _emit_factor(
                     factors,
                     twocell.free_reduce(twocell.compose(conj, up_path, rules)),
                     dia,
                     meta,
-                    1 if swapped else -1,
                     gens,
                 )
                 middle = twocell.compose(leg_a, twocell.invert(leg_b, rules), rules)
@@ -434,7 +397,7 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
                     TwoCell(twocell.target(head, rules), steps[1:-1])
                 )
                 continue
-            dia, leg_1, leg_2, meta, swapped = _resolve_branching(loop.source, s1, s2, gens)
+            dia, leg_1, leg_2, meta = _resolve_branching(loop.source, s1, s2, gens)
             rest = TwoCell(
                 twocell.step_target(s1, rules),
                 steps[1:-1]
@@ -444,7 +407,7 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
             inner_conj = twocell.free_reduce(
                 twocell.compose(conj, TwoCell(loop.source, (s1,)), rules)
             )
-            stack.append(("emit", conj, dia, meta, -1 if swapped else 1))
+            stack.append(("emit", conj, dia, meta))
             stack.append(("loop", twocell.free_reduce(rest), inner_conj))
             break
 
@@ -486,13 +449,13 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
                 "base_word": word_to_str(gen.base_word),
                 "base_element": word_to_str(gen.base_element),
                 "origin": {
-                    "left_rule": gen.origin.left_rule,
-                    "right_rule": gen.origin.right_rule,
+                    "left_rule": gen.origin.left.rule,
+                    "right_rule": gen.origin.right.rule,
                     "case": gen.origin.case,
-                    "u1": word_to_str(gen.origin.u1),
-                    "v1": word_to_str(gen.origin.v1),
-                    "u2": word_to_str(gen.origin.u2),
-                    "v2": word_to_str(gen.origin.v2),
+                    "u1": word_to_str(gen.origin.left.prefix),
+                    "v1": word_to_str(gen.origin.left.suffix),
+                    "u2": word_to_str(gen.origin.right.prefix),
+                    "v2": word_to_str(gen.origin.right.suffix),
                 },
                 "cell": twocell.cell_to_json(gen.cell),
             }

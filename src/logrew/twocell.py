@@ -138,11 +138,6 @@ def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
     )
 
 
-def horizontal_compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    """Representative of [a] o [b]: a on the left word, then b on the right."""
-    return compose(whisker((), a, b.source), whisker(target(a, rules), b, ()), rules)
-
-
 def free_reduce(cell: TwoCell) -> TwoCell:
     """Cancel adjacent step pairs that differ only in exponent sign."""
     stack: list[Step] = []
@@ -198,7 +193,8 @@ def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
 
     Bubble passes swap adjacent steps acting on disjoint regions until the
     leftmost region always comes first, with free reduction interleaved.
-    Endpoints and rule counts are preserved.
+    Endpoints and rule counts are preserved.  Equal normal forms prove two
+    cells interchange-equal; unequal ones prove nothing.
     """
     cell = free_reduce(cell)
     while True:
@@ -215,15 +211,6 @@ def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
         if not swapped and reduced == cell:
             return cell
         cell = reduced
-
-
-def cells_equal_mod_I(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> bool:
-    """True when normalization proves the cells interchange-equal.
-
-    False only means unknown; the interchange word problem is undecidable,
-    so inequality is never claimed.
-    """
-    return interchange_normalize(a, rules) == interchange_normalize(b, rules)
 
 
 def abelianize(cell: TwoCell) -> dict[str, int]:

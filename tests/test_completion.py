@@ -1,4 +1,4 @@
-"""Overlap search, critical-pair resolution, logged completion."""
+"""Overlap search, critical-branching resolution, logged completion."""
 
 import json
 from pathlib import Path
@@ -10,8 +10,8 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, critical_pair, find_overlaps, interreduce,
-    is_complete, logged_knuth_bendix, system_from_json, system_to_json,
+    CompletionLimits, NewRule, find_overlaps, interreduce, is_complete,
+    logged_knuth_bendix, resolve, system_from_json, system_to_json,
 )
 from logrew.endorewrites import delta
 import logrew.twocell as tc
@@ -29,9 +29,9 @@ def test_find_overlaps_published_example(se_init):
     assert ("iii", W("s s s s e")) in cases
     assert ("iii", W("s s s e")) in cases
     match = [o for o in overlaps if o.superposition == W("s s s s e")][0]
-    assert match.v1 == W("s e") and match.u2 == W("s s")
+    assert match.left.suffix == W("s e") and match.right.prefix == W("s s")
     small = [o for o in overlaps if o.superposition == W("s s s e")][0]
-    assert small.v1 == W("e") and small.u2 == W("s")
+    assert small.left.suffix == W("e") and small.right.prefix == W("s")
 
 
 def test_find_overlaps_self_overlap(se_init):
@@ -52,53 +52,50 @@ def test_find_overlaps_containment_cases():
     outer = Rule("r1", ("a", "b", "a"), ("a",))
     inner = Rule("r2", ("b",), ())
     [ov] = find_overlaps(inner, outer)
-    assert ov.case == "i" and ov.u1 == ("a",) and ov.v1 == ("a",)
+    assert ov.case == "i" and ov.left.prefix == ("a",) and ov.left.suffix == ("a",)
     [ov] = find_overlaps(outer, inner)
-    assert ov.case == "iv" and ov.u2 == ("a",) and ov.v2 == ("a",)
+    assert ov.case == "iv" and ov.right.prefix == ("a",) and ov.right.suffix == ("a",)
 
 
 def test_find_overlaps_excludes_identical_self_placement():
     rule = Rule("r1", ("a", "b"), ("a",))
     assert find_overlaps(rule, rule) == []
     other = Rule("r2", ("a", "b"), ("b",))
-    cases = {o.case for o in find_overlaps(rule, other)}
-    assert "i" in cases  # same lhs, different rules: full coincidence kept
+    # same lhs, different rules: the full coincidence is kept, once
+    full = [o for o in find_overlaps(rule, other) if o.superposition == ("a", "b")]
+    assert [(o.case, o.left, o.right) for o in full] == [
+        ("i", Step((), "r1", 1, ()), Step((), "r2", 1, ())),
+    ]
 
 
 def test_find_overlaps_against_brute_force(se_init):
     letters = ("s", "e")
-    for a in se_init.rules:
-        for b in se_init.rules:
-            got = {
-                (o.superposition, len(o.u1), len(o.u2))
+    # r7 shares r2's lhs, so a placement found twice would show in the counts
+    rules = se_init.rules + (Rule("r7", se_init.rule("r2").lhs, ()),)
+    for a in rules:
+        for b in rules:
+            got = sorted(
+                (o.superposition, len(o.left.prefix), len(o.right.prefix))
                 for o in find_overlaps(a, b)
-            }
-            expected = {
-                (w, p1, p2) for (w, p1, p2) in brute_force_overlaps(a, b, letters)
-            }
+            )
+            expected = sorted(brute_force_overlaps(a, b, letters))
             assert got == expected, (a.rid, b.rid)
 
 
 def test_resolve_published_overlap(se_init, se_presentation):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s s e")]
-    assert resolve_for(se_init, ov) is None
-    loop = delta(critical_pair(ov, se_init), se_init)
+    assert resolve(ov, se_init) is None
+    loop = delta(ov.superposition, ov.left, ov.right, se_init)
     assert loop.source == W("s s s s e")
     assert tc.target(loop, se_init.rule_map) == loop.source
-
-
-def resolve_for(sys, overlap):
-    from logrew.completion import resolve
-
-    return resolve(critical_pair(overlap, sys), sys)
 
 
 def test_resolve_small_overlap_two_step_loop(se_init):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
-    assert resolve_for(se_init, ov) is None
-    assert delta(critical_pair(ov, se_init), se_init) == TwoCell(W("s s s e"), (
+    assert resolve(ov, se_init) is None
+    assert delta(ov.superposition, ov.left, ov.right, se_init) == TwoCell(W("s s s e"), (
         Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", -1, W("1")),
     ))
 
@@ -107,8 +104,8 @@ def test_every_published_pair_resolves(se_init):
     for a in se_init.rules:
         for b in se_init.rules:
             for ov in find_overlaps(a, b):
-                assert resolve_for(se_init, ov) is None
-                loop = delta(critical_pair(ov, se_init), se_init)
+                assert resolve(ov, se_init) is None
+                loop = delta(ov.superposition, ov.left, ov.right, se_init)
                 assert loop.source == ov.superposition
                 assert tc.target(loop, se_init.rule_map) == loop.source
 
@@ -116,7 +113,7 @@ def test_every_published_pair_resolves(se_init):
 def test_resolve_new_rule_ab(ab_init):
     r1, r2 = ab_init.rule("r1"), ab_init.rule("r2")
     [ov] = [o for o in find_overlaps(r1, r2) if o.superposition == W("a b a")]
-    outcome = resolve_for(ab_init, ov)
+    outcome = resolve(ov, ab_init)
     assert isinstance(outcome, NewRule)
     assert outcome.rule.lhs == W("a a") and outcome.rule.rhs == W("a")
     # the log witnesses aa -> a over the two initial rules in three steps
@@ -214,8 +211,8 @@ def test_is_complete_reports_witness(ab_init):
     ok, witness = is_complete(ab_init)
     assert not ok
     assert witness is not None
-    assert witness.origin.superposition in (W("a b a"), W("b a b"))
-    assert isinstance(resolve_for(ab_init, witness.origin), NewRule)
+    assert witness.superposition in (W("a b a"), W("b a b"))
+    assert isinstance(resolve(witness, ab_init), NewRule)
 
 
 def test_is_complete_empty_system():

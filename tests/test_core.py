@@ -108,7 +108,7 @@ def test_parse_presentation_fixture():
     assert p.alphabet.letters == ("s", "e")
     assert len(p.relations) == 6
     assert p.relations[0] == ((("e", "e")), ("e",))
-    assert p.order.kind == "shortlex"
+    assert p.order == OrderSpec(p.alphabet)
 
 
 def test_parse_zero_relations_free_monoid():

@@ -9,15 +9,12 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew.core import parse_presentation, word_from_str, word_to_str
-from logrew.engine import expand_log, normal_form, system_from_presentation
-from logrew.completion import (
-    CompletionLimits, CriticalPair, critical_pair, find_overlaps,
-    logged_knuth_bendix, resolve,
-)
+from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
+from logrew.completion import CompletionLimits, find_overlaps, logged_knuth_bendix, resolve
 from logrew.endorewrites import (
-    UnmatchedDiamond, _origin_key, conjugacy_reduce, delta,
+    UnmatchedDiamond, _resolve_branching, conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
-    generator_set_to_json, is_endorewrite, minimize,
+    generator_set_to_json, minimize,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
@@ -36,28 +33,35 @@ def rng():
     return random.Random(90125)
 
 
+@pytest.fixture(scope="module")
+def a5_generators():
+    init = system_from_presentation(parse_presentation(A5))
+    return generate(logged_knuth_bendix(init), init)
+
+
 def _pair_on(sys, word, p1, r1, p2, r2):
+    """The word with the forward steps of r1 at p1 and of r2 at p2."""
     rules = sys.rule_map
     s1 = Step(word[:p1], r1, 1, word[p1 + len(rules[r1].lhs):])
     s2 = Step(word[:p2], r2, 1, word[p2 + len(rules[r2].lhs):])
-    return CriticalPair(TwoCell(word, (s1,)), TwoCell(word, (s2,)), None)
+    return word, s1, s2
 
 
 def test_delta_published_overlap(se_init, se_system):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
-    loop = delta(critical_pair(ov, se_system), se_system)
+    loop = delta(ov.superposition, ov.left, ov.right, se_system)
     assert loop == loop_cell("se_1")
 
 
 def test_delta_equal_pair_trivial(se_system):
     cp = _pair_on(se_system, W("e e"), 0, "r1", 0, "r1")
-    assert delta(cp, se_system) == identity(W("e e"))
+    assert delta(*cp, se_system) == identity(W("e e"))
 
 
 def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     cp = _pair_on(se_system, W("e e s s s"), 0, "r1", 2, "r2")
-    loop = delta(cp, se_system)
+    loop = delta(*cp, se_system)
     assert loop.source == W("e e s s s")
     assert tc.interchange_normalize(loop, se_rules) == identity(loop.source)
 
@@ -66,8 +70,8 @@ def test_delta_whisker_coherence(se_system, se_rules):
     # an overlap embedded as x.y.z resolves to the whiskered minimal loop
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
     outer = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
-    d_inner = delta(inner, se_system)
-    d_outer = delta(outer, se_system)
+    d_inner = delta(*inner, se_system)
+    d_outer = delta(*outer, se_system)
     assert tc.free_reduce(d_outer) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
@@ -79,7 +83,8 @@ def test_generate_published_system(se_generators):
     assert groups == {"e": 7, "s": 1, "s s": 1, "e s": 1, "s e": 1, "e s e": 17}
     rules = gens.system.rule_map
     for gen in gens.generators:
-        assert is_endorewrite(gen.cell, rules)
+        assert tc.validate(gen.cell, rules) is None
+        assert tc.target(gen.cell, rules) == gen.cell.source
         assert tc.interchange_normalize(gen.cell, rules).steps
         assert gen.base_element == normal_form(gen.base_word, gens.system)
 
@@ -105,7 +110,8 @@ def test_generate_ab_monoid(ab_completion, ab_init):
     assert gens.generators
     rules = gens.system.rule_map
     for gen in gens.generators:
-        assert is_endorewrite(gen.cell, rules)
+        assert tc.validate(gen.cell, rules) is None
+        assert tc.target(gen.cell, rules) == gen.cell.source
 
 
 def test_generate_deterministic(se_completion, se_init):
@@ -157,7 +163,8 @@ def test_express_all_published_loops(se_generators, se_system, se_rules):
         assert dec.residual == identity(cell.source), name
         assert signed_factor_sum(dec) == tc.abelianize(cell), name
         for factor in dec.factors:
-            assert is_endorewrite(factor.cell, se_rules)
+            assert tc.validate(factor.cell, se_rules) is None
+            assert tc.target(factor.cell, se_rules) == factor.cell.source
             assert factor.cell.source == cell.source
 
 
@@ -216,11 +223,33 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
         assert content(left) == content(right)
 
 
+@pytest.mark.parametrize("name", ["se", "A5"])
+def test_resolve_branching_either_order(name, se_generators, a5_generators):
+    # every pair of forward redexes on words up to 7 letters: taken the
+    # other way round, the diamond is inverted, its legs swapped and its
+    # exponent negated
+    gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
+    rules = gens.system.rule_map
+    kinds = Counter()
+    for v in words_over(letters, 7):
+        steps = [Step(v[:p], rid, 1, v[p + len(rules[rid].lhs):])
+                 for p, rid in find_redexes(v, gens.system)]
+        for i, a in enumerate(steps):
+            for b in steps[i + 1:]:
+                dia, leg_a, leg_b, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
+                assert dia == tc.free_reduce(tc.diamond(
+                    TwoCell(v, (a,)), leg_a, leg_b, TwoCell(v, (b,)), rules))
+                assert _resolve_branching(v, b, a, gens) == (
+                    tc.invert(dia, rules), leg_b, leg_a, (record, x, z, -exp))
+                kinds["disjoint" if record is None else "record"] += 1
+    assert kinds["disjoint"] > 0 and kinds["record"] > 0
+
+
 def test_express_rejects_missing_origin(se_generators):
     from logrew.endorewrites import GeneratorSet
 
     cell = loop_cell("se_1")
-    needed = _origin_key(Step(W("s"), "r3", 1, W("1")), Step(W("1"), "r2", 1, W("e")))
+    needed = frozenset((Step(W("s"), "r3", 1, W("1")), Step(W("1"), "r2", 1, W("e"))))
     assert needed in se_generators.origin_index
     gutted = GeneratorSet(
         se_generators.generators,
@@ -231,9 +260,8 @@ def test_express_rejects_missing_origin(se_generators):
         express(cell, gutted)
 
 
-def test_express_over_minimized_set_names_dropped_generator():
-    init = system_from_presentation(parse_presentation(A5))
-    gens = generate(logged_knuth_bendix(init), init)
+def test_express_over_minimized_set_names_dropped_generator(a5_generators):
+    gens = a5_generators
     small = minimize(gens)
     kept = {gen.gid for gen in small.generators}
     dropped = {gen.gid for gen in gens.generators} - kept
@@ -280,7 +308,7 @@ def test_branchings_taken_once_complete_and_express(text):
     for a in sys.rules:
         for b in sys.rules:
             for ov in find_overlaps(a, b):
-                assert resolve(critical_pair(ov, sys), sys) is None
+                assert resolve(ov, sys) is None
     for rule in sys.rules:
         if sys.provenance[rule.rid] == "derived":
             expanded = expand_log(sys.logs[rule.rid], sys)
@@ -306,7 +334,7 @@ def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
                 l2 = len(se_rules[r2].lhs)
                 if p1 + l1 <= p2 or p2 + l2 <= p1:
                     cp = _pair_on(se_system, w, p1, r1, p2, r2)
-                    loop = delta(cp, se_system)
+                    loop = delta(*cp, se_system)
                     assert tc.interchange_normalize(loop, se_rules) == identity(w)
                     checked += 1
     assert checked > 100
