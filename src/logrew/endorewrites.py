@@ -306,11 +306,11 @@ def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
         raise UnmatchedDiamond(
             f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
         )
-    leg_a, leg_b = (twocell.whisker(x, leg, z) for leg in (record.leg_left, record.leg_right))
+    leg_left, leg_right = (twocell.whisker(x, leg, z) for leg in (record.leg_left, record.leg_right))
     dia = twocell.whisker(x, record.delta, z)
     if inner_a == record.overlap.left:
-        return dia, leg_a, leg_b, (record, x, z, record.exp)
-    return twocell.invert(dia, rules), leg_b, leg_a, (record, x, z, -record.exp)
+        return dia, leg_left, leg_right, (record, x, z, record.exp)
+    return twocell.invert(dia, rules), leg_right, leg_left, (record, x, z, -record.exp)
 
 
 def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet):
@@ -370,7 +370,7 @@ def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
                 down_a = twocell.invert_step(steps[i])
                 down_b = steps[i + 1]
                 # the peak down_a^-1 . down_b becomes leg_a . leg_b^-1; the
-                # factor is the diamond the other way round, read at the apex
+                # factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1
                 dia, leg_b, leg_a, meta = _resolve_branching(apex, down_b, down_a, gens)
                 up_path = TwoCell(loop.source, steps[:i + 1])
                 _emit_factor(
