@@ -37,6 +37,10 @@ a c a c = 1
 b c b c b c = 1
 """
 
+# completes to 35 branchings over 31 generators: four branchings merge into
+# the generator of another
+MERGING = "monoid\nletters: a b\norder: shortlex\nrules:\na b b b = 1\na b = b b a\n"
+
 
 def words_over(letters, max_len):
     for n in range(max_len + 1):

@@ -20,7 +20,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, random_cell, random_loop, random_word,
+    A5, MERGING, random_cell, random_loop, random_word,
     signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
@@ -282,9 +282,6 @@ def presentations(draw):
         [f"monoid\nletters: {' '.join(letters)}\norder: shortlex\nrules:\n"]
         + [f"{lhs} = {rhs}\n" for lhs, rhs in relations]
     )
-
-
-MERGING = "monoid\nletters: a b\norder: shortlex\nrules:\na b b b = 1\na b = b b a\n"
 
 
 def test_generators_merge_distinct_branchings():

@@ -3,9 +3,10 @@
 Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
-A5 and S4.  ``complete`` and ``endos`` also run with ``--interreduce``.  The expected exit codes and sha256 digests
-of stdout live in ``tests/golden.json``; a refactor must leave every one
-of them unchanged.
+A5, S4 and MERGING.  ``complete`` and ``endos`` also run with
+``--interreduce``.  The expected exit codes and sha256 digests of stdout
+live in ``tests/golden.json``; a refactor must leave every one of them
+unchanged.
 
 Record the file afresh (only when an output is meant to change) with
 
@@ -28,7 +29,7 @@ from logrew.completion import logged_knuth_bendix
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
-from helpers import A5, S4, random_loop, random_word
+from helpers import A5, MERGING, S4, random_loop, random_word
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -83,8 +84,14 @@ def express_cases(workdir: Path) -> dict[str, list[str]]:
 # Seeds of random loops whose decompositions, between them, resolve
 # branchings at an internal peak and at the base of the loop, on disjoint
 # and on overlapping redexes, met in record order and reversed: all eight
-# combinations on each group.
-GROUP_LOOPS = {"A5": (A5, (197, 325, 1446)), "S4": (S4, (120, 204, 851))}
+# combinations on each group.  On MERGING the seeds resolve branchings
+# whose generator is another branching's loop, at a peak and at the base,
+# in record order and reversed.
+GROUP_LOOPS = {
+    "A5": (A5, (197, 325, 1446)),
+    "S4": (S4, (120, 204, 851)),
+    "MERGING": (MERGING, (5, 33, 665)),
+}
 
 
 def group_loop(text: str, seed: int) -> tc.TwoCell:
