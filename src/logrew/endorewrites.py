@@ -42,8 +42,9 @@ def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
     return p + ls <= q or q + lt <= p
 
 
-def _pair_legs(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """Resolving legs for two forward steps on word.
+def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
+    """The resolving legs leg1, leg2 of two forward steps on word and their
+    loop s1 . leg1 . leg2^-1 . s2^-1 at word, free reduced.
 
     Disjoint redexes close in one step each (the interchange diamond).
     Overlapping redexes resolve on their minimal superposition, the legs
@@ -53,26 +54,20 @@ def _pair_legs(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCe
     rules = sys.rule_map
     if _disjoint(s1, s2, rules):
         t1, t2 = twocell.step_target(s1, rules), twocell.step_target(s2, rules)
-        return (TwoCell(t1, (twocell.transport(s2, s1, t1, rules),)),
-                TwoCell(t2, (twocell.transport(s1, s2, t2, rules),)))
-    x, z, a, b = _strip(word, s1, s2, rules)
-    down_left = reduce_logged(twocell.step_target(a, rules), sys)
-    down_right = reduce_logged(twocell.step_target(b, rules), sys)
-    if twocell.target(down_left, rules) != twocell.target(down_right, rules):
-        raise ValueError("critical branching does not resolve; the system is incomplete")
-    return twocell.whisker(x, down_left, z), twocell.whisker(x, down_right, z)
-
-
-def _loop(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
-    """The resolving legs of two forward steps on word and their loop, free reduced."""
-    leg1, leg2 = _pair_legs(word, s1, s2, sys)
-    loop = twocell.diamond(TwoCell(word, (s1,)), leg1, leg2, TwoCell(word, (s2,)), sys.rule_map)
+        leg1 = TwoCell(t1, (twocell.transport(s2, s1, t1, rules),))
+        leg2 = TwoCell(t2, (twocell.transport(s1, s2, t2, rules),))
+    else:
+        x, z, a, b = _strip(word, s1, s2, rules)
+        down_left = reduce_logged(twocell.step_target(a, rules), sys)
+        down_right = reduce_logged(twocell.step_target(b, rules), sys)
+        if twocell.target(down_left, rules) != twocell.target(down_right, rules):
+            raise ValueError("critical branching does not resolve; the system is incomplete")
+        leg1, leg2 = twocell.whisker(x, down_left, z), twocell.whisker(x, down_right, z)
+    loop = twocell.compose_all(
+        [TwoCell(word, (s1,)), leg1, twocell.invert(leg2, rules),
+         twocell.invert(TwoCell(word, (s2,)), rules)], rules,
+    )
     return leg1, leg2, twocell.free_reduce(loop)
-
-
-def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
-    """The loop s1 . leg1 . leg2^-1 . s2^-1 at word, free reduced."""
-    return _loop(word, s1, s2, sys)[2]
 
 
 @dataclass
@@ -181,7 +176,7 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     rules = sys.rule_map
 
     records = {
-        frozenset((o.left, o.right)): OriginRecord(o, *_loop(o.superposition, o.left, o.right, sys))
+        frozenset((o.left, o.right)): OriginRecord(o, *delta(o.superposition, o.left, o.right, sys))
         for o in critical_pairs(sys, 0)
     }
 
@@ -287,20 +282,19 @@ class Decomposition:
 def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
     """Diamond data for two distinct forward steps from v.
 
-    Returns (dia, leg_a, leg_b, meta): dia is the loop
+    Returns (leg_a, leg_b, dia, meta): the legs and loop of delta, with dia
     a . leg_a . leg_b^-1 . b^-1 at v, free reduced, and meta is
     (record-or-None, x, z, exponent of the representative in dia), where
     x and z are the whiskers common to a and b.  Overlapping steps are
     looked up by their steps on the minimal superposition; the record
     holds them in its own order, so the other order inverts its loop.
     """
-    sys = gens.system
-    rules = sys.rule_map
+    rules = gens.system.rule_map
     x, z, inner_a, inner_b = _strip(v, a, b, rules)
     if _disjoint(a, b, rules):
         # a trivial diamond has exponent 1 with its left step first
-        leg_a, leg_b, dia = _loop(v, a, b, sys)
-        return dia, leg_a, leg_b, (None, x, z, 1 if len(a.prefix) < len(b.prefix) else -1)
+        meta = (None, x, z, 1 if len(a.prefix) < len(b.prefix) else -1)
+        return (*delta(v, a, b, gens.system), meta)
     record = gens.origin_index.get(frozenset((inner_a, inner_b)))
     if record is None:
         raise UnmatchedDiamond(
@@ -309,19 +303,18 @@ def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
     leg_left, leg_right = (twocell.whisker(x, leg, z) for leg in (record.leg_left, record.leg_right))
     dia = twocell.whisker(x, record.delta, z)
     if inner_a == record.overlap.left:
-        return dia, leg_left, leg_right, (record, x, z, record.exp)
-    return twocell.invert(dia, rules), leg_right, leg_left, (record, x, z, -record.exp)
+        return leg_left, leg_right, dia, (record, x, z, record.exp)
+    return leg_right, leg_left, twocell.invert(dia, rules), (record, x, z, -record.exp)
 
 
-def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet):
-    """Record one extracted diamond, conjugated by conj, as a loop at the decomposition base."""
+def _factor(conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet) -> Factor:
+    """One extracted diamond, conjugated by conj, as a loop at the decomposition base."""
     record, x, z, rep_exp = meta
     sys = gens.system
     rules = sys.rule_map
     cell = twocell.free_reduce(twocell.compose_all(
         [conj, dia, twocell.invert(conj, rules)], rules,
     ))
-    conjugator = twocell.free_reduce(conj)
     gid = None if record is None else record.gid
     if gid is not None:
         rep = gens.by_id(gid)
@@ -329,87 +322,69 @@ def _emit_factor(factors: list, conj: TwoCell, dia: TwoCell, meta, gens: Generat
             # conjugacy-merged representative living on another base word:
             # bridge through the common normal form so the whiskered
             # reference stays replayable
-            bridge = prove(twocell.target(conjugator, rules), x + rep.base_word + z, sys)
-            conjugator = twocell.free_reduce(twocell.compose(conjugator, bridge, rules))
-    factors.append(Factor(
+            bridge = prove(twocell.target(conj, rules), x + rep.base_word + z, sys)
+            conj = twocell.free_reduce(twocell.compose(conj, bridge, rules))
+    return Factor(
         gen=gid,
         x=x,
         z=z,
-        conjugator=conjugator,
+        conjugator=conj,
         exp=rep_exp,
         cell=cell,
-    ))
+    )
 
 
-def _decompose(loop: TwoCell, conj: TwoCell, factors: list, gens: GeneratorSet):
-    """Peak elimination, iteratively: rewrite the loop away, extracting diamonds.
+def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
+    """Peak elimination: rewrite the loop away, extracting diamonds.
 
-    Invariant: input ~ (emitted factors) . conj . loop . conj^-1 in the
+    A peak is resolved in place and its diamond factor taken at once.  A
+    loop without peaks descends from its base and climbs back: its outer
+    steps move conj into the loop, and when they differ their diamond is
+    deferred, so it follows every factor of the loop inside it.  Invariant:
+    input ~ factors . conj . loop . conj^-1 . deferred (last first) in the
     free sesquigroupoid, so the factor product replays to the input.
     """
-    sys = gens.system
-    rules = sys.rule_map
-    stack: list[tuple] = [("loop", twocell.free_reduce(loop), conj)]
-    while stack:
-        task = stack.pop()
-        if task[0] == "emit":
-            _, econj, dia, meta = task
-            _emit_factor(factors, econj, dia, meta, gens)
+    rules = gens.system.rule_map
+    loop = twocell.free_reduce(loop)
+    conj = twocell.identity(loop.source)  # free reduced, as every value it takes
+    factors: list[Factor] = []
+    deferred: list[Factor] = []
+    while loop.steps:
+        steps = loop.steps
+        peak = next(
+            (i for i in range(len(steps) - 1)
+             if steps[i].exp == -1 and steps[i + 1].exp == 1),
+            None,
+        )
+        if peak is not None:
+            down_a = twocell.invert_step(steps[peak])
+            down_b = steps[peak + 1]
+            # the peak down_a^-1 . down_b becomes leg_a . leg_b^-1; the
+            # factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1
+            apex = twocell.step_source(down_b, rules)
+            leg_b, leg_a, dia, meta = _resolve_branching(apex, down_b, down_a, gens)
+            up_path = TwoCell(loop.source, steps[:peak + 1])
+            factors.append(_factor(
+                twocell.free_reduce(twocell.compose(conj, up_path, rules)), dia, meta, gens,
+            ))
+            middle = leg_a.steps + twocell.invert(leg_b, rules).steps
+            loop = twocell.free_reduce(
+                TwoCell(loop.source, steps[:peak] + middle + steps[peak + 2:])
+            )
             continue
-        _, loop, conj = task
-        while loop.steps:
-            steps = loop.steps
-            peak = next(
-                (i for i in range(len(steps) - 1)
-                 if steps[i].exp == -1 and steps[i + 1].exp == 1),
-                None,
-            )
-            if peak is not None:
-                i = peak
-                apex = twocell.target(TwoCell(loop.source, steps[:i + 1]), rules)
-                down_a = twocell.invert_step(steps[i])
-                down_b = steps[i + 1]
-                # the peak down_a^-1 . down_b becomes leg_a . leg_b^-1; the
-                # factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1
-                dia, leg_b, leg_a, meta = _resolve_branching(apex, down_b, down_a, gens)
-                up_path = TwoCell(loop.source, steps[:i + 1])
-                _emit_factor(
-                    factors,
-                    twocell.free_reduce(twocell.compose(conj, up_path, rules)),
-                    dia,
-                    meta,
-                    gens,
-                )
-                middle = twocell.compose(leg_a, twocell.invert(leg_b, rules), rules)
-                loop = twocell.free_reduce(
-                    TwoCell(loop.source, steps[:i] + middle.steps + steps[i + 2:])
-                )
-                continue
-            # no internal peak: descending then ascending around the base
-            m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
-            assert 0 < m < len(steps), "a nonempty monotone loop cannot close"
-            s1 = steps[0]
-            s2 = twocell.invert_step(steps[-1])
-            if s1 == s2:
-                head = TwoCell(loop.source, (s1,))
-                conj = twocell.free_reduce(twocell.compose(conj, head, rules))
-                loop = twocell.free_reduce(
-                    TwoCell(twocell.target(head, rules), steps[1:-1])
-                )
-                continue
-            dia, leg_1, leg_2, meta = _resolve_branching(loop.source, s1, s2, gens)
-            rest = TwoCell(
-                twocell.step_target(s1, rules),
-                steps[1:-1]
-                + leg_2.steps
-                + tuple(twocell.invert_step(s) for s in reversed(leg_1.steps)),
-            )
-            inner_conj = twocell.free_reduce(
-                twocell.compose(conj, TwoCell(loop.source, (s1,)), rules)
-            )
-            stack.append(("emit", conj, dia, meta))
-            stack.append(("loop", twocell.free_reduce(rest), inner_conj))
-            break
+        # no internal peak: descending then ascending around the base
+        m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
+        assert 0 < m < len(steps), "a nonempty monotone loop cannot close"
+        s1 = steps[0]
+        s2 = twocell.invert_step(steps[-1])
+        rest = steps[1:-1]
+        if s1 != s2:
+            leg_1, leg_2, dia, meta = _resolve_branching(loop.source, s1, s2, gens)
+            deferred.append(_factor(conj, dia, meta, gens))
+            rest += leg_2.steps + twocell.invert(leg_1, rules).steps
+        conj = twocell.free_reduce(twocell.compose(conj, TwoCell(loop.source, (s1,)), rules))
+        loop = twocell.free_reduce(TwoCell(twocell.step_target(s1, rules), rest))
+    return factors + deferred[::-1]
 
 
 def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
@@ -420,17 +395,15 @@ def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
     (the identity whenever extraction succeeded).
     """
     rules = gens.system.rule_map
-    bad = twocell.validate(cell, rules)
-    if bad is not None:
-        raise ChainError("input does not replay", index=bad)
-    if twocell.target(cell, rules) != cell.source:
+    try:
+        end = twocell.target(cell, rules)
+    except ChainError as err:
+        raise ChainError("input does not replay", index=err.index) from None
+    if end != cell.source:
         raise ChainError("input is not an endorewrite")
     base = cell.source
-    factors: list[Factor] = []
-    _decompose(cell, twocell.identity(base), factors, gens)
-    recomposed = twocell.identity(base)
-    for factor in factors:
-        recomposed = twocell.compose(recomposed, factor.cell, rules)
+    factors = _decompose(cell, gens)
+    recomposed = twocell.compose_all([twocell.identity(base), *(f.cell for f in factors)], rules)
     residual = twocell.free_reduce(
         twocell.compose(twocell.invert(recomposed, rules), cell, rules)
     )

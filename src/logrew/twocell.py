@@ -99,21 +99,21 @@ def intermediate_words(cell: TwoCell, rules: dict[str, Rule]) -> list[Word]:
 
 
 def compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    if target(a, rules) != b.source:
-        raise ChainError(
-            f"cannot compose: target {word_to_str(target(a, rules))} "
-            f"!= source {word_to_str(b.source)}"
-        )
-    return TwoCell(a.source, a.steps + b.steps)
+    return compose_all([a, b], rules)
 
 
 def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
+    """The cells one after another; each join is checked on one replay of
+    the cell before it, so a step that does not replay is indexed in its cell."""
     if not cells:
         raise ValueError("compose_all needs at least one cell")
-    out = cells[0]
-    for cell in cells[1:]:
-        out = compose(out, cell, rules)
-    return out
+    for before, cell in zip(cells, cells[1:]):
+        end = target(before, rules)
+        if end != cell.source:
+            raise ChainError(
+                f"cannot compose: target {word_to_str(end)} != source {word_to_str(cell.source)}"
+            )
+    return TwoCell(cells[0].source, tuple(step for cell in cells for step in cell.steps))
 
 
 def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
@@ -121,12 +121,6 @@ def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
         target(cell, rules),
         tuple(invert_step(s) for s in reversed(cell.steps)),
     )
-
-
-def diamond(left: TwoCell, leg_left: TwoCell, leg_right: TwoCell, right: TwoCell,
-            rules: dict[str, Rule]) -> TwoCell:
-    """The loop left . leg_left . leg_right^-1 . right^-1 around a branching, not free reduced."""
-    return compose_all([left, leg_left, invert(leg_right, rules), invert(right, rules)], rules)
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:

@@ -86,7 +86,7 @@ def test_resolve_published_overlap(se_init, se_presentation):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s s e")]
     assert resolve(ov, se_init) is None
-    loop = delta(ov.superposition, ov.left, ov.right, se_init)
+    loop = delta(ov.superposition, ov.left, ov.right, se_init)[2]
     assert loop.source == W("s s s s e")
     assert tc.target(loop, se_init.rule_map) == loop.source
 
@@ -95,7 +95,7 @@ def test_resolve_small_overlap_two_step_loop(se_init):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
     assert resolve(ov, se_init) is None
-    assert delta(ov.superposition, ov.left, ov.right, se_init) == TwoCell(W("s s s e"), (
+    assert delta(ov.superposition, ov.left, ov.right, se_init)[2] == TwoCell(W("s s s e"), (
         Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", -1, W("1")),
     ))
 
@@ -105,7 +105,7 @@ def test_every_published_pair_resolves(se_init):
         for b in se_init.rules:
             for ov in find_overlaps(a, b):
                 assert resolve(ov, se_init) is None
-                loop = delta(ov.superposition, ov.left, ov.right, se_init)
+                loop = delta(ov.superposition, ov.left, ov.right, se_init)[2]
                 assert loop.source == ov.superposition
                 assert tc.target(loop, se_init.rule_map) == loop.source
 

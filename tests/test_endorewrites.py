@@ -3,6 +3,7 @@ of loops over the generators."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -12,7 +13,7 @@ from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
 from logrew.completion import CompletionLimits, find_overlaps, logged_knuth_bendix, resolve
 from logrew.endorewrites import (
-    UnmatchedDiamond, _resolve_branching, conjugacy_reduce, delta,
+    GeneratorSet, UnmatchedDiamond, _resolve_branching, conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
 )
@@ -50,18 +51,18 @@ def _pair_on(sys, word, p1, r1, p2, r2):
 def test_delta_published_overlap(se_init, se_system):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
-    loop = delta(ov.superposition, ov.left, ov.right, se_system)
+    loop = delta(ov.superposition, ov.left, ov.right, se_system)[2]
     assert loop == loop_cell("se_1")
 
 
 def test_delta_equal_pair_trivial(se_system):
     cp = _pair_on(se_system, W("e e"), 0, "r1", 0, "r1")
-    assert delta(*cp, se_system) == identity(W("e e"))
+    assert delta(*cp, se_system)[2] == identity(W("e e"))
 
 
 def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     cp = _pair_on(se_system, W("e e s s s"), 0, "r1", 2, "r2")
-    loop = delta(*cp, se_system)
+    loop = delta(*cp, se_system)[2]
     assert loop.source == W("e e s s s")
     assert tc.interchange_normalize(loop, se_rules) == identity(loop.source)
 
@@ -70,8 +71,8 @@ def test_delta_whisker_coherence(se_system, se_rules):
     # an overlap embedded as x.y.z resolves to the whiskered minimal loop
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
     outer = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
-    d_inner = delta(*inner, se_system)
-    d_outer = delta(*outer, se_system)
+    d_inner = delta(*inner, se_system)[2]
+    d_outer = delta(*outer, se_system)[2]
     assert tc.free_reduce(d_outer) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
@@ -236,11 +237,12 @@ def test_resolve_branching_either_order(name, se_generators, a5_generators):
                  for p, rid in find_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
-                dia, leg_a, leg_b, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
-                assert dia == tc.free_reduce(tc.diamond(
-                    TwoCell(v, (a,)), leg_a, leg_b, TwoCell(v, (b,)), rules))
+                leg_a, leg_b, dia, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
+                assert dia == tc.free_reduce(tc.compose_all(
+                    [TwoCell(v, (a,)), leg_a, tc.invert(leg_b, rules),
+                     tc.invert(TwoCell(v, (b,)), rules)], rules))
                 assert _resolve_branching(v, b, a, gens) == (
-                    tc.invert(dia, rules), leg_b, leg_a, (record, x, z, -exp))
+                    leg_b, leg_a, tc.invert(dia, rules), (record, x, z, -exp))
                 kinds["disjoint" if record is None else "record"] += 1
     assert kinds["disjoint"] > 0 and kinds["record"] > 0
 
@@ -269,6 +271,28 @@ def test_express_over_minimized_set_names_dropped_generator(a5_generators):
     for gid in sorted(dropped):
         with pytest.raises(UnmatchedDiamond, match=f"generator {gid} is not in the set"):
             express(gens.by_id(gid).cell, small)
+
+
+def test_express_bridges_to_a_merged_representative_on_another_word(a5_generators):
+    # no completed system seen so far keeps a representative on another
+    # base word than its record's superposition, so build one: g6 rotated
+    # by its first step is conjugate to g6 but based one step further on
+    gens = a5_generators
+    rules = gens.system.rule_map
+    gen = gens.by_id("g6")
+    first = gen.cell.steps[0]
+    rotated = TwoCell(tc.step_target(first, rules), gen.cell.steps[1:] + (first,))
+    moved = replace(gen, cell=rotated, base_word=rotated.source)
+    assert moved.base_word != gen.base_word
+    moved_gens = GeneratorSet(
+        tuple(moved if g.gid == "g6" else g for g in gens.generators),
+        gens.origin_index, gens.system,
+    )
+    dec = express(gen.cell, moved_gens)
+    assert dec.residual == identity(gen.cell.source)
+    [factor] = [f for f in dec.factors if f.gen == "g6"]
+    assert tc.validate(factor.conjugator, rules) is None
+    assert tc.target(factor.conjugator, rules) == factor.x + moved.base_word + factor.z
 
 
 @st.composite
@@ -331,7 +355,7 @@ def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
                 l2 = len(se_rules[r2].lhs)
                 if p1 + l1 <= p2 or p2 + l2 <= p1:
                     cp = _pair_on(se_system, w, p1, r1, p2, r2)
-                    loop = delta(*cp, se_system)
+                    loop = delta(*cp, se_system)[2]
                     assert tc.interchange_normalize(loop, se_rules) == identity(w)
                     checked += 1
     assert checked > 100

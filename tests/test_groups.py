@@ -105,5 +105,9 @@ def test_express_leaves_identity_residual(group):
         loop = random_loop(rng, gens.system, base, rng.randint(1, 6))
         dec = express(loop, gens)
         assert dec.residual.steps == ()
+        for factor in dec.factors:
+            assert tc.validate(factor.cell, gens.system.rule_map) is None
+            assert tc.target(factor.cell, gens.system.rule_map) == base
+            assert factor.cell.source == base
         factors += len(dec.factors)
     assert factors > 0

@@ -82,6 +82,34 @@ def test_compose_endpoint_mismatch(se_rules):
         tc.compose(identity(W("s")), identity(W("e")), se_rules)
 
 
+def test_compose_all_checks_every_join(se_rules):
+    down = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
+    up = tc.invert(down, se_rules)
+    assert tc.compose_all([down, up, down], se_rules) == TwoCell(
+        W("s s s e"), down.steps + up.steps + down.steps)
+    # a mismatch at the first, a middle and the last join of four cells
+    for cells, target, source in (
+        ([down, down, up, down], "s e", "s s s e"),
+        ([down, up, up, down], "s s s e", "s e"),
+        ([down, up, down, down], "s e", "s s s e"),
+    ):
+        with pytest.raises(ChainError, match=f"^cannot compose: target {target} != source {source}$"):
+            tc.compose_all(cells, se_rules)
+
+
+def test_compose_all_is_the_fold_of_compose(rng, se_system, se_rules):
+    for _ in range(100):
+        base = random_word(rng, ("s", "e"), 6, min_len=1)
+        cells = [random_cell(rng, se_system, base, rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 3)):
+            source = tc.target(cells[-1], se_rules)
+            cells.append(random_cell(rng, se_system, source, rng.randint(0, 3)))
+        folded = cells[0]
+        for cell in cells[1:]:
+            folded = tc.compose(folded, cell, se_rules)
+        assert tc.compose_all(cells, se_rules) == folded
+
+
 def test_invert_identity_and_one_step(se_rules):
     assert tc.invert(identity(W("s")), se_rules) == identity(W("s"))
     cell = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
