@@ -154,11 +154,11 @@ def cmd_verify(args) -> int:
     except BAD_CELL_ERRORS as err:
         print(f"malformed certificate: {err}", file=_sys.stderr)
         return BAD_CERT
-    bad = twocell.validate(cell, init.rule_map)
-    if bad is not None:
-        print(f"invalid certificate at step {bad}", file=_sys.stderr)
+    try:
+        reached = twocell.target(cell, init.rule_map)
+    except ChainError as err:
+        print(f"invalid certificate at step {err.index}", file=_sys.stderr)
         return BAD_CERT
-    reached = twocell.target(cell, init.rule_map)
     if declared is not None and declared != reached:
         print(
             f"certificate ends at {word_to_str(reached)}, declared {word_to_str(declared)}",
@@ -232,14 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_limits=True):
+    def common(p):
         p.add_argument("file", help="presentation file")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if needs_limits:
-            p.add_argument("--limits", type=_limits, default=CompletionLimits(),
-                           help="completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH")
-            p.add_argument("--interreduce", action="store_true",
-                           help="canonicalize the completed system (heuristic)")
+        p.add_argument("--limits", type=_limits, default=CompletionLimits(),
+                       help="completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH")
+        p.add_argument("--interreduce", action="store_true",
+                       help="canonicalize the completed system (heuristic)")
 
     p = sub.add_parser("complete", help="run logged Knuth-Bendix completion")
     common(p)

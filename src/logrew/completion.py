@@ -97,30 +97,33 @@ def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
     return found
 
 
+def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
+    """Each of two steps on word followed by the logged reduction of its target."""
+    rules = sys.rule_map
+    return tuple(
+        TwoCell(word, (s, *reduce_logged(twocell.step_target(s, rules), sys).steps))
+        for s in (s1, s2)
+    )
+
+
 def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     """Reduce both sides: unequal reducts give a new rule, equal ones None.
 
-    The loop a resolved branching closes is built by ``endorewrites.delta``.
+    ``endorewrites.delta`` closes the same two sides into the loop of a
+    resolved branching.
     """
     rules = sys.rule_map
-    left = TwoCell(overlap.superposition, (overlap.left,))
-    right = TwoCell(overlap.superposition, (overlap.right,))
-    down_left = reduce_logged(twocell.target(left, rules), sys)
-    down_right = reduce_logged(twocell.target(right, rules), sys)
-    z_left = twocell.target(down_left, rules)
-    z_right = twocell.target(down_right, rules)
+    left, right = sides(overlap.superposition, overlap.left, overlap.right, sys)
+    z_left, z_right = twocell.target(left, rules), twocell.target(right, rules)
     if z_left == z_right:
         return None
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
     # steps, so the log is free reduced
-    sides = [(z_left, left, down_left), (z_right, right, down_right)]
+    (lhs, up), (rhs, over) = (z_left, left), (z_right, right)
     if not sys.order.greater(z_left, z_right):
-        sides.reverse()
-    (lhs, up, down_up), (rhs, over, down_over) = sides
-    log = twocell.compose_all(
-        [twocell.invert(down_up, rules), twocell.invert(up, rules), over, down_over], rules,
-    )
+        (lhs, up), (rhs, over) = (rhs, over), (lhs, up)
+    log = TwoCell(lhs, twocell.invert(up, rules).steps + over.steps)
     return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
@@ -186,16 +189,12 @@ def interreduce(sys: LoggedSystem) -> LoggedSystem:
     stay valid whatever happens to the other derived rules.  Initial
     rules are never modified.
     """
+    # one forward pass: a rule kept is irreducible by a superset of what is
+    # finally kept, so later deletions cannot make it reducible
     kept = list(sys.rules)
-    changed = True
-    while changed:
-        changed = False
-        for idx, rule in enumerate(kept):
-            rest = [r for r in kept if r.rid != rule.rid]
-            if any(occurrences(r.lhs, rule.lhs) for r in rest):
-                del kept[idx]
-                changed = True
-                break
+    for rule in sys.rules:
+        if any(r.rid != rule.rid and occurrences(r.lhs, rule.lhs) for r in kept):
+            kept.remove(rule)
     base = LoggedSystem(tuple(kept), order=sys.order)  # reduces right-hand sides only
     out_rules, provenance, logs = [], {}, {}
     for rule in kept:
@@ -243,8 +242,12 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
         rules.append(rule)
         provenance[rule.rid] = entry.get("provenance", "initial")
+        if provenance[rule.rid] not in ("initial", "derived"):
+            raise ValueError(f"rule {rule.rid}: unknown provenance {provenance[rule.rid]!r}")
         if entry.get("log") is not None:
             logs[rule.rid] = twocell.cell_from_json(entry["log"])
+        elif provenance[rule.rid] == "derived":
+            raise ValueError(f"rule {rule.rid}: derived without a log")
     status = data.get("status", "limit")
     sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete", order=order)
     return CompletionResult(status, sys, ())

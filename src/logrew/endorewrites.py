@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .core import Rule, Word, word_to_str
 from . import twocell
-from .engine import LoggedSystem, normal_form, prove, reduce_logged
+from .engine import LoggedSystem, normal_form, prove
 from .twocell import ChainError, Step, TwoCell
-from .completion import CompletionResult, Overlap, critical_pairs
+from .completion import CompletionResult, Overlap, critical_pairs, sides
 
 
 class UnmatchedDiamond(ValueError):
@@ -42,32 +42,29 @@ def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
     return p + ls <= q or q + lt <= p
 
 
-def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell, TwoCell]:
-    """The resolving legs leg1, leg2 of two forward steps on word and their
-    loop s1 . leg1 . leg2^-1 . s2^-1 at word, free reduced.
+def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
+    """The loop of two forward steps on word: the side of s1 against the
+    side of s2, each a step followed by its resolving leg, free reduced.
 
     Disjoint redexes close in one step each (the interchange diamond).
-    Overlapping redexes resolve on their minimal superposition, the legs
-    whiskered back out, so embedded overlaps get whiskered resolutions;
-    on the minimal word both sides reduce to the normal form.
+    Overlapping redexes resolve on their minimal superposition
+    (``completion.sides``), the sides whiskered back out, so embedded
+    overlaps get whiskered resolutions; on the minimal word both sides
+    reduce to the normal form.
     """
     rules = sys.rule_map
     if _disjoint(s1, s2, rules):
-        t1, t2 = twocell.step_target(s1, rules), twocell.step_target(s2, rules)
-        leg1 = TwoCell(t1, (twocell.transport(s2, s1, t1, rules),))
-        leg2 = TwoCell(t2, (twocell.transport(s1, s2, t2, rules),))
+        side1, side2 = (
+            TwoCell(word, (s, twocell.transport(t, s, twocell.step_target(s, rules), rules)))
+            for s, t in ((s1, s2), (s2, s1))
+        )
     else:
         x, z, a, b = _strip(word, s1, s2, rules)
-        down_left = reduce_logged(twocell.step_target(a, rules), sys)
-        down_right = reduce_logged(twocell.step_target(b, rules), sys)
-        if twocell.target(down_left, rules) != twocell.target(down_right, rules):
+        side1, side2 = sides(twocell.step_source(a, rules), a, b, sys)
+        if twocell.target(side1, rules) != twocell.target(side2, rules):
             raise ValueError("critical branching does not resolve; the system is incomplete")
-        leg1, leg2 = twocell.whisker(x, down_left, z), twocell.whisker(x, down_right, z)
-    loop = twocell.compose_all(
-        [TwoCell(word, (s1,)), leg1, twocell.invert(leg2, rules),
-         twocell.invert(TwoCell(word, (s2,)), rules)], rules,
-    )
-    return leg1, leg2, twocell.free_reduce(loop)
+        side1, side2 = twocell.whisker(x, side1, z), twocell.whisker(x, side2, z)
+    return twocell.free_reduce(TwoCell(word, side1.steps + twocell.invert(side2, rules).steps))
 
 
 @dataclass
@@ -75,8 +72,6 @@ class OriginRecord:
     """Everything known about one critical branching of the completed system."""
 
     overlap: Overlap
-    leg_left: TwoCell
-    leg_right: TwoCell
     delta: TwoCell
     gid: str | None = None  # representative generator; None when the loop is trivial
     exp: int = 1            # delta is equivalent to the representative to this power
@@ -176,7 +171,7 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     rules = sys.rule_map
 
     records = {
-        frozenset((o.left, o.right)): OriginRecord(o, *delta(o.superposition, o.left, o.right, sys))
+        frozenset((o.left, o.right)): OriginRecord(o, delta(o.superposition, o.left, o.right, sys))
         for o in critical_pairs(sys, 0)
     }
 
@@ -282,29 +277,26 @@ class Decomposition:
 def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
     """Diamond data for two distinct forward steps from v.
 
-    Returns (leg_a, leg_b, dia, meta): the legs and loop of delta, with dia
+    Returns (dia, meta): dia is ``delta(v, a, b)``, the loop
     a . leg_a . leg_b^-1 . b^-1 at v, free reduced, and meta is
     (record-or-None, x, z, exponent of the representative in dia), where
     x and z are the whiskers common to a and b.  Overlapping steps are
     looked up by their steps on the minimal superposition; the record
-    holds them in its own order, so the other order inverts its loop.
+    holds them in its own order, so the other order negates the exponent.
     """
     rules = gens.system.rule_map
     x, z, inner_a, inner_b = _strip(v, a, b, rules)
     if _disjoint(a, b, rules):
         # a trivial diamond has exponent 1 with its left step first
         meta = (None, x, z, 1 if len(a.prefix) < len(b.prefix) else -1)
-        return (*delta(v, a, b, gens.system), meta)
-    record = gens.origin_index.get(frozenset((inner_a, inner_b)))
-    if record is None:
-        raise UnmatchedDiamond(
-            f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
-        )
-    leg_left, leg_right = (twocell.whisker(x, leg, z) for leg in (record.leg_left, record.leg_right))
-    dia = twocell.whisker(x, record.delta, z)
-    if inner_a == record.overlap.left:
-        return leg_left, leg_right, dia, (record, x, z, record.exp)
-    return leg_right, leg_left, twocell.invert(dia, rules), (record, x, z, -record.exp)
+    else:
+        record = gens.origin_index.get(frozenset((inner_a, inner_b)))
+        if record is None:
+            raise UnmatchedDiamond(
+                f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
+            )
+        meta = (record, x, z, record.exp if inner_a == record.overlap.left else -record.exp)
+    return delta(v, a, b, gens.system), meta
 
 
 def _factor(conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet) -> Factor:
@@ -343,6 +335,9 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     deferred, so it follows every factor of the loop inside it.  Invariant:
     input ~ factors . conj . loop . conj^-1 . deferred (last first) in the
     free sesquigroupoid, so the factor product replays to the input.
+    A diamond's ends are its two distinct forward steps, which free
+    reduction never cancels; its inner steps, reversed and inverted, are
+    the way round it that replaces them.
     """
     rules = gens.system.rule_map
     loop = twocell.free_reduce(loop)
@@ -359,18 +354,16 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         if peak is not None:
             down_a = twocell.invert_step(steps[peak])
             down_b = steps[peak + 1]
-            # the peak down_a^-1 . down_b becomes leg_a . leg_b^-1; the
-            # factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1
+            # the factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1;
+            # the peak down_a^-1 . down_b becomes the way round, leg_a . leg_b^-1
             apex = twocell.step_source(down_b, rules)
-            leg_b, leg_a, dia, meta = _resolve_branching(apex, down_b, down_a, gens)
+            dia, meta = _resolve_branching(apex, down_b, down_a, gens)
+            around = tuple(map(twocell.invert_step, reversed(dia.steps[1:-1])))
             up_path = TwoCell(loop.source, steps[:peak + 1])
             factors.append(_factor(
                 twocell.free_reduce(twocell.compose(conj, up_path, rules)), dia, meta, gens,
             ))
-            middle = leg_a.steps + twocell.invert(leg_b, rules).steps
-            loop = twocell.free_reduce(
-                TwoCell(loop.source, steps[:peak] + middle + steps[peak + 2:])
-            )
+            loop = twocell.free_reduce(TwoCell(loop.source, steps[:peak] + around + steps[peak + 2:]))
             continue
         # no internal peak: descending then ascending around the base
         m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
@@ -379,9 +372,9 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         s2 = twocell.invert_step(steps[-1])
         rest = steps[1:-1]
         if s1 != s2:
-            leg_1, leg_2, dia, meta = _resolve_branching(loop.source, s1, s2, gens)
+            dia, meta = _resolve_branching(loop.source, s1, s2, gens)
             deferred.append(_factor(conj, dia, meta, gens))
-            rest += leg_2.steps + twocell.invert(leg_1, rules).steps
+            rest += tuple(map(twocell.invert_step, reversed(dia.steps[1:-1])))
         conj = twocell.free_reduce(twocell.compose(conj, TwoCell(loop.source, (s1,)), rules))
         loop = twocell.free_reduce(TwoCell(twocell.step_target(s1, rules), rest))
     return factors + deferred[::-1]

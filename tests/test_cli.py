@@ -58,6 +58,23 @@ def test_complete_limit_exceeded(capsys, tmp_path):
     assert data["status"] == "limit"
 
 
+@pytest.mark.parametrize("command,expect", [
+    ("prove", "unknown"), ("endos", "no generator set"), ("express", "cannot express"),
+])
+def test_limit_exceeded_exit_code(capsys, tmp_path, command, expect):
+    # three rules stop ab_monoid's completion one rule short; complete, a and
+    # b are not equal, so prove must say unknown (2), not not-equal (3)
+    cellfile = tmp_path / "loop.json"
+    cellfile.write_text(json.dumps({"source": "a b", "steps": [
+        {"prefix": "1", "rule": "r1", "exp": 1, "suffix": "1"},
+        {"prefix": "1", "rule": "r1", "exp": -1, "suffix": "1"},
+    ]}))
+    operands = {"prove": ["a", "b"], "endos": [], "express": [str(cellfile)]}[command]
+    code, out, err = run(capsys, command, AB, *operands, "--limits", "3,64,64")
+    assert code == 2
+    assert out == "" and expect in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("monoid\nletters: a\norder: shortlex\nrules:\na x = a\n")

@@ -86,7 +86,7 @@ def test_resolve_published_overlap(se_init, se_presentation):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s s e")]
     assert resolve(ov, se_init) is None
-    loop = delta(ov.superposition, ov.left, ov.right, se_init)[2]
+    loop = delta(ov.superposition, ov.left, ov.right, se_init)
     assert loop.source == W("s s s s e")
     assert tc.target(loop, se_init.rule_map) == loop.source
 
@@ -95,7 +95,7 @@ def test_resolve_small_overlap_two_step_loop(se_init):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
     assert resolve(ov, se_init) is None
-    assert delta(ov.superposition, ov.left, ov.right, se_init)[2] == TwoCell(W("s s s e"), (
+    assert delta(ov.superposition, ov.left, ov.right, se_init) == TwoCell(W("s s s e"), (
         Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", -1, W("1")),
     ))
 
@@ -105,7 +105,7 @@ def test_every_published_pair_resolves(se_init):
         for b in se_init.rules:
             for ov in find_overlaps(a, b):
                 assert resolve(ov, se_init) is None
-                loop = delta(ov.superposition, ov.left, ov.right, se_init)[2]
+                loop = delta(ov.superposition, ov.left, ov.right, se_init)
                 assert loop.source == ov.superposition
                 assert tc.target(loop, se_init.rule_map) == loop.source
 
@@ -291,6 +291,21 @@ def test_system_json_round_trip(ab_completion):
     assert again.system.logs == ab_completion.system.logs
     assert again.system.complete
     assert system_to_json(ab_completion) == system_to_json(again)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("log", None, "rule r3: derived without a log"),
+    ("provenance", "guessed", "rule r3: unknown provenance 'guessed'"),
+])
+def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
+    # a derived rule without a log would fail later, in expand_log, as a
+    # bare KeyError; loading names the rule instead
+    data = system_to_json(ab_completion)
+    [entry] = [e for e in data["rules"] if e["id"] == "r3"]
+    assert entry["provenance"] == "derived"
+    entry[field] = value
+    with pytest.raises(ValueError, match=message):
+        system_from_json(data, ab_completion.system.order)
 
 
 @pytest.mark.parametrize("name", ["abc_cyclic", "ab_monoid"])

@@ -51,18 +51,18 @@ def _pair_on(sys, word, p1, r1, p2, r2):
 def test_delta_published_overlap(se_init, se_system):
     r2, r3 = se_init.rule("r2"), se_init.rule("r3")
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
-    loop = delta(ov.superposition, ov.left, ov.right, se_system)[2]
+    loop = delta(ov.superposition, ov.left, ov.right, se_system)
     assert loop == loop_cell("se_1")
 
 
 def test_delta_equal_pair_trivial(se_system):
     cp = _pair_on(se_system, W("e e"), 0, "r1", 0, "r1")
-    assert delta(*cp, se_system)[2] == identity(W("e e"))
+    assert delta(*cp, se_system) == identity(W("e e"))
 
 
 def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     cp = _pair_on(se_system, W("e e s s s"), 0, "r1", 2, "r2")
-    loop = delta(*cp, se_system)[2]
+    loop = delta(*cp, se_system)
     assert loop.source == W("e e s s s")
     assert tc.interchange_normalize(loop, se_rules) == identity(loop.source)
 
@@ -71,8 +71,8 @@ def test_delta_whisker_coherence(se_system, se_rules):
     # an overlap embedded as x.y.z resolves to the whiskered minimal loop
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
     outer = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
-    d_inner = delta(*inner, se_system)[2]
-    d_outer = delta(*outer, se_system)[2]
+    d_inner = delta(*inner, se_system)
+    d_outer = delta(*outer, se_system)
     assert tc.free_reduce(d_outer) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
@@ -226,9 +226,10 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
 
 @pytest.mark.parametrize("name", ["se", "A5"])
 def test_resolve_branching_either_order(name, se_generators, a5_generators):
-    # every pair of forward redexes on words up to 7 letters: taken the
-    # other way round, the diamond is inverted, its legs swapped and its
-    # exponent negated
+    # every pair of forward redexes on words up to 7 letters: the diamond
+    # runs from a to b^-1, is the record's loop whiskered (inverted when the
+    # pair is not in record order), and taken the other way round it is
+    # inverted and its exponent negated
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
     rules = gens.system.rule_map
     kinds = Counter()
@@ -237,12 +238,16 @@ def test_resolve_branching_either_order(name, se_generators, a5_generators):
                  for p, rid in find_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
-                leg_a, leg_b, dia, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
-                assert dia == tc.free_reduce(tc.compose_all(
-                    [TwoCell(v, (a,)), leg_a, tc.invert(leg_b, rules),
-                     tc.invert(TwoCell(v, (b,)), rules)], rules))
+                dia, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
+                assert dia.source == v
+                assert dia.steps[0] == a and dia.steps[-1] == tc.invert_step(b)
+                if record is not None:
+                    inner_a = Step(a.prefix[len(x):], a.rule, a.exp, a.suffix[:len(a.suffix) - len(z)])
+                    whiskered = tc.whisker(x, record.delta, z)
+                    assert dia == (whiskered if inner_a == record.overlap.left
+                                   else tc.invert(whiskered, rules))
                 assert _resolve_branching(v, b, a, gens) == (
-                    leg_b, leg_a, tc.invert(dia, rules), (record, x, z, -exp))
+                    tc.invert(dia, rules), (record, x, z, -exp))
                 kinds["disjoint" if record is None else "record"] += 1
     assert kinds["disjoint"] > 0 and kinds["record"] > 0
 
@@ -355,7 +360,7 @@ def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
                 l2 = len(se_rules[r2].lhs)
                 if p1 + l1 <= p2 or p2 + l2 <= p1:
                     cp = _pair_on(se_system, w, p1, r1, p2, r2)
-                    loop = delta(*cp, se_system)[2]
+                    loop = delta(*cp, se_system)
                     assert tc.interchange_normalize(loop, se_rules) == identity(w)
                     checked += 1
     assert checked > 100
