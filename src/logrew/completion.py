@@ -123,7 +123,7 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     (lhs, up), (rhs, over) = (z_left, left), (z_right, right)
     if not sys.order.greater(z_left, z_right):
         (lhs, up), (rhs, over) = (rhs, over), (lhs, up)
-    log = TwoCell(lhs, twocell.invert(up, rules).steps + over.steps)
+    log = TwoCell(lhs, twocell.invert_steps(up.steps) + over.steps)
     return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
@@ -250,4 +250,11 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
             raise ValueError(f"rule {rule.rid}: derived without a log")
     status = data.get("status", "limit")
     sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete", order=order)
+    for rid, log in logs.items():
+        try:
+            end = twocell.target(log, sys.rule_map)
+        except twocell.ChainError as err:
+            raise ValueError(f"rule {rid}: log does not replay: {err}") from None
+        if (log.source, end) != (sys.rule(rid).lhs, sys.rule(rid).rhs):
+            raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
     return CompletionResult(status, sys, ())

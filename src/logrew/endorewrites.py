@@ -47,10 +47,8 @@ def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
     side of s2, each a step followed by its resolving leg, free reduced.
 
     Disjoint redexes close in one step each (the interchange diamond).
-    Overlapping redexes resolve on their minimal superposition
-    (``completion.sides``), the sides whiskered back out, so embedded
-    overlaps get whiskered resolutions; on the minimal word both sides
-    reduce to the normal form.
+    Overlapping redexes must stand on their own superposition, where
+    ``completion.sides`` reduces both to the normal form.
     """
     rules = sys.rule_map
     if _disjoint(s1, s2, rules):
@@ -59,12 +57,10 @@ def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
             for s, t in ((s1, s2), (s2, s1))
         )
     else:
-        x, z, a, b = _strip(word, s1, s2, rules)
-        side1, side2 = sides(twocell.step_source(a, rules), a, b, sys)
+        side1, side2 = sides(word, s1, s2, sys)
         if twocell.target(side1, rules) != twocell.target(side2, rules):
             raise ValueError("critical branching does not resolve; the system is incomplete")
-        side1, side2 = twocell.whisker(x, side1, z), twocell.whisker(x, side2, z)
-    return twocell.free_reduce(TwoCell(word, side1.steps + twocell.invert(side2, rules).steps))
+    return twocell.free_reduce(TwoCell(word, side1.steps + twocell.invert_steps(side2.steps)))
 
 
 @dataclass
@@ -184,7 +180,8 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
             continue  # trivial loop: no generator, the record keeps gid None
         canon = conjugacy_reduce(rec.delta, sys)
         ckey = twocell.cell_key(canon)
-        icanon = conjugacy_reduce(twocell.invert(rec.delta, rules), sys)
+        icanon = conjugacy_reduce(
+            TwoCell(rec.delta.source, twocell.invert_steps(rec.delta.steps)), sys)
         ikey = twocell.cell_key(icanon)
         if ckey in seen:
             idx, exp = seen[ckey]
@@ -274,56 +271,42 @@ class Decomposition:
     residual: TwoCell
 
 
-def _resolve_branching(v: Word, a: Step, b: Step, gens: GeneratorSet):
-    """Diamond data for two distinct forward steps from v.
+def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:
+    """The diamond a . leg_a . leg_b^-1 . b^-1 of two distinct forward steps
+    from v, the source of a, as a factor conjugated by conj (a cell ending
+    at v), and the way round it: its inner steps, reversed and inverted.
 
-    Returns (dia, meta): dia is ``delta(v, a, b)``, the loop
-    a . leg_a . leg_b^-1 . b^-1 at v, free reduced, and meta is
-    (record-or-None, x, z, exponent of the representative in dia), where
-    x and z are the whiskers common to a and b.  Overlapping steps are
-    looked up by their steps on the minimal superposition; the record
-    holds them in its own order, so the other order negates the exponent.
+    Overlapping steps take the loop of their record in the generator table,
+    whiskered; a record holds its steps in its own order, so the other order
+    inverts the loop and negates the exponent.  Disjoint steps close by
+    interchange.
     """
-    rules = gens.system.rule_map
+    sys = gens.system
+    rules = sys.rule_map
+    v = twocell.step_source(a, rules)
     x, z, inner_a, inner_b = _strip(v, a, b, rules)
     if _disjoint(a, b, rules):
         # a trivial diamond has exponent 1 with its left step first
-        meta = (None, x, z, 1 if len(a.prefix) < len(b.prefix) else -1)
+        gid, exp = None, 1 if len(a.prefix) < len(b.prefix) else -1
+        dia = delta(v, a, b, sys).steps
     else:
         record = gens.origin_index.get(frozenset((inner_a, inner_b)))
         if record is None:
             raise UnmatchedDiamond(
                 f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
             )
-        meta = (record, x, z, record.exp if inner_a == record.overlap.left else -record.exp)
-    return delta(v, a, b, gens.system), meta
-
-
-def _factor(conj: TwoCell, dia: TwoCell, meta, gens: GeneratorSet) -> Factor:
-    """One extracted diamond, conjugated by conj, as a loop at the decomposition base."""
-    record, x, z, rep_exp = meta
-    sys = gens.system
-    rules = sys.rule_map
-    cell = twocell.free_reduce(twocell.compose_all(
-        [conj, dia, twocell.invert(conj, rules)], rules,
-    ))
-    gid = None if record is None else record.gid
-    if gid is not None:
-        rep = gens.by_id(gid)
-        if rep.base_word != record.overlap.superposition:
-            # conjugacy-merged representative living on another base word:
-            # bridge through the common normal form so the whiskered
-            # reference stays replayable
-            bridge = prove(twocell.target(conj, rules), x + rep.base_word + z, sys)
-            conj = twocell.free_reduce(twocell.compose(conj, bridge, rules))
-    return Factor(
-        gen=gid,
-        x=x,
-        z=z,
-        conjugator=conj,
-        exp=rep_exp,
-        cell=cell,
-    )
+        gid, exp = record.gid, record.exp
+        dia = twocell.whisker(x, record.delta, z).steps
+        if inner_a != record.overlap.left:
+            dia, exp = twocell.invert_steps(dia), -exp
+    cell = twocell.free_reduce(
+        TwoCell(conj.source, conj.steps + dia + twocell.invert_steps(conj.steps)))
+    if gid is not None and (rep := gens.by_id(gid)).base_word != record.overlap.superposition:
+        # a conjugacy-merged representative on another base word: bridge
+        # through the common normal form so the whiskered reference replays
+        bridge = prove(v, x + rep.base_word + z, sys)
+        conj = twocell.free_reduce(TwoCell(conj.source, conj.steps + bridge.steps))
+    return Factor(gid, x, z, conj, exp, cell), twocell.invert_steps(dia[1:-1])
 
 
 def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
@@ -341,7 +324,7 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     """
     rules = gens.system.rule_map
     loop = twocell.free_reduce(loop)
-    conj = twocell.identity(loop.source)  # free reduced, as every value it takes
+    conj = twocell.identity(loop.source)  # always free reduced, ending at loop.source
     factors: list[Factor] = []
     deferred: list[Factor] = []
     while loop.steps:
@@ -352,17 +335,12 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
             None,
         )
         if peak is not None:
-            down_a = twocell.invert_step(steps[peak])
-            down_b = steps[peak + 1]
+            down_a, down_b = twocell.invert_step(steps[peak]), steps[peak + 1]
             # the factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1;
             # the peak down_a^-1 . down_b becomes the way round, leg_a . leg_b^-1
-            apex = twocell.step_source(down_b, rules)
-            dia, meta = _resolve_branching(apex, down_b, down_a, gens)
-            around = tuple(map(twocell.invert_step, reversed(dia.steps[1:-1])))
-            up_path = TwoCell(loop.source, steps[:peak + 1])
-            factors.append(_factor(
-                twocell.free_reduce(twocell.compose(conj, up_path, rules)), dia, meta, gens,
-            ))
+            up = twocell.free_reduce(TwoCell(conj.source, conj.steps + steps[:peak + 1]))
+            factor, around = _diamond(up, down_b, down_a, gens)
+            factors.append(factor)
             loop = twocell.free_reduce(TwoCell(loop.source, steps[:peak] + around + steps[peak + 2:]))
             continue
         # no internal peak: descending then ascending around the base
@@ -372,10 +350,10 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         s2 = twocell.invert_step(steps[-1])
         rest = steps[1:-1]
         if s1 != s2:
-            dia, meta = _resolve_branching(loop.source, s1, s2, gens)
-            deferred.append(_factor(conj, dia, meta, gens))
-            rest += tuple(map(twocell.invert_step, reversed(dia.steps[1:-1])))
-        conj = twocell.free_reduce(twocell.compose(conj, TwoCell(loop.source, (s1,)), rules))
+            factor, around = _diamond(conj, s1, s2, gens)
+            deferred.append(factor)
+            rest += around
+        conj = twocell.free_reduce(TwoCell(conj.source, conj.steps + (s1,)))
         loop = twocell.free_reduce(TwoCell(twocell.step_target(s1, rules), rest))
     return factors + deferred[::-1]
 
@@ -396,10 +374,12 @@ def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
         raise ChainError("input is not an endorewrite")
     base = cell.source
     factors = _decompose(cell, gens)
-    recomposed = twocell.compose_all([twocell.identity(base), *(f.cell for f in factors)], rules)
-    residual = twocell.free_reduce(
-        twocell.compose(twocell.invert(recomposed, rules), cell, rules)
+    # one replay of every factor cell, checking each is a loop at the base
+    recomposed = twocell.compose_all(
+        [twocell.identity(base), *(f.cell for f in factors), twocell.identity(base)], rules,
     )
+    residual = twocell.free_reduce(
+        TwoCell(base, twocell.invert_steps(recomposed.steps) + cell.steps))
     return Decomposition(base, tuple(factors), residual)
 
 

@@ -156,7 +156,7 @@ def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
     down2 = reduce_logged(w2, sys)
     rules = sys.rule_map
     if twocell.target(down1, rules) == twocell.target(down2, rules):
-        return twocell.compose(down1, twocell.invert(down2, rules), rules)
+        return TwoCell(w1, down1.steps + twocell.invert_steps(down2.steps))
     return Verdict.NOT_EQUAL if sys.complete else Verdict.UNKNOWN
 
 
@@ -176,8 +176,8 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
                 steps.append(step)
                 continue
             inner = rule_log(step.rule)
-            if step.exp == -1:
-                inner = twocell.invert(inner, sys.rule_map)
+            if step.exp == -1:  # a log runs from its rule's lhs to its rhs
+                inner = TwoCell(sys.rule(step.rule).rhs, twocell.invert_steps(inner.steps))
             steps.extend(twocell.whisker(step.prefix, inner, step.suffix).steps)
         return TwoCell(c.source, tuple(steps))
 

@@ -116,11 +116,13 @@ def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
     return TwoCell(cells[0].source, tuple(step for cell in cells for step in cell.steps))
 
 
+def invert_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The steps reversed, each inverted: inversion without the replay."""
+    return tuple(invert_step(s) for s in reversed(steps))
+
+
 def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    return TwoCell(
-        target(cell, rules),
-        tuple(invert_step(s) for s in reversed(cell.steps)),
-    )
+    return TwoCell(target(cell, rules), invert_steps(cell.steps))
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
@@ -249,9 +251,9 @@ def cell_to_json(cell: TwoCell) -> dict:
 def cell_from_json(data: dict) -> TwoCell:
     steps = []
     for s in data.get("steps", ()):
-        exp = int(s["exp"])
-        if exp not in (1, -1):
-            raise ValueError(f"step exponent must be 1 or -1, got {exp}")
+        exp = s["exp"]
+        if type(exp) is not int or exp not in (1, -1):  # JSON 1 or -1: not true, 1.0, "1"
+            raise ValueError(f"step exponent must be 1 or -1, got {exp!r}")
         steps.append(Step(
             word_from_str(s["prefix"]),
             str(s["rule"]),

@@ -288,6 +288,13 @@ BAD_CELLS = {
         {"prefix": "1", "rule": "r2", "exp": 1, "suffix": "q"}]}),
     "target-letter": json.dumps({"source": "s e", "steps": [], "target": "q"}),
     "word-not-string": json.dumps({"source": 5, "steps": []}),
+    # exponents that int() would take for +-1; each step replays as that
+    "exp-float": json.dumps({"source": "e e", "steps": [
+        {"prefix": "1", "rule": "r1", "exp": 1.7, "suffix": "1"}]}),
+    "exp-bool": json.dumps({"source": "e e", "steps": [
+        {"prefix": "1", "rule": "r1", "exp": True, "suffix": "1"}]}),
+    "exp-string": json.dumps({"source": "e", "steps": [
+        {"prefix": "1", "rule": "r1", "exp": "-1", "suffix": "1"}]}),
 }
 
 

@@ -296,14 +296,19 @@ def test_system_json_round_trip(ab_completion):
 @pytest.mark.parametrize("field,value,message", [
     ("log", None, "rule r3: derived without a log"),
     ("provenance", "guessed", "rule r3: unknown provenance 'guessed'"),
+    ("log", lambda log: {**log, "steps": [{**s, "rule": "r9"} for s in log["steps"]]},
+     "rule r3: log does not replay: unknown rule 'r9'"),
+    ("log", lambda log: {**log, "steps": log["steps"][:1]},
+     "rule r3: log does not run from its lhs to its rhs"),
 ])
 def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
     # a derived rule without a log would fail later, in expand_log, as a
-    # bare KeyError; loading names the rule instead
+    # bare KeyError, and a log that does not replay would be expanded into
+    # steps of rules that are not there; loading names the rule instead
     data = system_to_json(ab_completion)
     [entry] = [e for e in data["rules"] if e["id"] == "r3"]
     assert entry["provenance"] == "derived"
-    entry[field] = value
+    entry[field] = value(entry[field]) if callable(value) else value
     with pytest.raises(ValueError, match=message):
         system_from_json(data, ab_completion.system.order)
 

@@ -13,7 +13,7 @@ from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
 from logrew.completion import CompletionLimits, find_overlaps, logged_knuth_bendix, resolve
 from logrew.endorewrites import (
-    GeneratorSet, UnmatchedDiamond, _resolve_branching, conjugacy_reduce, delta,
+    GeneratorSet, UnmatchedDiamond, _diamond, conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
 )
@@ -67,13 +67,15 @@ def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     assert tc.interchange_normalize(loop, se_rules) == identity(loop.source)
 
 
-def test_delta_whisker_coherence(se_system, se_rules):
-    # an overlap embedded as x.y.z resolves to the whiskered minimal loop
+def test_delta_whisker_coherence(se_generators, se_system):
+    # an overlap embedded as x.y.z resolves to the whiskered minimal loop;
+    # delta builds loops on a superposition only, so the embedded diamond
+    # comes from the generator table
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
-    outer = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
+    word, a, b = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
     d_inner = delta(*inner, se_system)
-    d_outer = delta(*outer, se_system)
-    assert tc.free_reduce(d_outer) == tc.free_reduce(
+    outer, _ = _diamond(identity(word), a, b, se_generators)
+    assert tc.free_reduce(outer.cell) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
 
@@ -225,11 +227,12 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
 
 
 @pytest.mark.parametrize("name", ["se", "A5"])
-def test_resolve_branching_either_order(name, se_generators, a5_generators):
+def test_diamond_either_order(name, se_generators, a5_generators):
     # every pair of forward redexes on words up to 7 letters: the diamond
     # runs from a to b^-1, is the record's loop whiskered (inverted when the
     # pair is not in record order), and taken the other way round it is
-    # inverted and its exponent negated
+    # inverted and its exponent negated; the way round is its inner steps,
+    # reversed and inverted
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
     rules = gens.system.rule_map
     kinds = Counter()
@@ -238,18 +241,45 @@ def test_resolve_branching_either_order(name, se_generators, a5_generators):
                  for p, rid in find_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
-                dia, (record, x, z, exp) = _resolve_branching(v, a, b, gens)
+                factor, around = _diamond(identity(v), a, b, gens)
+                dia, x, z = factor.cell, factor.x, factor.z
                 assert dia.source == v
                 assert dia.steps[0] == a and dia.steps[-1] == tc.invert_step(b)
+                assert around == tc.invert_steps(dia.steps[1:-1])
+                inner_a, inner_b = (
+                    Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
+                    for s in (a, b))
+                record = gens.origin_index.get(frozenset((inner_a, inner_b)))
                 if record is not None:
-                    inner_a = Step(a.prefix[len(x):], a.rule, a.exp, a.suffix[:len(a.suffix) - len(z)])
+                    in_order = inner_a == record.overlap.left
                     whiskered = tc.whisker(x, record.delta, z)
-                    assert dia == (whiskered if inner_a == record.overlap.left
-                                   else tc.invert(whiskered, rules))
-                assert _resolve_branching(v, b, a, gens) == (
-                    tc.invert(dia, rules), (record, x, z, -exp))
+                    assert dia == (whiskered if in_order else tc.invert(whiskered, rules))
+                    assert (factor.gen, factor.exp) == (
+                        record.gid, record.exp if in_order else -record.exp)
+                else:
+                    assert factor.gen is None
+                other, _ = _diamond(identity(v), b, a, gens)
+                assert other.cell == tc.invert(dia, rules)
+                assert (other.gen, other.x, other.z, other.exp) == (
+                    factor.gen, x, z, -factor.exp)
                 kinds["disjoint" if record is None else "record"] += 1
     assert kinds["disjoint"] > 0 and kinds["record"] > 0
+
+
+def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_generators):
+    # every overlapping diamond is the generator table's loop whiskered:
+    # express re-derives no branching's two sides
+    def rederived(*_):
+        raise AssertionError("express re-derived a branching's sides")
+
+    monkeypatch.setattr("logrew.endorewrites.sides", rederived)
+    for loop in map(loop_cell, SE_LOOPS):
+        assert express(loop, se_generators).residual == identity(loop.source)
+    rng = random.Random(1994)
+    for _ in range(60):
+        base = random_word(rng, ("a", "b"), 6, min_len=1)
+        loop = random_loop(rng, a5_generators.system, base, rng.randint(1, 5))
+        assert express(loop, a5_generators).residual == identity(base)
 
 
 def test_express_rejects_missing_origin(se_generators):
