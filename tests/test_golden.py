@@ -3,8 +3,8 @@
 Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
-A5, S4 and MERGING.  ``complete`` and ``endos`` also run with
-``--interreduce``.  The expected exit codes and sha256 digests of stdout
+A5, S4 and MERGING, whose generator sets ``endos`` prints too.
+``complete`` and ``endos`` also run with ``--interreduce``.  The expected exit codes and sha256 digests of stdout
 live in ``tests/golden.json``; a refactor must leave every one of them
 unchanged.
 
@@ -103,6 +103,17 @@ def group_loop(text: str, seed: int) -> tc.TwoCell:
     return random_loop(rng, sys, base, rng.randint(1, 6))
 
 
+def group_endos_cases(workdir: Path) -> dict[str, list[str]]:
+    """Case name -> argv for ``endos`` on each presentation of GROUP_LOOPS."""
+    cases = {}
+    for name, (text, _) in GROUP_LOOPS.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(text)
+        cases[f"{name}:endos"] = ["endos", str(path)]
+        cases[f"{name}:endos:json"] = ["endos", str(path), "--json"]
+    return cases
+
+
 def group_express_cases(workdir: Path) -> dict[str, list[str]]:
     """Case name -> argv for ``express`` on the seeded loops of GROUP_LOOPS."""
     cases = {}
@@ -147,6 +158,10 @@ def test_golden_express_group_loops(tmp_path):
     check(group_express_cases(tmp_path))
 
 
+def test_golden_endos_groups(tmp_path):
+    check(group_endos_cases(tmp_path))
+
+
 def record() -> None:
     import tempfile
 
@@ -156,6 +171,7 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         cases.update(express_cases(Path(workdir)))
         cases.update(group_express_cases(Path(workdir)))
+        cases.update(group_endos_cases(Path(workdir)))
         golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(golden)} cases in {GOLDEN}")
