@@ -115,41 +115,52 @@ def _union_system(completed: LoggedSystem, init: LoggedSystem) -> LoggedSystem:
     )
 
 
-def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """Canonical representative of a loop's conjugacy class.
+def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
+    """The loop free reduced and stripped of mutually inverse outer steps,
+    which advances its base word: the cyclic reduction of its walk."""
+    source, steps = cell.source, twocell.free_reduce(cell).steps
+    while len(steps) >= 2 and steps[0] == twocell.invert_step(steps[-1]):
+        source = twocell.step_target(steps[0], rules)
+        steps = steps[1:-1]
+    return TwoCell(source, steps)
 
-    Free reduction plus stripping of mutually inverse outer steps (which
-    advances the base word) computes the cyclic reduction of the walk;
-    conjugate loops always have rotation-equivalent cyclic reductions, so
-    picking the rotation based at the greatest word (step sequence as tie
-    break) is a true conjugacy invariant.  The pick is then interchange
-    normalized; loops that vanish entirely return the identity at the
-    normal form of their base.
-    """
-    rules = sys.rule_map
 
-    def strip(c: TwoCell) -> TwoCell:
-        steps = list(c.steps)
-        source = c.source
-        while len(steps) >= 2 and steps[0] == twocell.invert_step(steps[-1]):
-            source = twocell.step_target(steps[0], rules)
-            steps = steps[1:-1]
-        return TwoCell(source, tuple(steps))
+def _best_rotations(core: TwoCell, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
+    """The rotation of a nonempty cyclically reduced loop, and the one of its
+    inverse, based at the greatest word, the least step sequence breaking a
+    tie.  The inverse's rotation at a word is that of the loop, inverted."""
+    steps, inv = core.steps, twocell.invert_steps
+    words = twocell.intermediate_words(core, sys.rule_map)[:-1]
+    keys = [sys.order.key(w) for w in words]
+    top = min(keys)
+    tied = [k for k, key in enumerate(keys) if key == top]
+    loops = [TwoCell(words[k], steps[k:] + steps[:k]) for k in tied]
+    inverses = [TwoCell(words[k], inv(steps[:k]) + inv(steps[k:])) for k in tied]
+    return min(loops, key=twocell.cell_key), min(inverses, key=twocell.cell_key)
 
-    core = strip(twocell.free_reduce(cell))
-    if not core.steps:
-        return twocell.identity(normal_form(core.source, sys))
-    words = twocell.intermediate_words(core, rules)
-    candidates = [
-        TwoCell(words[k], core.steps[k:] + core.steps[:k])
-        for k in range(len(core.steps))
-    ]
-    # the greatest base word, then the least step sequence
-    best = min(candidates, key=lambda c: (sys.order.key(c.source), twocell.cell_key(c)))
-    polished = strip(twocell.interchange_normalize(best, rules))
+
+def _polish(best: TwoCell, norm: TwoCell, sys: LoggedSystem) -> TwoCell:
+    """The canonical form of a best rotation from its interchange normal
+    form, which is cyclically reduced again and, if it shrank, picked anew."""
+    polished = _cyclic_core(norm, sys.rule_map)
     if len(polished.steps) < len(best.steps):
         return conjugacy_reduce(polished, sys)
     return polished
+
+
+def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
+    """Canonical representative of a loop's conjugacy class.
+
+    Conjugate loops have rotation-equivalent cyclic cores, so the core's
+    rotation based at the greatest word (step sequence as tie break) is a
+    conjugacy invariant; it is then interchange normalized.  Loops that
+    vanish return the identity at the normal form of their base.
+    """
+    core = _cyclic_core(cell, sys.rule_map)
+    if not core.steps:
+        return twocell.identity(normal_form(core.source, sys))
+    best, _ = _best_rotations(core, sys)
+    return _polish(best, twocell.interchange_normalize(best, sys.rule_map), sys)
 
 
 def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
@@ -175,14 +186,15 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     chosen: list[OriginRecord] = []
     rep_of: list[tuple[OriginRecord, int, int]] = []  # record, index in chosen, exponent
     for rec in records.values():
-        norm = twocell.interchange_normalize(rec.delta, rules)
+        # a loop is its own cyclic core, and every other word on it is a
+        # reduct of its superposition, so the loop is its own best rotation:
+        # one normal form gives the triviality test and the conjugacy key
+        best, ibest = _best_rotations(rec.delta, sys)
+        norm = twocell.interchange_normalize(best, rules)
         if not norm.steps:
             continue  # trivial loop: no generator, the record keeps gid None
-        canon = conjugacy_reduce(rec.delta, sys)
-        ckey = twocell.cell_key(canon)
-        icanon = conjugacy_reduce(
-            TwoCell(rec.delta.source, twocell.invert_steps(rec.delta.steps)), sys)
-        ikey = twocell.cell_key(icanon)
+        ckey = twocell.cell_key(_polish(best, norm, sys))
+        ikey = twocell.cell_key(_polish(ibest, twocell.interchange_normalize(ibest, rules), sys))
         if ckey in seen:
             idx, exp = seen[ckey]
             rep_of.append((rec, idx, exp))

@@ -163,11 +163,11 @@ def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> S
     return Step(word[:p], step.rule, step.exp, word[p + len(in_s):])
 
 
-def _swap_adjacent(word: Word, first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
+def _swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
     """Swap two independent adjacent steps so the leftmost region acts first.
 
-    ``word`` is the word the first step stands on.  Returns None when the
-    regions interact or are already in left-to-right order.
+    Returns None when the regions interact or are already in left-to-right
+    order.  The answer depends on the two steps alone, as each fixes its word.
     """
     _, out1 = step_io(first, rules)
     in2, _ = step_io(second, rules)
@@ -178,35 +178,40 @@ def _swap_adjacent(word: Word, first: Step, second: Step, rules: dict[str, Rule]
     if not left_of or right_of:
         return None
     # close the square of first^-1 and second on the word between them,
-    # where their regions never tie as they may on `word`
+    # where their regions never tie as they may on the word before first
     undo = invert_step(first)
     back = transport(undo, second, step_target(second, rules), rules)
-    return transport(second, undo, word, rules), invert_step(back)
+    return transport(second, undo, step_source(first, rules), rules), invert_step(back)
 
 
 def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     """Deterministic representative of (a sound fragment of) the interchange class.
 
     Bubble passes swap adjacent steps acting on disjoint regions until the
-    leftmost region always comes first, with free reduction interleaved.
+    leftmost region always comes first, each pass followed by free
+    reduction; a pass retries a pair only once one of its steps changed.
     Endpoints and rule counts are preserved.  Equal normal forms prove two
     cells interchange-equal; unequal ones prove nothing.
     """
-    cell = free_reduce(cell)
+    steps = list(free_reduce(cell).steps)
+    stale = [True] * (len(steps) - 1)  # pair i may swap: a step of it changed
     while True:
-        steps = list(cell.steps)
-        words = intermediate_words(cell, rules)
-        swapped = False
         for i in range(len(steps) - 1):
-            pair = _swap_adjacent(words[i], steps[i], steps[i + 1], rules)
-            if pair is not None:
+            if not stale[i]:
+                continue
+            pair = _swap_adjacent(steps[i], steps[i + 1], rules)
+            if pair is None:
+                stale[i] = False
+            else:
+                # pair i and its neighbours now hold a changed step
                 steps[i], steps[i + 1] = pair
-                words[i + 1] = step_target(steps[i], rules)
-                swapped = True
-        reduced = free_reduce(TwoCell(cell.source, tuple(steps)))
-        if not swapped and reduced == cell:
-            return cell
-        cell = reduced
+                stale[max(i - 1, 0)] = stale[min(i + 1, len(stale) - 1)] = True
+        if not any(stale):  # the pass swapped nothing
+            return TwoCell(cell.source, tuple(steps))
+        reduced = free_reduce(TwoCell(cell.source, tuple(steps))).steps
+        if len(reduced) < len(steps):
+            steps = list(reduced)
+            stale = [True] * (len(steps) - 1)
 
 
 def abelianize(cell: TwoCell) -> dict[str, int]:

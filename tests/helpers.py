@@ -2,14 +2,20 @@
 
 The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
-union-find congruence closure, brute-force overlap scans.  Tests compare
+union-find congruence closure, brute-force overlap scans, interchange
+bubble passes that retry every pair, and generator merging that
+canonicalises a loop and its inverse each from scratch.  Tests compare
 the library against these, never against itself.
 """
 
 from itertools import product
 
+from logrew.completion import critical_pairs
 from logrew.core import Word
-from logrew.engine import LoggedSystem, reduce_logged
+from logrew.endorewrites import (
+    Generator, GeneratorSet, OriginRecord, _union_system, delta,
+)
+from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
 
@@ -200,3 +206,92 @@ def signed_factor_sum(dec) -> dict:
         for rid, n in tc.abelianize(factor.cell).items():
             total[rid] = total.get(rid, 0) + n
     return {rid: n for rid, n in sorted(total.items()) if n}
+
+
+def bubble_normalize(cell: TwoCell, rules) -> TwoCell:
+    """Interchange normal form by bubble passes over every adjacent pair,
+    free reducing after each pass, until a pass swaps nothing."""
+    cell = tc.free_reduce(cell)
+    while True:
+        steps = list(cell.steps)
+        swapped = False
+        for i in range(len(steps) - 1):
+            pair = tc._swap_adjacent(steps[i], steps[i + 1], rules)
+            if pair is not None:
+                steps[i], steps[i + 1] = pair
+                swapped = True
+        if not swapped:
+            return cell
+        cell = tc.free_reduce(TwoCell(cell.source, tuple(steps)))
+
+
+def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
+    """Conjugacy canonical form: every rotation of the cyclic reduction
+    keyed afresh, the pick bubble normalized, repeated while it shrinks."""
+    rules = sys.rule_map
+
+    def strip(c: TwoCell) -> TwoCell:
+        steps, source = list(c.steps), c.source
+        while len(steps) >= 2 and steps[0] == tc.invert_step(steps[-1]):
+            source = tc.step_target(steps[0], rules)
+            steps = steps[1:-1]
+        return TwoCell(source, tuple(steps))
+
+    core = strip(tc.free_reduce(cell))
+    if not core.steps:
+        return tc.identity(normal_form(core.source, sys))
+    words = tc.intermediate_words(core, rules)
+    candidates = [
+        TwoCell(words[k], core.steps[k:] + core.steps[:k]) for k in range(len(core.steps))
+    ]
+    best = min(candidates, key=lambda c: (sys.order.key(c.source), tc.cell_key(c)))
+    polished = strip(bubble_normalize(best, rules))
+    if len(polished.steps) < len(best.steps):
+        return scan_conjugacy_reduce(polished, sys)
+    return polished
+
+
+def scan_generate(comp, init) -> GeneratorSet:
+    """Generators merged by three canonicalisations per loop: its bubble
+    normal form for the triviality test, then the conjugacy forms of the
+    loop and of its inverse, each from scratch."""
+    sys = _union_system(comp.system, init)
+    rules = sys.rule_map
+    records = {
+        frozenset((o.left, o.right)): OriginRecord(o, delta(o.superposition, o.left, o.right, sys))
+        for o in critical_pairs(sys, 0)
+    }
+    seen, chosen, rep_of = {}, [], []
+    for rec in records.values():
+        if not bubble_normalize(rec.delta, rules).steps:
+            continue
+        ckey = tc.cell_key(scan_conjugacy_reduce(rec.delta, sys))
+        inverse = TwoCell(rec.delta.source, tc.invert_steps(rec.delta.steps))
+        ikey = tc.cell_key(scan_conjugacy_reduce(inverse, sys))
+        if ckey in seen:
+            idx, exp = seen[ckey]
+            rep_of.append((rec, idx, exp))
+        elif ikey in seen:
+            idx, exp = seen[ikey]
+            rep_of.append((rec, idx, -exp))
+        else:
+            idx = len(chosen)
+            chosen.append(rec)
+            rep_of.append((rec, idx, 1))
+            seen[ckey] = (idx, 1)
+            if ikey != ckey:
+                seen[ikey] = (idx, -1)
+    base_elements = [normal_form(rec.overlap.superposition, sys) for rec in chosen]
+    ordering = sorted(
+        range(len(chosen)),
+        key=lambda i: (len(base_elements[i]), sys.order.key(base_elements[i]), i),
+    )
+    gid_of = {idx: f"g{n}" for n, idx in enumerate(ordering, start=1)}
+    generators = tuple(
+        Generator(gid_of[idx], chosen[idx].delta, chosen[idx].overlap.superposition,
+                  base_elements[idx], chosen[idx].overlap)
+        for idx in ordering
+    )
+    for rec, idx, exp in rep_of:
+        rec.gid, rec.exp = gid_of[idx], exp
+    return GeneratorSet(generators, records, sys)

@@ -13,7 +13,8 @@ from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
 from logrew.completion import CompletionLimits, find_overlaps, logged_knuth_bendix, resolve
 from logrew.endorewrites import (
-    GeneratorSet, UnmatchedDiamond, _diamond, conjugacy_reduce, delta,
+    GeneratorSet, UnmatchedDiamond, _best_rotations, _cyclic_core, _diamond, _polish,
+    conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
 )
@@ -22,7 +23,7 @@ from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
     A5, MERGING, random_cell, random_loop, random_word,
-    signed_factor_sum, words_over,
+    scan_conjugacy_reduce, scan_generate, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -151,6 +152,25 @@ def test_conjugacy_invariance(rng, se_system, se_rules):
         conjugated = tc.compose_all(
             [tc.invert(beta, se_rules), gamma, beta], se_rules)
         assert conjugacy_reduce(conjugated, se_system) == conjugacy_reduce(gamma, se_system)
+
+
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]))
+@settings(max_examples=200, deadline=None)
+def test_canonical_forms_of_a_loop_and_its_inverse(seed, group, se_generators, a5_generators):
+    # l . l . m visits the words of l twice, so its greatest word is often tied
+    sys = (se_generators if group == "se" else a5_generators).system
+    rules = sys.rule_map
+    r = random.Random(seed)
+    base = random_word(r, ("s", "e") if group == "se" else ("a", "b"), 5, min_len=1)
+    l, m = (random_loop(r, sys, base, r.randint(1, 6)) for _ in range(2))
+    loop = TwoCell(base, l.steps + l.steps + m.steps)
+    inverse = TwoCell(base, tc.invert_steps(loop.steps))
+    assert conjugacy_reduce(loop, sys) == scan_conjugacy_reduce(loop, sys)
+    core = _cyclic_core(loop, rules)
+    if core.steps:
+        forms = [_polish(best, tc.interchange_normalize(best, rules), sys)
+                 for best in _best_rotations(core, sys)]
+        assert forms == [scan_conjugacy_reduce(c, sys) for c in (loop, inverse)]
 
 
 def test_express_identity(se_generators):
@@ -376,6 +396,20 @@ def test_branchings_taken_once_complete_and_express(text):
     for rec in gens.origin_index.values():
         for loop in (rec.delta, tc.invert(rec.delta, rules)):
             assert express(loop, gens).residual == identity(loop.source)
+
+
+@given(presentations())
+@example(MERGING)
+@settings(max_examples=60, deadline=None)
+def test_generate_matches_canonicalising_each_loop_from_scratch(text):
+    init = system_from_presentation(parse_presentation(text))
+    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
+    if comp.status != "complete":
+        return
+    gens, oracle = generate(comp, init), scan_generate(comp, init)
+    assert generator_set_to_json(gens) == generator_set_to_json(oracle)
+    assert [(rec.gid, rec.exp) for rec in gens.origin_index.values()] == [
+        (rec.gid, rec.exp) for rec in oracle.origin_index.values()]
 
 
 def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from logrew.core import Rule, word_from_str
+from logrew.completion import logged_knuth_bendix
+from logrew.core import Rule, parse_presentation, word_from_str
+from logrew.engine import system_from_presentation
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
-from helpers import random_cell, random_loop, random_word
+from helpers import A5, bubble_normalize, random_cell, random_loop, random_word
 from fixture_loops import SE_LOOPS, loop_cell
 
 W = word_from_str
@@ -321,6 +323,40 @@ def test_cell_laws_property(seed, se_system, se_rules):
     assert tc.abelianize(norm) == tc.abelianize(cell)
 
 
+@pytest.fixture(scope="module")
+def a5_system():
+    return logged_knuth_bendix(system_from_presentation(parse_presentation(A5))).system
+
+
+def _commutator(r, sys, letters):
+    """c . d . c^-1 . d^-1 for random cells c, d side by side on u v: the
+    steps of each must swap past the other's to cancel."""
+    u, v = (random_word(r, letters, 4, min_len=1) for _ in range(2))
+    c, d = (random_cell(r, sys, w, r.randint(1, 4)) for w in (u, v))
+    rules = sys.rule_map
+    cu, dv = tc.target(c, rules), tc.target(d, rules)
+    return tc.compose_all([
+        tc.whisker((), c, v), tc.whisker(cu, d, ()),
+        tc.whisker((), tc.invert(c, rules), dv), tc.whisker(u, tc.invert(d, rules), ()),
+    ], rules)
+
+
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]),
+       kind=st.sampled_from(["cell", "loop", "commutator"]))
+@settings(max_examples=300, deadline=None)
+def test_interchange_normalize_matches_bubble_passes(seed, group, kind, se_system, a5_system):
+    sys = se_system if group == "se" else a5_system
+    letters = ("s", "e") if group == "se" else ("a", "b")
+    r = random.Random(seed)
+    if kind == "commutator":
+        cell = _commutator(r, sys, letters)
+    else:
+        base = random_word(r, letters, 6, min_len=1)
+        make = random_cell if kind == "cell" else random_loop
+        cell = make(r, sys, base, r.randint(0, 12))
+    assert tc.interchange_normalize(cell, sys.rule_map) == bubble_normalize(cell, sys.rule_map)
+
+
 def _draw_rules(draw):
     """Up to four rules over 2 or 3 letters, some with an empty rhs, and a
     strategy for words over those letters."""
@@ -403,6 +439,6 @@ def test_transport_closes_the_square(case):
 def test_swap_adjacent_keeps_endpoints(case):
     rules, word, first, second = case
     pair = TwoCell(word, (first, second))
-    swapped = tc._swap_adjacent(word, first, second, rules)
+    swapped = tc._swap_adjacent(first, second, rules)
     if swapped is not None:
         assert tc.target(TwoCell(word, swapped), rules) == tc.target(pair, rules)
