@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("endos", help="generating endorewrites of the completed system")
     common(p)
     p.add_argument("--minimize", action="store_true",
-                   help="heuristic: filter by abelianization rank")
+                   help="drop generators whose abelianization the kept ones span")
     p.set_defaults(func=cmd_endos)
 
     p = sub.add_parser("express", help="express an endorewrite in the generators")

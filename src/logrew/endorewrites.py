@@ -233,15 +233,15 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
 
 
 def minimize(gens: GeneratorSet) -> GeneratorSet:
-    """Heuristic shrink: drop generators whose abelianization is spanned
-    by the kept ones.  Generators with zero abelianization are never
-    dropped (the filter cannot see them)."""
+    """Drop each generator whose abelianization the kept ones before it
+    span over the rationals.  Generators with zero abelianization are
+    never dropped (the filter cannot see them)."""
     from fractions import Fraction
 
     kept = []
-    basis: list[dict] = []
+    basis: list[dict] = []  # each row is zero at the pivots (first keys) of those before it
 
-    def reduces_to_zero(vector: dict) -> bool:
+    def reduce(vector: dict) -> dict:
         vec = {k: Fraction(v) for k, v in vector.items()}
         for row in basis:
             pivot = next(iter(row))
@@ -250,15 +250,16 @@ def minimize(gens: GeneratorSet) -> GeneratorSet:
                 for k, v in row.items():
                     vec[k] = vec.get(k, Fraction(0)) - coef * v
                 vec = {k: v for k, v in vec.items() if v}
-        return not vec
+        return vec
 
     for gen in gens.generators:
         vector = twocell.abelianize(gen.cell)
-        if vector and reduces_to_zero(vector):
+        reduced = reduce(vector)
+        if vector and not reduced:
             continue
         kept.append(gen)
-        if vector:
-            basis.append({k: Fraction(v) for k, v in vector.items()})
+        if reduced:
+            basis.append(reduced)
     return GeneratorSet(tuple(kept), gens.origin_index, gens.system)
 
 

@@ -322,7 +322,7 @@ def test_express_over_minimized_set_names_dropped_generator(a5_generators):
     small = minimize(gens)
     kept = {gen.gid for gen in small.generators}
     dropped = {gen.gid for gen in gens.generators} - kept
-    assert len(dropped) == 31
+    assert len(dropped) == 465
     for gid in sorted(dropped):
         with pytest.raises(UnmatchedDiamond, match=f"generator {gid} is not in the set"):
             express(gens.by_id(gid).cell, small)
