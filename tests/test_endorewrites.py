@@ -157,13 +157,13 @@ def test_conjugacy_invariance(rng, se_system, se_rules):
 @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]))
 @settings(max_examples=200, deadline=None)
 def test_canonical_forms_of_a_loop_and_its_inverse(seed, group, se_generators, a5_generators):
-    # l . l . m visits the words of l twice, so its greatest word is often tied
+    # g . g . h visits the words of g twice, so its greatest word is often tied
     sys = (se_generators if group == "se" else a5_generators).system
     rules = sys.rule_map
     r = random.Random(seed)
     base = random_word(r, ("s", "e") if group == "se" else ("a", "b"), 5, min_len=1)
-    l, m = (random_loop(r, sys, base, r.randint(1, 6)) for _ in range(2))
-    loop = TwoCell(base, l.steps + l.steps + m.steps)
+    g, h = (random_loop(r, sys, base, r.randint(1, 6)) for _ in range(2))
+    loop = TwoCell(base, g.steps + g.steps + h.steps)
     inverse = TwoCell(base, tc.invert_steps(loop.steps))
     assert conjugacy_reduce(loop, sys) == scan_conjugacy_reduce(loop, sys)
     core = _cyclic_core(loop, rules)
