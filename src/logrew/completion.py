@@ -240,6 +240,8 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     logs = {}
     for entry in data["rules"]:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
+        if not order.greater(rule.lhs, rule.rhs):
+            raise ValueError(f"rule {rule.rid}: lhs is not greater than rhs")
         rules.append(rule)
         provenance[rule.rid] = entry.get("provenance", "initial")
         if provenance[rule.rid] not in ("initial", "derived"):

@@ -10,7 +10,7 @@ table so that the extracted product replays to the input exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import Rule, Word, word_to_str
 from . import twocell
@@ -99,20 +99,10 @@ class GeneratorSet:
 
 
 def _union_system(completed: LoggedSystem, init: LoggedSystem) -> LoggedSystem:
-    rules = list(completed.rules)
-    provenance = dict(completed.provenance)
-    logs = dict(completed.logs)
-    for rule in init.rules:
-        if rule.rid not in completed.rule_map:
-            rules.append(rule)
-            provenance[rule.rid] = init.provenance[rule.rid]
-            if rule.rid in init.logs:
-                logs[rule.rid] = init.logs[rule.rid]
-    return LoggedSystem(
-        tuple(rules), provenance, logs,
-        complete=completed.complete,
-        order=completed.order,
-    )
+    dropped = tuple(rule for rule in init.rules if rule.rid not in completed.rule_map)
+    return replace(completed, rules=completed.rules + dropped,
+                   provenance={**init.provenance, **completed.provenance},
+                   logs={**init.logs, **completed.logs})
 
 
 def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
@@ -123,20 +113,6 @@ def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
         source = twocell.step_target(steps[0], rules)
         steps = steps[1:-1]
     return TwoCell(source, steps)
-
-
-def _best_rotations(core: TwoCell, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """The rotation of a nonempty cyclically reduced loop, and the one of its
-    inverse, based at the greatest word, the least step sequence breaking a
-    tie.  The inverse's rotation at a word is that of the loop, inverted."""
-    steps, inv = core.steps, twocell.invert_steps
-    words = twocell.intermediate_words(core, sys.rule_map)[:-1]
-    keys = [sys.order.key(w) for w in words]
-    top = min(keys)
-    tied = [k for k, key in enumerate(keys) if key == top]
-    loops = [TwoCell(words[k], steps[k:] + steps[:k]) for k in tied]
-    inverses = [TwoCell(words[k], inv(steps[:k]) + inv(steps[k:])) for k in tied]
-    return min(loops, key=twocell.cell_key), min(inverses, key=twocell.cell_key)
 
 
 def _polish(best: TwoCell, norm: TwoCell, sys: LoggedSystem) -> TwoCell:
@@ -152,14 +128,21 @@ def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     """Canonical representative of a loop's conjugacy class.
 
     Conjugate loops have rotation-equivalent cyclic cores, so the core's
-    rotation based at the greatest word (step sequence as tie break) is a
-    conjugacy invariant; it is then interchange normalized.  Loops that
-    vanish return the identity at the normal form of their base.
+    rotation based at the greatest word (least step sequence as tie break)
+    is a conjugacy invariant; it is interchange normalized, and picked anew
+    if that shrinks its core.  Loops that vanish return the identity at the
+    normal form of their base.
     """
     core = _cyclic_core(cell, sys.rule_map)
     if not core.steps:
         return twocell.identity(normal_form(core.source, sys))
-    best, _ = _best_rotations(core, sys)
+    steps, words = core.steps, twocell.intermediate_words(core, sys.rule_map)[:-1]
+    keys = [sys.order.key(w) for w in words]
+    top = min(keys)
+    best = min(
+        (TwoCell(words[k], steps[k:] + steps[:k]) for k, key in enumerate(keys) if key == top),
+        key=twocell.cell_key,
+    )
     return _polish(best, twocell.interchange_normalize(best, sys.rule_map), sys)
 
 
@@ -186,15 +169,15 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     chosen: list[OriginRecord] = []
     rep_of: list[tuple[OriginRecord, int, int]] = []  # record, index in chosen, exponent
     for rec in records.values():
-        # a loop is its own cyclic core, and every other word on it is a
-        # reduct of its superposition, so the loop is its own best rotation:
-        # one normal form gives the triviality test and the conjugacy key
-        best, ibest = _best_rotations(rec.delta, sys)
-        norm = twocell.interchange_normalize(best, rules)
+        # every other word on the loop is a strict reduct of its superposition,
+        # and its two first steps differ, so it and its inverse are their own
+        # best rotations; one normal form gives the triviality test and key
+        norm = twocell.interchange_normalize(rec.delta, rules)
         if not norm.steps:
             continue  # trivial loop: no generator, the record keeps gid None
-        ckey = twocell.cell_key(_polish(best, norm, sys))
-        ikey = twocell.cell_key(_polish(ibest, twocell.interchange_normalize(ibest, rules), sys))
+        inverse = TwoCell(rec.delta.source, twocell.invert_steps(rec.delta.steps))
+        ckey = twocell.cell_key(_polish(rec.delta, norm, sys))
+        ikey = twocell.cell_key(_polish(inverse, twocell.interchange_normalize(inverse, rules), sys))
         if ckey in seen:
             idx, exp = seen[ckey]
             rep_of.append((rec, idx, exp))

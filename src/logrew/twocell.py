@@ -167,7 +167,7 @@ def _swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[S
     """Swap two independent adjacent steps so the leftmost region acts first.
 
     Returns None when the regions interact or are already in left-to-right
-    order.  The answer depends on the two steps alone, as each fixes its word.
+    order.
     """
     _, out1 = step_io(first, rules)
     in2, _ = step_io(second, rules)
@@ -187,31 +187,24 @@ def _swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[S
 def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     """Deterministic representative of (a sound fragment of) the interchange class.
 
-    Bubble passes swap adjacent steps acting on disjoint regions until the
-    leftmost region always comes first, each pass followed by free
-    reduction; a pass retries a pair only once one of its steps changed.
-    Endpoints and rule counts are preserved.  Equal normal forms prove two
-    cells interchange-equal; unequal ones prove nothing.
+    Bubble passes over every adjacent pair swap steps acting on disjoint
+    regions until the leftmost region always comes first, each pass
+    followed by free reduction, until a pass swaps nothing.  Endpoints and
+    rule counts are preserved.  Equal normal forms prove two cells
+    interchange-equal; unequal ones prove nothing.
     """
-    steps = list(free_reduce(cell).steps)
-    stale = [True] * (len(steps) - 1)  # pair i may swap: a step of it changed
+    cell = free_reduce(cell)
     while True:
+        steps = list(cell.steps)
+        swapped = False
         for i in range(len(steps) - 1):
-            if not stale[i]:
-                continue
             pair = _swap_adjacent(steps[i], steps[i + 1], rules)
-            if pair is None:
-                stale[i] = False
-            else:
-                # pair i and its neighbours now hold a changed step
+            if pair is not None:
                 steps[i], steps[i + 1] = pair
-                stale[max(i - 1, 0)] = stale[min(i + 1, len(stale) - 1)] = True
-        if not any(stale):  # the pass swapped nothing
-            return TwoCell(cell.source, tuple(steps))
-        reduced = free_reduce(TwoCell(cell.source, tuple(steps))).steps
-        if len(reduced) < len(steps):
-            steps = list(reduced)
-            stale = [True] * (len(steps) - 1)
+                swapped = True
+        if not swapped:
+            return cell
+        cell = free_reduce(TwoCell(cell.source, tuple(steps)))
 
 
 def abelianize(cell: TwoCell) -> dict[str, int]:

@@ -2,8 +2,8 @@
 
 The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
-union-find congruence closure, brute-force overlap scans, interchange
-bubble passes that retry every pair, and generator merging that
+union-find congruence closure, brute-force overlap scans, a rotation
+search that keys every rotation afresh, and generator merging that
 canonicalises a loop and its inverse each from scratch.  Tests compare
 the library against these, never against itself.
 """
@@ -208,26 +208,9 @@ def signed_factor_sum(dec) -> dict:
     return {rid: n for rid, n in sorted(total.items()) if n}
 
 
-def bubble_normalize(cell: TwoCell, rules) -> TwoCell:
-    """Interchange normal form by bubble passes over every adjacent pair,
-    free reducing after each pass, until a pass swaps nothing."""
-    cell = tc.free_reduce(cell)
-    while True:
-        steps = list(cell.steps)
-        swapped = False
-        for i in range(len(steps) - 1):
-            pair = tc._swap_adjacent(steps[i], steps[i + 1], rules)
-            if pair is not None:
-                steps[i], steps[i + 1] = pair
-                swapped = True
-        if not swapped:
-            return cell
-        cell = tc.free_reduce(TwoCell(cell.source, tuple(steps)))
-
-
 def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     """Conjugacy canonical form: every rotation of the cyclic reduction
-    keyed afresh, the pick bubble normalized, repeated while it shrinks."""
+    keyed afresh, the pick interchange normalized, repeated while it shrinks."""
     rules = sys.rule_map
 
     def strip(c: TwoCell) -> TwoCell:
@@ -245,16 +228,16 @@ def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
         TwoCell(words[k], core.steps[k:] + core.steps[:k]) for k in range(len(core.steps))
     ]
     best = min(candidates, key=lambda c: (sys.order.key(c.source), tc.cell_key(c)))
-    polished = strip(bubble_normalize(best, rules))
+    polished = strip(tc.interchange_normalize(best, rules))
     if len(polished.steps) < len(best.steps):
         return scan_conjugacy_reduce(polished, sys)
     return polished
 
 
 def scan_generate(comp, init) -> GeneratorSet:
-    """Generators merged by three canonicalisations per loop: its bubble
+    """Generators merged by three canonicalisations per loop: its interchange
     normal form for the triviality test, then the conjugacy forms of the
-    loop and of its inverse, each from scratch."""
+    loop and of its inverse, each by a full rotation search."""
     sys = _union_system(comp.system, init)
     rules = sys.rule_map
     records = {
@@ -263,7 +246,7 @@ def scan_generate(comp, init) -> GeneratorSet:
     }
     seen, chosen, rep_of = {}, [], []
     for rec in records.values():
-        if not bubble_normalize(rec.delta, rules).steps:
+        if not tc.interchange_normalize(rec.delta, rules).steps:
             continue
         ckey = tc.cell_key(scan_conjugacy_reduce(rec.delta, sys))
         inverse = TwoCell(rec.delta.source, tc.invert_steps(rec.delta.steps))

@@ -300,15 +300,22 @@ def test_system_json_round_trip(ab_completion):
      "rule r3: log does not replay: unknown rule 'r9'"),
     ("log", lambda log: {**log, "steps": log["steps"][:1]},
      "rule r3: log does not run from its lhs to its rhs"),
+    (None, lambda entry: {"lhs": entry["rhs"], "rhs": entry["lhs"]},
+     "rule r1: lhs is not greater than rhs"),
 ])
 def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
-    # a derived rule without a log would fail later, in expand_log, as a
-    # bare KeyError, and a log that does not replay would be expanded into
-    # steps of rules that are not there; loading names the rule instead
+    # a derived rule (r3) without a log would fail later, in expand_log, as
+    # a bare KeyError, and a log that does not replay would be expanded into
+    # steps of rules that are not there; an initial rule (r1) that does not
+    # decrease sends normal_form round forever; loading names the rule instead
     data = system_to_json(ab_completion)
-    [entry] = [e for e in data["rules"] if e["id"] == "r3"]
-    assert entry["provenance"] == "derived"
-    entry[field] = value(entry[field]) if callable(value) else value
+    rid = message.split(":")[0].removeprefix("rule ")
+    [entry] = [e for e in data["rules"] if e["id"] == rid]
+    assert entry["provenance"] == ("derived" if rid == "r3" else "initial")
+    if field is None:
+        entry.update(value(entry))
+    else:
+        entry[field] = value(entry[field]) if callable(value) else value
     with pytest.raises(ValueError, match=message):
         system_from_json(data, ab_completion.system.order)
 

@@ -12,7 +12,7 @@ from logrew.engine import system_from_presentation
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
-from helpers import A5, bubble_normalize, random_cell, random_loop, random_word
+from helpers import A5, random_cell, random_loop, random_word
 from fixture_loops import SE_LOOPS, loop_cell
 
 W = word_from_str
@@ -344,8 +344,9 @@ def _commutator(r, sys, letters):
 @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]),
        kind=st.sampled_from(["cell", "loop", "commutator"]))
 @settings(max_examples=300, deadline=None)
-def test_interchange_normalize_matches_bubble_passes(seed, group, kind, se_system, a5_system):
+def test_interchange_normalize_reaches_a_fixpoint(seed, group, kind, se_system, a5_system):
     sys = se_system if group == "se" else a5_system
+    rules = sys.rule_map
     letters = ("s", "e") if group == "se" else ("a", "b")
     r = random.Random(seed)
     if kind == "commutator":
@@ -354,7 +355,15 @@ def test_interchange_normalize_matches_bubble_passes(seed, group, kind, se_syste
         base = random_word(r, letters, 6, min_len=1)
         make = random_cell if kind == "cell" else random_loop
         cell = make(r, sys, base, r.randint(0, 12))
-    assert tc.interchange_normalize(cell, sys.rule_map) == bubble_normalize(cell, sys.rule_map)
+    norm = tc.interchange_normalize(cell, rules)
+    assert norm.source == cell.source
+    assert tc.target(norm, rules) == tc.target(cell, rules)
+    assert tc.abelianize(norm) == tc.abelianize(cell)
+    assert tc.interchange_normalize(norm, rules) == norm
+    # no adjacent pair swaps into left-to-right order, and none cancels
+    for a, b in zip(norm.steps, norm.steps[1:]):
+        assert tc._swap_adjacent(a, b, rules) is None
+        assert b != tc.invert_step(a)
 
 
 def _draw_rules(draw):
