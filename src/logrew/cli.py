@@ -20,10 +20,7 @@ from .engine import (
     Verdict, expand_log, normal_form, prove, reduce_logged,
     system_from_presentation,
 )
-from .completion import (
-    CompletionLimits, CompletionResult, interreduce, logged_knuth_bendix,
-    system_to_json,
-)
+from .completion import CompletionLimits, logged_knuth_bendix, system_to_json
 from .endorewrites import (
     UnmatchedDiamond, decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
@@ -89,13 +86,9 @@ def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
 
 
 def _complete(presentation, args):
-    """The initial system and its completion under ``--limits``/``--interreduce``."""
+    """The initial system and its completion under ``--limits``."""
     init = system_from_presentation(presentation)
-    result = logged_knuth_bendix(init, args.limits)
-    if args.interreduce and result.status == "complete":
-        reduced = interreduce(result.system)
-        result = CompletionResult(result.status, reduced, result.pending)
-    return init, result
+    return init, logged_knuth_bendix(init, args.limits)
 
 
 def cmd_complete(args) -> int:
@@ -106,7 +99,8 @@ def cmd_complete(args) -> int:
         print(f"status: {data['status']}")
         for rule in data["rules"]:
             origin = "" if rule["provenance"] == "initial" else "  (derived)"
-            print(f"  {rule['id']}: {rule['lhs']} -> {rule['rhs']}{origin}")
+            mark = "  (retired)" if rule.get("retired") else ""
+            print(f"  {rule['id']}: {rule['lhs']} -> {rule['rhs']}{origin}{mark}")
         if result.pending:
             print(f"pending critical pairs: {len(result.pending)}")
 
@@ -238,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--limits", type=_limits, default=CompletionLimits(),
                        help="completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH")
         p.add_argument("--interreduce", action="store_true",
-                       help="canonicalize the completed system (heuristic)")
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("complete", help="run logged Knuth-Bendix completion")
     common(p)

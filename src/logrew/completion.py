@@ -11,6 +11,12 @@ u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
 The identical self-placement (all contexts empty, same rule) is excluded.
 ``critical_pairs`` takes each unordered branching once, for completion,
 ``is_complete`` and ``endorewrites.generate``.
+
+Completion retires a rule once another lhs is a proper factor of its lhs
+(Huet 1981).  It stays listed, unchanged, so every log still replays, but
+only its inclusion branchings, which keep its equation derivable, are
+resolved again.  Reduction uses every listed rule: a retired lhs contains
+an active one, so the irreducible words are the same, and proofs are shorter.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
-from .engine import LoggedSystem, expand_log, reduce_logged
+from .engine import LoggedSystem, find_redexes, reduce_logged
 from .twocell import Step, TwoCell
 
 
@@ -141,16 +147,30 @@ def critical_pairs(sys: LoggedSystem, new_start: int) -> list[Overlap]:
     ]
 
 
+def retired(sys: LoggedSystem) -> set[str]:
+    """Ids of the rules whose lhs has another rule's lhs as a proper factor,
+    or equals the lhs of an earlier rule."""
+    rank = {rule.rid: (len(rule.lhs), i) for i, rule in enumerate(sys.rules)}
+    return {rule.rid for rule in sys.rules
+            if any(rank[rid] < rank[rule.rid] for _, rid in find_redexes(rule.lhs, sys))}
+
+
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
     """Complete the system, logging every derived rule.
 
     Passes alternate overlap search (each unordered branching between a
     rule and a rule added in the previous pass, once) with FIFO
-    critical-pair resolution.  Exceeding a limit returns the partial
-    system together with the unprocessed pairs.
+    critical-pair resolution.  A branching is resolved while both its
+    rules are active, or when it is an inclusion.  Exceeding a limit
+    returns the partial system together with the unprocessed pairs.
     """
     limits = limits or CompletionLimits()
     sys = init
+    gone = retired(init)
+
+    def live(overlap: Overlap) -> bool:
+        return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone
+
     new_start = 0
     passes = 0
     while True:
@@ -159,19 +179,21 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         new_start = len(sys.rules)
         while queue:
             overlap = queue.pop(0)
-            outcome = resolve(overlap, sys)
+            outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:
                 continue
             if (
                 len(sys.rules) + 1 > limits.max_rules
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
-                return CompletionResult("limit", sys, (overlap, *queue))
+                return CompletionResult("limit", sys, tuple(filter(live, (overlap, *queue))))
+            # the new lhs is irreducible, so it contains no listed lhs
+            gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             return CompletionResult("complete", sys.as_complete(), ())
         if passes >= limits.max_passes:
-            return CompletionResult("limit", sys, tuple(critical_pairs(sys, new_start)))
+            return CompletionResult("limit", sys, tuple(filter(live, critical_pairs(sys, new_start))))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -182,41 +204,10 @@ def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
     return True, None
 
 
-def interreduce(sys: LoggedSystem) -> LoggedSystem:
-    """Drop rules another rule reduces, then normalize derived right-hand sides.
-
-    Logs of rewritten rules are expanded to initial rules only, so they
-    stay valid whatever happens to the other derived rules.  Initial
-    rules are never modified.
-    """
-    # one forward pass: a rule kept is irreducible by a superset of what is
-    # finally kept, so later deletions cannot make it reducible
-    kept = list(sys.rules)
-    for rule in sys.rules:
-        if any(r.rid != rule.rid and occurrences(r.lhs, rule.lhs) for r in kept):
-            kept.remove(rule)
-    base = LoggedSystem(tuple(kept), order=sys.order)  # reduces right-hand sides only
-    out_rules, provenance, logs = [], {}, {}
-    for rule in kept:
-        if sys.provenance[rule.rid] == "initial":
-            out_rules.append(rule)
-            provenance[rule.rid] = "initial"
-            continue
-        down = reduce_logged(rule.rhs, base)
-        new_rhs = twocell.target(down, base.rule_map)
-        log = sys.logs[rule.rid]  # may cite dropped rules, so sys, not base
-        if new_rhs != rule.rhs:
-            log = twocell.compose(log, down, sys.rule_map)
-        out_rules.append(Rule(rule.rid, rule.lhs, new_rhs))
-        provenance[rule.rid] = "derived"
-        logs[rule.rid] = expand_log(log, sys)
-    out = LoggedSystem(tuple(out_rules), provenance, logs, order=sys.order)
-    ok, _ = is_complete(out)
-    return out.as_complete() if ok else out
-
-
 def system_to_json(result: CompletionResult) -> dict:
+    """The rules with their logs; retired ones are marked ``"retired": true``."""
     sys = result.system
+    gone = retired(sys)
     return {
         "status": result.status,
         "rules": [
@@ -226,6 +217,7 @@ def system_to_json(result: CompletionResult) -> dict:
                 "rhs": word_to_str(rule.rhs),
                 "provenance": sys.provenance[rule.rid],
                 "log": twocell.cell_to_json(sys.logs[rule.rid]) if rule.rid in sys.logs else None,
+                **({"retired": True} if rule.rid in gone else {}),
             }
             for rule in sys.rules
         ],
@@ -234,7 +226,7 @@ def system_to_json(result: CompletionResult) -> dict:
 
 def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     """A saved system under ``order``, which the JSON does not carry;
-    ``logged_knuth_bendix`` resumes a partial one."""
+    ``retired`` marks are not read; ``logged_knuth_bendix`` resumes a partial one."""
     rules = []
     provenance = {}
     logs = {}

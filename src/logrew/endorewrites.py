@@ -10,7 +10,7 @@ table so that the extracted product replays to the input exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import Rule, Word, word_to_str
 from . import twocell
@@ -98,13 +98,6 @@ class GeneratorSet:
         return self._by_id[gid]
 
 
-def _union_system(completed: LoggedSystem, init: LoggedSystem) -> LoggedSystem:
-    dropped = tuple(rule for rule in init.rules if rule.rid not in completed.rule_map)
-    return replace(completed, rules=completed.rules + dropped,
-                   provenance={**init.provenance, **completed.provenance},
-                   logs={**init.logs, **completed.logs})
-
-
 def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     """The loop free reduced and stripped of mutually inverse outer steps,
     which advances its base word: the cyclic reduction of its walk."""
@@ -146,9 +139,11 @@ def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     return _polish(best, twocell.interchange_normalize(best, sys.rule_map), sys)
 
 
-def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
+def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> GeneratorSet:
     """Endorewrite generators from the critical branchings of the completed system.
 
+    Every listed rule counts, retired ones included, since reduction uses
+    them all.  ``init`` is not read; it is kept for existing callers.
     Each unordered branching gives one loop.  Loops that normalize to an
     identity are dropped; duplicates modulo interchange normal form,
     inversion, and conjugacy reduction merge into one generator.  Every
@@ -157,7 +152,7 @@ def generate(comp: CompletionResult, init: LoggedSystem) -> GeneratorSet:
     """
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
-    sys = _union_system(comp.system, init)
+    sys = comp.system
     rules = sys.rule_map
 
     records = {

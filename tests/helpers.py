@@ -10,17 +10,15 @@ the library against these, never against itself.
 
 from itertools import product
 
-from logrew.completion import critical_pairs
+from logrew.completion import critical_pairs, is_complete, retired
 from logrew.core import Word
-from logrew.endorewrites import (
-    Generator, GeneratorSet, OriginRecord, _union_system, delta,
-)
+from logrew.endorewrites import Generator, GeneratorSet, OriginRecord, delta
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
 
 
-# A5 = <a, b | a^2, b^3, (ab)^5>: completes to 16 rules, interreduces to 8
+# A5 = <a, b | a^2, b^3, (ab)^5>: completes to 14 rules, 6 of them retired
 A5 = """monoid
 letters: a b
 order: shortlex
@@ -30,7 +28,7 @@ b b b = 1
 a b a b a b a b a b = 1
 """
 
-# the Coxeter group S4: completes to 20 rules
+# the Coxeter group S4: completes to 15 rules, 8 of them retired
 S4 = """monoid
 letters: a b c
 order: shortlex
@@ -43,9 +41,65 @@ a c a c = 1
 b c b c b c = 1
 """
 
-# completes to 35 branchings over 31 generators: four branchings merge into
+# completes to 24 branchings over 19 generators: five branchings merge into
 # the generator of another
 MERGING = "monoid\nletters: a b\norder: shortlex\nrules:\na b b b = 1\na b = b b a\n"
+
+
+def _presentation(letters, relations):
+    return "".join([f"monoid\nletters: {' '.join(letters)}\norder: shortlex\nrules:\n"]
+                   + [f"{' '.join(lhs) or '1'} = {' '.join(rhs) or '1'}\n" for lhs, rhs in relations])
+
+
+def coxeter(letters, labels):
+    """The Coxeter group of a linear diagram: labels[i] joins letters i and i + 1."""
+    relations = [(s + s, "") for s in letters]
+    for i in range(len(letters)):
+        for j in range(i + 1, len(letters)):
+            relations.append(((letters[i] + letters[j]) * (labels[i] if j == i + 1 else 2), ""))
+    return _presentation(letters, relations)
+
+
+def triangle(r):
+    """<a, b | a^2, b^3, (ab)^r>."""
+    return _presentation("ab", [("aa", ""), ("bbb", ""), ("ab" * r, "")])
+
+
+# the groups of the benchmark ladder: name -> (presentation, group order)
+LADDER = {
+    "S4": (coxeter("abc", [3, 3]), 24),
+    "S5": (coxeter("abcd", [3, 3, 3]), 120),
+    "S6": (coxeter("abcde", [3, 3, 3, 3]), 720),
+    "S7": (coxeter("abcdef", [3, 3, 3, 3, 3]), 5040),
+    "B4": (coxeter("abcd", [4, 3, 3]), 384),
+    "H3": (coxeter("abc", [5, 3]), 120),
+    "F4": (coxeter("abcd", [3, 4, 3]), 1152),
+    "triangle_r3": (triangle(3), 12),
+    "triangle_r4": (triangle(4), 24),
+    "triangle_r5": (triangle(5), 60),
+    "Z8xZ9": (_presentation("ab", [("a" * 8, ""), ("b" * 9, ""), ("ba", "ab")]), 72),
+}
+# the ladder without its two largest groups
+NINE_GROUPS = {name: LADDER[name] for name in LADDER if name not in ("S7", "F4")}
+
+
+def check_retirement(sys: LoggedSystem) -> None:
+    """A completed system's retired rules each contain an active lhs, no
+    active lhs contains another, and the system is complete both with its
+    retired rules and without them."""
+    gone = retired(sys)
+    active = [rule for rule in sys.rules if rule.rid not in gone]
+
+    def inside(needle, haystack):
+        return any(haystack[p:p + len(needle)] == needle for p in range(len(haystack)))
+
+    for rule in sys.rules:
+        if rule.rid in gone:
+            assert any(inside(a.lhs, rule.lhs) for a in active), rule.rid
+    for a in active:
+        assert not any(b is not a and inside(b.lhs, a.lhs) for b in active), a.rid
+    assert is_complete(sys)[0]
+    assert is_complete(LoggedSystem(tuple(active), order=sys.order))[0]
 
 
 def words_over(letters, max_len):
@@ -234,11 +288,11 @@ def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     return polished
 
 
-def scan_generate(comp, init) -> GeneratorSet:
+def scan_generate(comp) -> GeneratorSet:
     """Generators merged by three canonicalisations per loop: its interchange
     normal form for the triviality test, then the conjugacy forms of the
     loop and of its inverse, each by a full rotation search."""
-    sys = _union_system(comp.system, init)
+    sys = comp.system
     rules = sys.rule_map
     records = {
         frozenset((o.left, o.right)): OriginRecord(o, delta(o.superposition, o.left, o.right, sys))

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
+from logrew import parse_presentation, system_from_presentation
 from logrew.cli import main
+from logrew.completion import logged_knuth_bendix, system_from_json
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
-from helpers import A5
+from helpers import A5, S4
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 SE = str(PRESENTATIONS / "se_monoid.txt")
@@ -263,17 +265,33 @@ def test_json_outputs_stable_between_runs(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_interreduce_a5_exits_cleanly(capsys, tmp_path):
-    f = tmp_path / "a5.txt"
-    f.write_text(A5)
-    code, out, err = run(capsys, "complete", str(f), "--interreduce", "--json")
-    assert code == 0 and "Traceback" not in err
+@pytest.mark.parametrize("name", ["A5", "S4"])
+def test_interreduce_changes_no_output(capsys, tmp_path, name):
+    text = {"A5": A5, "S4": S4}[name]
+    f = tmp_path / f"{name}.txt"
+    f.write_text(text)
+    for argv in (["complete", str(f)], ["complete", str(f), "--json"],
+                 ["endos", str(f)], ["endos", str(f), "--json"]):
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--interreduce") == plain
+    # the reduced system is the completed one, and loads with its logs
+    code, out, _ = run(capsys, "complete", str(f), "--interreduce", "--json")
     data = json.loads(out)
-    assert data["status"] == "complete"
-    assert len(data["rules"]) == 8
-    code, out, err = run(capsys, "endos", str(f), "--interreduce", "--json")
-    assert code == 0 and "Traceback" not in err
-    assert len(json.loads(out)["generators"]) == 107
+    assert any(rule.get("retired") for rule in data["rules"])
+    init = system_from_presentation(parse_presentation(text))
+    loaded = system_from_json(data, init.order).system
+    assert loaded.rules == logged_knuth_bendix(init).system.rules
+
+
+def test_complete_text_marks_retired_rules(capsys, tmp_path):
+    f = tmp_path / "s4.txt"
+    f.write_text(S4)
+    _, out, _ = run(capsys, "complete", str(f))
+    _, data, _ = run(capsys, "complete", str(f), "--json")
+    marked = {line.split(":")[0].strip() for line in out.splitlines() if line.endswith("  (retired)")}
+    assert marked == {rule["id"] for rule in json.loads(data)["rules"] if rule.get("retired")}
+    assert len(marked) == 8
 
 
 BAD_CELLS = {

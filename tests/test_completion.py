@@ -10,14 +10,17 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, find_overlaps, interreduce, is_complete,
-    logged_knuth_bendix, resolve, system_from_json, system_to_json,
+    CompletionLimits, NewRule, find_overlaps, is_complete, logged_knuth_bendix,
+    resolve, retired, system_from_json, system_to_json,
 )
 from logrew.endorewrites import delta
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
 
-from helpers import A5, brute_force_overlaps, congruence_classes, words_over
+from helpers import (
+    LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement,
+    congruence_classes, words_over,
+)
 
 W = word_from_str
 
@@ -202,6 +205,20 @@ def test_max_passes_limit_reports_pending(ab_init):
     assert resumed.status == "complete"
 
 
+@pytest.mark.parametrize("limits", [CompletionLimits(10, 64, 64), CompletionLimits(64, 2, 64)])
+def test_pending_pairs_of_retired_rules_are_inclusions(limits):
+    # a limit reports only what completion would still resolve
+    init = system_from_presentation(parse_presentation(LADDER["S4"][0]))
+    result = logged_knuth_bendix(init, limits)
+    assert result.status == "limit"
+    gone = retired(result.system)
+    touching = [o for o in result.pending if {o.left.rule, o.right.rule} & gone]
+    assert touching and all(o.case in ("i", "iv") for o in touching)
+    resumed = logged_knuth_bendix(result.system)
+    assert resumed.status == "complete"
+    check_retirement(resumed.system)
+
+
 def test_is_complete_published(se_system):
     ok, witness = is_complete(se_system)
     assert ok and witness is None
@@ -221,55 +238,61 @@ def test_is_complete_empty_system():
     assert ok and witness is None
 
 
-def test_interreduce_drops_redundant_rule():
+def test_retired_marks_contained_and_repeated_lhs():
     order = OrderSpec(Alphabet(("a", "b")))
-    r1 = Rule("r1", W("a b"), W("a"))
-    r2 = Rule("r2", W("a a"), W("a"))
-    r3 = Rule("r3", W("a a b"), W("a"))
-    log3 = TwoCell(W("a a b"), (Step(W("1"), "r2", 1, W("b")), Step(W("1"), "r1", 1, W("1"))))
-    sys = LoggedSystem((r1, r2, r3), {"r3": "derived"}, {"r3": log3}, order=order)
-    assert tc.validate(log3, sys.rule_map) is None
-    reduced = interreduce(sys)
-    assert [r.rid for r in reduced.rules] == ["r1", "r2"]
-    assert reduced.complete
+    rules = (
+        Rule("r1", W("a a b"), W("a")),  # contains r3's lhs
+        Rule("r2", W("a b"), W("a")),
+        Rule("r3", W("a a"), W("a")),
+        Rule("r4", W("a b"), W("b")),    # repeats r2's lhs
+    )
+    assert retired(LoggedSystem(rules, order=order)) == {"r1", "r4"}
 
 
-def test_interreduce_identity_on_canonical_system(ab_completion):
-    reduced = interreduce(ab_completion.system)
-    assert reduced.rules == ab_completion.system.rules
-    assert reduced.complete
+def test_reduced_system_retires_nothing(ab_completion):
+    assert retired(ab_completion.system) == set()
+    assert all("retired" not in rule for rule in system_to_json(ab_completion)["rules"])
 
 
-def test_interreduce_a5_logs_replay_on_initial_rules():
-    # kept derived rules cite dropped ones in their logs; expanding those
-    # logs against the reduced system alone used to raise ChainError
-    init = system_from_presentation(parse_presentation(A5))
-    completed = logged_knuth_bendix(init).system
-    reduced = interreduce(completed)
-    assert len(completed.rules) == 16
-    assert len(reduced.rules) == 8
-    assert reduced.complete
-    for rule in reduced.rules:
-        if reduced.provenance[rule.rid] == "derived":
-            log = reduced.logs[rule.rid]
-            assert log.source == rule.lhs
-            assert tc.target(log, init.rule_map) == rule.rhs
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
 
-def test_interreduce_rewrites_rhs_through_dropped_rule():
-    # r1 is dropped (r3 reduces its lhs) while r3's log cites it, and r3's
-    # rhs is reducible by r2, so the log is extended and expanded
-    order = OrderSpec(Alphabet(("c", "b", "a")))
-    r1 = Rule("r1", W("c"), W("a"))
-    r2 = Rule("r2", W("b"), W("a"))
-    r3 = Rule("r3", W("c"), W("b"))
-    log3 = TwoCell(W("c"), (Step((), "r1", 1, ()), Step((), "r2", -1, ())))
-    sys = LoggedSystem((r1, r2, r3), {"r3": "derived"}, {"r3": log3}, order=order)
-    reduced = interreduce(sys)
-    assert [(r.rid, r.lhs, r.rhs) for r in reduced.rules] == [("r2", W("b"), W("a")), ("r3", W("c"), W("a"))]
-    log = reduced.logs["r3"]
-    assert log.source == W("c")
-    assert tc.target(log, {"r1": r1, "r2": r2}) == W("a")
+@pytest.mark.parametrize("name", [*NINE_GROUPS, *(p.stem for p in sorted(PRESENTATIONS.glob("*.txt")))])
+def test_retirement_invariants(name):
+    text = NINE_GROUPS[name][0] if name in NINE_GROUPS else (PRESENTATIONS / f"{name}.txt").read_text()
+    result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    assert result.status == "complete"
+    check_retirement(result.system)
+
+
+@pytest.mark.parametrize("relations,letters,gone", [
+    ("a a a = a\na a = 1\n", ("a",), {"r1"}),      # r1's lhs contains r2's
+    ("a b = c\na b = 1\n", ("a", "b", "c"), {"r2"}),  # r2 repeats r1's lhs
+], ids=["nested", "repeated"])
+def test_nested_or_repeated_initial_lhs(relations, letters, gone):
+    text = f"monoid\nletters: {' '.join(letters)}\norder: shortlex\nrules:\n{relations}"
+    presentation = parse_presentation(text)
+    result = logged_knuth_bendix(system_from_presentation(presentation))
+    assert result.status == "complete"
+    sys = result.system
+    assert retired(sys) == gone
+    check_retirement(sys)
+    classes = congruence_classes(letters, presentation.relations, 4)
+    for u in words_over(letters, 4):
+        for v in words_over(letters, 4):
+            assert (normal_form(u, sys) == normal_form(v, sys)) == (classes[u] == classes[v]), (u, v)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_saved_ladder_system_loads(name):
+    # a retired rule keeps its id and log, so the logs that cite it replay
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    result = logged_knuth_bendix(init)
+    data = json.loads(json.dumps(system_to_json(result)))
+    assert any(rule.get("retired") for rule in data["rules"]) == (name != "Z8xZ9")
+    again = system_from_json(data, init.order)
+    assert again.system.rules == result.system.rules
+    assert system_to_json(again) == data
 
 
 def test_system_does_not_write_into_caller_dicts():
@@ -323,7 +346,7 @@ def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message)
 @pytest.mark.parametrize("name", ["abc_cyclic", "ab_monoid"])
 def test_saved_partial_system_resumes(name):
     # the saved JSON has no order, so it is passed back in on loading
-    path = Path(__file__).resolve().parent.parent / "presentations" / f"{name}.txt"
+    path = PRESENTATIONS / f"{name}.txt"
     init = system_from_presentation(parse_presentation(path.read_text()))
     partial = logged_knuth_bendix(init, CompletionLimits(3, 64, 64))
     assert partial.status == "limit"

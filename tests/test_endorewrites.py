@@ -22,7 +22,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, random_cell, random_loop, random_word,
+    A5, MERGING, check_retirement, random_cell, random_loop, random_word,
     scan_conjugacy_reduce, scan_generate, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
@@ -327,7 +327,7 @@ def test_express_over_minimized_set_names_dropped_generator(a5_generators):
     small = minimize(gens)
     kept = {gen.gid for gen in small.generators}
     dropped = {gen.gid for gen in gens.generators} - kept
-    assert len(dropped) == 465
+    assert len(dropped) == 305  # 340 generators, 35 kept
     for gid in sorted(dropped):
         with pytest.raises(UnmatchedDiamond, match=f"generator {gid} is not in the set"):
             express(gens.by_id(gid).cell, small)
@@ -372,8 +372,8 @@ def presentations(draw):
 def test_generators_merge_distinct_branchings():
     init = system_from_presentation(parse_presentation(MERGING))
     gens = generate(logged_knuth_bendix(init), init)
-    assert len(gens.origin_index) == 35
-    assert len(gens.generators) == 31
+    assert len(gens.origin_index) == 24
+    assert len(gens.generators) == 19
     assert all(rec.gid is not None for rec in gens.origin_index.values())
 
 
@@ -386,6 +386,7 @@ def test_branchings_taken_once_complete_and_express(text):
     if comp.status != "complete":
         return
     sys = comp.system
+    check_retirement(sys)
     # completion took each branching once; the mirror images resolve too
     for a in sys.rules:
         for b in sys.rules:
@@ -412,7 +413,7 @@ def test_generate_matches_canonicalising_each_loop_from_scratch(text):
     comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
     if comp.status != "complete":
         return
-    gens, oracle = generate(comp, init), scan_generate(comp, init)
+    gens, oracle = generate(comp, init), scan_generate(comp)
     _assert_own_best_rotations(gens)
     assert generator_set_to_json(gens) == generator_set_to_json(oracle)
     assert [(rec.gid, rec.exp) for rec in gens.origin_index.values()] == [

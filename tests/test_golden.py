@@ -4,13 +4,16 @@ Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
 A5, S4 and MERGING, whose generator sets ``endos`` prints too.
-``complete`` and ``endos`` also run with ``--interreduce``.  The expected exit codes and sha256 digests of stdout
+``complete`` and ``endos`` also run with ``--interreduce``, which must
+change nothing.  The expected exit codes and sha256 digests of stdout
 live in ``tests/golden.json``; a refactor must leave every one of them
 unchanged.
 
 Record the file afresh (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+which names each case whose outcome changed and counts the rest.
 """
 
 import contextlib
@@ -173,8 +176,13 @@ def record() -> None:
         cases.update(group_express_cases(Path(workdir)))
         cases.update(group_endos_cases(Path(workdir)))
         golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
+    before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    changed = [name for name in golden if before.get(name) != golden[name]]
+    for name in changed:
+        print(f"changed: {name}")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(golden)} cases in {GOLDEN}")
+    print(f"recorded {len(golden)} cases in {GOLDEN}: {len(changed)} changed, "
+          f"{len(golden) - len(changed)} unchanged")
 
 
 if __name__ == "__main__":

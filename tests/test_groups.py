@@ -111,3 +111,21 @@ def test_express_leaves_identity_residual(group):
             assert factor.cell.source == base
         factors += len(dec.factors)
     assert factors > 0
+
+
+PSL27 = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+a b a b a b a b a b a b a b = 1
+a b a b b a b a b b a b a b b a b a b b = 1
+"""
+
+
+def test_psl27_completes_to_168_elements():
+    # PSL(2,7) = <a, b | a^2, b^3, (ab)^7, (ab ab^2)^4>
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(PSL27)))
+    assert completion.status == "complete"
+    assert len(elements(("a", "b"), completion.system)) == 168
