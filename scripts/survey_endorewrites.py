@@ -34,7 +34,7 @@ def main():
         print(f"pending pairs: {len(result.pending)}; raise --max-rules to continue")
         return
 
-    gens = generate(result, init)
+    gens = generate(result)
     print(f"\n{len(gens.generators)} generating endorewrites")
     current = None
     for gen in gens.generators:

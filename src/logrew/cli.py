@@ -86,13 +86,12 @@ def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
 
 
 def _complete(presentation, args):
-    """The initial system and its completion under ``--limits``."""
-    init = system_from_presentation(presentation)
-    return init, logged_knuth_bendix(init, args.limits)
+    """The completion of the presentation under ``--limits``."""
+    return logged_knuth_bendix(system_from_presentation(presentation), args.limits)
 
 
 def cmd_complete(args) -> int:
-    _, result = _complete(_load_presentation(args.file), args)
+    result = _complete(_load_presentation(args.file), args)
     data = system_to_json(result)
 
     def render(data):
@@ -110,7 +109,7 @@ def cmd_complete(args) -> int:
 
 def cmd_nf(args) -> int:
     presentation = _load_presentation(args.file)
-    _, result = _complete(presentation, args)
+    result = _complete(presentation, args)
     word = word_from_str(args.word, presentation.alphabet)
     print(word_to_str(normal_form(word, result.system)))
     return OK if result.status == "complete" else LIMIT
@@ -118,7 +117,7 @@ def cmd_nf(args) -> int:
 
 def cmd_reduce(args) -> int:
     presentation = _load_presentation(args.file)
-    _, result = _complete(presentation, args)
+    result = _complete(presentation, args)
     word = word_from_str(args.word, presentation.alphabet)
     _emit_cell(reduce_logged(word, result.system), args, result.system, "->")
     return OK if result.status == "complete" else LIMIT
@@ -126,7 +125,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_prove(args) -> int:
     presentation = _load_presentation(args.file)
-    _, result = _complete(presentation, args)
+    result = _complete(presentation, args)
     w1 = word_from_str(args.word1, presentation.alphabet)
     w2 = word_from_str(args.word2, presentation.alphabet)
     outcome = prove(w1, w2, result.system)
@@ -164,11 +163,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_endos(args) -> int:
-    init, result = _complete(_load_presentation(args.file), args)
+    result = _complete(_load_presentation(args.file), args)
     if result.status != "complete":
         print("completion exceeded limits; no generator set", file=_sys.stderr)
         return LIMIT
-    gens = generate(result, init)
+    gens = generate(result)
     if args.minimize:
         gens = minimize(gens)
 
@@ -193,11 +192,11 @@ def cmd_express(args) -> int:
     except BAD_CELL_ERRORS as err:
         print(f"malformed cell: {err}", file=_sys.stderr)
         return BAD_CERT
-    init, result = _complete(presentation, args)
+    result = _complete(presentation, args)
     if result.status != "complete":
         print("completion exceeded limits; cannot express", file=_sys.stderr)
         return LIMIT
-    gens = generate(result, init)
+    gens = generate(result)
     try:
         decomposition = express(cell, gens)
     except UnmatchedDiamond as err:

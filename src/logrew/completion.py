@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
-from .engine import LoggedSystem, find_redexes, reduce_logged
+from .engine import LoggedSystem, find_redexes, reduce_into
 from .twocell import Step, TwoCell
 
 
@@ -103,13 +103,12 @@ def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
     return found
 
 
-def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, TwoCell]:
-    """Each of two steps on word followed by the logged reduction of its target."""
-    rules = sys.rule_map
-    return tuple(
-        TwoCell(word, (s, *reduce_logged(twocell.step_target(s, rules), sys).steps))
-        for s in (s1, s2)
-    )
+def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:
+    """Each of two steps on word followed by the logged reduction of its
+    target, paired with the normal form that reduction ends at."""
+    legs = [[s1], [s2]]
+    ends = [reduce_into(twocell.step_target(leg[0], sys.rule_map), sys, leg) for leg in legs]
+    return tuple((TwoCell(word, tuple(leg)), end) for leg, end in zip(legs, ends))
 
 
 def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
@@ -118,9 +117,7 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     ``endorewrites.delta`` closes the same two sides into the loop of a
     resolved branching.
     """
-    rules = sys.rule_map
-    left, right = sides(overlap.superposition, overlap.left, overlap.right, sys)
-    z_left, z_right = twocell.target(left, rules), twocell.target(right, rules)
+    (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
     if z_left == z_right:
         return None
     # new rule: greater reduct -> smaller reduct, logged up the greater side
@@ -225,14 +222,17 @@ def system_to_json(result: CompletionResult) -> dict:
 
 
 def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
-    """A saved system under ``order``, which the JSON does not carry;
-    ``retired`` marks are not read; ``logged_knuth_bendix`` resumes a partial one."""
-    rules = []
-    provenance = {}
-    logs = {}
+    """A saved system under ``order``, which the JSON does not carry; ``retired``
+    marks are not read.  ``logged_knuth_bendix`` resumes a partial one to the
+    normal forms of a direct run; derived rules, ids and order may differ."""
+    rules, provenance, logs = [], {}, {}
     for entry in data["rules"]:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
-        if not order.greater(rule.lhs, rule.rhs):
+        try:  # the order's key ranks every letter of both words
+            decreasing = order.greater(rule.lhs, rule.rhs)
+        except ValueError as err:
+            raise ValueError(f"rule {rule.rid}: {err}") from None
+        if not decreasing:
             raise ValueError(f"rule {rule.rid}: lhs is not greater than rhs")
         rules.append(rule)
         provenance[rule.rid] = entry.get("provenance", "initial")

@@ -16,8 +16,6 @@ Word = tuple[str, ...]
 
 EMPTY: Word = ()
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 class ParseError(ValueError):
     """Syntax or lookup error in a presentation file, with a location."""
@@ -87,17 +85,8 @@ class OrderSpec:
         sorts by length ascending, then greatest word first in a length."""
         return -len(w), tuple(map(self.alphabet.rank, w))
 
-    def compare(self, a: Word, b: Word) -> int:
-        """Return LESS, EQUAL or GREATER for a versus b."""
-        if len(a) != len(b):
-            return LESS if len(a) < len(b) else GREATER
-        ka, kb = self.key(a), self.key(b)
-        if ka == kb:
-            return EQUAL
-        return GREATER if ka < kb else LESS
-
     def greater(self, a: Word, b: Word) -> bool:
-        return self.compare(a, b) == GREATER
+        return self.key(a) < self.key(b)
 
 
 @dataclass(frozen=True)
@@ -183,10 +172,9 @@ def orient(p: Presentation) -> tuple[Rule, ...]:
     """Orient each relation so lhs > rhs; trivial relations are dropped."""
     rules = []
     for a, b in p.relations:
-        cmp = p.order.compare(a, b)
-        if cmp == EQUAL:
+        if a == b:
             log.warning("dropping trivial relation %s = %s", word_to_str(a), word_to_str(b))
             continue
-        lhs, rhs = (a, b) if cmp == GREATER else (b, a)
+        lhs, rhs = (a, b) if p.order.greater(a, b) else (b, a)
         rules.append(Rule(f"r{len(rules) + 1}", lhs, rhs))
     return tuple(rules)

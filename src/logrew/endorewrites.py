@@ -57,8 +57,8 @@ def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
             for s, t in ((s1, s2), (s2, s1))
         )
     else:
-        side1, side2 = sides(word, s1, s2, sys)
-        if twocell.target(side1, rules) != twocell.target(side2, rules):
+        (side1, end1), (side2, end2) = sides(word, s1, s2, sys)
+        if end1 != end2:
             raise ValueError("critical branching does not resolve; the system is incomplete")
     return twocell.free_reduce(TwoCell(word, side1.steps + twocell.invert_steps(side2.steps)))
 

@@ -36,7 +36,6 @@ class LoggedSystem:
     complete: bool = False
     order: OrderSpec = field(kw_only=True)
     _index: dict = field(init=False, repr=False, compare=False)
-    _position: dict = field(init=False, repr=False, compare=False)
     _trie: dict = field(init=False, repr=False, compare=False)
     _maxlhs: int = field(init=False, repr=False, compare=False)
 
@@ -48,15 +47,14 @@ class LoggedSystem:
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "logs", dict(self.logs))
         object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
-        object.__setattr__(self, "_position", {r.rid: i for i, r in enumerate(self.rules)})
-        # letter -> child; None -> ids of the rules whose lhs ends there, in rule order
+        # letter -> child; None -> indices of the rules whose lhs ends there
         trie: dict = {}
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules):
             if rule.lhs:
                 node = trie
                 for letter in rule.lhs:
                     node = node.setdefault(letter, {})
-                node.setdefault(None, []).append(rule.rid)
+                node.setdefault(None, []).append(i)
         object.__setattr__(self, "_trie", trie)
         object.__setattr__(self, "_maxlhs", max((len(r.lhs) for r in self.rules), default=0))
 
@@ -66,10 +64,6 @@ class LoggedSystem:
 
     def rule(self, rid: str) -> Rule:
         return self._index[rid]
-
-    def position(self, rid: str) -> int:
-        """Index of the rule in ``rules``: the tie-break between redexes at one position."""
-        return self._position[rid]
 
     def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
         return LoggedSystem(
@@ -88,8 +82,8 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
     return LoggedSystem(orient(p), order=p.order)
 
 
-def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[str]:
-    """Ids of the rules whose lhs occurs in w at pos, in rule order."""
+def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[int]:
+    """Indices of the rules whose lhs occurs in w at pos, ascending."""
     node, hits = sys._trie, []
     for letter in w[pos:pos + sys._maxlhs]:
         node = node.get(letter)
@@ -97,14 +91,14 @@ def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[str]:
             break
         hits += node.get(None, ())
     if len(hits) > 1:
-        hits.sort(key=sys.position)
+        hits.sort()
     return hits
 
 
 def find_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
     """All (position, rule id) with the rule's lhs at that position, by
     position, then rule index."""
-    return [(pos, rid) for pos in range(len(w)) for rid in _redexes_at(w, pos, sys)]
+    return [(pos, sys.rules[i].rid) for pos in range(len(w)) for i in _redexes_at(w, pos, sys)]
 
 
 def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tuple[Word, Step]:
@@ -119,7 +113,7 @@ def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tupl
     return step.prefix + outw + step.suffix, step
 
 
-def _reduce(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
+def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""
     current, pos = w, 0
@@ -128,7 +122,7 @@ def _reduce(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
         if not hits:
             pos += 1
             continue
-        current, step = apply_step(current, pos, hits[0], 1, sys)
+        current, step = apply_step(current, pos, sys.rules[hits[0]].rid, 1, sys)
         if steps is not None:
             steps.append(step)
         pos = max(0, pos - sys._maxlhs + 1)
@@ -138,12 +132,12 @@ def _reduce(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
 def reduce_logged(w: Word, sys: LoggedSystem) -> TwoCell:
     """Reduce to an irreducible word, logging every application."""
     steps: list[Step] = []
-    _reduce(w, sys, steps)
+    reduce_into(w, sys, steps)
     return TwoCell(w, tuple(steps))
 
 
 def normal_form(w: Word, sys: LoggedSystem) -> Word:
-    return _reduce(w, sys, None)
+    return reduce_into(w, sys, None)
 
 
 def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
@@ -152,11 +146,9 @@ def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
     NOT_EQUAL is only claimed for systems flagged complete; otherwise
     disagreeing normal forms yield UNKNOWN.
     """
-    down1 = reduce_logged(w1, sys)
-    down2 = reduce_logged(w2, sys)
-    rules = sys.rule_map
-    if twocell.target(down1, rules) == twocell.target(down2, rules):
-        return TwoCell(w1, down1.steps + twocell.invert_steps(down2.steps))
+    down1, down2 = [], []
+    if reduce_into(w1, sys, down1) == reduce_into(w2, sys, down2):
+        return TwoCell(w1, tuple(down1) + twocell.invert_steps(down2))
     return Verdict.NOT_EQUAL if sys.complete else Verdict.UNKNOWN
 
 

@@ -10,8 +10,8 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, find_overlaps, is_complete, logged_knuth_bendix,
-    resolve, retired, system_from_json, system_to_json,
+    CompletionLimits, NewRule, critical_pairs, find_overlaps, is_complete,
+    logged_knuth_bendix, resolve, retired, sides, system_from_json, system_to_json,
 )
 from logrew.endorewrites import delta
 import logrew.twocell as tc
@@ -263,6 +263,11 @@ def test_retirement_invariants(name):
     result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
     assert result.status == "complete"
     check_retirement(result.system)
+    # each side's end word is where its cell replays to
+    sys = result.system
+    for overlap in critical_pairs(sys, 0):
+        for cell, end in sides(overlap.superposition, overlap.left, overlap.right, sys):
+            assert end == tc.target(cell, sys.rule_map)
 
 
 @pytest.mark.parametrize("relations,letters,gone", [
@@ -325,12 +330,17 @@ def test_system_json_round_trip(ab_completion):
      "rule r3: log does not run from its lhs to its rhs"),
     (None, lambda entry: {"lhs": entry["rhs"], "rhs": entry["lhs"]},
      "rule r1: lhs is not greater than rhs"),
+    ("lhs", "x y", "rule r1: letter 'x' not in alphabet"),
+    ("lhs", "x b", "rule r1: letter 'x' not in alphabet"),
+    ("rhs", "y", "rule r1: letter 'y' not in alphabet"),
 ])
 def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
     # a derived rule (r3) without a log would fail later, in expand_log, as
     # a bare KeyError, and a log that does not replay would be expanded into
     # steps of rules that are not there; an initial rule (r1) that does not
-    # decrease sends normal_form round forever; loading names the rule instead
+    # decrease sends normal_form round forever, and one over letters outside
+    # the order (r1 is a b -> a) would rewrite words it cannot occur in, as
+    # x y -> a makes x y x y reduce to a a; loading names the rule instead
     data = system_to_json(ab_completion)
     rid = message.split(":")[0].removeprefix("rule ")
     [entry] = [e for e in data["rules"] if e["id"] == rid]
@@ -357,3 +367,21 @@ def test_saved_partial_system_resumes(name):
     assert [(r.lhs, r.rhs) for r in resumed.system.rules] == [
         (r.lhs, r.rhs) for r in direct.system.rules
     ]
+
+
+@pytest.mark.parametrize("name,max_rules", [("S4", 10), ("triangle_r5", 12)])
+def test_resumed_completion_keeps_normal_forms(name, max_rules):
+    # resumption restarts the overlap search from the first pair, so its
+    # derived rules, their ids and their order may differ from a direct run
+    # (here S4 lists its rules in another order, A5 one rule fewer); the
+    # normal forms may not
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    partial = logged_knuth_bendix(init, CompletionLimits(max_rules, 64, 64))
+    assert partial.status == "limit"
+    data = json.loads(json.dumps(system_to_json(partial)))
+    resumed = logged_knuth_bendix(system_from_json(data, init.order).system)
+    direct = logged_knuth_bendix(init)
+    assert resumed.status == direct.status == "complete"
+    check_retirement(resumed.system)
+    for w in words_over(init.order.alphabet.letters, 6):
+        assert normal_form(w, resumed.system) == normal_form(w, direct.system), w

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from logrew.core import (
-    EQUAL, GREATER, LESS, Alphabet, OrderSpec, ParseError, Rule,
+    Alphabet, OrderSpec, ParseError, Rule,
     orient, parse_presentation, word_from_str, word_to_str,
 )
 from helpers import words_over
@@ -21,28 +21,22 @@ def shortlex_key(order, w):
     return len(w), tuple(-order.alphabet.rank(x) for x in w)
 
 
-def sign(n):
-    return (n > 0) - (n < 0)
-
-
 def test_compare_examples():
-    assert SE.compare(("e",), ("s",)) == LESS
-    assert SE.compare(("s", "e"), ("e", "s", "s")) == LESS
-    assert SE.compare(("s", "e", "s"), ("s", "e", "s")) == EQUAL
-    assert SE.compare(("s",), ("e",)) == GREATER
+    assert SE.greater(("s",), ("e",)) and not SE.greater(("e",), ("s",))
+    assert SE.greater(("e", "s", "s"), ("s", "e")) and not SE.greater(("s", "e"), ("e", "s", "s"))
+    assert not SE.greater(("s", "e", "s"), ("s", "e", "s"))
 
 
 def test_compare_total_order_exhaustive():
-    # agreement with the key oracle on every pair gives antisymmetry,
-    # trichotomy, and (keys being tuples) transitivity
+    # agreement with the key oracle on every pair gives irreflexivity,
+    # trichotomy (the oracle key is injective), and (keys being tuples)
+    # transitivity
     words = list(words_over(("a", "b", "c"), 6))
     keys = {w: shortlex_key(ORDER, w) for w in words}
     for a in words:
         ka = keys[a]
         for b in words:
-            kb = keys[b]
-            expected = LESS if ka < kb else GREATER if ka > kb else EQUAL
-            assert ORDER.compare(a, b) == expected
+            assert ORDER.greater(a, b) == (ka > keys[b])
 
 
 words_abc = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4).map(tuple)
@@ -51,9 +45,7 @@ words_abc = st.lists(st.sampled_from(["a", "b", "c"]), max_size=4).map(tuple)
 @given(u=words_abc, v=words_abc, x=words_abc, y=words_abc)
 @settings(max_examples=300)
 def test_compare_admissible(u, v, x, y):
-    cmp = ORDER.compare(u, v)
-    if cmp != EQUAL:
-        assert ORDER.compare(x + u + y, x + v + y) == cmp
+    assert ORDER.greater(x + u + y, x + v + y) == ORDER.greater(u, v)
 
 
 def test_well_foundedness_witness():
@@ -62,11 +54,11 @@ def test_well_foundedness_witness():
     words = sorted(words_over(("a", "b"), 4), key=lambda w: shortlex_key(OrderSpec(Alphabet(("a", "b"))), w))
     order = OrderSpec(Alphabet(("a", "b")))
     for rank, w in enumerate(words):
-        below = sum(1 for v in words if order.compare(v, w) == LESS)
+        below = sum(1 for v in words if order.greater(w, v))
         assert below == rank
     longest = {}
     for w in words:  # ascending, so all smaller words are done
-        longest[w] = 1 + max((longest[v] for v in words if order.compare(v, w) == LESS), default=0)
+        longest[w] = 1 + max((longest[v] for v in words if order.greater(w, v)), default=0)
     for rank, w in enumerate(words):
         assert longest[w] == rank + 1
 
@@ -76,8 +68,9 @@ def test_alphabet_rejects_duplicates_and_unknown_letters():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         ABC.rank("z")
-    with pytest.raises(ValueError):
-        ORDER.compare(("z",), ("a",))
+    for a, b in ((("z",), ("a",)), (("z", "z"), ("a",)), (("a", "a"), ("z",))):
+        with pytest.raises(ValueError):
+            ORDER.greater(a, b)
 
 
 def test_word_round_trip():
@@ -163,7 +156,7 @@ def test_orient_drops_trivial_relations():
 def test_orient_output_satisfies_rule_invariants():
     p = parse_presentation(SE_TEXT)
     for rule in orient(p):
-        assert p.order.compare(rule.lhs, rule.rhs) == GREATER
+        assert p.order.greater(rule.lhs, rule.rhs)
 
 
 def test_multicharacter_generator_names():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import pytest
 
-from logrew.core import GREATER, Alphabet, OrderSpec, Rule, word_from_str
+from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
     LoggedSystem, Verdict, apply_step, expand_log, find_redexes, normal_form,
-    prove, reduce_logged,
+    prove, reduce_into, reduce_logged,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
@@ -80,7 +80,7 @@ def test_reduction_steps_strictly_decrease(rng, se_system, se_presentation, se_r
         cell = reduce_logged(w, se_system)
         words = tc.intermediate_words(cell, se_rules)
         for before, after in zip(words, words[1:]):
-            assert se_presentation.order.compare(before, after) == GREATER
+            assert se_presentation.order.greater(before, after)
 
 
 def test_normal_form_examples(se_system):
@@ -142,6 +142,12 @@ def test_indexed_reduction_matches_rescan(case):
     expected = scan_reduce(w, sys)
     assert reduce_logged(w, sys) == expected
     assert normal_form(w, sys) == tc.target(expected, sys.rule_map)
+    # the word reduce_into returns is where its steps replay to
+    steps = []
+    end = reduce_into(w, sys, steps)
+    assert TwoCell(w, tuple(steps)) == expected
+    assert end == tc.target(expected, sys.rule_map)
+    assert prove(w, w, sys) == TwoCell(w, expected.steps + tc.invert_steps(expected.steps))
 
 
 def test_prove_examples(se_system, se_rules):
