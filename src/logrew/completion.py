@@ -68,9 +68,11 @@ def occurrences(needle: Word, haystack: Word) -> list[int]:
     return [p for p in range(len(haystack) - k + 1) if haystack[p:p + k] == needle]
 
 
-def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
-    """All overlap placements of a (as the first rule) against b (as the second)."""
+def find_overlaps(a: Rule, b: Rule, inclusions_only: bool = False) -> list[Overlap]:
+    """All overlap placements of a (as the first rule) against b (as the
+    second), or only those of cases i and iv."""
     l1, l2 = a.lhs, b.lhs
+    span = 0 if inclusions_only else min(len(l1), len(l2))  # a proper overlap is shorter than both
     found: list[Overlap] = []
 
     def add(case, u1, v1, u2, v2, sup):
@@ -83,13 +85,13 @@ def find_overlaps(a: Rule, b: Rule) -> list[Overlap]:
             continue  # identical placement of the same rule
         add("i", u1, v1, EMPTY, EMPTY, l2)
     # case ii: a proper overlap, l2 on the left
-    for k in range(1, min(len(l1), len(l2))):
+    for k in range(1, span):
         if l1[:k] == l2[len(l2) - k:]:
             u1 = l2[:len(l2) - k]
             v2 = l1[k:]
             add("ii", u1, EMPTY, EMPTY, v2, u1 + l1)
     # case iii: a proper overlap, l1 on the left
-    for k in range(1, min(len(l1), len(l2))):
+    for k in range(1, span):
         if l1[len(l1) - k:] == l2[:k]:
             v1 = l2[k:]
             u2 = l1[:len(l1) - k]
@@ -130,16 +132,18 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
 
 
-def critical_pairs(sys: LoggedSystem, new_start: int) -> list[Overlap]:
+def critical_pairs(sys: LoggedSystem, new_start: int,
+                   gone: frozenset | set = frozenset()) -> list[Overlap]:
     """Each unordered critical branching once, between rules i <= j with
     j >= new_start, in order of (i, j); case iii of a rule against itself
-    is dropped, since it is case ii with the two steps swapped."""
+    is dropped, since it is case ii with the two steps swapped.  A pair
+    with a rule id in ``gone`` gives its inclusions only."""
     rules = sys.rules
     return [
         overlap
         for i in range(len(rules))
         for j in range(max(i, new_start), len(rules))
-        for overlap in find_overlaps(rules[i], rules[j])
+        for overlap in find_overlaps(rules[i], rules[j], rules[i].rid in gone or rules[j].rid in gone)
         if i < j or overlap.case != "iii"
     ]
 
@@ -158,7 +162,8 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     Passes alternate overlap search (each unordered branching between a
     rule and a rule added in the previous pass, once) with FIFO
     critical-pair resolution.  A branching is resolved while both its
-    rules are active, or when it is an inclusion.  Exceeding a limit
+    rules are active, or when it is an inclusion; a pass builds only the
+    inclusions of the rules already retired when it starts.  Exceeding a limit
     returns the partial system together with the unprocessed pairs.
     """
     limits = limits or CompletionLimits()
@@ -172,7 +177,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     passes = 0
     while True:
         passes += 1
-        queue = critical_pairs(sys, new_start)
+        queue = critical_pairs(sys, new_start, gone)
         new_start = len(sys.rules)
         while queue:
             overlap = queue.pop(0)
@@ -190,7 +195,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         if len(sys.rules) == new_start:
             return CompletionResult("complete", sys.as_complete(), ())
         if passes >= limits.max_passes:
-            return CompletionResult("limit", sys, tuple(filter(live, critical_pairs(sys, new_start))))
+            return CompletionResult("limit", sys, tuple(critical_pairs(sys, new_start, gone)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -228,6 +233,8 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     rules, provenance, logs = [], {}, {}
     for entry in data["rules"]:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
+        if rule.rid in provenance:  # redexes are found by index, applied by id
+            raise ValueError(f"rule {rule.rid}: duplicate id")
         try:  # the order's key ranks every letter of both words
             decreasing = order.greater(rule.lhs, rule.rhs)
         except ValueError as err:

@@ -48,19 +48,25 @@ def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
 
     Disjoint redexes close in one step each (the interchange diamond).
     Overlapping redexes must stand on their own superposition, where
-    ``completion.sides`` reduces both to the normal form.
+    ``completion.sides`` reduces both to the normal form.  Each side is
+    forward steps only, so it is free reduced and the two join.
     """
     rules = sys.rule_map
-    if _disjoint(s1, s2, rules):
-        side1, side2 = (
-            TwoCell(word, (s, twocell.transport(t, s, twocell.step_target(s, rules), rules)))
-            for s, t in ((s1, s2), (s2, s1))
-        )
-    else:
-        (side1, end1), (side2, end2) = sides(word, s1, s2, sys)
-        if end1 != end2:
-            raise ValueError("critical branching does not resolve; the system is incomplete")
-    return twocell.free_reduce(TwoCell(word, side1.steps + twocell.invert_steps(side2.steps)))
+    if not _disjoint(s1, s2, rules):
+        return _resolved(word, s1, s2, sys)[0]
+    side1, side2 = (
+        (s, twocell.transport(t, s, twocell.step_target(s, rules), rules))
+        for s, t in ((s1, s2), (s2, s1))
+    )
+    return TwoCell(word, twocell.join(side1, twocell.invert_steps(side2)))
+
+
+def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, Word]:
+    """delta of two overlapping steps, and the normal form both sides reach."""
+    (side1, end1), (side2, end2) = sides(word, s1, s2, sys)
+    if end1 != end2:
+        raise ValueError("critical branching does not resolve; the system is incomplete")
+    return TwoCell(word, twocell.join(side1.steps, twocell.invert_steps(side2.steps))), end1
 
 
 @dataclass
@@ -155,10 +161,10 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     sys = comp.system
     rules = sys.rule_map
 
-    records = {
-        frozenset((o.left, o.right)): OriginRecord(o, delta(o.superposition, o.left, o.right, sys))
-        for o in critical_pairs(sys, 0)
-    }
+    records, meets = {}, {}  # meets: the normal form each superposition reduces to
+    for o in critical_pairs(sys, 0):
+        loop, meets[o] = _resolved(o.superposition, o.left, o.right, sys)
+        records[frozenset((o.left, o.right))] = OriginRecord(o, loop)
 
     seen: dict = {}
     chosen: list[OriginRecord] = []
@@ -189,7 +195,7 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
 
     # stable ids: order by base element (shortest first, the greatest word
     # first within a length), then discovery
-    base_elements = [normal_form(rec.overlap.superposition, sys) for rec in chosen]
+    base_elements = [meets[rec.overlap] for rec in chosen]
     ordering = sorted(
         range(len(chosen)),
         key=lambda i: (len(base_elements[i]), sys.order.key(base_elements[i]), i),
@@ -290,8 +296,8 @@ def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Facto
         dia = twocell.whisker(x, record.delta, z).steps
         if inner_a != record.overlap.left:
             dia, exp = twocell.invert_steps(dia), -exp
-    cell = twocell.free_reduce(
-        TwoCell(conj.source, conj.steps + dia + twocell.invert_steps(conj.steps)))
+    cell = TwoCell(conj.source, twocell.join(
+        twocell.join(conj.steps, dia), twocell.invert_steps(conj.steps)))
     if gid is not None and (rep := gens.by_id(gid)).base_word != record.overlap.superposition:
         # a conjugacy-merged representative on another base word: bridge
         # through the common normal form so the whiskered reference replays
@@ -301,7 +307,7 @@ def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Facto
 
 
 def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
-    """Peak elimination: rewrite the loop away, extracting diamonds.
+    """Peak elimination: rewrite a free-reduced loop away, extracting diamonds.
 
     A peak is resolved in place and its diamond factor taken at once.  A
     loop without peaks descends from its base and climbs back: its outer
@@ -311,10 +317,10 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     free sesquigroupoid, so the factor product replays to the input.
     A diamond's ends are its two distinct forward steps, which free
     reduction never cancels; its inner steps, reversed and inverted, are
-    the way round it that replaces them.
+    the way round it that replaces them.  The loop, conj and every
+    diamond are free reduced, so each product of them is a join.
     """
     rules = gens.system.rule_map
-    loop = twocell.free_reduce(loop)
     conj = twocell.identity(loop.source)  # always free reduced, ending at loop.source
     factors: list[Factor] = []
     deferred: list[Factor] = []
@@ -329,10 +335,11 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
             down_a, down_b = twocell.invert_step(steps[peak]), steps[peak + 1]
             # the factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1;
             # the peak down_a^-1 . down_b becomes the way round, leg_a . leg_b^-1
-            up = twocell.free_reduce(TwoCell(conj.source, conj.steps + steps[:peak + 1]))
+            up = TwoCell(conj.source, twocell.join(conj.steps, steps[:peak + 1]))
             factor, around = _diamond(up, down_b, down_a, gens)
             factors.append(factor)
-            loop = twocell.free_reduce(TwoCell(loop.source, steps[:peak] + around + steps[peak + 2:]))
+            loop = TwoCell(loop.source, twocell.join(
+                twocell.join(steps[:peak], around), steps[peak + 2:]))
             continue
         # no internal peak: descending then ascending around the base
         m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
@@ -343,9 +350,9 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         if s1 != s2:
             factor, around = _diamond(conj, s1, s2, gens)
             deferred.append(factor)
-            rest += around
-        conj = twocell.free_reduce(TwoCell(conj.source, conj.steps + (s1,)))
-        loop = twocell.free_reduce(TwoCell(twocell.step_target(s1, rules), rest))
+            rest = twocell.join(rest, around)
+        conj = TwoCell(conj.source, twocell.join(conj.steps, (s1,)))
+        loop = TwoCell(twocell.step_target(s1, rules), rest)
     return factors + deferred[::-1]
 
 
@@ -364,13 +371,16 @@ def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
     if end != cell.source:
         raise ChainError("input is not an endorewrite")
     base = cell.source
-    factors = _decompose(cell, gens)
+    loop = twocell.free_reduce(cell)
+    factors = _decompose(loop, gens)
     # one replay of every factor cell, checking each is a loop at the base
-    recomposed = twocell.compose_all(
+    twocell.compose_all(
         [twocell.identity(base), *(f.cell for f in factors), twocell.identity(base)], rules,
     )
-    residual = twocell.free_reduce(
-        TwoCell(base, twocell.invert_steps(recomposed.steps) + cell.steps))
+    product: tuple[Step, ...] = ()
+    for factor in factors:
+        product = twocell.join(product, factor.cell.steps)
+    residual = TwoCell(base, twocell.join(twocell.invert_steps(product), loop.steps))
     return Decomposition(base, tuple(factors), residual)
 
 

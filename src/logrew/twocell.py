@@ -1,15 +1,19 @@
 """Two-cells: logged rewrite sequences with groupoid and whiskering algebra.
 
-A step applies one rule inside a context, ``prefix . rule^exp . suffix``.
-A two-cell is a source word plus a chain of steps; each step must stand on
+A step applies one rule inside a context, ``prefix . rule^exp . suffix``;
+it is a named tuple, so it compares and hashes as its four fields.  A
+two-cell is a source word plus a chain of steps; each step must stand on
 the word produced by the previous one.  Cells are kept as explicit step
 sequences; equality up to the interchange law is approximated by a
 deterministic normalization, never by a quotient representation.
+``join`` multiplies two free-reduced step sequences, cancelling only at
+the junction, where alone a product of reduced pieces can cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Rule, Word, word_from_str, word_to_str
 
@@ -22,8 +26,7 @@ class ChainError(ValueError):
         super().__init__(message if index is None else f"{message} (step {index})")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     prefix: Word
     rule: str
     exp: int
@@ -134,15 +137,29 @@ def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
     )
 
 
+def _cancels(s: Step, t: Step) -> bool:
+    """Whether t undoes s: the same rule in the same context, opposite sign."""
+    return s.exp == -t.exp and s.rule == t.rule and s.prefix == t.prefix and s.suffix == t.suffix
+
+
 def free_reduce(cell: TwoCell) -> TwoCell:
     """Cancel adjacent step pairs that differ only in exponent sign."""
     stack: list[Step] = []
     for step in cell.steps:
-        if stack and stack[-1].exp == -step.exp and stack[-1] == invert_step(step):
+        if stack and _cancels(stack[-1], step):
             stack.pop()
         else:
             stack.append(step)
     return TwoCell(cell.source, tuple(stack))
+
+
+def join(a: tuple[Step, ...], b: tuple[Step, ...]) -> tuple[Step, ...]:
+    """The steps of ``free_reduce`` of a then b, for free-reduced a and b:
+    the last steps of a cancel against the first of b, and nothing else."""
+    n, most = 0, min(len(a), len(b))
+    while n < most and _cancels(a[-1 - n], b[n]):
+        n += 1
+    return a[:len(a) - n] + b[n:]
 
 
 def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> Step:
@@ -217,7 +234,7 @@ def abelianize(cell: TwoCell) -> dict[str, int]:
 
 def cell_key(cell: TwoCell):
     """Hashable identity of a cell, for dedup tables."""
-    return cell.source, tuple((s.prefix, s.rule, s.exp, s.suffix) for s in cell.steps)
+    return cell.source, cell.steps
 
 
 def render(cell: TwoCell) -> str:

@@ -2,7 +2,8 @@
 
 The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
-union-find congruence closure, brute-force overlap scans, a rotation
+union-find congruence closure, brute-force overlap scans, completion
+that builds every overlap before it filters them, a rotation
 search that keys every rotation afresh, and generator merging that
 canonicalises a loop and its inverse each from scratch.  Tests compare
 the library against these, never against itself.
@@ -10,7 +11,10 @@ the library against these, never against itself.
 
 from itertools import product
 
-from logrew.completion import critical_pairs, is_complete, retired
+from logrew import completion
+from logrew.completion import (
+    CompletionLimits, CompletionResult, critical_pairs, is_complete, occurrences, retired,
+)
 from logrew.core import Word
 from logrew.endorewrites import Generator, GeneratorSet, OriginRecord, delta
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
@@ -100,6 +104,42 @@ def check_retirement(sys: LoggedSystem) -> None:
         assert not any(b is not a and inside(b.lhs, a.lhs) for b in active), a.rid
     assert is_complete(sys)[0]
     assert is_complete(LoggedSystem(tuple(active), order=sys.order))[0]
+
+
+def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
+    """Completion that builds every overlap of a pass, then drops by
+    ``live`` the ones no retired rule may resolve: non-inclusions that
+    involve a retired rule.  It calls ``completion.resolve`` through the
+    module, so a test can record the calls."""
+    limits = limits or CompletionLimits()
+    sys = init
+    gone = retired(init)
+
+    def live(overlap):
+        return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone
+
+    new_start = 0
+    passes = 0
+    while True:
+        passes += 1
+        queue = critical_pairs(sys, new_start)
+        new_start = len(sys.rules)
+        while queue:
+            overlap = queue.pop(0)
+            outcome = completion.resolve(overlap, sys) if live(overlap) else None
+            if outcome is None:
+                continue
+            if (
+                len(sys.rules) + 1 > limits.max_rules
+                or len(outcome.rule.lhs) > limits.max_word_length
+            ):
+                return CompletionResult("limit", sys, tuple(filter(live, (overlap, *queue))))
+            gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
+            sys = sys.with_rule(outcome.rule, outcome.log)
+        if len(sys.rules) == new_start:
+            return CompletionResult("complete", sys.as_complete(), ())
+        if passes >= limits.max_passes:
+            return CompletionResult("limit", sys, tuple(filter(live, critical_pairs(sys, new_start))))
 
 
 def words_over(letters, max_len):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from logrew import completion
 from logrew.core import Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
 from logrew.engine import (
     LoggedSystem, expand_log, normal_form, system_from_presentation,
@@ -19,7 +20,7 @@ from logrew.twocell import Step, TwoCell
 
 from helpers import (
     LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement,
-    congruence_classes, words_over,
+    congruence_classes, filter_knuth_bendix, words_over,
 )
 
 W = word_from_str
@@ -219,6 +220,39 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
     check_retirement(resumed.system)
 
 
+@pytest.mark.parametrize("limits", [None, CompletionLimits(12, 64, 64), CompletionLimits(64, 2, 64)],
+                         ids=["complete", "max_rules", "max_passes"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_completion_resolves_what_building_every_overlap_resolves(name, limits, monkeypatch):
+    # a pass builds only the inclusions of a rule retired before it starts;
+    # it resolves the same branchings, in the same order, and stops at a
+    # limit with the same pending pairs as when it built them all
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    resolve, find = completion.resolve, completion.find_overlaps
+    resolved, built = [], []
+
+    def recorded_resolve(overlap, sys):
+        resolved.append(overlap)
+        return resolve(overlap, sys)
+
+    def counted_find(*args):
+        found = find(*args)
+        built.append(len(found))
+        return found
+
+    monkeypatch.setattr(completion, "resolve", recorded_resolve)
+    monkeypatch.setattr(completion, "find_overlaps", counted_find)
+    result = logged_knuth_bendix(init, limits)
+    ours, ours_built = resolved[:], sum(built)
+    resolved.clear()
+    built.clear()
+    expected = filter_knuth_bendix(init, limits)
+    assert resolved == ours
+    assert (result.status, result.system.rules, result.system.logs, result.pending) == (
+        expected.status, expected.system.rules, expected.system.logs, expected.pending)
+    assert ours_built <= sum(built)
+
+
 def test_is_complete_published(se_system):
     ok, witness = is_complete(se_system)
     assert ok and witness is None
@@ -351,6 +385,16 @@ def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message)
         entry[field] = value(entry[field]) if callable(value) else value
     with pytest.raises(ValueError, match=message):
         system_from_json(data, ab_completion.system.order)
+
+
+def test_system_from_json_rejects_duplicate_id():
+    # both load as rule index 0 and 1, but a step names its rule by id, so
+    # reduction would apply the second r1 where the first one matched
+    data = {"status": "limit", "rules": [
+        {"id": "r1", "lhs": "a a", "rhs": "1"}, {"id": "r1", "lhs": "b b", "rhs": "a"},
+    ]}
+    with pytest.raises(ValueError, match="rule r1: duplicate id"):
+        system_from_json(data, OrderSpec(Alphabet(("a", "b"))))
 
 
 @pytest.mark.parametrize("name", ["abc_cyclic", "ab_monoid"])

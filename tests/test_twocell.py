@@ -366,6 +366,33 @@ def test_interchange_normalize_reaches_a_fixpoint(seed, group, kind, se_system, 
         assert b != tc.invert_step(a)
 
 
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]),
+       kind=st.sampled_from(["walk", "undo", "undo_then_walk", "empty"]))
+@settings(max_examples=300, deadline=None)
+def test_join_is_free_reduction_of_the_product(seed, group, kind, se_system, a5_system):
+    # b undoes none, some or all of a's last steps (and may walk on), so the
+    # junction cancels anywhere from nothing to the whole of a or of b
+    sys = se_system if group == "se" else a5_system
+    rules = sys.rule_map
+    letters = ("s", "e") if group == "se" else ("a", "b")
+    r = random.Random(seed)
+    a = tc.free_reduce(random_cell(r, sys, random_word(r, letters, 6, min_len=1), r.randint(0, 8)))
+    middle = tc.target(a, rules)
+    if kind == "empty":  # either side, or both
+        if r.random() < 0.5:
+            a = TwoCell(middle, ())
+        b = tc.free_reduce(random_cell(r, sys, middle, r.randint(0, 8) if not a.steps else 0))
+    else:
+        k = r.randint(0, len(a.steps)) if kind != "walk" else 0
+        undo = tc.invert_steps(a.steps[len(a.steps) - k:])
+        after = tc.target(TwoCell(middle, undo), rules)
+        walk = random_cell(r, sys, after, r.randint(0, 8) if kind != "undo" else 0)
+        b = tc.free_reduce(TwoCell(middle, undo + walk.steps))
+    joined = tc.join(a.steps, b.steps)
+    assert joined == tc.free_reduce(TwoCell(a.source, a.steps + b.steps)).steps
+    assert tc.target(TwoCell(a.source, joined), rules) == tc.target(b, rules)
+
+
 def _draw_rules(draw):
     """Up to four rules over 2 or 3 letters, some with an empty rhs, and a
     strategy for words over those letters."""
