@@ -228,8 +228,9 @@ def system_to_json(result: CompletionResult) -> dict:
 
 def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     """A saved system under ``order``, which the JSON does not carry; ``retired``
-    marks are not read.  ``logged_knuth_bendix`` resumes a partial one to the
-    normal forms of a direct run; derived rules, ids and order may differ."""
+    marks are not read, and a ``"complete"`` status is checked.
+    ``logged_knuth_bendix`` resumes a partial one to the normal forms of a
+    direct run; derived rules, ids and order may differ."""
     rules, provenance, logs = [], {}, {}
     for entry in data["rules"]:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
@@ -258,4 +259,9 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
             raise ValueError(f"rule {rid}: log does not replay: {err}") from None
         if (log.source, end) != (sys.rule(rid).lhs, sys.rule(rid).rhs):
             raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
+    if sys.complete:  # prove answers NOT_EQUAL on a complete system, so check the claim
+        ok, witness = is_complete(sys)
+        if not ok:
+            raise ValueError(f"status complete, but the branching of rules "
+                             f"{witness.left.rule} and {witness.right.rule} does not resolve")
     return CompletionResult(status, sys, ())

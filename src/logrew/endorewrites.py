@@ -3,9 +3,10 @@
 A resolved critical branching yields a loop on its superposition (the two
 reductions composed against each other).  Over a completed system the
 loops of all branchings generate every endorewrite up to interchange and
-conjugacy; ``express`` finds such a decomposition by eliminating peaks of
-a loop's walk, resolving each local branching against the generator
-table so that the extracted product replays to the input exactly.
+conjugacy (Squier 1987), so ``generate`` makes each one a generator;
+``express`` finds such a decomposition by eliminating peaks of a loop's
+walk, taking each overlapping diamond from the generator of its
+branching, so that the extracted product replays to the input exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import Rule, Word, word_to_str
 from . import twocell
-from .engine import LoggedSystem, normal_form, prove
+from .engine import LoggedSystem, normal_form
 from .twocell import ChainError, Step, TwoCell
 from .completion import CompletionResult, Overlap, critical_pairs, sides
 
@@ -69,16 +70,6 @@ def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCel
     return TwoCell(word, twocell.join(side1.steps, twocell.invert_steps(side2.steps))), end1
 
 
-@dataclass
-class OriginRecord:
-    """Everything known about one critical branching of the completed system."""
-
-    overlap: Overlap
-    delta: TwoCell
-    gid: str | None = None  # representative generator; None when the loop is trivial
-    exp: int = 1            # delta is equivalent to the representative to this power
-
-
 @dataclass(frozen=True)
 class Generator:
     gid: str
@@ -90,8 +81,12 @@ class Generator:
 
 @dataclass
 class GeneratorSet:
+    """Generators in id order, and every branching's generator by its two
+    steps, which ``express`` looks diamonds up in.  ``minimize`` keeps the
+    full index, so ``by_id`` names a generator it dropped."""
+
     generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)  # frozenset of the two steps -> OriginRecord
+    origin_index: dict = field(repr=False)  # frozenset of the two steps -> Generator
     system: LoggedSystem = field(repr=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -114,15 +109,6 @@ def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     return TwoCell(source, steps)
 
 
-def _polish(best: TwoCell, norm: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """The canonical form of a best rotation from its interchange normal
-    form, which is cyclically reduced again and, if it shrank, picked anew."""
-    polished = _cyclic_core(norm, sys.rule_map)
-    if len(polished.steps) < len(best.steps):
-        return conjugacy_reduce(polished, sys)
-    return polished
-
-
 def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     """Canonical representative of a loop's conjugacy class.
 
@@ -132,17 +118,22 @@ def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     if that shrinks its core.  Loops that vanish return the identity at the
     normal form of their base.
     """
-    core = _cyclic_core(cell, sys.rule_map)
+    rules = sys.rule_map
+    core = _cyclic_core(cell, rules)
     if not core.steps:
         return twocell.identity(normal_form(core.source, sys))
-    steps, words = core.steps, twocell.intermediate_words(core, sys.rule_map)[:-1]
+    steps, words = core.steps, twocell.intermediate_words(core, rules)[:-1]
     keys = [sys.order.key(w) for w in words]
     top = min(keys)
+    # the rotations tied on the greatest word all start there
     best = min(
         (TwoCell(words[k], steps[k:] + steps[:k]) for k, key in enumerate(keys) if key == top),
-        key=twocell.cell_key,
+        key=lambda c: c.steps,
     )
-    return _polish(best, twocell.interchange_normalize(best, sys.rule_map), sys)
+    polished = _cyclic_core(twocell.interchange_normalize(best, rules), rules)
+    if len(polished.steps) < len(best.steps):
+        return conjugacy_reduce(polished, sys)
+    return polished
 
 
 def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> GeneratorSet:
@@ -150,70 +141,22 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
 
     Every listed rule counts, retired ones included, since reduction uses
     them all.  ``init`` is not read; it is kept for existing callers.
-    Each unordered branching gives one loop.  Loops that normalize to an
-    identity are dropped; duplicates modulo interchange normal form,
-    inversion, and conjugacy reduction merge into one generator.  Every
-    branching keeps one record pointing at its representative, which
-    ``express`` uses to match diamonds.
+    Each unordered branching gives one generator, its loop.  Ids follow
+    the base element, the normal form of the superposition: shortest
+    first, the greatest word first within a length, then discovery.  A
+    duplicate loop leaves the set generating, so none is merged away.
     """
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
     sys = comp.system
-    rules = sys.rule_map
-
-    records, meets = {}, {}  # meets: the normal form each superposition reduces to
-    for o in critical_pairs(sys, 0):
-        loop, meets[o] = _resolved(o.superposition, o.left, o.right, sys)
-        records[frozenset((o.left, o.right))] = OriginRecord(o, loop)
-
-    seen: dict = {}
-    chosen: list[OriginRecord] = []
-    rep_of: list[tuple[OriginRecord, int, int]] = []  # record, index in chosen, exponent
-    for rec in records.values():
-        # every other word on the loop is a strict reduct of its superposition,
-        # and its two first steps differ, so it and its inverse are their own
-        # best rotations; one normal form gives the triviality test and key
-        norm = twocell.interchange_normalize(rec.delta, rules)
-        if not norm.steps:
-            continue  # trivial loop: no generator, the record keeps gid None
-        inverse = TwoCell(rec.delta.source, twocell.invert_steps(rec.delta.steps))
-        ckey = twocell.cell_key(_polish(rec.delta, norm, sys))
-        ikey = twocell.cell_key(_polish(inverse, twocell.interchange_normalize(inverse, rules), sys))
-        if ckey in seen:
-            idx, exp = seen[ckey]
-            rep_of.append((rec, idx, exp))
-        elif ikey in seen:
-            idx, exp = seen[ikey]
-            rep_of.append((rec, idx, -exp))
-        else:
-            idx = len(chosen)
-            chosen.append(rec)
-            rep_of.append((rec, idx, 1))
-            seen[ckey] = (idx, 1)
-            if ikey != ckey:
-                seen[ikey] = (idx, -1)
-
-    # stable ids: order by base element (shortest first, the greatest word
-    # first within a length), then discovery
-    base_elements = [meets[rec.overlap] for rec in chosen]
-    ordering = sorted(
-        range(len(chosen)),
-        key=lambda i: (len(base_elements[i]), sys.order.key(base_elements[i]), i),
-    )
-    gid_of = {idx: f"g{n}" for n, idx in enumerate(ordering, start=1)}
+    found = [(o, *_resolved(o.superposition, o.left, o.right, sys)) for o in critical_pairs(sys, 0)]
+    found.sort(key=lambda f: (len(f[2]), sys.order.key(f[2])))  # stable: discovery breaks ties
     generators = tuple(
-        Generator(
-            gid_of[idx],
-            chosen[idx].delta,
-            chosen[idx].overlap.superposition,
-            base_elements[idx],
-            chosen[idx].overlap,
-        )
-        for idx in ordering
+        Generator(f"g{n}", loop, o.superposition, meet, o)
+        for n, (o, loop, meet) in enumerate(found, start=1)
     )
-    for rec, idx, exp in rep_of:
-        rec.gid, rec.exp = gid_of[idx], exp
-    return GeneratorSet(generators, records, sys)
+    index = {frozenset((gen.origin.left, gen.origin.right)): gen for gen in generators}
+    return GeneratorSet(generators, index, sys)
 
 
 def minimize(gens: GeneratorSet) -> GeneratorSet:
@@ -273,10 +216,9 @@ def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Facto
     from v, the source of a, as a factor conjugated by conj (a cell ending
     at v), and the way round it: its inner steps, reversed and inverted.
 
-    Overlapping steps take the loop of their record in the generator table,
-    whiskered; a record holds its steps in its own order, so the other order
-    inverts the loop and negates the exponent.  Disjoint steps close by
-    interchange.
+    Overlapping steps take their generator's loop, whiskered; a generator
+    holds its steps in its branching's order, so the other order inverts
+    the loop and negates the exponent.  Disjoint steps close by interchange.
     """
     sys = gens.system
     rules = sys.rule_map
@@ -287,22 +229,18 @@ def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Facto
         gid, exp = None, 1 if len(a.prefix) < len(b.prefix) else -1
         dia = delta(v, a, b, sys).steps
     else:
-        record = gens.origin_index.get(frozenset((inner_a, inner_b)))
-        if record is None:
+        found = gens.origin_index.get(frozenset((inner_a, inner_b)))
+        if found is None:
             raise UnmatchedDiamond(
                 f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
             )
-        gid, exp = record.gid, record.exp
-        dia = twocell.whisker(x, record.delta, z).steps
-        if inner_a != record.overlap.left:
-            dia, exp = twocell.invert_steps(dia), -exp
+        gen = gens.by_id(found.gid)  # a minimized set lacks the generators it dropped
+        gid, exp = gen.gid, 1
+        dia = twocell.whisker(x, gen.cell, z).steps
+        if inner_a != gen.origin.left:
+            dia, exp = twocell.invert_steps(dia), -1
     cell = TwoCell(conj.source, twocell.join(
         twocell.join(conj.steps, dia), twocell.invert_steps(conj.steps)))
-    if gid is not None and (rep := gens.by_id(gid)).base_word != record.overlap.superposition:
-        # a conjugacy-merged representative on another base word: bridge
-        # through the common normal form so the whiskered reference replays
-        bridge = prove(v, x + rep.base_word + z, sys)
-        conj = twocell.free_reduce(TwoCell(conj.source, conj.steps + bridge.steps))
     return Factor(gid, x, z, conj, exp, cell), twocell.invert_steps(dia[1:-1])
 
 

@@ -232,11 +232,6 @@ def abelianize(cell: TwoCell) -> dict[str, int]:
     return {rid: n for rid, n in sorted(counts.items()) if n != 0}
 
 
-def cell_key(cell: TwoCell):
-    """Hashable identity of a cell, for dedup tables."""
-    return cell.source, cell.steps
-
-
 def render(cell: TwoCell) -> str:
     """One-line form: ``prefix rule^-1 suffix`` per step, joined by `` . ``; ``1`` if none."""
     parts = []

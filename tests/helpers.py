@@ -3,9 +3,8 @@
 The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
 union-find congruence closure, brute-force overlap scans, completion
-that builds every overlap before it filters them, a rotation
-search that keys every rotation afresh, and generator merging that
-canonicalises a loop and its inverse each from scratch.  Tests compare
+that builds every overlap before it filters them, and a rotation
+search that keys every rotation afresh.  Tests compare
 the library against these, never against itself.
 """
 
@@ -16,7 +15,6 @@ from logrew.completion import (
     CompletionLimits, CompletionResult, critical_pairs, is_complete, occurrences, retired,
 )
 from logrew.core import Word
-from logrew.endorewrites import Generator, GeneratorSet, OriginRecord, delta
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
@@ -45,8 +43,8 @@ a c a c = 1
 b c b c b c = 1
 """
 
-# completes to 24 branchings over 19 generators: five branchings merge into
-# the generator of another
+# completes to 24 branchings; five of their loops equal the loop of another
+# up to interchange, inversion and conjugacy
 MERGING = "monoid\nletters: a b\norder: shortlex\nrules:\na b b b = 1\na b = b b a\n"
 
 
@@ -321,54 +319,9 @@ def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     candidates = [
         TwoCell(words[k], core.steps[k:] + core.steps[:k]) for k in range(len(core.steps))
     ]
-    best = min(candidates, key=lambda c: (sys.order.key(c.source), tc.cell_key(c)))
+    best = min(candidates, key=lambda c: (sys.order.key(c.source), c.steps))
     polished = strip(tc.interchange_normalize(best, rules))
     if len(polished.steps) < len(best.steps):
         return scan_conjugacy_reduce(polished, sys)
     return polished
 
-
-def scan_generate(comp) -> GeneratorSet:
-    """Generators merged by three canonicalisations per loop: its interchange
-    normal form for the triviality test, then the conjugacy forms of the
-    loop and of its inverse, each by a full rotation search."""
-    sys = comp.system
-    rules = sys.rule_map
-    records = {
-        frozenset((o.left, o.right)): OriginRecord(o, delta(o.superposition, o.left, o.right, sys))
-        for o in critical_pairs(sys, 0)
-    }
-    seen, chosen, rep_of = {}, [], []
-    for rec in records.values():
-        if not tc.interchange_normalize(rec.delta, rules).steps:
-            continue
-        ckey = tc.cell_key(scan_conjugacy_reduce(rec.delta, sys))
-        inverse = TwoCell(rec.delta.source, tc.invert_steps(rec.delta.steps))
-        ikey = tc.cell_key(scan_conjugacy_reduce(inverse, sys))
-        if ckey in seen:
-            idx, exp = seen[ckey]
-            rep_of.append((rec, idx, exp))
-        elif ikey in seen:
-            idx, exp = seen[ikey]
-            rep_of.append((rec, idx, -exp))
-        else:
-            idx = len(chosen)
-            chosen.append(rec)
-            rep_of.append((rec, idx, 1))
-            seen[ckey] = (idx, 1)
-            if ikey != ckey:
-                seen[ikey] = (idx, -1)
-    base_elements = [normal_form(rec.overlap.superposition, sys) for rec in chosen]
-    ordering = sorted(
-        range(len(chosen)),
-        key=lambda i: (len(base_elements[i]), sys.order.key(base_elements[i]), i),
-    )
-    gid_of = {idx: f"g{n}" for n, idx in enumerate(ordering, start=1)}
-    generators = tuple(
-        Generator(gid_of[idx], chosen[idx].delta, chosen[idx].overlap.superposition,
-                  base_elements[idx], chosen[idx].overlap)
-        for idx in ordering
-    )
-    for rec, idx, exp in rep_of:
-        rec.gid, rec.exp = gid_of[idx], exp
-    return GeneratorSet(generators, records, sys)

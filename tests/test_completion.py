@@ -8,7 +8,7 @@ import pytest
 from logrew import completion
 from logrew.core import Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
 from logrew.engine import (
-    LoggedSystem, expand_log, normal_form, system_from_presentation,
+    LoggedSystem, expand_log, normal_form, prove, system_from_presentation,
 )
 from logrew.completion import (
     CompletionLimits, NewRule, critical_pairs, find_overlaps, is_complete,
@@ -395,6 +395,16 @@ def test_system_from_json_rejects_duplicate_id():
     ]}
     with pytest.raises(ValueError, match="rule r1: duplicate id"):
         system_from_json(data, OrderSpec(Alphabet(("a", "b"))))
+
+
+def test_system_from_json_checks_a_complete_status():
+    # abc_cyclic's two initial rules do not resolve a b c; were they taken
+    # as complete, prove would call a a and c c unequal, which they are not
+    init = system_from_presentation(parse_presentation((PRESENTATIONS / "abc_cyclic.txt").read_text()))
+    data = {**system_to_json(completion.CompletionResult("limit", init)), "status": "complete"}
+    with pytest.raises(ValueError, match="branching of rules r1 and r2 does not resolve"):
+        system_from_json(data, init.order)
+    assert isinstance(prove(W("a a"), W("c c"), logged_knuth_bendix(init).system), TwoCell)
 
 
 @pytest.mark.parametrize("name", ["abc_cyclic", "ab_monoid"])

@@ -3,7 +3,6 @@ of loops over the generators."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -11,9 +10,11 @@ import pytest
 
 from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
-from logrew.completion import CompletionLimits, find_overlaps, logged_knuth_bendix, resolve
+from logrew.completion import (
+    CompletionLimits, critical_pairs, find_overlaps, logged_knuth_bendix, resolve,
+)
 from logrew.endorewrites import (
-    GeneratorSet, UnmatchedDiamond, _cyclic_core, _diamond,
+    UnmatchedDiamond, _cyclic_core, _diamond,
     conjugacy_reduce, delta,
     decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
@@ -23,7 +24,7 @@ from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
     A5, MERGING, check_retirement, random_cell, random_loop, random_word,
-    scan_conjugacy_reduce, scan_generate, signed_factor_sum, words_over,
+    scan_conjugacy_reduce, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -42,12 +43,12 @@ def a5_generators():
 
 
 def _assert_own_best_rotations(gens):
-    """Each record's loop is cyclically reduced and based at its one greatest
-    word: the premise that spares ``generate`` a rotation search."""
+    """Each generator's loop is cyclically reduced and based at its one
+    greatest word, so it is its own best rotation."""
     rules, key = gens.system.rule_map, gens.system.order.key
-    for rec in gens.origin_index.values():
-        assert _cyclic_core(rec.delta, rules) == rec.delta
-        top, *rest = (key(w) for w in tc.intermediate_words(rec.delta, rules)[:-1])
+    for gen in gens.origin_index.values():
+        assert _cyclic_core(gen.cell, rules) == gen.cell
+        top, *rest = (key(w) for w in tc.intermediate_words(gen.cell, rules)[:-1])
         assert all(top < k for k in rest)
 
 
@@ -254,8 +255,8 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
 @pytest.mark.parametrize("name", ["se", "A5"])
 def test_diamond_either_order(name, se_generators, a5_generators):
     # every pair of forward redexes on words up to 7 letters: the diamond
-    # runs from a to b^-1, is the record's loop whiskered (inverted when the
-    # pair is not in record order), and taken the other way round it is
+    # runs from a to b^-1, is the generator's loop whiskered (inverted when
+    # the pair is not in branching order), and taken the other way round it is
     # inverted and its exponent negated; the way round is its inner steps,
     # reversed and inverted
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
@@ -274,21 +275,20 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                 inner_a, inner_b = (
                     Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
                     for s in (a, b))
-                record = gens.origin_index.get(frozenset((inner_a, inner_b)))
-                if record is not None:
-                    in_order = inner_a == record.overlap.left
-                    whiskered = tc.whisker(x, record.delta, z)
+                gen = gens.origin_index.get(frozenset((inner_a, inner_b)))
+                if gen is not None:
+                    in_order = inner_a == gen.origin.left
+                    whiskered = tc.whisker(x, gen.cell, z)
                     assert dia == (whiskered if in_order else tc.invert(whiskered, rules))
-                    assert (factor.gen, factor.exp) == (
-                        record.gid, record.exp if in_order else -record.exp)
+                    assert (factor.gen, factor.exp) == (gen.gid, 1 if in_order else -1)
                 else:
                     assert factor.gen is None
                 other, _ = _diamond(identity(v), b, a, gens)
                 assert other.cell == tc.invert(dia, rules)
                 assert (other.gen, other.x, other.z, other.exp) == (
                     factor.gen, x, z, -factor.exp)
-                kinds["disjoint" if record is None else "record"] += 1
-    assert kinds["disjoint"] > 0 and kinds["record"] > 0
+                kinds["disjoint" if gen is None else "generator"] += 1
+    assert kinds["disjoint"] > 0 and kinds["generator"] > 0
 
 
 def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_generators):
@@ -333,29 +333,6 @@ def test_express_over_minimized_set_names_dropped_generator(a5_generators):
             express(gens.by_id(gid).cell, small)
 
 
-def test_express_bridges_to_a_merged_representative_on_another_word(a5_generators):
-    # no completed system seen so far keeps a representative on another
-    # base word than its record's superposition, so build one: g6 rotated
-    # by its first step is conjugate to g6 but based one step further on
-    gens = a5_generators
-    _assert_own_best_rotations(gens)
-    rules = gens.system.rule_map
-    gen = gens.by_id("g6")
-    first = gen.cell.steps[0]
-    rotated = TwoCell(tc.step_target(first, rules), gen.cell.steps[1:] + (first,))
-    moved = replace(gen, cell=rotated, base_word=rotated.source)
-    assert moved.base_word != gen.base_word
-    moved_gens = GeneratorSet(
-        tuple(moved if g.gid == "g6" else g for g in gens.generators),
-        gens.origin_index, gens.system,
-    )
-    dec = express(gen.cell, moved_gens)
-    assert dec.residual == identity(gen.cell.source)
-    [factor] = [f for f in dec.factors if f.gen == "g6"]
-    assert tc.validate(factor.conjugator, rules) is None
-    assert tc.target(factor.conjugator, rules) == factor.x + moved.base_word + factor.z
-
-
 @st.composite
 def presentations(draw):
     """Small presentations over 2 or 3 letters with 1 to 4 relations."""
@@ -369,12 +346,31 @@ def presentations(draw):
     )
 
 
-def test_generators_merge_distinct_branchings():
-    init = system_from_presentation(parse_presentation(MERGING))
-    gens = generate(logged_knuth_bendix(init), init)
-    assert len(gens.origin_index) == 24
-    assert len(gens.generators) == 19
-    assert all(rec.gid is not None for rec in gens.origin_index.values())
+@given(presentations())
+@example(MERGING)
+@settings(max_examples=60, deadline=None)
+def test_generate_is_one_loop_per_branching(text):
+    # a duplicate loop leaves the set generating, so no branching's loop is
+    # merged into another's; ids go by base element (shortest first, the
+    # greatest word first within a length), then discovery
+    init = system_from_presentation(parse_presentation(text))
+    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
+    if comp.status != "complete":
+        return
+    sys = comp.system
+    gens = generate(comp, init)
+    branchings = critical_pairs(sys, 0)
+    assert len(gens.generators) == len(branchings)
+    assert [gen.gid for gen in gens.generators] == [f"g{n}" for n in range(1, len(branchings) + 1)]
+    _assert_own_best_rotations(gens)
+    meets = [normal_form(o.superposition, sys) for o in branchings]
+    ids = sorted(range(len(branchings)), key=lambda i: (len(meets[i]), sys.order.key(meets[i]), i))
+    for gen, i in zip(gens.generators, ids):
+        o = branchings[i]
+        assert gen.origin == o
+        assert gen.cell == delta(o.superposition, o.left, o.right, sys)
+        assert (gen.base_word, gen.base_element) == (o.superposition, meets[i])
+        assert gens.origin_index[frozenset((o.left, o.right))] is gen
 
 
 @given(presentations())
@@ -400,24 +396,9 @@ def test_branchings_taken_once_complete_and_express(text):
             assert tc.target(expanded, init.rule_map) == rule.rhs
     gens = generate(comp, init)
     rules = gens.system.rule_map
-    for rec in gens.origin_index.values():
-        for loop in (rec.delta, tc.invert(rec.delta, rules)):
+    for gen in gens.origin_index.values():
+        for loop in (gen.cell, tc.invert(gen.cell, rules)):
             assert express(loop, gens).residual == identity(loop.source)
-
-
-@given(presentations())
-@example(MERGING)
-@settings(max_examples=60, deadline=None)
-def test_generate_matches_canonicalising_each_loop_from_scratch(text):
-    init = system_from_presentation(parse_presentation(text))
-    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
-    if comp.status != "complete":
-        return
-    gens, oracle = generate(comp, init), scan_generate(comp)
-    _assert_own_best_rotations(gens)
-    assert generator_set_to_json(gens) == generator_set_to_json(oracle)
-    assert [(rec.gid, rec.exp) for rec in gens.origin_index.values()] == [
-        (rec.gid, rec.exp) for rec in oracle.origin_index.values()]
 
 
 def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
