@@ -28,7 +28,7 @@ def main():
     result = logged_knuth_bendix(init, CompletionLimits(max_rules=args.max_rules))
     print(f"completion: {result.status}, {len(result.system.rules)} rules")
     for rule in result.system.rules:
-        tag = "" if result.system.provenance[rule.rid] == "initial" else "   [derived]"
+        tag = "   [derived]" if rule.rid in result.system.logs else ""
         print(f"  {rule.rid}: {word_to_str(rule.lhs)} -> {word_to_str(rule.rhs)}{tag}")
     if result.status != "complete":
         print(f"pending pairs: {len(result.pending)}; raise --max-rules to continue")
@@ -42,7 +42,7 @@ def main():
         if element != current:
             print(f"\nEndorewrites of {element}:")
             current = element
-        print(f"  {gen.gid} on {word_to_str(gen.base_word)}: {tc.render(gen.cell)}")
+        print(f"  {gen.gid} on {word_to_str(gen.cell.source)}: {tc.render(gen.cell)}")
 
     if gens.generators:
         sample = gens.generators[-1]

@@ -178,7 +178,7 @@ def cmd_endos(args) -> int:
         for element, members in groups.items():
             print(f"Endorewrites of {word_to_str(element)}:")
             for gen in members:
-                print(f"  {gen.gid} on {word_to_str(gen.base_word)} "
+                print(f"  {gen.gid} on {word_to_str(gen.cell.source)} "
                       f"({twocell.render(gen.cell)})")
 
     _emit(generator_set_to_json(gens), args.json, render)

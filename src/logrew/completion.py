@@ -52,9 +52,14 @@ class CompletionLimits:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    status: str  # "complete" | "limit"
+    """A system and the branchings left to resolve; its status is the system's flag."""
+
     system: LoggedSystem
     pending: tuple[Overlap, ...] = ()
+
+    @property
+    def status(self) -> str:
+        return "complete" if self.system.complete else "limit"
 
 
 @dataclass(frozen=True)
@@ -188,14 +193,14 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 len(sys.rules) + 1 > limits.max_rules
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
-                return CompletionResult("limit", sys, tuple(filter(live, (overlap, *queue))))
+                return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
             # the new lhs is irreducible, so it contains no listed lhs
             gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
-            return CompletionResult("complete", sys.as_complete(), ())
+            return CompletionResult(sys.as_complete())
         if passes >= limits.max_passes:
-            return CompletionResult("limit", sys, tuple(critical_pairs(sys, new_start, gone)))
+            return CompletionResult(sys, tuple(critical_pairs(sys, new_start, gone)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -207,7 +212,7 @@ def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
 
 
 def system_to_json(result: CompletionResult) -> dict:
-    """The rules with their logs; retired ones are marked ``"retired": true``."""
+    """The rules, derived exactly when logged; retired ones are marked ``"retired": true``."""
     sys = result.system
     gone = retired(sys)
     return {
@@ -217,7 +222,7 @@ def system_to_json(result: CompletionResult) -> dict:
                 "id": rule.rid,
                 "lhs": word_to_str(rule.lhs),
                 "rhs": word_to_str(rule.rhs),
-                "provenance": sys.provenance[rule.rid],
+                "provenance": "derived" if rule.rid in sys.logs else "initial",
                 "log": twocell.cell_to_json(sys.logs[rule.rid]) if rule.rid in sys.logs else None,
                 **({"retired": True} if rule.rid in gone else {}),
             }
@@ -228,13 +233,14 @@ def system_to_json(result: CompletionResult) -> dict:
 
 def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     """A saved system under ``order``, which the JSON does not carry; ``retired``
-    marks are not read, and a ``"complete"`` status is checked.
+    marks are not read.  A rule's ``provenance`` must be ``"derived"`` exactly
+    when it has a log, and the status ``"complete"`` (checked) or ``"limit"``.
     ``logged_knuth_bendix`` resumes a partial one to the normal forms of a
     direct run; derived rules, ids and order may differ."""
-    rules, provenance, logs = [], {}, {}
+    rules, logs = {}, {}
     for entry in data["rules"]:
         rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
-        if rule.rid in provenance:  # redexes are found by index, applied by id
+        if rule.rid in rules:  # redexes are found by index, applied by id
             raise ValueError(f"rule {rule.rid}: duplicate id")
         try:  # the order's key ranks every letter of both words
             decreasing = order.greater(rule.lhs, rule.rhs)
@@ -242,16 +248,18 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
             raise ValueError(f"rule {rule.rid}: {err}") from None
         if not decreasing:
             raise ValueError(f"rule {rule.rid}: lhs is not greater than rhs")
-        rules.append(rule)
-        provenance[rule.rid] = entry.get("provenance", "initial")
-        if provenance[rule.rid] not in ("initial", "derived"):
-            raise ValueError(f"rule {rule.rid}: unknown provenance {provenance[rule.rid]!r}")
-        if entry.get("log") is not None:
+        rules[rule.rid] = rule
+        provenance, logged = entry.get("provenance", "initial"), entry.get("log") is not None
+        if provenance not in ("initial", "derived"):
+            raise ValueError(f"rule {rule.rid}: unknown provenance {provenance!r}")
+        if logged != (provenance == "derived"):  # expand_log keeps the steps of a rule with no log
+            raise ValueError(f"rule {rule.rid}: {provenance} {'with' if logged else 'without'} a log")
+        if logged:
             logs[rule.rid] = twocell.cell_from_json(entry["log"])
-        elif provenance[rule.rid] == "derived":
-            raise ValueError(f"rule {rule.rid}: derived without a log")
     status = data.get("status", "limit")
-    sys = LoggedSystem(tuple(rules), provenance, logs, complete=status == "complete", order=order)
+    if status not in ("complete", "limit"):
+        raise ValueError(f"unknown status {status!r}")
+    sys = LoggedSystem(tuple(rules.values()), logs, complete=status == "complete", order=order)
     for rid, log in logs.items():
         try:
             end = twocell.target(log, sys.rule_map)
@@ -264,4 +272,4 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
         if not ok:
             raise ValueError(f"status complete, but the branching of rules "
                              f"{witness.left.rule} and {witness.right.rule} does not resolve")
-    return CompletionResult(status, sys, ())
+    return CompletionResult(sys)

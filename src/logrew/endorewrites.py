@@ -73,8 +73,7 @@ def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCel
 @dataclass(frozen=True)
 class Generator:
     gid: str
-    cell: TwoCell
-    base_word: Word
+    cell: TwoCell  # based at the superposition of its origin
     base_element: Word
     origin: Overlap
 
@@ -152,7 +151,7 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     found = [(o, *_resolved(o.superposition, o.left, o.right, sys)) for o in critical_pairs(sys, 0)]
     found.sort(key=lambda f: (len(f[2]), sys.order.key(f[2])))  # stable: discovery breaks ties
     generators = tuple(
-        Generator(f"g{n}", loop, o.superposition, meet, o)
+        Generator(f"g{n}", loop, meet, o)
         for n, (o, loop, meet) in enumerate(found, start=1)
     )
     index = {frozenset((gen.origin.left, gen.origin.right)): gen for gen in generators}
@@ -206,9 +205,8 @@ class Factor:
 
 @dataclass(frozen=True)
 class Decomposition:
-    base: Word
     factors: tuple[Factor, ...]
-    residual: TwoCell
+    residual: TwoCell  # based at the input's source, the decomposition base
 
 
 def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:
@@ -308,18 +306,16 @@ def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
         raise ChainError("input does not replay", index=err.index) from None
     if end != cell.source:
         raise ChainError("input is not an endorewrite")
-    base = cell.source
     loop = twocell.free_reduce(cell)
     factors = _decompose(loop, gens)
     # one replay of every factor cell, checking each is a loop at the base
-    twocell.compose_all(
-        [twocell.identity(base), *(f.cell for f in factors), twocell.identity(base)], rules,
-    )
+    at_base = twocell.identity(cell.source)
+    twocell.compose_all([at_base, *(f.cell for f in factors), at_base], rules)
     product: tuple[Step, ...] = ()
     for factor in factors:
         product = twocell.join(product, factor.cell.steps)
-    residual = TwoCell(base, twocell.join(twocell.invert_steps(product), loop.steps))
-    return Decomposition(base, tuple(factors), residual)
+    residual = TwoCell(cell.source, twocell.join(twocell.invert_steps(product), loop.steps))
+    return Decomposition(tuple(factors), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +327,7 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
         "generators": [
             {
                 "id": gen.gid,
-                "base_word": word_to_str(gen.base_word),
+                "base_word": word_to_str(gen.cell.source),
                 "base_element": word_to_str(gen.base_element),
                 "origin": {
                     "left_rule": gen.origin.left.rule,
@@ -351,7 +347,7 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
 
 def decomposition_to_json(dec: Decomposition) -> dict:
     return {
-        "base": word_to_str(dec.base),
+        "base": word_to_str(dec.residual.source),
         "factors": [
             {
                 "gen": factor.gen if factor.gen is not None else "trivial",

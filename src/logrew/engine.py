@@ -28,10 +28,9 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class LoggedSystem:
-    """Rules plus, for derived ones, the cell witnessing lhs -> rhs."""
+    """Rules, and for each derived one (exactly those logged) the cell witnessing lhs -> rhs."""
 
     rules: tuple[Rule, ...]
-    provenance: dict = field(default_factory=dict)
     logs: dict = field(default_factory=dict)
     complete: bool = False
     order: OrderSpec = field(kw_only=True)
@@ -40,11 +39,7 @@ class LoggedSystem:
     _maxlhs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # own copies, so the caller's dicts are never written or shared
-        provenance = dict(self.provenance)
-        for rule in self.rules:
-            provenance.setdefault(rule.rid, "initial")
-        object.__setattr__(self, "provenance", provenance)
+        # an own copy, so the caller's dict is never written or shared
         object.__setattr__(self, "logs", dict(self.logs))
         object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
         # letter -> child; None -> indices of the rules whose lhs ends there
@@ -68,7 +63,6 @@ class LoggedSystem:
     def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
         return LoggedSystem(
             self.rules + (rule,),
-            {**self.provenance, rule.rid: "derived"},
             {**self.logs, rule.rid: log},
             complete=False,
             order=self.order,
@@ -164,7 +158,7 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     def _expand(c: TwoCell) -> TwoCell:
         steps: list[Step] = []
         for step in c.steps:
-            if sys.provenance.get(step.rule, "initial") == "initial":
+            if step.rule not in sys.logs:  # an initial rule
                 steps.append(step)
                 continue
             inner = rule_log(step.rule)

@@ -131,13 +131,13 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 len(sys.rules) + 1 > limits.max_rules
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
-                return CompletionResult("limit", sys, tuple(filter(live, (overlap, *queue))))
+                return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
             gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
-            return CompletionResult("complete", sys.as_complete(), ())
+            return CompletionResult(sys.as_complete())
         if passes >= limits.max_passes:
-            return CompletionResult("limit", sys, tuple(filter(live, critical_pairs(sys, new_start))))
+            return CompletionResult(sys, tuple(filter(live, critical_pairs(sys, new_start))))
 
 
 def words_over(letters, max_len):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
 import pytest
 
 from logrew import completion
@@ -22,6 +23,7 @@ from helpers import (
     LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement,
     congruence_classes, filter_knuth_bendix, words_over,
 )
+from test_endorewrites import presentations
 
 W = word_from_str
 
@@ -130,8 +132,7 @@ def test_resolve_new_rule_ab(ab_init):
 def test_knuth_bendix_published_system(se_init, se_completion):
     assert se_completion.status == "complete"
     assert len(se_completion.system.rules) == 6
-    assert all(se_completion.system.provenance[r.rid] == "initial"
-               for r in se_completion.system.rules)
+    assert se_completion.system.logs == {}
     assert se_completion.pending == ()
     assert se_completion.system.complete
 
@@ -151,8 +152,8 @@ def test_knuth_bendix_ab_monoid(ab_completion, ab_init):
         ("r3", W("b b"), W("b")),
         ("r4", W("a a"), W("a")),
     ]
+    assert set(sys.logs) == {"r3", "r4"}
     for rid in ("r3", "r4"):
-        assert sys.provenance[rid] == "derived"
         expanded = expand_log(sys.logs[rid], sys)
         assert tc.validate(expanded, ab_init.rule_map) is None
         assert expanded.source == sys.rule(rid).lhs
@@ -334,15 +335,33 @@ def test_saved_ladder_system_loads(name):
     assert system_to_json(again) == data
 
 
+@pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(max_rules=4)],
+                         ids=["default", "max_rules=4"])
+@given(text=presentations())
+@settings(max_examples=40, deadline=None)
+def test_saved_system_round_trips(limits, text):
+    # complete and partial systems alike: the loaded one writes the same
+    # JSON, and each derived rule's log expands onto the initial rules
+    init = system_from_presentation(parse_presentation(text))
+    result = logged_knuth_bendix(init, limits)
+    data = json.loads(json.dumps(system_to_json(result)))
+    again = system_from_json(data, init.order)
+    assert again.status == result.status
+    assert system_to_json(again) == data
+    for rid, log in again.system.logs.items():
+        expanded = expand_log(log, again.system)
+        assert expanded.source == again.system.rule(rid).lhs
+        assert tc.target(expanded, init.rule_map) == again.system.rule(rid).rhs
+
+
 def test_system_does_not_write_into_caller_dicts():
-    provenance, logs = {}, {}
+    logs = {}
     rule = Rule("r1", W("a a"), W("a"))
-    sys = LoggedSystem((rule,), provenance, logs, order=OrderSpec(Alphabet(("a",))))
-    assert provenance == {} and logs == {}
-    assert sys.provenance == {"r1": "initial"}
+    sys = LoggedSystem((rule,), logs, order=OrderSpec(Alphabet(("a",))))
+    assert sys.logs is not logs
     grown = sys.with_rule(Rule("r2", W("a a a"), W("a")), TwoCell(W("a a a"), ()))
-    assert sys.provenance == {"r1": "initial"} and sys.logs == {}
-    assert grown.provenance == {"r1": "initial", "r2": "derived"}
+    assert logs == {} and sys.logs == {}
+    assert list(grown.logs) == ["r2"]
 
 
 def test_system_json_round_trip(ab_completion):
@@ -358,6 +377,7 @@ def test_system_json_round_trip(ab_completion):
 @pytest.mark.parametrize("field,value,message", [
     ("log", None, "rule r3: derived without a log"),
     ("provenance", "guessed", "rule r3: unknown provenance 'guessed'"),
+    ("provenance", "initial", "rule r3: initial with a log"),
     ("log", lambda log: {**log, "steps": [{**s, "rule": "r9"} for s in log["steps"]]},
      "rule r3: log does not replay: unknown rule 'r9'"),
     ("log", lambda log: {**log, "steps": log["steps"][:1]},
@@ -370,7 +390,8 @@ def test_system_json_round_trip(ab_completion):
 ])
 def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
     # a derived rule (r3) without a log would fail later, in expand_log, as
-    # a bare KeyError, and a log that does not replay would be expanded into
+    # a bare KeyError, an initial one with a log would keep its steps in
+    # expand_log, and a log that does not replay would be expanded into
     # steps of rules that are not there; an initial rule (r1) that does not
     # decrease sends normal_form round forever, and one over letters outside
     # the order (r1 is a b -> a) would rewrite words it cannot occur in, as
@@ -387,6 +408,24 @@ def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message)
         system_from_json(data, ab_completion.system.order)
 
 
+def test_system_from_json_reads_a_missing_provenance_as_initial(ab_completion):
+    data = system_to_json(ab_completion)
+    for entry in data["rules"]:
+        del entry["provenance"]
+    with pytest.raises(ValueError, match="rule r3: initial with a log"):
+        system_from_json(data, ab_completion.system.order)
+
+
+def test_system_from_json_rejects_an_unknown_status(abc_completion):
+    # the status was handed back as read, and written out again
+    order = abc_completion.system.order
+    data = {**system_to_json(abc_completion), "status": "bogus"}
+    with pytest.raises(ValueError, match="unknown status 'bogus'"):
+        system_from_json(data, order)
+    del data["status"]
+    assert system_from_json(data, order).status == "limit"
+
+
 def test_system_from_json_rejects_duplicate_id():
     # both load as rule index 0 and 1, but a step names its rule by id, so
     # reduction would apply the second r1 where the first one matched
@@ -401,7 +440,7 @@ def test_system_from_json_checks_a_complete_status():
     # abc_cyclic's two initial rules do not resolve a b c; were they taken
     # as complete, prove would call a a and c c unequal, which they are not
     init = system_from_presentation(parse_presentation((PRESENTATIONS / "abc_cyclic.txt").read_text()))
-    data = {**system_to_json(completion.CompletionResult("limit", init)), "status": "complete"}
+    data = {**system_to_json(completion.CompletionResult(init)), "status": "complete"}
     with pytest.raises(ValueError, match="branching of rules r1 and r2 does not resolve"):
         system_from_json(data, init.order)
     assert isinstance(prove(W("a a"), W("c c"), logged_knuth_bendix(init).system), TwoCell)

@@ -101,14 +101,14 @@ def test_generate_published_system(se_generators):
         assert tc.validate(gen.cell, rules) is None
         assert tc.target(gen.cell, rules) == gen.cell.source
         assert tc.interchange_normalize(gen.cell, rules).steps
-        assert gen.base_element == normal_form(gen.base_word, gens.system)
+        assert gen.base_element == normal_form(gen.cell.source, gens.system)
 
 
 def test_generate_covers_two_overlaps_beyond_published_list(se_generators):
     # the published list stops at 26; a full overlap scan also finds the
     # s.s.s|s.e.s.e and e.s.s|s.e.s.e configurations (cross-checked by the
     # brute-force scan in test_completion)
-    sups = {word_to_str(g.base_word) for g in se_generators.generators}
+    sups = {word_to_str(g.cell.source) for g in se_generators.generators}
     assert "s s s e s e" in sups
     assert "e s s e s e" in sups
 
@@ -369,7 +369,7 @@ def test_generate_is_one_loop_per_branching(text):
         o = branchings[i]
         assert gen.origin == o
         assert gen.cell == delta(o.superposition, o.left, o.right, sys)
-        assert (gen.base_word, gen.base_element) == (o.superposition, meets[i])
+        assert (gen.cell.source, gen.base_element) == (o.superposition, meets[i])
         assert gens.origin_index[frozenset((o.left, o.right))] is gen
 
 
@@ -389,7 +389,7 @@ def test_branchings_taken_once_complete_and_express(text):
             for ov in find_overlaps(a, b):
                 assert resolve(ov, sys) is None
     for rule in sys.rules:
-        if sys.provenance[rule.rid] == "derived":
+        if rule.rid in sys.logs:
             expanded = expand_log(sys.logs[rule.rid], sys)
             assert expanded.source == rule.lhs
             assert tc.validate(expanded, init.rule_map) is None
@@ -449,7 +449,7 @@ def test_empty_rhs_rules_full_pipeline(rng):
     assert is_complete(comp.system)[0]
     assert normal_form(W("a b b a"), comp.system) == W("1")
     gens = generate(comp, init)
-    assert {word_to_str(g.base_word) for g in gens.generators} == {"a b a", "b a b"}
+    assert {word_to_str(g.cell.source) for g in gens.generators} == {"a b a", "b a b"}
     for _ in range(100):
         base = random_word(rng, ("a", "b"), 6, min_len=1)
         loop = random_loop(rng, gens.system, base, rng.randint(0, 5))

@@ -75,7 +75,7 @@ def test_normal_forms_count_group_elements(group):
 def test_derived_logs_expand_to_initial_rules(group):
     _, init, completion, _ = group
     sys = completion.system
-    derived = [rule for rule in sys.rules if sys.provenance[rule.rid] == "derived"]
+    derived = [rule for rule in sys.rules if rule.rid in sys.logs]
     for rule in derived:
         expanded = expand_log(sys.logs[rule.rid], sys)
         assert expanded.source == rule.lhs
