@@ -4,6 +4,9 @@ Each command runs in-process through ``logrew.cli.main`` on every file in
 ``presentations/``, in text form and with ``--json``, plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
 A5, S4 and MERGING, whose generator sets ``endos`` prints too.
+``complete --json`` runs on the groups of the benchmark ladder and on
+PSL(2,7), and ``reduce --json`` on one seeded 512-letter word of S5:
+their left-hand sides are long, so reduction must look ahead there.
 ``complete`` and ``endos`` also run with ``--interreduce``, which must
 change nothing.  The expected exit codes and sha256 digests of stdout
 live in ``tests/golden.json``; a refactor must leave every one of them
@@ -32,7 +35,8 @@ from logrew.completion import logged_knuth_bendix
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
-from helpers import A5, MERGING, S4, random_loop, random_word
+from helpers import A5, LADDER, MERGING, S4, random_loop, random_word
+from test_groups import PSL27
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -131,6 +135,19 @@ def group_express_cases(workdir: Path) -> dict[str, list[str]]:
     return cases
 
 
+def long_lhs_cases(workdir: Path) -> dict[str, list[str]]:
+    """Case name -> argv for ``complete --json`` on the ladder groups and
+    PSL(2,7), and ``reduce --json`` on a seeded 512-letter word of S5."""
+    cases = {}
+    for name, text in {**{n: t for n, (t, _) in LADDER.items()}, "PSL27": PSL27}.items():
+        path = workdir / f"{name}.txt"
+        path.write_text(text)
+        cases[f"{name}:complete:json"] = ["complete", str(path), "--json"]
+    word = random_word(random.Random(512), tuple("abcd"), 512, min_len=512)
+    cases["S5:reduce-512:json"] = ["reduce", str(workdir / "S5.txt"), " ".join(word), "--json"]
+    return cases
+
+
 def outcome(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -165,6 +182,10 @@ def test_golden_endos_groups(tmp_path):
     check(group_endos_cases(tmp_path))
 
 
+def test_golden_long_lhs(tmp_path):
+    check(long_lhs_cases(tmp_path))
+
+
 def record() -> None:
     import tempfile
 
@@ -175,6 +196,7 @@ def record() -> None:
         cases.update(express_cases(Path(workdir)))
         cases.update(group_express_cases(Path(workdir)))
         cases.update(group_endos_cases(Path(workdir)))
+        cases.update(long_lhs_cases(Path(workdir)))
         golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
     before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     changed = [name for name in golden if before.get(name) != golden[name]]
