@@ -4,11 +4,13 @@ The reduction strategy is fixed to leftmost position, then lowest rule
 index, so logs are reproducible.  Derived rules carry an unexpanded log;
 ``expand_log`` rewrites any cell so it references initial rules only.
 
-Redexes are found through a trie of the left-hand sides built with each
-``LoggedSystem`` (the index automaton of Sims 1994, without the failure
-links of Aho & Corasick 1975).  After a rewrite at position p, reduction
-resumes at max(0, p - maxlhs + 1): the redex at p was the leftmost, so
-one starting further left would lie wholly in the unchanged prefix.
+Redexes are found by the index automaton of Sims 1994: a trie of the
+left-hand sides, built with each ``LoggedSystem``, whose failure links
+(Aho & Corasick 1975) and fallback transitions fill in on first use.
+Reduction reads the word once, keeping the state after each letter.  A
+longer lhs can start further left yet end later, so it reads on until no
+open partial match starts left of the leftmost redex found.  After a
+rewrite it reads on from the redex, rereading only the right-hand side.
 """
 
 from __future__ import annotations
@@ -26,6 +28,69 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
+class _Automaton:
+    """The lhs index automaton over int states, 0 the root.  Per state: its
+    transitions (trie edges, then memoised fallbacks), depth, (parent,
+    letter), failure link and longest lhs ending there (None until used);
+    hits maps a state to the rules whose lhs ends there, ascending.  Each
+    memo entry is a function of the rules, so threads write equal values."""
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        goto, depth, parent, hits = [{}], [0], [None], {}
+        for i, rule in enumerate(rules):
+            s = 0
+            for letter in rule.lhs:
+                t = goto[s].get(letter)
+                if t is None:
+                    t = goto[s][letter] = len(goto)
+                    goto.append({})
+                    depth.append(depth[s] + 1)
+                    parent.append((s, letter))
+                s = t
+            if s:
+                hits.setdefault(s, []).append(i)
+        self.goto, self.depth, self.parent, self.hits = goto, depth, parent, hits
+        self.fail, self.out = [None] * len(goto), [None] * len(goto)
+        for t in (0, *goto[0].values()):
+            self.fail[t] = 0
+        for t in (0, *hits):
+            self.out[t] = depth[t]
+
+    def failure(self, s: int) -> int:
+        """The state of the longest proper suffix of s's word that has one.
+        A stack of ever shallower states stands in for recursion, as chains
+        of parents and failures can be longer than the recursion limit."""
+        fail, goto, todo = self.fail, self.goto, [s]
+        while fail[s] is None:
+            t = todo[-1]
+            p, letter = self.parent[t]
+            f = fail[p]
+            while f and letter not in goto[f] and fail[f] is not None:
+                f = fail[f]
+            if f is None or (f and letter not in goto[f]):
+                todo.append(p if f is None else f)
+            else:
+                fail[t] = goto[f].get(letter, 0)
+                todo.pop()
+        return fail[s]
+
+    def next(self, s: int, letter: str) -> int:
+        """The state after s on a letter with no transition yet, memoised."""
+        f = s
+        while f and letter not in self.goto[f]:
+            f = self.failure(f)
+        self.goto[s][letter] = self.goto[f].get(letter, 0)
+        return self.goto[s][letter]
+
+    def longest(self, s: int) -> int:
+        """The length of the longest lhs that is a suffix of s's word."""
+        f = s
+        while self.out[f] is None:
+            f = self.failure(f)
+        self.out[s] = self.out[f]
+        return self.out[s]
+
+
 @dataclass(frozen=True)
 class LoggedSystem:
     """Rules, and for each derived one (exactly those logged) the cell witnessing lhs -> rhs."""
@@ -35,23 +100,13 @@ class LoggedSystem:
     complete: bool = False
     order: OrderSpec = field(kw_only=True)
     _index: dict = field(init=False, repr=False, compare=False)
-    _trie: dict = field(init=False, repr=False, compare=False)
-    _maxlhs: int = field(init=False, repr=False, compare=False)
+    _lhs: _Automaton = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # an own copy, so the caller's dict is never written or shared
         object.__setattr__(self, "logs", dict(self.logs))
         object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
-        # letter -> child; None -> indices of the rules whose lhs ends there
-        trie: dict = {}
-        for i, rule in enumerate(self.rules):
-            if rule.lhs:
-                node = trie
-                for letter in rule.lhs:
-                    node = node.setdefault(letter, {})
-                node.setdefault(None, []).append(i)
-        object.__setattr__(self, "_trie", trie)
-        object.__setattr__(self, "_maxlhs", max((len(r.lhs) for r in self.rules), default=0))
+        object.__setattr__(self, "_lhs", _Automaton(self.rules))
 
     @property
     def rule_map(self) -> dict[str, Rule]:
@@ -78,12 +133,13 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
 
 def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[int]:
     """Indices of the rules whose lhs occurs in w at pos, ascending."""
-    node, hits = sys._trie, []
-    for letter in w[pos:pos + sys._maxlhs]:
-        node = node.get(letter)
-        if node is None:
+    lhs, s, hits = sys._lhs, 0, []
+    for i in range(pos, len(w)):
+        t = lhs.goto[s].get(w[i])
+        if t is None or lhs.depth[t] != lhs.depth[s] + 1:  # not a trie edge
             break
-        hits += node.get(None, ())
+        s = t
+        hits += lhs.hits.get(s, ())
     if len(hits) > 1:
         hits.sort()
     return hits
@@ -110,17 +166,29 @@ def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tupl
 def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""
-    current, pos = w, 0
-    while pos < len(current):
-        hits = _redexes_at(current, pos, sys)
-        if not hits:
+    lhs = sys._lhs
+    goto, depth, out = lhs.goto, lhs.depth, lhs.out
+    current, stack = w, [0]  # stack[i]: the state after current[:i]
+    while True:
+        # read on until no partial match can start left of the best start
+        best = n = len(current)
+        pos, state = len(stack) - 1, stack[-1]
+        while pos < n and pos - depth[state] < best:
+            t = goto[state].get(current[pos])
+            state = t if t is not None else lhs.next(state, current[pos])
             pos += 1
-            continue
-        current, step = apply_step(current, pos, sys.rules[hits[0]].rid, 1, sys)
+            stack.append(state)
+            longest = out[state] if out[state] is not None else lhs.longest(state)
+            if longest and pos - longest < best:
+                best = pos - longest
+        if best == n:
+            return current
+        rule = sys.rules[_redexes_at(current, best, sys)[0]]
+        suffix = current[best + len(rule.lhs):]
         if steps is not None:
-            steps.append(step)
-        pos = max(0, pos - sys._maxlhs + 1)
-    return current
+            steps.append(Step(current[:best], rule.rid, 1, suffix))
+        current = current[:best] + rule.rhs + suffix
+        del stack[best + 1:]
 
 
 def reduce_logged(w: Word, sys: LoggedSystem) -> TwoCell:

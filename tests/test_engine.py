@@ -1,11 +1,15 @@
 """Logged reduction, normal forms, the word problem, log expansion."""
 
 import random
+import sys as _sys
+import threading
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import pytest
 
+from logrew import parse_presentation, system_from_presentation
+from logrew.completion import logged_knuth_bendix
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
     LoggedSystem, Verdict, apply_step, expand_log, find_redexes, normal_form,
@@ -15,7 +19,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    all_normal_forms, random_cell, random_word, scan_redexes, scan_reduce,
+    LADDER, all_normal_forms, random_cell, random_word, scan_redexes, scan_reduce,
     words_over,
 )
 
@@ -133,8 +137,12 @@ def system(*rules):
 @given(systems_and_words())
 # at position 0 the longer lhs has the lower rule index
 @example((system(("a b", "b"), ("a", "1")), W("a b")))
-# rewriting b at 2 makes a redex at 0 = 2 - maxlhs + 1
+# rewriting b at 2 makes a redex at 0, left of the rewrite
 @example((system(("a a a", "1"), ("b", "a")), W("a a b")))
+# b ends first, but the leftmost redex is r1 at 0, which ends later
+@example((system(("a b a", "1"), ("b", "1")), W("a b a")))
+# a a b at 1 is found only through the failure transition from a a on a
+@example((system(("a a b", "b"),), W("a a a b")))
 @settings(max_examples=150, deadline=None)
 def test_indexed_reduction_matches_rescan(case):
     sys, w = case
@@ -148,6 +156,63 @@ def test_indexed_reduction_matches_rescan(case):
     assert TwoCell(w, tuple(steps)) == expected
     assert end == tc.target(expected, sys.rule_map)
     assert prove(w, w, sys) == TwoCell(w, expected.steps + tc.invert_steps(expected.steps))
+
+
+def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
+    # each system memoises its own transitions: those filled while reducing
+    # on the first k rules must not serve the system with one rule more
+    full = abc_completion.system
+    words = [random_word(rng, ("a", "b", "c"), 30) for _ in range(40)]
+    for k in range(2, len(full.rules)):
+        parent = LoggedSystem(full.rules[:k], {r.rid: full.logs[r.rid] for r in full.rules[2:k]},
+                              order=full.order)
+        child = parent.with_rule(full.rules[k], full.logs[full.rules[k].rid])
+        for w in words:
+            assert reduce_logged(w, parent) == scan_reduce(w, parent)
+        for w in words:
+            assert reduce_logged(w, child) == scan_reduce(w, child)
+
+
+def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
+    lhs = ("a",) * 1499 + ("b",)
+    assert len(lhs) > _sys.getrecursionlimit()
+    sys = LoggedSystem((Rule("r1", lhs, ("b",)),), order=OrderSpec(Alphabet(("a", "b"))))
+    w = ("a",) * 3000 + ("b",)
+    assert reduce_logged(w, sys) == scan_reduce(w, sys)
+    # on a fresh index, the failure link of the deepest a-state is asked
+    # for before any of its ancestors' links
+    fresh = LoggedSystem(sys.rules, order=sys.order)
+    assert fresh._lhs.failure(1499) == 1498
+
+
+def test_reduction_shared_across_threads():
+    f4 = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER["F4"][0]))).system
+    letters = f4.order.alphabet.letters
+
+    def fresh():  # the same rules with an empty memo
+        return LoggedSystem(f4.rules, f4.logs, complete=True, order=f4.order)
+
+    words = [[random_word(random.Random(seed * 1000 + i), letters, 40) for i in range(200)]
+             for seed in range(4)]
+    alone = fresh()
+    expected = [[reduce_logged(w, alone) for w in batch] for batch in words]
+    shared, start, results = fresh(), threading.Barrier(4), [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [reduce_logged(w, shared) for w in words[k]]
+
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)  # switch threads often, inside the fills
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        _sys.setswitchinterval(interval)
+    assert results == expected
 
 
 def test_prove_examples(se_system, se_rules):
