@@ -111,7 +111,7 @@ def parse_presentation(text: str) -> Presentation:
     Grammar: a ``monoid`` header, a ``letters:`` line (greatest precedence
     first), an ``order: shortlex`` line, then ``rules:`` followed by one
     ``<word> = <word>`` relation per line.  ``#`` starts a comment, ``1``
-    is the empty word.
+    is the empty word, so no letter is named ``1`` or contains ``=``.
     """
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -136,6 +136,8 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("empty letter declaration", line=number)
     seen = set()
     for column, name in enumerate(names, start=1):
+        if name == "1" or "=" in name:
+            raise ParseError(f"reserved letter name {name!r}", line=number, column=column)
         if name in seen:
             raise ParseError(f"duplicate letter {name!r}", line=number, column=column)
         seen.add(name)

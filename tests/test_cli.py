@@ -85,6 +85,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_reserved_letter_name_exit_code(capsys, tmp_path):
+    f = tmp_path / "one.txt"
+    f.write_text("monoid\nletters: a 1\norder: shortlex\nrules:\na a = 1\n")
+    code, out, err = run(capsys, "prove", str(f), "1 a a", "1 a a a a", "--json")
+    assert code == 1
+    assert out == "" and "parse error: reserved letter name '1' (line 2, column 2)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("complete", "/no/such/file.txt"),
     ("complete", "{latin1}"),

@@ -130,6 +130,16 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("letters,relation", [("a 1", "a a = 1"), ("a =", "= = a a")])
+def test_parse_rejects_reserved_letter_names(letters, relation):
+    # a letter 1 would print as the empty word, and = = a a would read as 1 = (= a a)
+    text = f"monoid\nletters: {letters}\norder: shortlex\nrules:\n{relation}\n"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert "reserved letter name" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, 2)
+
+
 def test_parse_error_carries_line_number():
     text = "monoid\nletters: a b\norder: shortlex\nrules:\na x = a\n"
     with pytest.raises(ParseError) as err:
