@@ -32,8 +32,8 @@ class _Automaton:
     """The lhs index automaton over int states, 0 the root.  Per state: its
     transitions (trie edges, then memoised fallbacks), depth, (parent,
     letter), failure link and longest lhs ending there (None until used);
-    hits maps a state to the rules whose lhs ends there, ascending.  Each
-    memo entry is a function of the rules, so threads write equal values."""
+    hits maps a state to the rules whose lhs ends there, ascending.  Memo
+    entries are functions of the rules, so threads write equal values."""
 
     def __init__(self, rules: tuple[Rule, ...]):
         goto, depth, parent, hits = [{}], [0], [None], {}
@@ -47,8 +47,7 @@ class _Automaton:
                     depth.append(depth[s] + 1)
                     parent.append((s, letter))
                 s = t
-            if s:
-                hits.setdefault(s, []).append(i)
+            hits.setdefault(s, []).append(i)  # an empty lhs ends at the root, never read
         self.goto, self.depth, self.parent, self.hits = goto, depth, parent, hits
         self.fail, self.out = [None] * len(goto), [None] * len(goto)
         for t in (0, *goto[0].values()):
@@ -64,10 +63,10 @@ class _Automaton:
         while fail[s] is None:
             t = todo[-1]
             p, letter = self.parent[t]
-            f = fail[p]
+            f = fail[p]  # fail[t] is the state after fail[p] on t's letter
             while f and letter not in goto[f] and fail[f] is not None:
                 f = fail[f]
-            if f is None or (f and letter not in goto[f]):
+            if f is None or (f and letter not in goto[f]):  # fill that link first
                 todo.append(p if f is None else f)
             else:
                 fail[t] = goto[f].get(letter, 0)

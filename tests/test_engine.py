@@ -209,9 +209,10 @@ def test_reduction_shared_across_threads():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
     finally:
         _sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert results == expected
 
 
