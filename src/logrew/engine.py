@@ -5,8 +5,8 @@ index, so logs are reproducible.  Derived rules carry an unexpanded log;
 ``expand_log`` rewrites any cell so it references initial rules only.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
-left-hand sides, built with each ``LoggedSystem``, whose failure links
-(Aho & Corasick 1975) and fallback transitions fill in on first use.
+left-hand sides with the failure links of Aho & Corasick 1975, built in
+full, breadth first, with each ``LoggedSystem`` and never written after.
 Reduction reads the word once, keeping the state after each letter.  A
 longer lhs can start further left yet end later, so it reads on until no
 open partial match starts left of the leftmost redex found.  After a
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .core import OrderSpec, Presentation, Rule, Word, orient, word_to_str
+from .core import OrderSpec, Presentation, Rule, Word, orient
 from . import twocell
 from .twocell import Step, TwoCell
 
@@ -29,14 +29,15 @@ class Verdict(enum.Enum):
 
 
 class _Automaton:
-    """The lhs index automaton over int states, 0 the root.  Per state: its
-    transitions (trie edges, then memoised fallbacks), depth, (parent,
-    letter), failure link and longest lhs ending there (None until used);
-    hits maps a state to the rules whose lhs ends there, ascending.  Memo
-    entries are functions of the rules, so threads write equal values."""
+    """The lhs index automaton over int states, 0 the root, built in full
+    with each system and never written after.  Per state: its trie edges,
+    depth, failure link (the state of the longest proper suffix of its word
+    that has one) and the length of the longest lhs that is a suffix of its
+    word, 0 if none; hits maps a state to the rules whose lhs ends there,
+    ascending."""
 
     def __init__(self, rules: tuple[Rule, ...]):
-        goto, depth, parent, hits = [{}], [0], [None], {}
+        goto, depth, hits = [{}], [0], {}
         for i, rule in enumerate(rules):
             s = 0
             for letter in rule.lhs:
@@ -45,49 +46,19 @@ class _Automaton:
                     t = goto[s][letter] = len(goto)
                     goto.append({})
                     depth.append(depth[s] + 1)
-                    parent.append((s, letter))
                 s = t
             hits.setdefault(s, []).append(i)  # an empty lhs ends at the root, never read
-        self.goto, self.depth, self.parent, self.hits = goto, depth, parent, hits
-        self.fail, self.out = [None] * len(goto), [None] * len(goto)
-        for t in (0, *goto[0].values()):
-            self.fail[t] = 0
-        for t in (0, *hits):
-            self.out[t] = depth[t]
-
-    def failure(self, s: int) -> int:
-        """The state of the longest proper suffix of s's word that has one.
-        A stack of ever shallower states stands in for recursion, as chains
-        of parents and failures can be longer than the recursion limit."""
-        fail, goto, todo = self.fail, self.goto, [s]
-        while fail[s] is None:
-            t = todo[-1]
-            p, letter = self.parent[t]
-            f = fail[p]  # fail[t] is the state after fail[p] on t's letter
-            while f and letter not in goto[f] and fail[f] is not None:
-                f = fail[f]
-            if f is None or (f and letter not in goto[f]):  # fill that link first
-                todo.append(p if f is None else f)
-            else:
-                fail[t] = goto[f].get(letter, 0)
-                todo.pop()
-        return fail[s]
-
-    def next(self, s: int, letter: str) -> int:
-        """The state after s on a letter with no transition yet, memoised."""
-        f = s
-        while f and letter not in self.goto[f]:
-            f = self.failure(f)
-        self.goto[s][letter] = self.goto[f].get(letter, 0)
-        return self.goto[s][letter]
-
-    def longest(self, s: int) -> int:
-        """The length of the longest lhs that is a suffix of s's word."""
-        f = s
-        while self.out[f] is None:
-            f = self.failure(f)
-        self.out[s] = self.out[f]
-        return self.out[s]
+        fail, out = [0] * len(goto), [0] * len(goto)
+        order = [0]
+        for s in order:  # breadth first: every link on fail[s]'s chain is set
+            for letter, t in goto[s].items():
+                f = fail[s]
+                while f and letter not in goto[f]:
+                    f = fail[f]
+                fail[t] = goto[f].get(letter, 0) if s else 0
+                out[t] = depth[t] if t in hits else out[fail[t]]
+                order.append(t)
+        self.goto, self.depth, self.hits, self.fail, self.out = goto, depth, hits, fail, out
 
 
 @dataclass(frozen=True)
@@ -135,7 +106,7 @@ def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[int]:
     lhs, s, hits = sys._lhs, 0, []
     for i in range(pos, len(w)):
         t = lhs.goto[s].get(w[i])
-        if t is None or lhs.depth[t] != lhs.depth[s] + 1:  # not a trie edge
+        if t is None:
             break
         s = t
         hits += lhs.hits.get(s, ())
@@ -150,34 +121,24 @@ def find_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
     return [(pos, sys.rules[i].rid) for pos in range(len(w)) for i in _redexes_at(w, pos, sys)]
 
 
-def apply_step(w: Word, pos: int, rid: str, exp: int, sys: LoggedSystem) -> tuple[Word, Step]:
-    """Apply one rule at a position, returning the new word and its log step."""
-    rule = sys.rule(rid)
-    inw, outw = (rule.lhs, rule.rhs) if exp == 1 else (rule.rhs, rule.lhs)
-    if w[pos:pos + len(inw)] != inw:
-        raise ValueError(
-            f"no {rid} redex at position {pos} of {word_to_str(w)}"
-        )
-    step = Step(w[:pos], rid, exp, w[pos + len(inw):])
-    return step.prefix + outw + step.suffix, step
-
-
 def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""
     lhs = sys._lhs
-    goto, depth, out = lhs.goto, lhs.depth, lhs.out
+    goto, depth, fail, out = lhs.goto, lhs.depth, lhs.fail, lhs.out
     current, stack = w, [0]  # stack[i]: the state after current[:i]
     while True:
         # read on until no partial match can start left of the best start
         best = n = len(current)
         pos, state = len(stack) - 1, stack[-1]
         while pos < n and pos - depth[state] < best:
-            t = goto[state].get(current[pos])
-            state = t if t is not None else lhs.next(state, current[pos])
+            letter = current[pos]
+            while (t := goto[state].get(letter)) is None and state:
+                state = fail[state]
+            state = t or 0  # no trie edge leads back to the root
             pos += 1
             stack.append(state)
-            longest = out[state] if out[state] is not None else lhs.longest(state)
+            longest = out[state]
             if longest and pos - longest < best:
                 best = pos - longest
         if best == n:

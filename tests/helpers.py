@@ -140,6 +140,21 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             return CompletionResult(sys, tuple(filter(live, critical_pairs(sys, new_start))))
 
 
+def expanded_lengths(sys: LoggedSystem) -> dict[str, int]:
+    """The number of steps each rule's log expands to, counted through the
+    logs without building them (an initial rule counts 1), memoised, so a
+    count can run far past any length expansion could build."""
+    lengths = {}
+
+    def length(rid):
+        if rid not in lengths:
+            log = sys.logs.get(rid)
+            lengths[rid] = 1 if log is None else sum(length(step.rule) for step in log.steps)
+        return lengths[rid]
+
+    return {rule.rid: length(rule.rid) for rule in sys.rules}
+
+
 def words_over(letters, max_len):
     for n in range(max_len + 1):
         yield from (tuple(w) for w in product(letters, repeat=n))

@@ -12,8 +12,8 @@ from logrew import parse_presentation, system_from_presentation
 from logrew.completion import logged_knuth_bendix
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
-    LoggedSystem, Verdict, apply_step, expand_log, find_redexes, normal_form,
-    prove, reduce_into, reduce_logged,
+    LoggedSystem, Verdict, expand_log, find_redexes, normal_form, prove,
+    reduce_into, reduce_logged,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
@@ -40,23 +40,6 @@ def test_find_redexes_examples(se_system):
 def test_find_redexes_sorted(se_system):
     hits = find_redexes(W("e e s s s e"), se_system)
     assert hits == sorted(hits)
-
-
-def test_apply_step_examples(se_system):
-    word, step = apply_step(W("s s s e"), 0, "r2", 1, se_system)
-    assert word == W("s e")
-    assert step == Step(W("1"), "r2", 1, W("e"))
-    word, step = apply_step(W("s s s e"), 1, "r3", 1, se_system)
-    assert word == W("s e")
-    assert step == Step(W("s"), "r3", 1, W("1"))
-    with pytest.raises(ValueError):
-        apply_step(W("s e"), 0, "r2", 1, se_system)
-
-
-def test_apply_step_backward(se_system):
-    word, step = apply_step(W("s e"), 0, "r2", -1, se_system)
-    assert word == W("s s s e")
-    assert step == Step(W("1"), "r2", -1, W("e"))
 
 
 def test_reduce_logged_leftmost(se_system, se_rules):
@@ -158,9 +141,38 @@ def test_indexed_reduction_matches_rescan(case):
     assert prove(w, w, sys) == TwoCell(w, expected.steps + tc.invert_steps(expected.steps))
 
 
+def check_index(sys):
+    """Each state's failure link and longest lhs ending there, against their
+    definitions on the state's word."""
+    index = sys._lhs
+    words = [()] * len(index.goto)
+    for s, edges in enumerate(index.goto):  # a state is numbered after its parent
+        for letter, t in edges.items():
+            words[t] = words[s] + (letter,)
+    state = {w: s for s, w in enumerate(words)}
+    lhss = {rule.lhs for rule in sys.rules}
+    for s, w in enumerate(words):
+        suffixes = [w[k:] for k in range(1, len(w) + 1)]  # proper, longest first
+        if s:
+            assert index.fail[s] == state[next(u for u in suffixes if u in state)]
+        assert index.out[s] == max((len(u) for u in (w, *suffixes) if u and u in lhss), default=0)
+
+
+def test_index_matches_its_definitions():
+    for text, _ in LADDER.values():
+        check_index(logged_knuth_bendix(system_from_presentation(parse_presentation(text))).system)
+
+    @given(systems_and_words())
+    @settings(max_examples=150, deadline=None)
+    def on_random_rules(case):
+        check_index(case[0])
+
+    on_random_rules()
+
+
 def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
-    # each system memoises its own transitions: those filled while reducing
-    # on the first k rules must not serve the system with one rule more
+    # each system builds its own index: the one over the first k rules
+    # must not serve the system with one rule more
     full = abc_completion.system
     words = [random_word(rng, ("a", "b", "c"), 30) for _ in range(40)]
     for k in range(2, len(full.rules)):
@@ -179,17 +191,16 @@ def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
     sys = LoggedSystem((Rule("r1", lhs, ("b",)),), order=OrderSpec(Alphabet(("a", "b"))))
     w = ("a",) * 3000 + ("b",)
     assert reduce_logged(w, sys) == scan_reduce(w, sys)
-    # on a fresh index, the failure link of the deepest a-state is asked
-    # for before any of its ancestors' links
-    fresh = LoggedSystem(sys.rules, order=sys.order)
-    assert fresh._lhs.failure(1499) == 1498
+    # the index is built without recursion, so its 1,500-state chain
+    # of failure links needs no workaround
+    assert sys._lhs.fail[1499] == 1498
 
 
 def test_reduction_shared_across_threads():
     f4 = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER["F4"][0]))).system
     letters = f4.order.alphabet.letters
 
-    def fresh():  # the same rules with an empty memo
+    def fresh():  # the same rules with an index of its own
         return LoggedSystem(f4.rules, f4.logs, complete=True, order=f4.order)
 
     words = [[random_word(random.Random(seed * 1000 + i), letters, 40) for i in range(200)]
@@ -203,7 +214,7 @@ def test_reduction_shared_across_threads():
         results[k] = [reduce_logged(w, shared) for w in words[k]]
 
     interval = _sys.getswitchinterval()
-    _sys.setswitchinterval(1e-6)  # switch threads often, inside the fills
+    _sys.setswitchinterval(1e-6)  # switch threads often
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         for t in threads:
