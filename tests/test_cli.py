@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
+import logrew
 from logrew import parse_presentation, system_from_presentation
 from logrew.cli import main
 from logrew.completion import logged_knuth_bendix, system_from_json
@@ -21,12 +24,23 @@ PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 SE = str(PRESENTATIONS / "se_monoid.txt")
 AB = str(PRESENTATIONS / "ab_monoid.txt")
 FREE = str(PRESENTATIONS / "free_monoid.txt")
+# the minimal environment of the cold runs, as in acceptance criterion 10
+CHILD_ENV = {"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(logrew.__file__).resolve().parent.parent)}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*argv):
+    """``python -m logrew.cli argv`` in a fresh interpreter, whose logging
+    is the command line's own and not pytest's capture."""
+    proc = subprocess.run([sys.executable, "-m", "logrew.cli", *argv],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_complete_published_fixture(capsys):
@@ -49,6 +63,16 @@ def test_complete_free_monoid(capsys):
     code, out, _ = run(capsys, "complete", FREE, "--json")
     assert code == 0
     assert json.loads(out)["rules"] == []
+
+
+def test_complete_warns_of_trivial_relation(tmp_path):
+    plain, trivial = tmp_path / "plain.txt", tmp_path / "trivial.txt"
+    plain.write_text("monoid\nletters: a b\norder: shortlex\nrules:\na a = 1\n")
+    trivial.write_text("monoid\nletters: a b\norder: shortlex\nrules:\na a = 1\nb = b\n")
+    code, out, err = run_cold("complete", str(trivial))
+    assert code == 0
+    assert out == run_cold("complete", str(plain))[1] == "status: complete\n  r1: a a -> 1\n"
+    assert err.splitlines() == ["WARNING: dropping trivial relation b = b"]
 
 
 def test_complete_limit_exceeded(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Alphabet, shortlex order, presentation parsing, rule orientation."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -157,10 +159,13 @@ def test_orient_examples():
     assert orient(flipped) == (Rule("r1", ("e", "e"), ("e",)),)
 
 
-def test_orient_drops_trivial_relations():
+def test_orient_drops_trivial_relations(caplog):
     p = parse_presentation("monoid\nletters: a b\norder: shortlex\nrules:\na b = a b\nb a = b\n")
-    rules = orient(p)
+    with caplog.at_level(logging.WARNING, logger="logrew.core"):
+        rules = orient(p)
     assert rules == (Rule("r1", ("b", "a"), ("b",)),)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("logrew.core", logging.WARNING, "dropping trivial relation a b = a b")]
 
 
 def test_orient_output_satisfies_rule_invariants():
