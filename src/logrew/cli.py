@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys as _sys
 
 from .core import Alphabet, ParseError, Word, parse_presentation, word_from_str, word_to_str
@@ -68,7 +67,11 @@ def _emit_cell(cell: TwoCell, args, system, arrow: str) -> None:
 
 def _load_presentation(path: str):
     with open(path, encoding="utf-8") as handle:
-        return parse_presentation(handle.read())
+        presentation = parse_presentation(handle.read())
+    if any(a == b for a, b in presentation.relations):  # core.orient warns of these
+        import logging
+        logging.basicConfig(stream=_sys.stderr, format="%(levelname)s: %(message)s")
+    return presentation
 
 
 def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
@@ -277,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=_sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ an active one, so the irreducible words are the same, and proofs are shorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
@@ -29,8 +29,7 @@ from .engine import LoggedSystem, find_redexes, reduce_into
 from .twocell import Step, TwoCell
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(NamedTuple):
     """A critical branching: two forward steps on the superposition."""
 
     case: str
@@ -39,19 +38,19 @@ class Overlap:
     right: Step
 
 
-@dataclass(frozen=True)
-class CompletionLimits:
-    max_rules: int = 256
-    max_passes: int = 64
-    max_word_length: int = 64
+class CompletionLimits(NamedTuple("CompletionLimits", [
+        ("max_rules", int), ("max_passes", int), ("max_word_length", int)])):
+    """Positive bounds on the rules, the passes and the lhs length of a completion."""
 
-    def __post_init__(self):
-        if min(self.max_rules, self.max_passes, self.max_word_length) <= 0:
+    __slots__ = ()
+
+    def __new__(cls, max_rules: int = 256, max_passes: int = 64, max_word_length: int = 64):
+        if min(max_rules, max_passes, max_word_length) <= 0:
             raise ValueError("completion limits must be positive")
+        return super().__new__(cls, max_rules, max_passes, max_word_length)
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     """A system and the branchings left to resolve; its status is the system's flag."""
 
     system: LoggedSystem
@@ -62,8 +61,7 @@ class CompletionResult:
         return "complete" if self.system.complete else "limit"
 
 
-@dataclass(frozen=True)
-class NewRule:
+class NewRule(NamedTuple):
     rule: Rule
     log: TwoCell
 

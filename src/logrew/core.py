@@ -7,10 +7,7 @@ the alphabet, earliest declared = greatest.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-
-log = logging.getLogger(__name__)
+from typing import NamedTuple
 
 Word = tuple[str, ...]
 
@@ -45,17 +42,25 @@ def word_from_str(text: str, alphabet: "Alphabet | None" = None) -> Word:
     return tuple(tokens)
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered generator names; position gives precedence (first = greatest)."""
 
-    letters: tuple[str, ...]
-    _rank: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("letters", "_rank")
 
-    def __post_init__(self):
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"duplicate letters in alphabet {self.letters}")
-        object.__setattr__(self, "_rank", {x: i for i, x in enumerate(self.letters)})
+    def __init__(self, letters: tuple[str, ...]):
+        if len(set(letters)) != len(letters):
+            raise ValueError(f"duplicate letters in alphabet {letters}")
+        self.letters = letters
+        self._rank = {x: i for i, x in enumerate(letters)}
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
+
+    def __eq__(self, other):
+        return self.letters == other.letters if type(other) is Alphabet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __contains__(self, letter: str) -> bool:
         return letter in self._rank
@@ -73,8 +78,7 @@ class Alphabet:
         return w
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(NamedTuple):
     """The shortlex well-ordering on words over an alphabet."""
 
     alphabet: Alphabet
@@ -89,8 +93,7 @@ class OrderSpec:
         return self.key(a) < self.key(b)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An oriented relation lhs -> rhs with a stable identifier."""
 
     rid: str
@@ -98,8 +101,7 @@ class Rule:
     rhs: Word
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     alphabet: Alphabet
     relations: tuple[tuple[Word, Word], ...]
     order: OrderSpec
@@ -175,7 +177,9 @@ def orient(p: Presentation) -> tuple[Rule, ...]:
     rules = []
     for a, b in p.relations:
         if a == b:
-            log.warning("dropping trivial relation %s = %s", word_to_str(a), word_to_str(b))
+            import logging  # only here, so a cold start that logs nothing never loads it
+            logging.getLogger(__name__).warning(
+                "dropping trivial relation %s = %s", word_to_str(a), word_to_str(b))
             continue
         lhs, rhs = (a, b) if p.order.greater(a, b) else (b, a)
         rules.append(Rule(f"r{len(rules) + 1}", lhs, rhs))

@@ -11,7 +11,7 @@ branching, so that the extracted product replays to the input exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Rule, Word, word_to_str
 from . import twocell
@@ -70,27 +70,23 @@ def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCel
     return TwoCell(word, twocell.join(side1.steps, twocell.invert_steps(side2.steps))), end1
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gid: str
     cell: TwoCell  # based at the superposition of its origin
     base_element: Word
     origin: Overlap
 
 
-@dataclass
 class GeneratorSet:
-    """Generators in id order, and every branching's generator by its two
-    steps, which ``express`` looks diamonds up in.  ``minimize`` keeps the
+    """Generators in id order, and every branching's generator by the
+    frozenset of its two steps, which ``express`` looks diamonds up in.  ``minimize`` keeps the
     full index, so ``by_id`` names a generator it dropped."""
 
-    generators: tuple[Generator, ...]
-    origin_index: dict = field(repr=False)  # frozenset of the two steps -> Generator
-    system: LoggedSystem = field(repr=False)
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("generators", "origin_index", "system", "_by_id")
 
-    def __post_init__(self):
-        self._by_id = {gen.gid: gen for gen in self.generators}
+    def __init__(self, generators: tuple[Generator, ...], origin_index: dict, system: LoggedSystem):
+        self.generators, self.origin_index, self.system = generators, origin_index, system
+        self._by_id = {gen.gid: gen for gen in generators}
 
     def by_id(self, gid: str) -> Generator:
         if gid not in self._by_id:
@@ -193,8 +189,7 @@ def minimize(gens: GeneratorSet) -> GeneratorSet:
 # expression of loops over the generators
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     gen: str | None       # generator id, None for a trivial (disjoint) diamond
     x: Word
     z: Word
@@ -203,8 +198,7 @@ class Factor:
     cell: TwoCell         # exact contribution, a loop at the base
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     factors: tuple[Factor, ...]
     residual: TwoCell  # based at the input's source, the decomposition base
 

@@ -16,7 +16,6 @@ rewrite it reads on from the redex, rereading only the right-hand side.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 
 from .core import OrderSpec, Presentation, Rule, Word, orient
 from . import twocell
@@ -61,22 +60,17 @@ class _Automaton:
         self.goto, self.depth, self.hits, self.fail, self.out = goto, depth, hits, fail, out
 
 
-@dataclass(frozen=True)
 class LoggedSystem:
     """Rules, and for each derived one (exactly those logged) the cell witnessing lhs -> rhs."""
 
-    rules: tuple[Rule, ...]
-    logs: dict = field(default_factory=dict)
-    complete: bool = False
-    order: OrderSpec = field(kw_only=True)
-    _index: dict = field(init=False, repr=False, compare=False)
-    _lhs: _Automaton = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "logs", "complete", "order", "_index", "_lhs")
 
-    def __post_init__(self):
-        # an own copy, so the caller's dict is never written or shared
-        object.__setattr__(self, "logs", dict(self.logs))
-        object.__setattr__(self, "_index", {r.rid: r for r in self.rules})
-        object.__setattr__(self, "_lhs", _Automaton(self.rules))
+    def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, complete: bool = False, *,
+                 order: OrderSpec):
+        self.rules, self.complete, self.order = rules, complete, order
+        self.logs = dict(logs)  # an own copy, so the caller's dict is never written or shared
+        self._index = {r.rid: r for r in rules}
+        self._lhs = _Automaton(rules)
 
     @property
     def rule_map(self) -> dict[str, Rule]:
@@ -94,7 +88,12 @@ class LoggedSystem:
         )
 
     def as_complete(self) -> "LoggedSystem":
-        return replace(self, complete=True)
+        """The system flagged complete, sharing the logs and index nothing writes."""
+        done = object.__new__(LoggedSystem)
+        done.rules, done.logs, done.order, done._index, done._lhs = (
+            self.rules, self.logs, self.order, self._index, self._lhs)
+        done.complete = True
+        return done
 
 
 def system_from_presentation(p: Presentation) -> LoggedSystem:

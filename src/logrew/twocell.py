@@ -12,7 +12,6 @@ the junction, where alone a product of reduced pieces can cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Rule, Word, word_from_str, word_to_str
@@ -33,8 +32,7 @@ class Step(NamedTuple):
     suffix: Word
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(NamedTuple):
     source: Word
     steps: tuple[Step, ...]
 

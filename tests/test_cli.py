@@ -84,6 +84,26 @@ def test_complete_limit_exceeded(capsys, tmp_path):
     assert data["status"] == "limit"
 
 
+def test_complete_rejects_nonpositive_limits(capsys):
+    code, out, err = run(capsys, "complete", SE, "--limits", "0,64,64")
+    assert code == 1 and out == ""
+    assert "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH" in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_no_module_it_does_not_use():
+    # dataclasses loads inspect, ast and dis, logging loads traceback and
+    # string: a cold command would pay for them before doing any work
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                              capture_output=True, text=True, env=CHILD_ENV, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import logrew.cli") - loaded("pass")
+    assert "logrew.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging", "fractions"}
+
+
 @pytest.mark.parametrize("command,expect", [
     ("prove", "unknown"), ("endos", "no generator set"), ("express", "cannot express"),
 ])

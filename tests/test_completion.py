@@ -207,6 +207,12 @@ def test_max_passes_limit_reports_pending(ab_init):
     assert resumed.status == "complete"
 
 
+@pytest.mark.parametrize("bounds", [(0, 64, 64), (64, 0, 64), (64, 64, 0)])
+def test_completion_limits_must_be_positive(bounds):
+    with pytest.raises(ValueError, match="^completion limits must be positive$"):
+        CompletionLimits(*bounds)
+
+
 @pytest.mark.parametrize("limits", [CompletionLimits(10, 64, 64), CompletionLimits(64, 2, 64)])
 def test_pending_pairs_of_retired_rules_are_inclusions(limits):
     # a limit reports only what completion would still resolve

@@ -185,6 +185,15 @@ def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion)
             assert reduce_logged(w, child) == scan_reduce(w, child)
 
 
+def test_as_complete_shares_the_index(abc_completion):
+    full = abc_completion.system
+    s = LoggedSystem(full.rules, full.logs, order=full.order)
+    done = s.as_complete()
+    assert (done.rules, done.logs, done.order) == (s.rules, s.logs, s.order)
+    assert done.complete and not s.complete
+    assert done._lhs is s._lhs and done.rule_map is s.rule_map
+
+
 def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
     lhs = ("a",) * 1499 + ("b",)
     assert len(lhs) > _sys.getrecursionlimit()
