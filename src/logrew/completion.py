@@ -49,6 +49,10 @@ class CompletionLimits(NamedTuple("CompletionLimits", [
             raise ValueError("completion limits must be positive")
         return super().__new__(cls, max_rules, max_passes, max_word_length)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace makes its copy here: check it too
+        return cls(*iterable)
+
 
 class CompletionResult(NamedTuple):
     """A system and the branchings left to resolve; its status is the system's flag."""

@@ -79,8 +79,9 @@ class Generator(NamedTuple):
 
 class GeneratorSet:
     """Generators in id order, and every branching's generator by the
-    frozenset of its two steps, which ``express`` looks diamonds up in.  ``minimize`` keeps the
-    full index, so ``by_id`` names a generator it dropped."""
+    frozenset of its two steps, which ``express`` looks diamonds up in.
+    ``minimize`` keeps the full index, so ``by_id`` names a generator it
+    dropped."""
 
     __slots__ = ("generators", "origin_index", "system", "_by_id")
 

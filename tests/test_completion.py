@@ -211,6 +211,8 @@ def test_max_passes_limit_reports_pending(ab_init):
 def test_completion_limits_must_be_positive(bounds):
     with pytest.raises(ValueError, match="^completion limits must be positive$"):
         CompletionLimits(*bounds)
+    with pytest.raises(ValueError, match="^completion limits must be positive$"):
+        CompletionLimits()._replace(**dict(zip(CompletionLimits._fields, bounds)))
 
 
 @pytest.mark.parametrize("limits", [CompletionLimits(10, 64, 64), CompletionLimits(64, 2, 64)])
