@@ -10,7 +10,9 @@ u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
 
 The identical self-placement (all contexts empty, same rule) is excluded.
 ``critical_pairs`` takes each unordered branching once, for completion,
-``is_complete`` and ``endorewrites.generate``.
+``is_complete`` and ``endorewrites.generate``, reading them off the lhs
+automaton of the system's reduction; ``resolve`` compares the two reducts
+unlogged and logs only a branching that becomes a rule.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
 (Huet 1981).  It stays listed, unchanged, so every log still replays, but
@@ -70,48 +72,6 @@ class NewRule(NamedTuple):
     log: TwoCell
 
 
-def occurrences(needle: Word, haystack: Word) -> list[int]:
-    k = len(needle)
-    return [p for p in range(len(haystack) - k + 1) if haystack[p:p + k] == needle]
-
-
-def find_overlaps(a: Rule, b: Rule, inclusions_only: bool = False) -> list[Overlap]:
-    """All overlap placements of a (as the first rule) against b (as the
-    second), or only those of cases i and iv."""
-    l1, l2 = a.lhs, b.lhs
-    span = 0 if inclusions_only else min(len(l1), len(l2))  # a proper overlap is shorter than both
-    found: list[Overlap] = []
-
-    def add(case, u1, v1, u2, v2, sup):
-        found.append(Overlap(case, sup, Step(u1, a.rid, 1, v1), Step(u2, b.rid, 1, v2)))
-
-    # case i: l1 occurs inside l2
-    for p in occurrences(l1, l2):
-        u1, v1 = l2[:p], l2[p + len(l1):]
-        if a.rid == b.rid and not u1 and not v1:
-            continue  # identical placement of the same rule
-        add("i", u1, v1, EMPTY, EMPTY, l2)
-    # case ii: a proper overlap, l2 on the left
-    for k in range(1, span):
-        if l1[:k] == l2[len(l2) - k:]:
-            u1 = l2[:len(l2) - k]
-            v2 = l1[k:]
-            add("ii", u1, EMPTY, EMPTY, v2, u1 + l1)
-    # case iii: a proper overlap, l1 on the left
-    for k in range(1, span):
-        if l1[len(l1) - k:] == l2[:k]:
-            v1 = l2[k:]
-            u2 = l1[:len(l1) - k]
-            add("iii", EMPTY, v1, u2, EMPTY, l1 + v1)
-    # case iv: l2 occurs inside l1
-    for p in occurrences(l2, l1):
-        u2, v2 = l1[:p], l1[p + len(l2):]
-        if not u2 and not v2:
-            continue  # l1 = l2: case i has this placement, or it is the identical one
-        add("iv", EMPTY, EMPTY, u2, v2, l1)
-    return found
-
-
 def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:
     """Each of two steps on word followed by the logged reduction of its
     target, paired with the normal form that reduction ends at."""
@@ -123,12 +83,15 @@ def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoC
 def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     """Reduce both sides: unequal reducts give a new rule, equal ones None.
 
-    ``endorewrites.delta`` closes the same two sides into the loop of a
-    resolved branching.
+    The reducts are compared unlogged; only a pair that becomes a rule
+    has its ``sides`` logged.  ``endorewrites.delta`` closes the same two
+    sides into the loop of a resolved branching.
     """
-    (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
-    if z_left == z_right:
+    rules = sys.rule_map
+    if (reduce_into(twocell.step_target(overlap.left, rules), sys, None)
+            == reduce_into(twocell.step_target(overlap.right, rules), sys, None)):
         return None
+    (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
     # steps, so the log is free reduced
@@ -142,17 +105,62 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
 def critical_pairs(sys: LoggedSystem, new_start: int,
                    gone: frozenset | set = frozenset()) -> list[Overlap]:
     """Each unordered critical branching once, between rules i <= j with
-    j >= new_start, in order of (i, j); case iii of a rule against itself
-    is dropped, since it is case ii with the two steps swapped.  A pair
-    with a rule id in ``gone`` gives its inclusions only."""
-    rules = sys.rules
-    return [
-        overlap
-        for i in range(len(rules))
-        for j in range(max(i, new_start), len(rules))
-        for overlap in find_overlaps(rules[i], rules[j], rules[i].rid in gone or rules[j].rid in gone)
-        if i < j or overlap.case != "iii"
-    ]
+    j >= new_start, in order of (i, j), then case, then position; case iii
+    of a rule against itself is dropped, since it is case ii with the two
+    steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
+    only.
+
+    The branchings are read off the lhs automaton.  The lhs that end at
+    position e of lhs l are those on the output chain of l's state after e
+    letters: cases i and iv.  A proper suffix of l that is a trie state is
+    a proper prefix of every lhs that runs on past that state, and the
+    failure chain of l's end state gives each such suffix: cases ii and iii."""
+    rules, lhs = sys.rules, sys._lhs
+    goto, depth, fail, out, hits = lhs.goto, lhs.depth, lhs.fail, lhs.out, lhs.hits
+    dead = [rule.rid in gone for rule in rules]
+    paths, through, through_new = [], {}, {}  # the states along each lhs; who runs past a state
+    for x, rule in enumerate(rules):
+        path, s = [], 0
+        for letter in rule.lhs:
+            s = goto[s][letter]
+            path.append(s)
+        for s in path[:-1]:
+            through.setdefault(s, []).append(x)
+            if x >= new_start:
+                through_new.setdefault(s, []).append(x)
+        paths.append(path)
+    found = {}  # (i, j, case, position) -> overlap
+    shortest_new = min((len(rule.lhs) for rule in rules[new_start:]), default=len(depth))
+    for x, rule in enumerate(rules):
+        l1, a, path, old = rule.lhs, Step(EMPTY, rule.rid, 1, EMPTY), paths[x], x < new_start
+        shortest = shortest_new if old else 1  # an old lhs pairs only with a new one
+        for e, s in enumerate(path, 1):
+            while out[s] >= shortest:  # out only shrinks down the chain
+                k = depth[s]
+                for y in hits.get(s, ()):
+                    step = Step(l1[:e - k], rules[y].rid, 1, l1[e:])
+                    if y < x and not old:  # l_y inside l_x: case i of (y, x)
+                        found[y, x, 0, e - k] = Overlap("i", l1, step, a)
+                    elif y > x and y >= new_start and k < len(l1):  # case iv of (x, y); l_y = l_x is case i's
+                        found[x, y, 3, e - k] = Overlap("iv", l1, a, step)
+                s = fail[s]
+        if dead[x]:
+            continue
+        s = fail[path[-1]]
+        while s:  # each proper suffix of l_x that is a trie state, longest first
+            k = depth[s]
+            for y in (through_new if old else through).get(s, ()):
+                if dead[y]:
+                    continue
+                l2 = rules[y].lhs
+                if x < y:  # l_x on the left: case iii of (x, y)
+                    found[x, y, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rule.rid, 1, l2[k:]),
+                                                Step(l1[:-k], rules[y].rid, 1, EMPTY))
+                else:  # l_x on the left: case ii of (y, x); for y = x it stands for iii too
+                    found[y, x, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[y].rid, 1, EMPTY),
+                                                Step(EMPTY, rule.rid, 1, l2[k:]))
+            s = fail[s]
+    return [found[key] for key in sorted(found)]
 
 
 def retired(sys: LoggedSystem) -> set[str]:
@@ -196,8 +204,11 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
                 return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
-            # the new lhs is irreducible, so it contains no listed lhs
-            gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
+            # the new lhs is irreducible, so only a longer listed lhs can
+            # contain it; a rule retired already stays retired
+            lhs, k = outcome.rule.lhs, len(outcome.rule.lhs)
+            gone.update(r.rid for r in sys.rules if r.rid not in gone and len(r.lhs) > k
+                        and lhs in {r.lhs[p:p + k] for p in range(len(r.lhs) - k + 1)})
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             return CompletionResult(sys.as_complete())
@@ -236,7 +247,8 @@ def system_to_json(result: CompletionResult) -> dict:
 def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     """A saved system under ``order``, which the JSON does not carry; ``retired``
     marks are not read.  A rule's ``provenance`` must be ``"derived"`` exactly
-    when it has a log, and the status ``"complete"`` (checked) or ``"limit"``.
+    when it has a log, which may name only rules listed before it, and the
+    status ``"complete"`` (checked) or ``"limit"``.
     ``logged_knuth_bendix`` resumes a partial one to the normal forms of a
     direct run; derived rules, ids and order may differ."""
     rules, logs = {}, {}
@@ -262,7 +274,12 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     if status not in ("complete", "limit"):
         raise ValueError(f"unknown status {status!r}")
     sys = LoggedSystem(tuple(rules.values()), logs, complete=status == "complete", order=order)
+    place = {rid: i for i, rid in enumerate(rules)}
     for rid, log in logs.items():
+        # a log names only earlier rules, so each expands onto initial ones
+        later = next((s.rule for s in log.steps if place.get(s.rule, -1) >= place[rid]), None)
+        if later is not None:
+            raise ValueError(f"rule {rid}: log names rule {later}, which is not listed before it")
         try:
             end = twocell.target(log, sys.rule_map)
         except twocell.ChainError as err:

@@ -124,7 +124,7 @@ def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""
     lhs = sys._lhs
-    goto, depth, fail, out = lhs.goto, lhs.depth, lhs.fail, lhs.out
+    goto, depth, fail, out, hits = lhs.goto, lhs.depth, lhs.fail, lhs.out, lhs.hits
     current, stack = w, [0]  # stack[i]: the state after current[:i]
     while True:
         # read on until no partial match can start left of the best start
@@ -142,7 +142,15 @@ def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
                 best = pos - longest
         if best == n:
             return current
-        rule = sys.rules[_redexes_at(current, best, sys)[0]]
+        # the lowest rule whose lhs starts at best: one walk down the trie
+        low, state = len(sys.rules), 0
+        for pos in range(best, n):
+            state = goto[state].get(current[pos])
+            if state is None:
+                break
+            if state in hits and hits[state][0] < low:
+                low = hits[state][0]
+        rule = sys.rules[low]
         suffix = current[best + len(rule.lhs):]
         if steps is not None:
             steps.append(Step(current[:best], rule.rid, 1, suffix))

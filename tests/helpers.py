@@ -2,19 +2,18 @@
 
 The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
-union-find congruence closure, brute-force overlap scans, completion
-that builds every overlap before it filters them, and a rotation
-search that keys every rotation afresh.  Tests compare
+union-find congruence closure, brute-force overlap scans, a pairwise
+overlap search that compares every pair of left-hand sides by slicing,
+completion that builds every overlap before it filters them, and a
+rotation search that keys every rotation afresh.  Tests compare
 the library against these, never against itself.
 """
 
 from itertools import product
 
 from logrew import completion
-from logrew.completion import (
-    CompletionLimits, CompletionResult, critical_pairs, is_complete, occurrences, retired,
-)
-from logrew.core import Word
+from logrew.completion import CompletionLimits, CompletionResult, Overlap, is_complete, retired
+from logrew.core import EMPTY, Rule, Word
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import Step, TwoCell
 import logrew.twocell as tc
@@ -85,6 +84,61 @@ LADDER = {
 NINE_GROUPS = {name: LADDER[name] for name in LADDER if name not in ("S7", "F4")}
 
 
+def occurrences(needle: Word, haystack: Word) -> list[int]:
+    k = len(needle)
+    return [p for p in range(len(haystack) - k + 1) if haystack[p:p + k] == needle]
+
+
+def find_overlaps(a: Rule, b: Rule, inclusions_only: bool = False) -> list[Overlap]:
+    """All overlap placements of a (as the first rule) against b (as the
+    second), or only those of cases i and iv, by case, then position."""
+    l1, l2 = a.lhs, b.lhs
+    span = 0 if inclusions_only else min(len(l1), len(l2))  # a proper overlap is shorter than both
+    found: list[Overlap] = []
+
+    def add(case, u1, v1, u2, v2, sup):
+        found.append(Overlap(case, sup, Step(u1, a.rid, 1, v1), Step(u2, b.rid, 1, v2)))
+
+    # case i: l1 occurs inside l2
+    for p in occurrences(l1, l2):
+        u1, v1 = l2[:p], l2[p + len(l1):]
+        if a.rid == b.rid and not u1 and not v1:
+            continue  # identical placement of the same rule
+        add("i", u1, v1, EMPTY, EMPTY, l2)
+    # case ii: a proper overlap, l2 on the left
+    for k in range(1, span):
+        if l1[:k] == l2[len(l2) - k:]:
+            u1 = l2[:len(l2) - k]
+            v2 = l1[k:]
+            add("ii", u1, EMPTY, EMPTY, v2, u1 + l1)
+    # case iii: a proper overlap, l1 on the left
+    for k in range(1, span):
+        if l1[len(l1) - k:] == l2[:k]:
+            v1 = l2[k:]
+            u2 = l1[:len(l1) - k]
+            add("iii", EMPTY, v1, u2, EMPTY, l1 + v1)
+    # case iv: l2 occurs inside l1
+    for p in occurrences(l2, l1):
+        u2, v2 = l1[:p], l1[p + len(l2):]
+        if not u2 and not v2:
+            continue  # l1 = l2: case i has this placement, or it is the identical one
+        add("iv", EMPTY, EMPTY, u2, v2, l1)
+    return found
+
+
+def pairwise_critical_pairs(sys: LoggedSystem, new_start: int, gone=frozenset()) -> list[Overlap]:
+    """``completion.critical_pairs`` by ``find_overlaps`` on every pair of
+    rules i <= j with j >= new_start, in order of (i, j)."""
+    rules = sys.rules
+    return [
+        overlap
+        for i in range(len(rules))
+        for j in range(max(i, new_start), len(rules))
+        for overlap in find_overlaps(rules[i], rules[j], rules[i].rid in gone or rules[j].rid in gone)
+        if i < j or overlap.case != "iii"
+    ]
+
+
 def check_retirement(sys: LoggedSystem) -> None:
     """A completed system's retired rules each contain an active lhs, no
     active lhs contains another, and the system is complete both with its
@@ -120,7 +174,7 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     passes = 0
     while True:
         passes += 1
-        queue = critical_pairs(sys, new_start)
+        queue = pairwise_critical_pairs(sys, new_start)
         new_start = len(sys.rules)
         while queue:
             overlap = queue.pop(0)
@@ -137,7 +191,7 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         if len(sys.rules) == new_start:
             return CompletionResult(sys.as_complete())
         if passes >= limits.max_passes:
-            return CompletionResult(sys, tuple(filter(live, critical_pairs(sys, new_start))))
+            return CompletionResult(sys, tuple(filter(live, pairwise_critical_pairs(sys, new_start))))
 
 
 def expanded_lengths(sys: LoggedSystem) -> dict[str, int]:

@@ -12,16 +12,17 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, prove, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, critical_pairs, find_overlaps, is_complete,
+    CompletionLimits, NewRule, critical_pairs, is_complete,
     logged_knuth_bendix, resolve, retired, sides, system_from_json, system_to_json,
 )
 from logrew.endorewrites import delta
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
 
+import helpers
 from helpers import (
-    LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement,
-    congruence_classes, expanded_lengths, filter_knuth_bendix, words_over,
+    LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
+    expanded_lengths, filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, words_over,
 )
 from test_endorewrites import presentations
 
@@ -235,22 +236,27 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
 def test_completion_resolves_what_building_every_overlap_resolves(name, limits, monkeypatch):
     # a pass builds only the inclusions of a rule retired before it starts;
     # it resolves the same branchings, in the same order, and stops at a
-    # limit with the same pending pairs as when it built them all
+    # limit with the same pending pairs as when it built them all.  Each
+    # run counts the overlaps its pair search returns: completion's
+    # critical_pairs, and the pairwise reference the filtering run builds by
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
-    resolve, find = completion.resolve, completion.find_overlaps
+    resolve = completion.resolve
     resolved, built = [], []
 
     def recorded_resolve(overlap, sys):
         resolved.append(overlap)
         return resolve(overlap, sys)
 
-    def counted_find(*args):
-        found = find(*args)
-        built.append(len(found))
-        return found
+    def counted(search):
+        def counted_search(*args):
+            found = search(*args)
+            built.append(len(found))
+            return found
+        return counted_search
 
     monkeypatch.setattr(completion, "resolve", recorded_resolve)
-    monkeypatch.setattr(completion, "find_overlaps", counted_find)
+    monkeypatch.setattr(completion, "critical_pairs", counted(completion.critical_pairs))
+    monkeypatch.setattr(helpers, "pairwise_critical_pairs", counted(helpers.pairwise_critical_pairs))
     result = logged_knuth_bendix(init, limits)
     ours, ours_built = resolved[:], sum(built)
     resolved.clear()
@@ -259,7 +265,71 @@ def test_completion_resolves_what_building_every_overlap_resolves(name, limits, 
     assert resolved == ours
     assert (result.status, result.system.rules, result.system.logs, result.pending) == (
         expected.status, expected.system.rules, expected.system.logs, expected.pending)
-    assert ours_built <= sum(built)
+    assert 0 < ours_built <= sum(built)
+
+
+def _checked_critical_pairs(monkeypatch):
+    """Make completion check each pair search against the pairwise reference;
+    returns the list of the calls checked."""
+    search, calls = completion.critical_pairs, []
+
+    def checked(sys, new_start, gone=frozenset()):
+        found = search(sys, new_start, gone)
+        assert found == pairwise_critical_pairs(sys, new_start, gone), (new_start, sorted(gone))
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(completion, "critical_pairs", checked)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, monkeypatch):
+    # on every pass of a completion, with the rules retired so far, and on
+    # the completed system with and without its retired rules' pairs
+    calls = _checked_critical_pairs(monkeypatch)
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0]))).system
+    for gone in (frozenset(), retired(sys)):
+        for new_start in (0, len(sys.rules) // 2, len(sys.rules)):
+            completion.critical_pairs(sys, new_start, gone)
+    assert len(calls) > 6 and any(calls)
+
+
+@pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(12, 6, 8)],
+                         ids=["default", "small"])
+@given(text=presentations())
+@example(text=LADDER["triangle_r4"][0])
+@settings(max_examples=60, deadline=None)
+def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits, text):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _checked_critical_pairs(monkeypatch)
+        result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)), limits)
+        completion.critical_pairs(result.system, 0, retired(result.system))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
+    # resolve compares the ends unlogged: it gives None exactly when the two
+    # ends of sides agree, and otherwise the rule and log sides yields
+    resolve, outcomes = completion.resolve, []
+
+    def checked(overlap, sys):
+        outcome = resolve(overlap, sys)
+        (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
+        if z_left == z_right:
+            assert outcome is None
+        else:
+            (up, lhs), (over, rhs) = sorted(
+                [(left, z_left), (right, z_right)], key=lambda side: sys.order.key(side[1]))
+            assert outcome == NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs),
+                                      TwoCell(lhs, tc.invert_steps(up.steps) + over.steps))
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(completion, "resolve", checked)
+    result = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0])))
+    assert outcomes.count(None) < len(outcomes) or name == "Z8xZ9"
+    assert len(outcomes) - outcomes.count(None) == len(result.system.logs)
 
 
 def test_is_complete_published(se_system):
@@ -451,6 +521,26 @@ def test_system_from_json_rejects_duplicate_id():
     ]}
     with pytest.raises(ValueError, match="rule r1: duplicate id"):
         system_from_json(data, OrderSpec(Alphabet(("a", "b"))))
+
+
+@pytest.mark.parametrize("justifier", [
+    {"id": "r3", "lhs": "b b", "rhs": "1", "provenance": "initial", "log": None},
+    {"id": "r3", "lhs": "a", "rhs": "b", "provenance": "initial", "log": None},
+], ids=["self", "later"])
+def test_system_from_json_rejects_a_log_that_names_no_earlier_rule(justifier):
+    # a a = 1 does not make a equal b; a derived r2: a -> b whose one-step
+    # log is r2 itself replays, and then proves a = b by that step and sends
+    # expand_log round forever; a log through a later rule is no better
+    order = OrderSpec(Alphabet(("a", "b")))
+    named = "r2" if justifier["lhs"] == "b b" else "r3"
+    data = {"status": "limit", "rules": [
+        {"id": "r1", "lhs": "a a", "rhs": "1", "provenance": "initial", "log": None},
+        {"id": "r2", "lhs": "a", "rhs": "b", "provenance": "derived",
+         "log": tc.cell_to_json(TwoCell(W("a"), (Step((), named, 1, ()),)))},
+        justifier,
+    ]}
+    with pytest.raises(ValueError, match=f"^rule r2: log names rule {named}, which is not listed before it$"):
+        system_from_json(data, order)
 
 
 def test_system_from_json_checks_a_complete_status():

@@ -11,7 +11,7 @@ import pytest
 from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
 from logrew.completion import (
-    CompletionLimits, critical_pairs, find_overlaps, logged_knuth_bendix, resolve,
+    CompletionLimits, critical_pairs, logged_knuth_bendix, resolve,
 )
 from logrew.endorewrites import (
     UnmatchedDiamond, _cyclic_core, _diamond,
@@ -23,7 +23,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, check_retirement, random_cell, random_loop, random_word,
+    A5, MERGING, check_retirement, find_overlaps, random_cell, random_loop, random_word,
     scan_conjugacy_reduce, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
