@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
-from .engine import LoggedSystem, find_redexes, reduce_into
+from .engine import LoggedSystem, reduce_into
 from .twocell import Step, TwoCell
 
 
@@ -165,10 +165,23 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
 
 def retired(sys: LoggedSystem) -> set[str]:
     """Ids of the rules whose lhs has another rule's lhs as a proper factor,
-    or equals the lhs of an earlier rule."""
-    rank = {rule.rid: (len(rule.lhs), i) for i, rule in enumerate(sys.rules)}
-    return {rule.rid for rule in sys.rules
-            if any(rank[rid] < rank[rule.rid] for _, rid in find_redexes(rule.lhs, sys))}
+    or equals the lhs of an earlier rule.
+
+    Read off the lhs automaton: an lhs ends at a state before the end of
+    the rule's trie path (one ending at such a state is shorter), or on the
+    failure chain of its end state (a proper suffix), or at the end state
+    itself under a lower rule index (an equal lhs)."""
+    lhs = sys._lhs
+    goto, fail, out, hits = lhs.goto, lhs.fail, lhs.out, lhs.hits
+    gone = set()
+    for x, rule in enumerate(sys.rules):
+        s, inside = 0, False
+        for letter in rule.lhs:
+            inside = inside or out[s] > 0
+            s = goto[s][letter]
+        if inside or out[fail[s]] or hits[s][0] < x:
+            gone.add(rule.rid)
+    return gone
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -248,28 +261,38 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     """A saved system under ``order``, which the JSON does not carry; ``retired``
     marks are not read.  A rule's ``provenance`` must be ``"derived"`` exactly
     when it has a log, which may name only rules listed before it, and the
-    status ``"complete"`` (checked) or ``"limit"``.
+    status ``"complete"`` (checked) or ``"limit"``.  Anything else raises
+    ``ValueError``, naming the rule when its entry has an id.
     ``logged_knuth_bendix`` resumes a partial one to the normal forms of a
     direct run; derived rules, ids and order may differ."""
+    entries = data.get("rules") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("a saved system needs a list of rules")
     rules, logs = {}, {}
-    for entry in data["rules"]:
-        rule = Rule(entry["id"], word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
+    for n, entry in enumerate(entries):
+        rid = entry.get("id") if isinstance(entry, dict) else None
+        try:  # a malformed entry raises ValueError, naming its rule when it has an id
+            if not isinstance(rid, str):
+                raise ValueError("needs a string id")
+            rule = Rule(rid, word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
+            decreasing = order.greater(rule.lhs, rule.rhs)  # the key ranks every letter of both
+            log = entry.get("log")
+            log = None if log is None else twocell.cell_from_json(log)
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            where = f"rule {rid}" if isinstance(rid, str) else f"rule entry {n}"
+            raise ValueError(f"{where}: {'missing ' if isinstance(err, KeyError) else ''}{err}") from None
         if rule.rid in rules:  # redexes are found by index, applied by id
             raise ValueError(f"rule {rule.rid}: duplicate id")
-        try:  # the order's key ranks every letter of both words
-            decreasing = order.greater(rule.lhs, rule.rhs)
-        except ValueError as err:
-            raise ValueError(f"rule {rule.rid}: {err}") from None
         if not decreasing:
             raise ValueError(f"rule {rule.rid}: lhs is not greater than rhs")
         rules[rule.rid] = rule
-        provenance, logged = entry.get("provenance", "initial"), entry.get("log") is not None
+        provenance, logged = entry.get("provenance", "initial"), log is not None
         if provenance not in ("initial", "derived"):
             raise ValueError(f"rule {rule.rid}: unknown provenance {provenance!r}")
         if logged != (provenance == "derived"):  # expand_log keeps the steps of a rule with no log
             raise ValueError(f"rule {rule.rid}: {provenance} {'with' if logged else 'without'} a log")
         if logged:
-            logs[rule.rid] = twocell.cell_from_json(entry["log"])
+            logs[rule.rid] = log
     status = data.get("status", "limit")
     if status not in ("complete", "limit"):
         raise ValueError(f"unknown status {status!r}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .core import Rule, Word, word_to_str
 from . import twocell
-from .engine import LoggedSystem, normal_form
+from .engine import LoggedSystem
 from .twocell import ChainError, Step, TwoCell
 from .completion import CompletionResult, Overlap, critical_pairs, sides
 
@@ -93,43 +93,6 @@ class GeneratorSet:
         if gid not in self._by_id:
             raise UnmatchedDiamond(f"generator {gid} is not in the set")
         return self._by_id[gid]
-
-
-def _cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    """The loop free reduced and stripped of mutually inverse outer steps,
-    which advances its base word: the cyclic reduction of its walk."""
-    source, steps = cell.source, twocell.free_reduce(cell).steps
-    while len(steps) >= 2 and steps[0] == twocell.invert_step(steps[-1]):
-        source = twocell.step_target(steps[0], rules)
-        steps = steps[1:-1]
-    return TwoCell(source, steps)
-
-
-def conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """Canonical representative of a loop's conjugacy class.
-
-    Conjugate loops have rotation-equivalent cyclic cores, so the core's
-    rotation based at the greatest word (least step sequence as tie break)
-    is a conjugacy invariant; it is interchange normalized, and picked anew
-    if that shrinks its core.  Loops that vanish return the identity at the
-    normal form of their base.
-    """
-    rules = sys.rule_map
-    core = _cyclic_core(cell, rules)
-    if not core.steps:
-        return twocell.identity(normal_form(core.source, sys))
-    steps, words = core.steps, twocell.intermediate_words(core, rules)[:-1]
-    keys = [sys.order.key(w) for w in words]
-    top = min(keys)
-    # the rotations tied on the greatest word all start there
-    best = min(
-        (TwoCell(words[k], steps[k:] + steps[:k]) for k, key in enumerate(keys) if key == top),
-        key=lambda c: c.steps,
-    )
-    polished = _cyclic_core(twocell.interchange_normalize(best, rules), rules)
-    if len(polished.steps) < len(best.steps):
-        return conjugacy_reduce(polished, sys)
-    return polished
 
 
 def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> GeneratorSet:

@@ -100,26 +100,6 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
     return LoggedSystem(orient(p), order=p.order)
 
 
-def _redexes_at(w: Word, pos: int, sys: LoggedSystem) -> list[int]:
-    """Indices of the rules whose lhs occurs in w at pos, ascending."""
-    lhs, s, hits = sys._lhs, 0, []
-    for i in range(pos, len(w)):
-        t = lhs.goto[s].get(w[i])
-        if t is None:
-            break
-        s = t
-        hits += lhs.hits.get(s, ())
-    if len(hits) > 1:
-        hits.sort()
-    return hits
-
-
-def find_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
-    """All (position, rule id) with the rule's lhs at that position, by
-    position, then rule index."""
-    return [(pos, sys.rules[i].rid) for pos in range(len(w)) for i in _redexes_at(w, pos, sys)]
-
-
 def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""

@@ -4,8 +4,7 @@ A step applies one rule inside a context, ``prefix . rule^exp . suffix``;
 it is a named tuple, so it compares and hashes as its four fields.  A
 two-cell is a source word plus a chain of steps; each step must stand on
 the word produced by the previous one.  Cells are kept as explicit step
-sequences; equality up to the interchange law is approximated by a
-deterministic normalization, never by a quotient representation.
+sequences, never as classes up to the interchange law.
 ``join`` multiplies two free-reduced step sequences, cancelling only at
 the junction, where alone a product of reduced pieces can cancel.
 """
@@ -91,18 +90,6 @@ def validate(cell: TwoCell, rules: dict[str, Rule]) -> int | None:
     return None
 
 
-def intermediate_words(cell: TwoCell, rules: dict[str, Rule]) -> list[Word]:
-    """All words visited, source first; length is len(steps) + 1."""
-    words = [cell.source]
-    for step in cell.steps:
-        words.append(step_target(step, rules))
-    return words
-
-
-def compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    return compose_all([a, b], rules)
-
-
 def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
     """The cells one after another; each join is checked on one replay of
     the cell before it, so a step that does not replay is indexed in its cell."""
@@ -120,10 +107,6 @@ def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
 def invert_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """The steps reversed, each inverted: inversion without the replay."""
     return tuple(invert_step(s) for s in reversed(steps))
-
-
-def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    return TwoCell(target(cell, rules), invert_steps(cell.steps))
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
@@ -176,50 +159,6 @@ def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> S
     elif p + len(in_s) > q:
         raise ValueError("steps are not disjoint")
     return Step(word[:p], step.rule, step.exp, word[p + len(in_s):])
-
-
-def _swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
-    """Swap two independent adjacent steps so the leftmost region acts first.
-
-    Returns None when the regions interact or are already in left-to-right
-    order.
-    """
-    _, out1 = step_io(first, rules)
-    in2, _ = step_io(second, rules)
-    p1 = len(first.prefix)
-    p2 = len(second.prefix)
-    left_of = p2 + len(in2) <= p1
-    right_of = p2 >= p1 + len(out1)
-    if not left_of or right_of:
-        return None
-    # close the square of first^-1 and second on the word between them,
-    # where their regions never tie as they may on the word before first
-    undo = invert_step(first)
-    back = transport(undo, second, step_target(second, rules), rules)
-    return transport(second, undo, step_source(first, rules), rules), invert_step(back)
-
-
-def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    """Deterministic representative of (a sound fragment of) the interchange class.
-
-    Bubble passes over every adjacent pair swap steps acting on disjoint
-    regions until the leftmost region always comes first, each pass
-    followed by free reduction, until a pass swaps nothing.  Endpoints and
-    rule counts are preserved.  Equal normal forms prove two cells
-    interchange-equal; unequal ones prove nothing.
-    """
-    cell = free_reduce(cell)
-    while True:
-        steps = list(cell.steps)
-        swapped = False
-        for i in range(len(steps) - 1):
-            pair = _swap_adjacent(steps[i], steps[i + 1], rules)
-            if pair is not None:
-                steps[i], steps[i + 1] = pair
-                swapped = True
-        if not swapped:
-            return cell
-        cell = free_reduce(TwoCell(cell.source, tuple(steps)))
 
 
 def abelianize(cell: TwoCell) -> dict[str, int]:

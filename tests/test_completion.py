@@ -22,9 +22,11 @@ from logrew.twocell import Step, TwoCell
 import helpers
 from helpers import (
     LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
-    expanded_lengths, filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, words_over,
+    expanded_lengths, filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, scan_retired,
+    words_over,
 )
 from test_endorewrites import presentations
+from test_engine import system, systems_and_words
 
 W = word_from_str
 
@@ -362,6 +364,26 @@ def test_retired_marks_contained_and_repeated_lhs():
     assert retired(LoggedSystem(rules, order=order)) == {"r1", "r4"}
 
 
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_retired_equals_slicing_on_the_ladder(name):
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    for sys in (init, logged_knuth_bendix(init).system):
+        assert retired(sys) == scan_retired(sys)
+
+
+@given(systems_and_words())
+# r1's lhs is a proper suffix of r2's, seen only on the failure chain of its end
+@example((system(("b", "1"), ("a b", "a")), ()))
+# r2 repeats r1's lhs, seen only at their shared end state
+@example((system(("a b", "a"), ("a b", "b")), ()))
+# r1's lhs is a proper prefix of r2's
+@example((system(("a", "1"), ("a b", "b")), ()))
+@settings(max_examples=200, deadline=None)
+def test_retired_equals_slicing_on_nested_and_repeated_lhs(case):
+    sys, _ = case
+    assert retired(sys) == scan_retired(sys)
+
+
 def test_reduced_system_retires_nothing(ab_completion):
     assert retired(ab_completion.system) == set()
     assert all("retired" not in rule for rule in system_to_json(ab_completion)["rules"])
@@ -491,6 +513,32 @@ def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message)
         entry.update(value(entry))
     else:
         entry[field] = value(entry[field]) if callable(value) else value
+    with pytest.raises(ValueError, match=message):
+        system_from_json(data, ab_completion.system.order)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("rules", 0, "id"), MISSING, "^rule entry 0: needs a string id$"),
+    (("rules", 2, "log", "source"), MISSING, "^rule r3: missing 'source'$"),
+    (("rules", 2, "log", "steps", 0), "r1", "^rule r3: string indices must be integers"),
+    (("rules",), 3, "^a saved system needs a list of rules$"),
+    (("rules", 2, "log", "steps", 0, "exp"), 2, "^rule r3: step exponent must be 1 or -1, got 2$"),
+], ids=["no-id", "log-without-source", "step-as-string", "rules-not-a-list", "exponent-2"])
+def test_system_from_json_raises_value_error_on_malformed_json(ab_completion, path, value, message):
+    # a caller that loads a saved file catches ValueError alone, so none of
+    # these may raise KeyError or TypeError, and each names what is wrong
+    data = json.loads(json.dumps(system_to_json(ab_completion)))
+    *outer, last = path
+    place = data
+    for key in outer:
+        place = place[key]
+    if value is MISSING:
+        del place[last]
+    else:
+        place[last] = value
     with pytest.raises(ValueError, match=message):
         system_from_json(data, ab_completion.system.order)
 

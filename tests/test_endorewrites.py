@@ -9,22 +9,21 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew.core import parse_presentation, word_from_str, word_to_str
-from logrew.engine import expand_log, find_redexes, normal_form, system_from_presentation
+from logrew.engine import expand_log, normal_form, system_from_presentation
 from logrew.completion import (
     CompletionLimits, critical_pairs, logged_knuth_bendix, resolve,
 )
 from logrew.endorewrites import (
-    UnmatchedDiamond, _cyclic_core, _diamond,
-    conjugacy_reduce, delta,
-    decomposition_to_json, express, generate,
+    UnmatchedDiamond, _diamond, delta, decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, check_retirement, find_overlaps, random_cell, random_loop, random_word,
-    scan_conjugacy_reduce, signed_factor_sum, words_over,
+    A5, MERGING, check_retirement, cyclic_core, find_overlaps, interchange_normalize,
+    intermediate_words, invert, random_cell, random_loop, random_word, scan_conjugacy_reduce,
+    scan_redexes, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -47,8 +46,8 @@ def _assert_own_best_rotations(gens):
     greatest word, so it is its own best rotation."""
     rules, key = gens.system.rule_map, gens.system.order.key
     for gen in gens.origin_index.values():
-        assert _cyclic_core(gen.cell, rules) == gen.cell
-        top, *rest = (key(w) for w in tc.intermediate_words(gen.cell, rules)[:-1])
+        assert cyclic_core(gen.cell, rules) == gen.cell
+        top, *rest = (key(w) for w in intermediate_words(gen.cell, rules)[:-1])
         assert all(top < k for k in rest)
 
 
@@ -76,7 +75,7 @@ def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     cp = _pair_on(se_system, W("e e s s s"), 0, "r1", 2, "r2")
     loop = delta(*cp, se_system)
     assert loop.source == W("e e s s s")
-    assert tc.interchange_normalize(loop, se_rules) == identity(loop.source)
+    assert interchange_normalize(loop, se_rules) == identity(loop.source)
 
 
 def test_delta_whisker_coherence(se_generators, se_system):
@@ -100,7 +99,7 @@ def test_generate_published_system(se_generators):
     for gen in gens.generators:
         assert tc.validate(gen.cell, rules) is None
         assert tc.target(gen.cell, rules) == gen.cell.source
-        assert tc.interchange_normalize(gen.cell, rules).steps
+        assert interchange_normalize(gen.cell, rules).steps
         assert gen.base_element == normal_form(gen.cell.source, gens.system)
 
 
@@ -136,47 +135,46 @@ def test_generate_deterministic(se_completion, se_init):
 
 
 def test_conjugacy_reduce_identity(se_system):
-    assert conjugacy_reduce(identity(W("s e")), se_system) == identity(W("s e"))
+    assert scan_conjugacy_reduce(identity(W("s e")), se_system) == identity(W("s e"))
 
 
 def test_conjugacy_reduce_published_generator_unchanged(se_system):
     loop = loop_cell("se_1")
-    assert conjugacy_reduce(loop, se_system) == loop
+    assert scan_conjugacy_reduce(loop, se_system) == loop
 
 
 def test_conjugacy_reduce_strips_outer_pair(se_system, se_rules):
     loop = loop_cell("se_1")
     beta = TwoCell(W("s s s s s e"), (Step(W("1"), "r2", 1, W("s s e")),))
     conjugated = tc.compose_all(
-        [tc.invert(beta, se_rules), tc.whisker(W("s s"), loop, W("1")), beta],
+        [invert(beta, se_rules), tc.whisker(W("s s"), loop, W("1")), beta],
         se_rules,
     )
-    assert conjugacy_reduce(conjugated, se_system) == conjugacy_reduce(
+    assert scan_conjugacy_reduce(conjugated, se_system) == scan_conjugacy_reduce(
         tc.whisker(W("s s"), loop, W("1")), se_system)
 
 
-def test_conjugacy_invariance(rng, se_system, se_rules):
+def test_conjugacy_invariance(rng, se_system, se_rules, a5_generators):
     for _ in range(200):
         base = random_word(rng, ("s", "e"), 7, min_len=1)
         gamma = random_loop(rng, se_system, base, rng.randint(0, 5))
         beta = random_cell(rng, se_system, base, rng.randint(0, 4))
         conjugated = tc.compose_all(
-            [tc.invert(beta, se_rules), gamma, beta], se_rules)
-        assert conjugacy_reduce(conjugated, se_system) == conjugacy_reduce(gamma, se_system)
-
-
-@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["se", "A5"]))
-@settings(max_examples=200, deadline=None)
-def test_canonical_forms_of_a_loop_and_its_inverse(seed, group, se_generators, a5_generators):
-    # g . g . h visits the words of g twice, so its greatest word is often tied
-    sys = (se_generators if group == "se" else a5_generators).system
-    r = random.Random(seed)
-    base = random_word(r, ("s", "e") if group == "se" else ("a", "b"), 5, min_len=1)
-    g, h = (random_loop(r, sys, base, r.randint(1, 6)) for _ in range(2))
-    loop = TwoCell(base, g.steps + g.steps + h.steps)
-    inverse = TwoCell(base, tc.invert_steps(loop.steps))
-    for cell in (loop, inverse):
-        assert conjugacy_reduce(cell, sys) == scan_conjugacy_reduce(cell, sys)
+            [invert(beta, se_rules), gamma, beta], se_rules)
+        assert scan_conjugacy_reduce(conjugated, se_system) == scan_conjugacy_reduce(gamma, se_system)
+    # g . g . h visits the words of g twice, so its greatest word is often
+    # tied: such loops and their inverses, on se and on A5
+    r = random.Random(1729)
+    for sys, letters in ((se_system, ("s", "e")), (a5_generators.system, ("a", "b"))):
+        rules = sys.rule_map
+        for _ in range(100):
+            base = random_word(r, letters, 5, min_len=1)
+            g, h = (random_loop(r, sys, base, r.randint(1, 6)) for _ in range(2))
+            loop = TwoCell(base, g.steps + g.steps + h.steps)
+            for gamma in (loop, TwoCell(base, tc.invert_steps(loop.steps))):
+                beta = random_cell(r, sys, base, r.randint(0, 4))
+                conjugated = tc.compose_all([invert(beta, rules), gamma, beta], rules)
+                assert scan_conjugacy_reduce(conjugated, sys) == scan_conjugacy_reduce(gamma, sys)
 
 
 def test_express_identity(se_generators):
@@ -244,9 +242,9 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
         loop = random_loop(rng, se_system, base, rng.randint(1, 4))
         beta = random_cell(rng, se_system, base, rng.randint(0, 3))
         conjugated = tc.compose_all(
-            [tc.invert(beta, se_rules), loop, beta], se_rules)
-        left = express(conjugacy_reduce(conjugated, se_system), se_generators)
-        right = express(conjugacy_reduce(loop, se_system), se_generators)
+            [invert(beta, se_rules), loop, beta], se_rules)
+        left = express(scan_conjugacy_reduce(conjugated, se_system), se_generators)
+        right = express(scan_conjugacy_reduce(loop, se_system), se_generators)
         content = lambda dec: Counter(
             (f.gen, f.exp) for f in dec.factors if f.gen is not None)
         assert content(left) == content(right)
@@ -264,7 +262,7 @@ def test_diamond_either_order(name, se_generators, a5_generators):
     kinds = Counter()
     for v in words_over(letters, 7):
         steps = [Step(v[:p], rid, 1, v[p + len(rules[rid].lhs):])
-                 for p, rid in find_redexes(v, gens.system)]
+                 for p, rid in scan_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
                 factor, around = _diamond(identity(v), a, b, gens)
@@ -279,12 +277,12 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                 if gen is not None:
                     in_order = inner_a == gen.origin.left
                     whiskered = tc.whisker(x, gen.cell, z)
-                    assert dia == (whiskered if in_order else tc.invert(whiskered, rules))
+                    assert dia == (whiskered if in_order else invert(whiskered, rules))
                     assert (factor.gen, factor.exp) == (gen.gid, 1 if in_order else -1)
                 else:
                     assert factor.gen is None
                 other, _ = _diamond(identity(v), b, a, gens)
-                assert other.cell == tc.invert(dia, rules)
+                assert other.cell == invert(dia, rules)
                 assert (other.gen, other.x, other.z, other.exp) == (
                     factor.gen, x, z, -factor.exp)
                 kinds["disjoint" if gen is None else "generator"] += 1
@@ -397,16 +395,14 @@ def test_branchings_taken_once_complete_and_express(text):
     gens = generate(comp, init)
     rules = gens.system.rule_map
     for gen in gens.origin_index.values():
-        for loop in (gen.cell, tc.invert(gen.cell, rules)):
+        for loop in (gen.cell, invert(gen.cell, rules)):
             assert express(loop, gens).residual == identity(loop.source)
 
 
 def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
-    from logrew.engine import find_redexes
-
     checked = 0
     for w in words_over(("s", "e"), 8):
-        redexes = find_redexes(w, se_system)
+        redexes = scan_redexes(w, se_system)
         for i, (p1, r1) in enumerate(redexes):
             for p2, r2 in redexes[i + 1:]:
                 l1 = len(se_rules[r1].lhs)
@@ -414,7 +410,7 @@ def test_disjoint_double_redexes_give_trivial_loops(se_system, se_rules):
                 if p1 + l1 <= p2 or p2 + l2 <= p1:
                     cp = _pair_on(se_system, w, p1, r1, p2, r2)
                     loop = delta(*cp, se_system)
-                    assert tc.interchange_normalize(loop, se_rules) == identity(w)
+                    assert interchange_normalize(loop, se_rules) == identity(w)
                     checked += 1
     assert checked > 100
 

@@ -12,15 +12,14 @@ from logrew import parse_presentation, system_from_presentation
 from logrew.completion import logged_knuth_bendix
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
-    LoggedSystem, Verdict, expand_log, find_redexes, normal_form, prove,
-    reduce_into, reduce_logged,
+    LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, all_normal_forms, random_cell, random_word, scan_redexes, scan_reduce,
-    words_over,
+    LADDER, all_normal_forms, intermediate_words, random_cell, random_word, scan_redexes,
+    scan_reduce, words_over,
 )
 
 W = word_from_str
@@ -29,17 +28,6 @@ W = word_from_str
 @pytest.fixture(scope="module")
 def rng():
     return random.Random(4242)
-
-
-def test_find_redexes_examples(se_system):
-    assert find_redexes(W("s s s e"), se_system) == [(0, "r2"), (1, "r3")]
-    assert find_redexes(W("s e"), se_system) == []
-    assert find_redexes(W("1"), se_system) == []
-
-
-def test_find_redexes_sorted(se_system):
-    hits = find_redexes(W("e e s s s e"), se_system)
-    assert hits == sorted(hits)
 
 
 def test_reduce_logged_leftmost(se_system, se_rules):
@@ -57,7 +45,7 @@ def test_reduce_logged_matches_exhaustive_oracle(se_system, se_rules):
         cell = reduce_logged(w, se_system)
         assert tc.validate(cell, se_rules) is None
         reached = tc.target(cell, se_rules)
-        assert find_redexes(reached, se_system) == []
+        assert scan_redexes(reached, se_system) == []
         assert reached in expected
 
 
@@ -65,7 +53,7 @@ def test_reduction_steps_strictly_decrease(rng, se_system, se_presentation, se_r
     for _ in range(100):
         w = random_word(rng, ("s", "e"), 10, min_len=1)
         cell = reduce_logged(w, se_system)
-        words = tc.intermediate_words(cell, se_rules)
+        words = intermediate_words(cell, se_rules)
         for before, after in zip(words, words[1:]):
             assert se_presentation.order.greater(before, after)
 
@@ -129,7 +117,6 @@ def system(*rules):
 @settings(max_examples=150, deadline=None)
 def test_indexed_reduction_matches_rescan(case):
     sys, w = case
-    assert find_redexes(w, sys) == scan_redexes(w, sys)
     expected = scan_reduce(w, sys)
     assert reduce_logged(w, sys) == expected
     assert normal_form(w, sys) == tc.target(expected, sys.rule_map)

@@ -12,7 +12,10 @@ from logrew.engine import system_from_presentation
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
-from helpers import A5, random_cell, random_loop, random_word
+from helpers import (
+    A5, compose, interchange_normalize, invert, random_cell, random_loop, random_word,
+    swap_adjacent,
+)
 from fixture_loops import SE_LOOPS, loop_cell
 
 W = word_from_str
@@ -69,24 +72,24 @@ def test_validate_unknown_rule(se_rules):
 
 def test_compose_identities(se_rules):
     e = identity(W("s e"))
-    assert tc.compose(e, e, se_rules) == e
+    assert compose(e, e, se_rules) == e
 
 
 def test_compose_overlap_loop(se_rules):
     down_left = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
     down_right = TwoCell(W("s s s e"), (Step(W("s"), "r3", 1, W("1")),))
-    loop = tc.compose(down_left, tc.invert(down_right, se_rules), se_rules)
+    loop = compose(down_left, invert(down_right, se_rules), se_rules)
     assert loop == loop_cell("se_1")
 
 
 def test_compose_endpoint_mismatch(se_rules):
     with pytest.raises(ChainError):
-        tc.compose(identity(W("s")), identity(W("e")), se_rules)
+        compose(identity(W("s")), identity(W("e")), se_rules)
 
 
 def test_compose_all_checks_every_join(se_rules):
     down = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
-    up = tc.invert(down, se_rules)
+    up = invert(down, se_rules)
     assert tc.compose_all([down, up, down], se_rules) == TwoCell(
         W("s s s e"), down.steps + up.steps + down.steps)
     # a mismatch at the first, a middle and the last join of four cells
@@ -108,23 +111,23 @@ def test_compose_all_is_the_fold_of_compose(rng, se_system, se_rules):
             cells.append(random_cell(rng, se_system, source, rng.randint(0, 3)))
         folded = cells[0]
         for cell in cells[1:]:
-            folded = tc.compose(folded, cell, se_rules)
+            folded = compose(folded, cell, se_rules)
         assert tc.compose_all(cells, se_rules) == folded
 
 
 def test_invert_identity_and_one_step(se_rules):
-    assert tc.invert(identity(W("s")), se_rules) == identity(W("s"))
+    assert invert(identity(W("s")), se_rules) == identity(W("s"))
     cell = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
-    inv = tc.invert(cell, se_rules)
+    inv = invert(cell, se_rules)
     assert inv == TwoCell(W("s e"), (Step(W("1"), "r2", -1, W("e")),))
-    assert tc.invert(inv, se_rules) == cell
+    assert invert(inv, se_rules) == cell
 
 
 def test_free_reduce_kills_conjugate_tail(rng, se_system, se_rules):
     for _ in range(100):
         base = random_word(rng, ("s", "e"), 6, min_len=1)
         cell = random_cell(rng, se_system, base, rng.randint(0, 6))
-        comp = tc.compose(cell, tc.invert(cell, se_rules), se_rules)
+        comp = compose(cell, invert(cell, se_rules), se_rules)
         assert tc.free_reduce(comp) == identity(base)
 
 
@@ -143,8 +146,8 @@ def test_groupoid_associativity_after_reduction(rng, se_system, se_rules):
         a = random_cell(rng, se_system, base, 2)
         b = random_cell(rng, se_system, tc.target(a, se_rules), 2)
         c = random_cell(rng, se_system, tc.target(b, se_rules), 2)
-        left = tc.compose(tc.compose(a, b, se_rules), c, se_rules)
-        right = tc.compose(a, tc.compose(b, c, se_rules), se_rules)
+        left = compose(compose(a, b, se_rules), c, se_rules)
+        right = compose(a, compose(b, c, se_rules), se_rules)
         assert tc.free_reduce(left) == tc.free_reduce(right)
 
 
@@ -160,8 +163,8 @@ def test_whisker_functoriality(rng, se_system, se_rules):
         a = random_cell(rng, se_system, base, 2)
         b = random_cell(rng, se_system, tc.target(a, se_rules), 2)
         u, v = random_word(rng, ("s", "e"), 2), random_word(rng, ("s", "e"), 2)
-        left = tc.whisker(u, tc.compose(a, b, se_rules), v)
-        right = tc.compose(tc.whisker(u, a, v), tc.whisker(u, b, v), se_rules)
+        left = tc.whisker(u, compose(a, b, se_rules), v)
+        right = compose(tc.whisker(u, a, v), tc.whisker(u, b, v), se_rules)
         assert left == right
         u1, v1 = random_word(rng, ("s", "e"), 2), random_word(rng, ("s", "e"), 2)
         assert tc.whisker(u1, tc.whisker(u, a, v), v1) == tc.whisker(u1 + u, a, v + v1)
@@ -170,7 +173,7 @@ def test_whisker_functoriality(rng, se_system, se_rules):
 def test_horizontal_compose_identities(se_rules):
     # a o b: a whiskered by b's source, then b whiskered by a's target
     a, b = identity(W("s")), identity(W("e e"))
-    h = tc.compose(tc.whisker(W("1"), a, b.source),
+    h = compose(tc.whisker(W("1"), a, b.source),
                    tc.whisker(tc.target(a, se_rules), b, W("1")), se_rules)
     assert h == identity(W("s e e"))
 
@@ -179,7 +182,7 @@ def test_horizontal_compose_concatenates_sources(rng, se_system, se_rules):
     for _ in range(50):
         a = random_cell(rng, se_system, random_word(rng, ("s", "e"), 4, 1), 2)
         b = random_cell(rng, se_system, random_word(rng, ("s", "e"), 4, 1), 2)
-        h = tc.compose(tc.whisker(W("1"), a, b.source),
+        h = compose(tc.whisker(W("1"), a, b.source),
                        tc.whisker(tc.target(a, se_rules), b, W("1")), se_rules)
         assert h.source == a.source + b.source
         assert tc.target(h, se_rules) == tc.target(a, se_rules) + tc.target(b, se_rules)
@@ -190,11 +193,11 @@ def test_horizontal_compose_both_orders_normalize_equal(rng, se_system, se_rules
     for _ in range(100):
         a = random_cell(rng, se_system, random_word(rng, ("s", "e"), 4, 1), 1)
         b = random_cell(rng, se_system, random_word(rng, ("s", "e"), 4, 1), 1)
-        form1 = tc.compose(tc.whisker(W("1"), a, b.source),
+        form1 = compose(tc.whisker(W("1"), a, b.source),
                            tc.whisker(tc.target(a, se_rules), b, W("1")), se_rules)
-        form2 = tc.compose(tc.whisker(a.source, b, W("1")),
+        form2 = compose(tc.whisker(a.source, b, W("1")),
                            tc.whisker(W("1"), a, tc.target(b, se_rules)), se_rules)
-        assert tc.interchange_normalize(form1, se_rules) == tc.interchange_normalize(form2, se_rules)
+        assert interchange_normalize(form1, se_rules) == interchange_normalize(form2, se_rules)
 
 
 DIAMOND_X, DIAMOND_Y, DIAMOND_Z = W("s"), W("s"), W("e")
@@ -211,18 +214,18 @@ def _disjoint_diamond(se_rules):
         Step(W("s e e s"), "r2", 1, W("e")),
         Step(W("s"), "r1", 1, W("s s e")),
     ))
-    return tc.compose(path1, tc.invert(path2, se_rules), se_rules)
+    return compose(path1, invert(path2, se_rules), se_rules)
 
 
 def test_interchange_disjoint_diamond_trivial(se_rules):
     diamond = _disjoint_diamond(se_rules)
     assert len(diamond.steps) == 4
-    assert tc.interchange_normalize(diamond, se_rules) == identity(diamond.source)
+    assert interchange_normalize(diamond, se_rules) == identity(diamond.source)
 
 
 def test_interchange_one_step_fixed_point(se_rules):
     cell = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
-    assert tc.interchange_normalize(cell, se_rules) == cell
+    assert interchange_normalize(cell, se_rules) == cell
 
 
 def _published_relation_cells():
@@ -243,24 +246,24 @@ def test_interchange_published_relation(se_rules):
     lhs, rhs = _published_relation_cells()
     assert tc.validate(lhs, se_rules) is None
     assert tc.validate(rhs, se_rules) is None
-    assert tc.interchange_normalize(lhs, se_rules) == tc.interchange_normalize(rhs, se_rules)
+    assert interchange_normalize(lhs, se_rules) == interchange_normalize(rhs, se_rules)
 
 
 def test_interchange_preserves_endpoints_and_counts(rng, se_system, se_rules):
     for _ in range(200):
         base = random_word(rng, ("s", "e"), 6, min_len=1)
         cell = random_cell(rng, se_system, base, rng.randint(0, 6))
-        norm = tc.interchange_normalize(cell, se_rules)
+        norm = interchange_normalize(cell, se_rules)
         assert norm.source == cell.source
         assert tc.validate(norm, se_rules) is None
         assert tc.target(norm, se_rules) == tc.target(cell, se_rules)
         assert tc.abelianize(norm) == tc.abelianize(cell)
-        assert tc.interchange_normalize(norm, se_rules) == norm
+        assert interchange_normalize(norm, se_rules) == norm
 
 
 def test_cells_equal_mod_I(se_rules):
     # equal interchange normal forms prove two cells interchange-equal
-    norm = lambda cell: tc.interchange_normalize(cell, se_rules)
+    norm = lambda cell: interchange_normalize(cell, se_rules)
     cell = loop_cell("se_1")
     assert norm(cell) == norm(cell)
     lhs, rhs = _published_relation_cells()
@@ -274,7 +277,7 @@ def test_cells_equal_mod_I_is_sound(rng, se_system, se_rules):
         base = random_word(rng, ("s", "e"), 5, min_len=1)
         a = random_cell(rng, se_system, base, 3)
         b = random_cell(rng, se_system, base, 3)
-        if tc.interchange_normalize(a, se_rules) == tc.interchange_normalize(b, se_rules):
+        if interchange_normalize(a, se_rules) == interchange_normalize(b, se_rules):
             assert tc.target(a, se_rules) == tc.target(b, se_rules)
             assert tc.abelianize(a) == tc.abelianize(b)
 
@@ -292,7 +295,7 @@ def test_abelianize_invariance(rng, se_system, se_rules):
         loop = random_loop(rng, se_system, base, rng.randint(0, 4))
         b = random_cell(rng, se_system, base, rng.randint(0, 4))
         conjugated = tc.compose_all(
-            [tc.invert(b, se_rules), loop, b], se_rules)
+            [invert(b, se_rules), loop, b], se_rules)
         assert tc.abelianize(conjugated) == tc.abelianize(loop)
 
 
@@ -313,12 +316,12 @@ def test_cell_laws_property(seed, se_system, se_rules):
     base = random_word(r, ("s", "e"), 6, min_len=1)
     cell = random_cell(r, se_system, base, r.randint(0, 6))
     # inversion is an involution and kills the cell under free reduction
-    assert tc.invert(tc.invert(cell, se_rules), se_rules) == cell
+    assert invert(invert(cell, se_rules), se_rules) == cell
     assert tc.free_reduce(
-        tc.compose(cell, tc.invert(cell, se_rules), se_rules)) == identity(base)
+        compose(cell, invert(cell, se_rules), se_rules)) == identity(base)
     # serialization and normalization leave the replayed endpoints alone
     assert cell_from_json(cell_to_json(cell)) == cell
-    norm = tc.interchange_normalize(cell, se_rules)
+    norm = interchange_normalize(cell, se_rules)
     assert tc.target(norm, se_rules) == tc.target(cell, se_rules)
     assert tc.abelianize(norm) == tc.abelianize(cell)
 
@@ -337,7 +340,7 @@ def _commutator(r, sys, letters):
     cu, dv = tc.target(c, rules), tc.target(d, rules)
     return tc.compose_all([
         tc.whisker((), c, v), tc.whisker(cu, d, ()),
-        tc.whisker((), tc.invert(c, rules), dv), tc.whisker(u, tc.invert(d, rules), ()),
+        tc.whisker((), invert(c, rules), dv), tc.whisker(u, invert(d, rules), ()),
     ], rules)
 
 
@@ -355,14 +358,14 @@ def test_interchange_normalize_reaches_a_fixpoint(seed, group, kind, se_system, 
         base = random_word(r, letters, 6, min_len=1)
         make = random_cell if kind == "cell" else random_loop
         cell = make(r, sys, base, r.randint(0, 12))
-    norm = tc.interchange_normalize(cell, rules)
+    norm = interchange_normalize(cell, rules)
     assert norm.source == cell.source
     assert tc.target(norm, rules) == tc.target(cell, rules)
     assert tc.abelianize(norm) == tc.abelianize(cell)
-    assert tc.interchange_normalize(norm, rules) == norm
+    assert interchange_normalize(norm, rules) == norm
     # no adjacent pair swaps into left-to-right order, and none cancels
     for a, b in zip(norm.steps, norm.steps[1:]):
-        assert tc._swap_adjacent(a, b, rules) is None
+        assert swap_adjacent(a, b, rules) is None
         assert b != tc.invert_step(a)
 
 
@@ -475,6 +478,6 @@ def test_transport_closes_the_square(case):
 def test_swap_adjacent_keeps_endpoints(case):
     rules, word, first, second = case
     pair = TwoCell(word, (first, second))
-    swapped = tc._swap_adjacent(first, second, rules)
+    swapped = swap_adjacent(first, second, rules)
     if swapped is not None:
         assert tc.target(TwoCell(word, swapped), rules) == tc.target(pair, rules)
