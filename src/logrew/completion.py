@@ -87,9 +87,9 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     has its ``sides`` logged.  ``endorewrites.delta`` closes the same two
     sides into the loop of a resolved branching.
     """
-    rules = sys.rule_map
-    if (reduce_into(twocell.step_target(overlap.left, rules), sys, None)
-            == reduce_into(twocell.step_target(overlap.right, rules), sys, None)):
+    rules, left, right = sys.rule_map, overlap.left, overlap.right
+    if (reduce_into(left.prefix + rules[left.rule].rhs + left.suffix, sys, None)
+            == reduce_into(right.prefix + rules[right.rule].rhs + right.suffix, sys, None)):
         return None
     (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
     # new rule: greater reduct -> smaller reduct, logged up the greater side
@@ -110,56 +110,64 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
     only.
 
-    The branchings are read off the lhs automaton.  The lhs that end at
-    position e of lhs l are those on the output chain of l's state after e
-    letters: cases i and iv.  A proper suffix of l that is a trie state is
-    a proper prefix of every lhs that runs on past that state, and the
-    failure chain of l's end state gives each such suffix: cases ii and iii."""
+    The branchings are read off the lhs automaton, from the side of each
+    rule x >= new_start only.  The lhs that end at position e of l_x are on
+    the output chain of its state after e letters: cases i and iv with l_x
+    outside.  An older lhs with l_x inside runs through, or ends at, a
+    state in the failure subtree of l_x's end: case iv.  A proper suffix of
+    l_x that is a trie state is a proper prefix of every lhs that runs on
+    past it, and the failure chain of l_x's end gives each such suffix:
+    cases ii and iii with l_x on the left.  An older lhs with a proper
+    prefix of l_x as a proper suffix ends in the failure subtree of that
+    prefix's state: case iii with l_x on the right."""
     rules, lhs = sys.rules, sys._lhs
-    goto, depth, fail, out, hits = lhs.goto, lhs.depth, lhs.fail, lhs.out, lhs.hits
+    depth, fail, out, hits, through = lhs.depth, lhs.fail, lhs.out, lhs.hits, lhs.through
     dead = [rule.rid in gone for rule in rules]
-    paths, through, through_new = [], {}, {}  # the states along each lhs; who runs past a state
-    for x, rule in enumerate(rules):
-        path, s = [], 0
-        for letter in rule.lhs:
-            s = goto[s][letter]
-            path.append(s)
-        for s in path[:-1]:
-            through.setdefault(s, []).append(x)
-            if x >= new_start:
-                through_new.setdefault(s, []).append(x)
-        paths.append(path)
     found = {}  # (i, j, case, position) -> overlap
-    shortest_new = min((len(rule.lhs) for rule in rules[new_start:]), default=len(depth))
-    for x, rule in enumerate(rules):
-        l1, a, path, old = rule.lhs, Step(EMPTY, rule.rid, 1, EMPTY), paths[x], x < new_start
-        shortest = shortest_new if old else 1  # an old lhs pairs only with a new one
+    for x in range(new_start, len(rules)):
+        l1, rid, path = rules[x].lhs, rules[x].rid, lhs.paths[x]
+        a, n1 = Step(EMPTY, rid, 1, EMPTY), len(l1)
         for e, s in enumerate(path, 1):
-            while out[s] >= shortest:  # out only shrinks down the chain
+            s = out[s]
+            while s:
                 k = depth[s]
-                for y in hits.get(s, ()):
+                for y in hits[s]:
                     step = Step(l1[:e - k], rules[y].rid, 1, l1[e:])
-                    if y < x and not old:  # l_y inside l_x: case i of (y, x)
+                    if y < x:  # l_y inside l_x: case i of (y, x)
                         found[y, x, 0, e - k] = Overlap("i", l1, step, a)
-                    elif y > x and y >= new_start and k < len(l1):  # case iv of (x, y); l_y = l_x is case i's
+                    elif y > x and k < n1:  # case iv of (x, y); l_y = l_x is case i's
                         found[x, y, 3, e - k] = Overlap("iv", l1, a, step)
-                s = fail[s]
+                s = out[fail[s]]
+        for u in lhs.below(path[-1]) if new_start else ():  # an older l_y around l_x: case iv of (y, x)
+            p = depth[u] - n1
+            for y in through.get(u, ()) + (hits.get(u, ()) if p else ()):
+                if y < new_start:
+                    l2 = rules[y].lhs
+                    found[y, x, 3, p] = Overlap("iv", l2, Step(EMPTY, rules[y].rid, 1, EMPTY),
+                                                Step(l2[:p], rid, 1, l2[p + n1:]))
         if dead[x]:
             continue
         s = fail[path[-1]]
         while s:  # each proper suffix of l_x that is a trie state, longest first
             k = depth[s]
-            for y in (through_new if old else through).get(s, ()):
+            for y in through.get(s, ()):
                 if dead[y]:
                     continue
                 l2 = rules[y].lhs
                 if x < y:  # l_x on the left: case iii of (x, y)
-                    found[x, y, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rule.rid, 1, l2[k:]),
+                    found[x, y, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rid, 1, l2[k:]),
                                                 Step(l1[:-k], rules[y].rid, 1, EMPTY))
                 else:  # l_x on the left: case ii of (y, x); for y = x it stands for iii too
                     found[y, x, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[y].rid, 1, EMPTY),
-                                                Step(EMPTY, rule.rid, 1, l2[k:]))
+                                                Step(EMPTY, rid, 1, l2[k:]))
             s = fail[s]
+        for k, s in enumerate(path[:-1] if new_start else (), 1):
+            for u in lhs.below(s)[1:]:  # an older l_y on the left: case iii of (y, x)
+                for y in hits.get(u, ()):
+                    if y < new_start and not dead[y]:
+                        l2 = rules[y].lhs
+                        found[y, x, 2, k] = Overlap("iii", l2 + l1[k:], Step(EMPTY, rules[y].rid, 1, l1[k:]),
+                                                    Step(l2[:-k], rid, 1, EMPTY))
     return [found[key] for key in sorted(found)]
 
 
@@ -172,16 +180,9 @@ def retired(sys: LoggedSystem) -> set[str]:
     failure chain of its end state (a proper suffix), or at the end state
     itself under a lower rule index (an equal lhs)."""
     lhs = sys._lhs
-    goto, fail, out, hits = lhs.goto, lhs.fail, lhs.out, lhs.hits
-    gone = set()
-    for x, rule in enumerate(sys.rules):
-        s, inside = 0, False
-        for letter in rule.lhs:
-            inside = inside or out[s] > 0
-            s = goto[s][letter]
-        if inside or out[fail[s]] or hits[s][0] < x:
-            gone.add(rule.rid)
-    return gone
+    fail, out, hits = lhs.fail, lhs.out, lhs.hits
+    return {rule.rid for x, (rule, path) in enumerate(zip(sys.rules, lhs.paths))
+            if any(out[s] for s in path[:-1]) or out[fail[path[-1]]] or hits[path[-1]][0] < x}
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -199,7 +200,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     gone = retired(init)
 
     def live(overlap: Overlap) -> bool:
-        return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone
+        return overlap.case in ("i", "iv") or overlap.left.rule not in gone and overlap.right.rule not in gone
 
     new_start = 0
     passes = 0
@@ -207,8 +208,7 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         passes += 1
         queue = critical_pairs(sys, new_start, gone)
         new_start = len(sys.rules)
-        while queue:
-            overlap = queue.pop(0)
+        for n, overlap in enumerate(queue):
             outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:
                 continue
@@ -216,13 +216,14 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 len(sys.rules) + 1 > limits.max_rules
                 or len(outcome.rule.lhs) > limits.max_word_length
             ):
-                return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
-            # the new lhs is irreducible, so only a longer listed lhs can
-            # contain it; a rule retired already stays retired
-            lhs, k = outcome.rule.lhs, len(outcome.rule.lhs)
-            gone.update(r.rid for r in sys.rules if r.rid not in gone and len(r.lhs) > k
-                        and lhs in {r.lhs[p:p + k] for p in range(len(r.lhs) - k + 1)})
+                return CompletionResult(sys, tuple(filter(live, queue[n:])))
             sys = sys.with_rule(outcome.rule, outcome.log)
+            # the new lhs is irreducible, so the rules that contain it are
+            # older ones through or at a state whose word ends with it; a
+            # rule retired already stays retired
+            index, x = sys._lhs, len(sys.rules) - 1
+            gone.update(sys.rules[y].rid for u in index.below(index.paths[x][-1])
+                        for y in index.through.get(u, ()) + index.hits.get(u, ()) if y < x)
         if len(sys.rules) == new_start:
             return CompletionResult(sys.as_complete())
         if passes >= limits.max_passes:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from hypothesis import example, given, settings
+import hypothesis.strategies as st
 import pytest
 
 from logrew import completion
@@ -299,14 +300,19 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
 
 @pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(12, 6, 8)],
                          ids=["default", "small"])
-@given(text=presentations())
-@example(text=LADDER["triangle_r4"][0])
+@given(text=presentations(), start=st.integers(0, 300), mask=st.integers(0, 2 ** 300))
+@example(text=LADDER["triangle_r4"][0], start=7, mask=0b1010110)
 @settings(max_examples=60, deadline=None)
-def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits, text):
+def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits, text, start, mask):
+    # every pass of the completion, then any new_start and any gone set, on
+    # the grown system and on one built afresh from its rules
     with pytest.MonkeyPatch.context() as monkeypatch:
         _checked_critical_pairs(monkeypatch)
-        result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)), limits)
-        completion.critical_pairs(result.system, 0, retired(result.system))
+        grown = logged_knuth_bendix(system_from_presentation(parse_presentation(text)), limits).system
+        fresh = LoggedSystem(grown.rules, grown.logs, order=grown.order)
+        drawn = start % (len(grown.rules) + 1), {r.rid for x, r in enumerate(grown.rules) if mask >> x & 1}
+        for new_start, gone in ((0, retired(grown)), drawn):
+            assert critical_pairs(fresh, new_start, gone) == completion.critical_pairs(grown, new_start, gone)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

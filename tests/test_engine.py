@@ -1,5 +1,6 @@
 """Logged reduction, normal forms, the word problem, log expansion."""
 
+import copy
 import random
 import sys as _sys
 import threading
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import pytest
 
-from logrew import parse_presentation, system_from_presentation
-from logrew.completion import logged_knuth_bendix
+from logrew import engine, parse_presentation, system_from_presentation
+from logrew.completion import CompletionLimits, logged_knuth_bendix
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
     LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged,
@@ -21,6 +22,7 @@ from helpers import (
     LADDER, all_normal_forms, intermediate_words, random_cell, random_word, scan_redexes,
     scan_reduce, words_over,
 )
+from test_endorewrites import presentations
 
 W = word_from_str
 
@@ -129,20 +131,35 @@ def test_indexed_reduction_matches_rescan(case):
 
 
 def check_index(sys):
-    """Each state's failure link and longest lhs ending there, against their
-    definitions on the state's word."""
+    """Every table of the index against its definition on the states' words."""
     index = sys._lhs
-    words = [()] * len(index.goto)
-    for s, edges in enumerate(index.goto):  # a state is numbered after its parent
-        for letter, t in edges.items():
-            words[t] = words[s] + (letter,)
+    words = [()] * len(index.step)
+    for s, row in enumerate(index.step):  # a state is numbered after its parent
+        for letter, t in row.items():
+            if index.depth[t] == index.depth[s] + 1:
+                words[t] = words[s] + (letter,)
     state = {w: s for s, w in enumerate(words)}
-    lhss = {rule.lhs for rule in sys.rules}
+    assert len(state) == len(words) and index.depth == [len(w) for w in words]
+    lhss = [rule.lhs for rule in sys.rules]
+    letters = {letter for lhs in lhss for letter in lhs}
     for s, w in enumerate(words):
         suffixes = [w[k:] for k in range(1, len(w) + 1)]  # proper, longest first
         if s:
             assert index.fail[s] == state[next(u for u in suffixes if u in state)]
-        assert index.out[s] == max((len(u) for u in (w, *suffixes) if u and u in lhss), default=0)
+        assert index.out[s] == next((state[u] for u in (w, *suffixes) if u and u in lhss), 0)
+        moves = {c: next((state[u] for u in (w + (c,), *(v + (c,) for v in suffixes)) if u in state), 0)
+                 for c in letters}
+        assert index.step[s] == {c: t for c, t in moves.items() if t}
+    assert tables(index)["kids"] == {
+        s: [u for u in range(1, len(words)) if index.fail[u] == s] for s in set(index.fail[1:])}
+    assert index.paths == tuple(tuple(state[lhs[:k]] for k in range(1, len(lhs) + 1)) for lhs in lhss)
+    assert index.hits == {state[lhs]: tuple(x for x, other in enumerate(lhss) if other == lhs)
+                          for lhs in lhss}
+    assert index.through == {
+        s: tuple(x for x, lhs in enumerate(lhss) if lhs[:len(w)] == w and len(lhs) > len(w))
+        for s, w in enumerate(words) if s and any(lhs[:len(w)] == w and len(lhs) > len(w) for lhs in lhss)}
+    assert index.lowest == {state[lhs]: min(x for x, other in enumerate(lhss) if lhs[:len(other)] == other)
+                            for lhs in lhss}
 
 
 def test_index_matches_its_definitions():
@@ -155,6 +172,66 @@ def test_index_matches_its_definitions():
         check_index(case[0])
 
     on_random_rules()
+
+
+def tables(index):
+    """The index's tables, each failure tree child list in ascending order."""
+    found = {name: getattr(index, name) for name in index.__slots__}
+    found["kids"] = {s: sorted(kids) for s, kids in index.kids.items()}
+    return found
+
+
+def checked_extensions(monkeypatch):
+    """Make every ``with_rule`` check the index it extends: the new one equals
+    a fresh build of the same rules, table by table, and meets its
+    definitions, and the parent's tables are as they were before the call.
+    Returns the list of the systems checked."""
+    with_rule, grown = LoggedSystem.with_rule, []
+
+    def checked(parent, rule, log):
+        before = copy.deepcopy(tables(parent._lhs))
+        child = with_rule(parent, rule, log)
+        assert tables(parent._lhs) == before
+        assert tables(child._lhs) == tables(LoggedSystem(child.rules, order=child.order)._lhs)
+        check_index(child)
+        grown.append(child)
+        return child
+
+    monkeypatch.setattr(LoggedSystem, "with_rule", checked)
+    return grown
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_extended_index_equals_a_fresh_build_on_the_ladder(name, monkeypatch):
+    grown = checked_extensions(monkeypatch)
+    result = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0])))
+    assert len(grown) == len(result.system.logs)
+
+
+@given(text=presentations())
+@settings(max_examples=60, deadline=None)
+def test_extended_index_equals_a_fresh_build_on_random_presentations(text):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        grown = checked_extensions(monkeypatch)
+        result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
+                                     CompletionLimits(12, 6, 8))
+        assert len(grown) == len(result.system.logs)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_completion_builds_its_index_once(name, monkeypatch):
+    # the full build runs for the initial rule list only; every derived
+    # rule extends its parent's index
+    build, builds = engine._Automaton.__init__, []
+
+    def counted(index, rules):
+        builds.append(len(rules))
+        build(index, rules)
+
+    monkeypatch.setattr(engine._Automaton, "__init__", counted)
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    logged_knuth_bendix(init)
+    assert builds == [len(init.rules)]
 
 
 def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
