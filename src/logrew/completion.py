@@ -15,10 +15,11 @@ automaton of the system's reduction; ``resolve`` compares the two reducts
 unlogged and logs only a branching that becomes a rule.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
-(Huet 1981).  It stays listed, unchanged, so every log still replays, but
-only its inclusion branchings, which keep its equation derivable, are
-resolved again.  Reduction uses every listed rule: a retired lhs contains
-an active one, so the irreducible words are the same, and proofs are shorter.
+(Huet 1981), as the system's ``retired`` records.  It stays listed,
+unchanged, so every log still replays, but only its inclusion branchings,
+which keep its equation derivable, are resolved again.  Reduction uses
+every listed rule: a retired lhs contains an active one, so the
+irreducible words are the same, and proofs are shorter.
 """
 
 from __future__ import annotations
@@ -171,20 +172,6 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     return [found[key] for key in sorted(found)]
 
 
-def retired(sys: LoggedSystem) -> set[str]:
-    """Ids of the rules whose lhs has another rule's lhs as a proper factor,
-    or equals the lhs of an earlier rule.
-
-    Read off the lhs automaton: an lhs ends at a state before the end of
-    the rule's trie path (one ending at such a state is shorter), or on the
-    failure chain of its end state (a proper suffix), or at the end state
-    itself under a lower rule index (an equal lhs)."""
-    lhs = sys._lhs
-    fail, out, hits = lhs.fail, lhs.out, lhs.hits
-    return {rule.rid for x, (rule, path) in enumerate(zip(sys.rules, lhs.paths))
-            if any(out[s] for s in path[:-1]) or out[fail[path[-1]]] or hits[path[-1]][0] < x}
-
-
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
     """Complete the system, logging every derived rule.
 
@@ -197,16 +184,15 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     """
     limits = limits or CompletionLimits()
     sys = init
-    gone = retired(init)
 
     def live(overlap: Overlap) -> bool:
-        return overlap.case in ("i", "iv") or overlap.left.rule not in gone and overlap.right.rule not in gone
+        return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))
 
     new_start = 0
     passes = 0
     while True:
         passes += 1
-        queue = critical_pairs(sys, new_start, gone)
+        queue = critical_pairs(sys, new_start, sys.retired)
         new_start = len(sys.rules)
         for n, overlap in enumerate(queue):
             outcome = resolve(overlap, sys) if live(overlap) else None
@@ -218,16 +204,10 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             ):
                 return CompletionResult(sys, tuple(filter(live, queue[n:])))
             sys = sys.with_rule(outcome.rule, outcome.log)
-            # the new lhs is irreducible, so the rules that contain it are
-            # older ones through or at a state whose word ends with it; a
-            # rule retired already stays retired
-            index, x = sys._lhs, len(sys.rules) - 1
-            gone.update(sys.rules[y].rid for u in index.below(index.paths[x][-1])
-                        for y in index.through.get(u, ()) + index.hits.get(u, ()) if y < x)
         if len(sys.rules) == new_start:
             return CompletionResult(sys.as_complete())
         if passes >= limits.max_passes:
-            return CompletionResult(sys, tuple(critical_pairs(sys, new_start, gone)))
+            return CompletionResult(sys, tuple(critical_pairs(sys, new_start, sys.retired)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -241,7 +221,6 @@ def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
 def system_to_json(result: CompletionResult) -> dict:
     """The rules, derived exactly when logged; retired ones are marked ``"retired": true``."""
     sys = result.system
-    gone = retired(sys)
     return {
         "status": result.status,
         "rules": [
@@ -251,7 +230,7 @@ def system_to_json(result: CompletionResult) -> dict:
                 "rhs": word_to_str(rule.rhs),
                 "provenance": "derived" if rule.rid in sys.logs else "initial",
                 "log": twocell.cell_to_json(sys.logs[rule.rid]) if rule.rid in sys.logs else None,
-                **({"retired": True} if rule.rid in gone else {}),
+                **({"retired": True} if rule.rid in sys.retired else {}),
             }
             for rule in sys.rules
         ],

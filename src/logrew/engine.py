@@ -5,14 +5,14 @@ index, so logs are reproducible.  Derived rules carry an unexpanded log;
 ``expand_log`` rewrites any cell so it references initial rules only.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
-left-hand sides with the failure links of Aho & Corasick 1975.  A system
-made from a rule list builds it in full; ``with_rule`` extends a copy of
-its parent's by the one new lhs, and no index is written after it is
-made.  Reduction reads the word once, one table entry per letter,
-keeping the state after each.  A longer lhs can start further left yet
-end later, so it reads on until no open partial match starts left of the
-leftmost redex found.  After a rewrite it reads on from the redex,
-rereading only the right-hand side.
+left-hand sides with the failure links of Aho & Corasick 1975, which one
+insertion grows by an lhs and the rules it retires: a system made from a
+rule list inserts them in turn, ``with_rule`` one into a copy of its
+parent's, and no index is written after it is made.  Reduction reads the
+word once, one table entry per letter, keeping the state after each.  A
+longer lhs can start further left yet end later, so it reads on until no
+open partial match starts left of the leftmost redex found.  After a
+rewrite it reads on from the redex, rereading only the right-hand side.
 """
 
 from __future__ import annotations
@@ -40,48 +40,39 @@ class _Automaton:
     tree (the states it is the failure link of), hits an lhs end state to
     the rules that end there, through a state to the rules whose lhs runs
     on past it, and lowest an lhs end state to the lowest rule ending on its
-    trie path; paths holds each rule's states, one per letter.
+    trie path; paths holds each rule's states, one per letter, and retired
+    the rules with another lhs as a proper factor or an earlier equal one.
 
-    A system made from a rule list builds its index in full, breadth first;
-    ``extended`` grows a copy by one lhs and writes only copies of the
-    lists, dicts and rows it changes, so no index is written after it is
-    made."""
+    ``_add`` is the one way an lhs enters the index: a system made from a
+    rule list adds them in turn from the root, ``extended`` one to a copy,
+    so no index is written after it is made."""
 
-    __slots__ = ("step", "depth", "fail", "out", "kids", "hits", "through", "lowest", "paths")
+    __slots__ = ("step", "depth", "fail", "out", "kids", "hits", "through", "lowest", "paths",
+                 "retired")
 
     def __init__(self, rules: tuple[Rule, ...]):
-        step, depth, hits, through, paths = [{}], [0], {}, {}, []
-        for x, rule in enumerate(rules):
-            s, path = 0, []
-            for letter in rule.lhs:
-                if letter not in step[s]:
-                    step[s][letter] = len(depth)
-                    step.append({})
-                    depth.append(depth[s] + 1)
-                s = step[s][letter]
-                path.append(s)
-            for u in path[:-1]:
-                through[u] = (*through.get(u, ()), x)
-            hits[s] = (*hits.get(s, ()), x)  # an empty lhs ends at the root, never read
-            paths.append(tuple(path))
-        fail, out, kids, order = [0] * len(depth), [0] * len(depth), {}, [0]
-        for s in order:  # breadth first: every state shallower than s is done
-            edges, f = step[s], fail[s]
-            if s:
-                step[s] = {**step[f], **edges}
-            for letter, t in edges.items():
-                fail[t] = step[f].get(letter, 0) if s else 0
-                out[t] = t if t in hits else out[fail[t]]
-                kids[fail[t]] = (*kids.get(fail[t], ()), t)
-                order.append(t)
-        self.step, self.depth, self.fail, self.out, self.kids = step, depth, fail, out, kids
-        self.hits, self.through, self.paths = hits, through, tuple(paths)
-        self.lowest = {path[-1]: min(hits[u][0] for u in path if u in hits) for path in paths if path}
+        self.step, self.depth, self.fail, self.out, self.kids = [{}], [0], [0], [0], {}
+        self.hits, self.through, self.lowest, self.paths, self.retired = {}, {}, {}, (), frozenset()
+        for rule in rules:
+            self._add(rule.lhs)
 
     def extended(self, lhs: Word) -> "_Automaton":
         """A copy with lhs added as the next rule's; this index is not written."""
-        step, depth, fail, out = self.step[:], self.depth[:], self.fail[:], self.out[:]
-        kids, x, s, path = self.kids.copy(), len(self.paths), 0, []
+        grown = object.__new__(_Automaton)
+        grown.step, grown.depth, grown.fail, grown.out, grown.kids = (
+            self.step[:], self.depth[:], self.fail[:], self.out[:], self.kids.copy())
+        grown.hits, grown.through, grown.lowest, grown.paths, grown.retired = (
+            self.hits.copy(), self.through.copy(), self.lowest.copy(), self.paths, self.retired)
+        grown._add(lhs)
+        return grown
+
+    def _add(self, lhs: Word) -> None:
+        """Add lhs as the next rule's, replacing but never writing a row, tuple
+        or set, so a copy of the top-level lists and dicts leaves its original as it was."""
+        if not lhs:
+            raise ValueError("a rule needs a non-empty lhs")
+        step, depth, fail, out, kids = self.step, self.depth, self.fail, self.out, self.kids
+        x, s, path = len(self.paths), 0, []
         for letter in lhs:
             t = step[s].get(letter, 0)
             if depth[t] != depth[s] + 1:  # no trie edge: t is a new state, s's child
@@ -109,19 +100,20 @@ class _Automaton:
                         fail[w] = t
             s = t
             path.append(s)
-        through, hits = self.through.copy(), self.hits.copy()
-        for u in path[:-1]:
-            through[u] = (*through.get(u, ()), x)
-        hits[s] = (*hits.get(s, ()), x)
-        grown = object.__new__(_Automaton)
-        grown.step, grown.depth, grown.fail, grown.out, grown.kids = step, depth, fail, out, kids
-        grown.hits, grown.through, grown.paths = hits, through, self.paths + (tuple(path),)
-        grown.lowest = {**self.lowest, s: min(hits[u][0] for u in path if u in hits)}
-        if out[s] != s:
-            for u in grown.below(s):
+        # retired: the new rule when a listed lhs is a factor of it, and the
+        # listed ones through, or ending below, its end state in the failure tree
+        gone = [x] if any(out[u] for u in path) else []
+        if out[s] != s:  # else an equal lhs is listed: out is raised and they are retired
+            for u in self.below(s):
                 if depth[out[u]] < depth[s]:
                     out[u] = s
-        return grown
+                gone += self.through.get(u, ()) + self.hits.get(u, ())
+        for u in path[:-1]:
+            self.through[u] = (*self.through.get(u, ()), x)
+        self.hits[s] = (*self.hits.get(s, ()), x)
+        self.lowest[s] = min(self.hits[u][0] for u in path if u in self.hits)
+        self.paths += (tuple(path),)
+        self.retired = self.retired.union(gone)
 
     def below(self, s: int) -> list[int]:
         """s and its descendants in the failure tree: the states whose word ends with s's."""
@@ -132,37 +124,35 @@ class _Automaton:
 
 
 class LoggedSystem:
-    """Rules, and for each derived one (exactly those logged) the cell witnessing lhs -> rhs."""
+    """Rules, the ids of those retired, and for each derived one (exactly those logged) its log."""
 
-    __slots__ = ("rules", "logs", "complete", "order", "_index", "_lhs")
+    __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs")
 
     def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, complete: bool = False, *,
                  order: OrderSpec):
         self.rules, self.complete, self.order = rules, complete, order
         self.logs = dict(logs)  # an own copy, so the caller's dict is never written or shared
-        self._index = {r.rid: r for r in rules}
+        self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
-
-    @property
-    def rule_map(self) -> dict[str, Rule]:
-        return self._index
+        self.retired = frozenset(rules[x].rid for x in self._lhs.retired)
 
     def rule(self, rid: str) -> Rule:
-        return self._index[rid]
+        return self.rule_map[rid]
 
     def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
         """The system with one more rule, its index this one's extended by the rule's lhs."""
         grown = object.__new__(LoggedSystem)
         grown.rules, grown.complete, grown.order = self.rules + (rule,), False, self.order
-        grown.logs, grown._index = {**self.logs, rule.rid: log}, {**self._index, rule.rid: rule}
+        grown.logs, grown.rule_map = {**self.logs, rule.rid: log}, {**self.rule_map, rule.rid: rule}
         grown._lhs = self._lhs.extended(rule.lhs)
+        grown.retired = frozenset(grown.rules[x].rid for x in grown._lhs.retired)
         return grown
 
     def as_complete(self) -> "LoggedSystem":
         """The system flagged complete, sharing the logs and index nothing writes."""
         done = object.__new__(LoggedSystem)
-        done.rules, done.logs, done.order, done._index, done._lhs = (
-            self.rules, self.logs, self.order, self._index, self._lhs)
+        done.rules, done.logs, done.order, done.rule_map, done._lhs, done.retired = (
+            self.rules, self.logs, self.order, self.rule_map, self._lhs, self.retired)
         done.complete = True
         return done
 
@@ -234,24 +224,29 @@ def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
 
 
 def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """Replace derived-rule steps by their stored logs until only initial rules remain."""
+    """Replace derived-rule steps by their stored logs until only initial rules remain;
+    a log names only earlier rules, so each rule reached expands, once per exponent, in list order."""
+    logs, rules = sys.logs, sys.rules
+    reached = {step.rule for step in cell.steps if step.rule in logs}
+    for rule in reversed(rules):
+        if rule.rid in reached:
+            reached.update(step.rule for step in logs[rule.rid].steps if step.rule in logs)
     expanded: dict[tuple[str, int], TwoCell] = {}  # (rule, exponent) -> its log, expanded
-
-    def rule_log(rid: str, exp: int) -> TwoCell:
-        if (rid, exp) not in expanded:
-            if exp == 1:
-                expanded[rid, exp] = _expand(sys.logs[rid])
-            else:  # a log runs from its rule's lhs to its rhs
-                expanded[rid, exp] = TwoCell(sys.rule(rid).rhs, twocell.invert_steps(rule_log(rid, 1).steps))
-        return expanded[rid, exp]
 
     def _expand(c: TwoCell) -> TwoCell:
         steps: list[Step] = []
         for step in c.steps:
-            if step.rule not in sys.logs:  # an initial rule
+            if step.rule not in logs:  # an initial rule
                 steps.append(step)
                 continue
-            steps.extend(twocell.whisker(step.prefix, rule_log(step.rule, step.exp), step.suffix).steps)
+            key = step.rule, step.exp
+            if key not in expanded:  # a log runs from its rule's lhs to its rhs
+                expanded[key] = TwoCell(sys.rule(step.rule).rhs, twocell.invert_steps(
+                    expanded[step.rule, 1].steps))
+            steps.extend(twocell.whisker(step.prefix, expanded[key], step.suffix).steps)
         return TwoCell(c.source, tuple(steps))
 
+    for rule in rules:
+        if rule.rid in reached:
+            expanded[rule.rid, 1] = _expand(logs[rule.rid])
     return _expand(cell)

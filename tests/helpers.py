@@ -18,7 +18,7 @@ cyclic core of a loop and its conjugacy canonical form
 from itertools import product
 
 from logrew import completion
-from logrew.completion import CompletionLimits, CompletionResult, Overlap, is_complete, retired
+from logrew.completion import CompletionLimits, CompletionResult, Overlap, is_complete
 from logrew.core import EMPTY, Rule, Word
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import Step, TwoCell
@@ -146,7 +146,7 @@ def pairwise_critical_pairs(sys: LoggedSystem, new_start: int, gone=frozenset())
 
 
 def scan_retired(sys: LoggedSystem) -> set[str]:
-    """``completion.retired`` by slicing: the ids of the rules whose lhs has
+    """``LoggedSystem.retired`` by slicing: the ids of the rules whose lhs has
     another rule's lhs as a proper factor, or equals an earlier rule's lhs."""
     rules = sys.rules
     return {
@@ -160,7 +160,7 @@ def check_retirement(sys: LoggedSystem) -> None:
     """A completed system's retired rules each contain an active lhs, no
     active lhs contains another, and the system is complete both with its
     retired rules and without them."""
-    gone = retired(sys)
+    gone = sys.retired
     active = [rule for rule in sys.rules if rule.rid not in gone]
 
     def inside(needle, haystack):
@@ -182,7 +182,7 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     module, so a test can record the calls."""
     limits = limits or CompletionLimits()
     sys = init
-    gone = retired(init)
+    gone = set(init.retired)
 
     def live(overlap):
         return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone

@@ -14,7 +14,7 @@ from logrew.engine import (
 )
 from logrew.completion import (
     CompletionLimits, NewRule, critical_pairs, is_complete,
-    logged_knuth_bendix, resolve, retired, sides, system_from_json, system_to_json,
+    logged_knuth_bendix, resolve, sides, system_from_json, system_to_json,
 )
 from logrew.endorewrites import delta
 import logrew.twocell as tc
@@ -225,7 +225,7 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
     init = system_from_presentation(parse_presentation(LADDER["S4"][0]))
     result = logged_knuth_bendix(init, limits)
     assert result.status == "limit"
-    gone = retired(result.system)
+    gone = result.system.retired
     touching = [o for o in result.pending if {o.left.rule, o.right.rule} & gone]
     assert touching and all(o.case in ("i", "iv") for o in touching)
     resumed = logged_knuth_bendix(result.system)
@@ -292,7 +292,7 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
     # the completed system with and without its retired rules' pairs
     calls = _checked_critical_pairs(monkeypatch)
     sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0]))).system
-    for gone in (frozenset(), retired(sys)):
+    for gone in (frozenset(), sys.retired):
         for new_start in (0, len(sys.rules) // 2, len(sys.rules)):
             completion.critical_pairs(sys, new_start, gone)
     assert len(calls) > 6 and any(calls)
@@ -311,7 +311,7 @@ def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits
         grown = logged_knuth_bendix(system_from_presentation(parse_presentation(text)), limits).system
         fresh = LoggedSystem(grown.rules, grown.logs, order=grown.order)
         drawn = start % (len(grown.rules) + 1), {r.rid for x, r in enumerate(grown.rules) if mask >> x & 1}
-        for new_start, gone in ((0, retired(grown)), drawn):
+        for new_start, gone in ((0, grown.retired), drawn):
             assert critical_pairs(fresh, new_start, gone) == completion.critical_pairs(grown, new_start, gone)
 
 
@@ -367,14 +367,14 @@ def test_retired_marks_contained_and_repeated_lhs():
         Rule("r3", W("a a"), W("a")),
         Rule("r4", W("a b"), W("b")),    # repeats r2's lhs
     )
-    assert retired(LoggedSystem(rules, order=order)) == {"r1", "r4"}
+    assert LoggedSystem(rules, order=order).retired == {"r1", "r4"}
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_retired_equals_slicing_on_the_ladder(name):
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
     for sys in (init, logged_knuth_bendix(init).system):
-        assert retired(sys) == scan_retired(sys)
+        assert sys.retired == scan_retired(sys)
 
 
 @given(systems_and_words())
@@ -387,11 +387,11 @@ def test_retired_equals_slicing_on_the_ladder(name):
 @settings(max_examples=200, deadline=None)
 def test_retired_equals_slicing_on_nested_and_repeated_lhs(case):
     sys, _ = case
-    assert retired(sys) == scan_retired(sys)
+    assert sys.retired == scan_retired(sys)
 
 
 def test_reduced_system_retires_nothing(ab_completion):
-    assert retired(ab_completion.system) == set()
+    assert ab_completion.system.retired == set()
     assert all("retired" not in rule for rule in system_to_json(ab_completion)["rules"])
 
 
@@ -421,7 +421,7 @@ def test_nested_or_repeated_initial_lhs(relations, letters, gone):
     result = logged_knuth_bendix(system_from_presentation(presentation))
     assert result.status == "complete"
     sys = result.system
-    assert retired(sys) == gone
+    assert sys.retired == gone
     check_retirement(sys)
     classes = congruence_classes(letters, presentation.relations, 4)
     for u in words_over(letters, 4):

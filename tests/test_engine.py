@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew import engine, parse_presentation, system_from_presentation
-from logrew.completion import CompletionLimits, logged_knuth_bendix
+from logrew.completion import CompletionLimits, logged_knuth_bendix, system_from_json
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.engine import (
     LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged,
@@ -20,7 +20,7 @@ from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
     LADDER, all_normal_forms, intermediate_words, random_cell, random_word, scan_redexes,
-    scan_reduce, words_over,
+    scan_reduce, scan_retired, words_over,
 )
 from test_endorewrites import presentations
 
@@ -131,7 +131,8 @@ def test_indexed_reduction_matches_rescan(case):
 
 
 def check_index(sys):
-    """Every table of the index against its definition on the states' words."""
+    """Every table of the index, and the system's retired rules, against
+    their definitions on the states' words and the left-hand sides."""
     index = sys._lhs
     words = [()] * len(index.step)
     for s, row in enumerate(index.step):  # a state is numbered after its parent
@@ -160,6 +161,7 @@ def check_index(sys):
         for s, w in enumerate(words) if s and any(lhs[:len(w)] == w and len(lhs) > len(w) for lhs in lhss)}
     assert index.lowest == {state[lhs]: min(x for x, other in enumerate(lhss) if lhs[:len(other)] == other)
                             for lhs in lhss}
+    assert sys.retired == scan_retired(sys)
 
 
 def test_index_matches_its_definitions():
@@ -234,6 +236,19 @@ def test_completion_builds_its_index_once(name, monkeypatch):
     assert builds == [len(init.rules)]
 
 
+def test_an_empty_lhs_is_rejected():
+    # an empty lhs ends at the root, where reduction never looks for a match
+    order = OrderSpec(Alphabet(("a", "b")))
+    empty, other = Rule("r1", (), ("a",)), Rule("r2", W("a b"), W("a"))
+    for rules in ((empty,), (other, empty)):
+        with pytest.raises(ValueError, match="non-empty lhs"):
+            LoggedSystem(rules, order=order)
+    parent = LoggedSystem((other,), order=order)
+    with pytest.raises(ValueError, match="non-empty lhs"):
+        parent.with_rule(empty, identity(()))
+    assert parent.rules == (other,) and parent.retired == frozenset()
+
+
 def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
     # each system builds its own index: the one over the first k rules
     # must not serve the system with one rule more
@@ -255,7 +270,7 @@ def test_as_complete_shares_the_index(abc_completion):
     done = s.as_complete()
     assert (done.rules, done.logs, done.order) == (s.rules, s.logs, s.order)
     assert done.complete and not s.complete
-    assert done._lhs is s._lhs and done.rule_map is s.rule_map
+    assert done._lhs is s._lhs and done.rule_map is s.rule_map and done.retired is s.retired
 
 
 def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
@@ -355,3 +370,22 @@ def test_expand_log_random_cells(rng, abc_completion):
         assert expanded.source == cell.source
         assert tc.target(expanded, sys.rule_map) == tc.target(cell, sys.rule_map)
         assert all(step.rule in initial for step in expanded.steps)
+
+
+def test_expand_log_follows_a_chain_of_logs_deeper_than_the_recursion_limit():
+    # r_k: a^k b -> b, logged as a r_(k-1) then r1, so r600 expands to 600
+    # steps of r1 through a chain of 599 logs
+    depth = 600
+    assert 2 * depth > _sys.getrecursionlimit()
+    entries = [{"id": "r1", "lhs": "a b", "rhs": "b"}]
+    for k in range(2, depth + 1):
+        lhs = ("a",) * k + ("b",)
+        log = TwoCell(lhs, (Step(("a",), f"r{k - 1}", 1, ()), Step((), "r1", 1, ())))
+        entries.append({"id": f"r{k}", "lhs": tc.word_to_str(lhs), "rhs": "b",
+                        "provenance": "derived", "log": tc.cell_to_json(log)})
+    sys = system_from_json({"status": "limit", "rules": entries}, OrderSpec(Alphabet(("a", "b")))).system
+    down = tuple(Step(("a",) * j, "r1", 1, ()) for j in reversed(range(depth)))
+    lhs = sys.rule(f"r{depth}").lhs
+    assert expand_log(TwoCell(lhs, (Step((), f"r{depth}", 1, ()),)), sys) == TwoCell(lhs, down)
+    up = TwoCell(W("b"), (Step((), f"r{depth}", -1, ()),))
+    assert expand_log(up, sys) == TwoCell(W("b"), tuple(Step(s.prefix, "r1", -1, ()) for s in reversed(down)))
