@@ -9,9 +9,8 @@ JSON being the source of truth either way.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys as _sys
+from types import SimpleNamespace
 
 from .core import Alphabet, ParseError, Word, parse_presentation, word_from_str, word_to_str
 from . import twocell
@@ -36,14 +35,13 @@ def _limits(text: str) -> CompletionLimits:
     try:
         max_rules, max_passes, max_word_length = (int(p) for p in text.split(","))
         return CompletionLimits(max_rules, max_passes, max_word_length)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(
-            "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH"
-        ) from err
+    except ValueError:
+        raise ValueError("expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH") from None
 
 
 def _emit(data: dict, as_json: bool, render) -> None:
     if as_json:
+        import json  # only where JSON is written, so text output never loads it
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         render(data)
@@ -77,6 +75,7 @@ def _load_presentation(path: str):
 def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
     """A two-cell JSON file over the alphabet, with its declared target if
     any; raises one of BAD_CELL_ERRORS on any other file content."""
+    import json  # only where JSON is read
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -221,72 +220,73 @@ def cmd_express(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logrew",
-        description="Logged string rewriting over monoid presentations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMON = ("--json", "--limits", "--interreduce")
+# command -> (handler, operands, flags); every flag but --limits takes no value
+COMMANDS = {
+    "complete": (cmd_complete, ("file",), COMMON),
+    "nf": (cmd_nf, ("file", "word"), COMMON),
+    "reduce": (cmd_reduce, ("file", "word"), (*COMMON, "--expand")),
+    "prove": (cmd_prove, ("file", "word1", "word2"), (*COMMON, "--expand")),
+    "verify": (cmd_verify, ("file", "certificate"), ()),
+    "endos": (cmd_endos, ("file",), (*COMMON, "--minimize")),
+    "express": (cmd_express, ("file", "cell"), COMMON),
+}
 
-    def common(p):
-        p.add_argument("file", help="presentation file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--limits", type=_limits, default=CompletionLimits(),
-                       help="completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH")
-        p.add_argument("--interreduce", action="store_true",
-                       help="accepted for compatibility; has no effect")
+USAGE_TEXT = """usage: logrew COMMAND FILE [OPERAND ...] [FLAG ...]
+  complete FILE            run logged Knuth-Bendix completion
+  nf FILE WORD             normal form of a word
+  reduce FILE WORD         reduce a word, emitting the log
+  prove FILE WORD1 WORD2   prove two words equal with a witness
+  verify FILE CERTIFICATE  replay a two-cell JSON certificate against the initial rules
+  endos FILE               generating endorewrites of the completed system
+  express FILE CELL        express a two-cell JSON endorewrite in the generators
 
-    p = sub.add_parser("complete", help="run logged Knuth-Bendix completion")
-    common(p)
-    p.set_defaults(func=cmd_complete)
+FILE is a presentation file; a WORD is space separated letters, or 1.
+Flags, the first three on every command but verify:
+  --json                   emit JSON
+  --limits R,P,L           completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH
+  --interreduce            accepted for compatibility; has no effect
+  --expand                 (reduce, prove) expand derived-rule steps to initial rules
+  --minimize               (endos) drop generators whose abelianization the kept ones span
+  -h, --help               print this text
+Flags cannot be abbreviated."""
 
-    p = sub.add_parser("nf", help="normal form of a word")
-    common(p)
-    p.add_argument("word", help="word, space separated letters or 1")
-    p.set_defaults(func=cmd_nf)
 
-    p = sub.add_parser("reduce", help="reduce a word, emitting the log")
-    common(p)
-    p.add_argument("word")
-    p.add_argument("--expand", action="store_true",
-                   help="expand derived-rule steps to initial rules")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("prove", help="prove two words equal with a witness")
-    common(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--expand", action="store_true",
-                   help="expand derived-rule steps to initial rules")
-    p.set_defaults(func=cmd_prove)
-
-    p = sub.add_parser("verify", help="replay a certificate against the initial rules")
-    p.add_argument("file")
-    p.add_argument("certificate", help="two-cell JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("endos", help="generating endorewrites of the completed system")
-    common(p)
-    p.add_argument("--minimize", action="store_true",
-                   help="drop generators whose abelianization the kept ones span")
-    p.set_defaults(func=cmd_endos)
-
-    p = sub.add_parser("express", help="express an endorewrite in the generators")
-    common(p)
-    p.add_argument("cell", help="two-cell JSON file")
-    p.set_defaults(func=cmd_express)
-
-    return parser
+def parse_args(argv: list[str]):
+    """The handler and its args for argv, read off COMMANDS; raises ValueError
+    if they do not fit.  An argument that starts with - is a flag unless it holds a space."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "expected a command")
+    func, names, flags = COMMANDS[argv[0]]
+    values = {**dict.fromkeys((flag[2:] for flag in flags), False), "limits": CompletionLimits()}
+    operands, rest = [], iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if not arg.startswith("-") or " " in arg:
+            operands.append(arg)
+        elif flag == "--limits" and flag in flags:
+            values["limits"] = _limits(value if eq else next(rest, ""))
+        elif arg in flags:
+            values[arg[2:]] = True
+        else:
+            raise ValueError(f"unknown flag {arg} for {argv[0]}")
+    if len(operands) != len(names):
+        raise ValueError(f"{argv[0]} takes {' '.join(names).upper()}")
+    return func, SimpleNamespace(**values, **dict(zip(names, operands)))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE_TEXT)
+        return OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return USAGE if err.code not in (0, None) else 0
+        func, args = parse_args(argv)
+    except ValueError as err:
+        print(f"{USAGE_TEXT}\nlogrew: error: {err}", file=_sys.stderr)
+        return USAGE
     try:
-        return args.func(args)
+        return func(args)
     except ParseError as err:
         print(f"parse error: {err}", file=_sys.stderr)
         return USAGE

@@ -135,6 +135,22 @@ class LoggedSystem:
         self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
         self.retired = frozenset(rules[x].rid for x in self._lhs.retired)
+        # each log names only rules listed before its own and replays from its
+        # rule's lhs to its rhs, so it expands onto initial rules; with_rule
+        # and as_complete take completion's own logs and do not check them
+        place = {rule.rid: x for x, rule in enumerate(rules)} if logs else {}
+        for rid, log in self.logs.items():
+            if rid not in place:
+                raise ValueError(f"rule {rid}: a log for a rule that is not listed")
+            later = next((s.rule for s in log.steps if place.get(s.rule, -1) >= place[rid]), None)
+            if later is not None:
+                raise ValueError(f"rule {rid}: log names rule {later}, which is not listed before it")
+            try:
+                end = twocell.target(log, self.rule_map)
+            except twocell.ChainError as err:
+                raise ValueError(f"rule {rid}: log does not replay: {err}") from None
+            if (log.source, end) != (self.rule(rid).lhs, self.rule(rid).rhs):
+                raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
 
     def rule(self, rid: str) -> Rule:
         return self.rule_map[rid]

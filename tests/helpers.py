@@ -59,11 +59,16 @@ def _presentation(letters, relations):
 
 
 def coxeter(letters, labels):
-    """The Coxeter group of a linear diagram: labels[i] joins letters i and i + 1."""
+    """The Coxeter group of a diagram: labels maps two letters, written together,
+    to their label, and unmarked pairs commute; a list labels a linear diagram,
+    labels[i] joining letters i and i + 1."""
+    if isinstance(labels, list):
+        labels = {letters[i:i + 2]: m for i, m in enumerate(labels)}
     relations = [(s + s, "") for s in letters]
     for i in range(len(letters)):
         for j in range(i + 1, len(letters)):
-            relations.append(((letters[i] + letters[j]) * (labels[i] if j == i + 1 else 2), ""))
+            pair = letters[i] + letters[j]
+            relations.append((pair * labels.get(pair, 2), ""))
     return _presentation(letters, relations)
 
 
@@ -88,6 +93,33 @@ LADDER = {
 }
 # the ladder without its two largest groups
 NINE_GROUPS = {name: LADDER[name] for name in LADDER if name not in ("S7", "F4")}
+# two Coxeter groups one size up from the ladder: name -> (presentation, group order)
+SCALE_GROUPS = {
+    "H4": (coxeter("abcd", [5, 3, 3]), 14400),
+    "E6": (coxeter("abcdef", {"ab": 3, "bc": 3, "cd": 3, "de": 3, "cf": 3}), 51840),
+}
+
+
+def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
+    """The number of irreducible words of each length, up to the first length
+    with none, read off the lhs index (Sims 1994): an irreducible word is a
+    path from the root that never enters a state whose word has an lhs as a
+    suffix (out != 0).  Raises ValueError if words longer than bound remain:
+    the monoid is infinite or has longer normal forms."""
+    index, letters = sys._lhs, sys.order.alphabet.letters
+    counts, layer = [], {0: 1}  # state -> number of irreducible words that reach it
+    while layer:
+        if len(counts) > bound:
+            raise ValueError(f"irreducible words longer than {bound}")
+        counts.append(sum(layer.values()))
+        after = {}
+        for s, n in layer.items():
+            for letter in letters:
+                t = index.step[s].get(letter, 0)
+                if not index.out[t]:
+                    after[t] = after.get(t, 0) + n
+        layer = after
+    return counts
 
 
 def occurrences(needle: Word, haystack: Word) -> list[int]:

@@ -93,7 +93,8 @@ def test_complete_rejects_nonpositive_limits(capsys):
 
 def test_import_loads_no_module_it_does_not_use():
     # dataclasses loads inspect, ast and dis, logging loads traceback and
-    # string: a cold command would pay for them before doing any work
+    # string, argparse loads gettext: a cold command would pay for them
+    # before doing any work; json loads only where JSON is read or written
     def loaded(code):
         proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
                               capture_output=True, text=True, env=CHILD_ENV, check=True)
@@ -101,7 +102,56 @@ def test_import_loads_no_module_it_does_not_use():
 
     added = loaded("import logrew.cli") - loaded("pass")
     assert "logrew.cli" in added
-    assert not added & {"dataclasses", "inspect", "logging", "fractions"}
+    assert not added & {"dataclasses", "inspect", "logging", "fractions", "argparse", "json"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["nf", "-h"], ["prove", SE, "--help"]])
+def test_help_prints_usage_to_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: logrew COMMAND") and "Flags cannot be abbreviated." in out
+
+
+LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    ([], "expected a command"),
+    (["bogus", SE], "unknown command 'bogus'"),
+    (["nf", SE], "nf takes FILE WORD"),
+    (["nf", SE, "s", "e"], "nf takes FILE WORD"),
+    (["prove", SE, "s"], "prove takes FILE WORD1 WORD2"),
+    (["complete", SE, "--bogus"], "unknown flag --bogus for complete"),
+    (["complete", SE, "--js"], "unknown flag --js for complete"),  # no abbreviation
+    (["complete", SE, "--json=1"], "unknown flag --json=1 for complete"),
+    (["verify", SE, SE, "--json"], "unknown flag --json for verify"),
+    (["endos", SE, "--expand"], "unknown flag --expand for endos"),
+    (["complete", SE, "--limits"], LIMITS_MESSAGE),
+    (["complete", SE, "--limits="], LIMITS_MESSAGE),
+    (["complete", SE, "--limits=0,64,64"], LIMITS_MESSAGE),
+    (["complete", SE, "--limits", "3,64"], LIMITS_MESSAGE),
+])
+def test_usage_error_exits_1_with_usage_and_reason(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: logrew COMMAND")
+    assert err.splitlines()[-1] == f"logrew: error: {reason}"
+
+
+def test_cold_usage_paths_print_no_traceback():
+    code, out, err = run_cold("nf", "-h")
+    assert code == 0 and out.startswith("usage: logrew") and err == ""
+    for argv in ([], ["nf", SE], ["complete", SE, "--limits"]):
+        code, out, err = run_cold(*argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage: logrew") and "Traceback" not in err, argv
+
+
+def test_limits_value_may_follow_an_equals_sign(capsys):
+    joined = run(capsys, "complete", AB, "--json", "--limits=3,64,64")
+    assert joined == run(capsys, "complete", AB, "--json", "--limits", "3,64,64")
+    assert joined == run(capsys, "complete", "--limits=3,64,64", "--json", AB)  # flags first
+    assert joined[0] == 2 and json.loads(joined[1])["status"] == "limit"
 
 
 @pytest.mark.parametrize("command,expect", [

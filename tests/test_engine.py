@@ -273,6 +273,24 @@ def test_as_complete_shares_the_index(abc_completion):
     assert done._lhs is s._lhs and done.rule_map is s.rule_map and done.retired is s.retired
 
 
+@pytest.mark.parametrize("log,message", [
+    # through its own rule: expand_log would look up an expansion not yet made
+    (TwoCell(W("a"), (Step((), "r2", 1, ()),)), "log names rule r2, which is not listed before it"),
+    (TwoCell(W("a"), (Step((), "r9", 1, ()),)), r"log does not replay: unknown rule 'r9' \(step 0\)"),
+    (TwoCell(W("a a"), (Step((), "r1", 1, ()),)), "log does not run from its lhs to its rhs"),
+])
+def test_system_rejects_a_log_that_does_not_expand(log, message):
+    rules = (Rule("r1", W("a a"), ()), Rule("r2", W("a"), W("b")))
+    with pytest.raises(ValueError, match=f"^rule r2: {message}$"):
+        LoggedSystem(rules, {"r2": log}, order=OrderSpec(Alphabet(("a", "b"))))
+
+
+def test_system_rejects_a_log_for_an_unlisted_rule():
+    with pytest.raises(ValueError, match="^rule r7: a log for a rule that is not listed$"):
+        LoggedSystem((Rule("r1", W("a a"), ()),), {"r7": TwoCell(W("a"), ())},
+                     order=OrderSpec(Alphabet(("a", "b"))))
+
+
 def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
     lhs = ("a",) * 1499 + ("b",)
     assert len(lhs) > _sys.getrecursionlimit()

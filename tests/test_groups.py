@@ -8,6 +8,10 @@ as the group has elements, every derived log must expand to a cell on
 the initial rules from the rule's lhs to its rhs, proofs of equal words
 must replay on the initial rules, and ``express`` must leave an identity
 residual on random loops.
+
+The ladder, PSL(2,7), H4 and E6 are counted off the lhs index instead,
+by ``count_normal_forms``; the element search above checks reduction,
+the count checks the index tables.
 """
 
 import random
@@ -20,7 +24,12 @@ from logrew.endorewrites import express, generate
 from logrew.engine import expand_log, normal_form, prove
 import logrew.twocell as tc
 
-from helpers import A5, S4, random_cell, random_loop, random_word
+from logrew.core import Alphabet, OrderSpec
+from logrew.engine import LoggedSystem
+
+from helpers import (
+    A5, LADDER, S4, SCALE_GROUPS, count_normal_forms, random_cell, random_loop, random_word,
+)
 
 A4 = """monoid
 letters: a b
@@ -129,3 +138,24 @@ def test_psl27_completes_to_168_elements():
     completion = logged_knuth_bendix(system_from_presentation(parse_presentation(PSL27)))
     assert completion.status == "complete"
     assert len(elements(("a", "b"), completion.system)) == 168
+
+
+# the length of a Coxeter group's longest element: its number of reflections
+LONGEST = {"S4": 6, "S5": 10, "S6": 15, "S7": 21, "B4": 16, "H3": 15, "F4": 24, "H4": 60, "E6": 36}
+
+
+@pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)", *SCALE_GROUPS])
+def test_normal_forms_counted_off_the_index(name):
+    text, order = {**LADDER, **SCALE_GROUPS, "PSL(2,7)": (PSL27, 168)}[name]
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    assert completion.status == "complete"
+    counts = count_normal_forms(completion.system, 200)
+    assert sum(counts) == order
+    if name in LONGEST:
+        assert len(counts) - 1 == LONGEST[name]
+
+
+def test_count_of_an_infinite_monoid_stops_at_the_bound():
+    free = LoggedSystem((), order=OrderSpec(Alphabet(("a", "b"))))
+    with pytest.raises(ValueError, match="longer than 5"):
+        count_normal_forms(free, 5)
