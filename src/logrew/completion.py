@@ -9,10 +9,10 @@ u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
     iv)  l1       = u2 l2 v2    (l2 inside l1)
 
 The identical self-placement (all contexts empty, same rule) is excluded.
-``critical_pairs`` takes each unordered branching once, for completion,
-``is_complete`` and ``endorewrites.generate``, reading them off the lhs
-automaton of the system's reduction; ``resolve`` compares the two reducts
-unlogged and logs only a branching that becomes a rule.
+``critical_pairs`` reads each unordered branching once, from its later
+rule, off the lhs automaton of the system's reduction, for completion,
+``is_complete`` and ``endorewrites.generate`` alike; ``resolve`` compares
+the two reducts unlogged and logs only a branching that becomes a rule.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
 (Huet 1981), as the system's ``retired`` records.  It stays listed,
@@ -100,7 +100,10 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     if not sys.order.greater(z_left, z_right):
         (lhs, up), (rhs, over) = (rhs, over), (lhs, up)
     log = TwoCell(lhs, twocell.invert_steps(up.steps) + over.steps)
-    return NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs), log)
+    k = len(sys.rules) + 1
+    while f"r{k}" in rules:  # a loaded system may use any ids
+        k += 1
+    return NewRule(Rule(f"r{k}", lhs, rhs), log)
 
 
 def critical_pairs(sys: LoggedSystem, new_start: int,
@@ -111,16 +114,16 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
     only.
 
-    The branchings are read off the lhs automaton, from the side of each
-    rule x >= new_start only.  The lhs that end at position e of l_x are on
-    the output chain of its state after e letters: cases i and iv with l_x
-    outside.  An older lhs with l_x inside runs through, or ends at, a
-    state in the failure subtree of l_x's end: case iv.  A proper suffix of
-    l_x that is a trie state is a proper prefix of every lhs that runs on
-    past it, and the failure chain of l_x's end gives each such suffix:
-    cases ii and iii with l_x on the left.  An older lhs with a proper
-    prefix of l_x as a proper suffix ends in the failure subtree of that
-    prefix's state: case iii with l_x on the right."""
+    The branchings are read off the lhs automaton, each from its later
+    rule x = j only, one walk per case.  The lhs that end at position e of
+    l_x are on the output chain of its state after e letters: case i, l_y
+    inside l_x.  An lhs with l_x inside runs through, or ends at, a state
+    in the failure subtree of l_x's end: case iv.  A proper suffix of l_x
+    that is a trie state is a proper prefix of every lhs that runs on past
+    it, and the failure chain of l_x's end gives each such suffix: case ii,
+    l_x on the left.  An lhs with a proper prefix of l_x as a proper suffix
+    ends in the failure subtree of that prefix's state: case iii, l_x on
+    the right."""
     rules, lhs = sys.rules, sys._lhs
     depth, fail, out, hits, through = lhs.depth, lhs.fail, lhs.out, lhs.hits, lhs.through
     dead = [rule.rid in gone for rule in rules]
@@ -128,44 +131,36 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     for x in range(new_start, len(rules)):
         l1, rid, path = rules[x].lhs, rules[x].rid, lhs.paths[x]
         a, n1 = Step(EMPTY, rid, 1, EMPTY), len(l1)
-        for e, s in enumerate(path, 1):
+        for e, s in enumerate(path, 1):  # an earlier l_y inside l_x: case i of (y, x)
             s = out[s]
             while s:
-                k = depth[s]
+                p = e - depth[s]
                 for y in hits[s]:
-                    step = Step(l1[:e - k], rules[y].rid, 1, l1[e:])
-                    if y < x:  # l_y inside l_x: case i of (y, x)
-                        found[y, x, 0, e - k] = Overlap("i", l1, step, a)
-                    elif y > x and k < n1:  # case iv of (x, y); l_y = l_x is case i's
-                        found[x, y, 3, e - k] = Overlap("iv", l1, a, step)
+                    if y < x:
+                        found[y, x, 0, p] = Overlap("i", l1, Step(l1[:p], rules[y].rid, 1, l1[e:]), a)
                 s = out[fail[s]]
-        for u in lhs.below(path[-1]) if new_start else ():  # an older l_y around l_x: case iv of (y, x)
+        for u in lhs.below(path[-1]):  # an earlier l_y around l_x: case iv of (y, x)
             p = depth[u] - n1
             for y in through.get(u, ()) + (hits.get(u, ()) if p else ()):
-                if y < new_start:
+                if y < x:
                     l2 = rules[y].lhs
                     found[y, x, 3, p] = Overlap("iv", l2, Step(EMPTY, rules[y].rid, 1, EMPTY),
                                                 Step(l2[:p], rid, 1, l2[p + n1:]))
         if dead[x]:
             continue
         s = fail[path[-1]]
-        while s:  # each proper suffix of l_x that is a trie state, longest first
+        while s:  # each proper suffix of l_x that is a trie state: case ii of (y, x)
             k = depth[s]
             for y in through.get(s, ()):
-                if dead[y]:
-                    continue
-                l2 = rules[y].lhs
-                if x < y:  # l_x on the left: case iii of (x, y)
-                    found[x, y, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rid, 1, l2[k:]),
-                                                Step(l1[:-k], rules[y].rid, 1, EMPTY))
-                else:  # l_x on the left: case ii of (y, x); for y = x it stands for iii too
+                if y <= x and not dead[y]:
+                    l2 = rules[y].lhs
                     found[y, x, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[y].rid, 1, EMPTY),
                                                 Step(EMPTY, rid, 1, l2[k:]))
             s = fail[s]
-        for k, s in enumerate(path[:-1] if new_start else (), 1):
-            for u in lhs.below(s)[1:]:  # an older l_y on the left: case iii of (y, x)
+        for k, s in enumerate(path[:-1], 1):
+            for u in lhs.below(s)[1:]:  # an earlier l_y on the left: case iii of (y, x)
                 for y in hits.get(u, ()):
-                    if y < new_start and not dead[y]:
+                    if y < x and not dead[y]:
                         l2 = rules[y].lhs
                         found[y, x, 2, k] = Overlap("iii", l2 + l1[k:], Step(EMPTY, rules[y].rid, 1, l1[k:]),
                                                     Step(l2[:-k], rid, 1, EMPTY))
@@ -188,26 +183,21 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     def live(overlap: Overlap) -> bool:
         return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))
 
-    new_start = 0
-    passes = 0
+    new_start = passes = 0
     while True:
-        passes += 1
         queue = critical_pairs(sys, new_start, sys.retired)
-        new_start = len(sys.rules)
+        if passes == limits.max_passes:
+            return CompletionResult(sys, tuple(queue))
+        passes, new_start = passes + 1, len(sys.rules)
         for n, overlap in enumerate(queue):
             outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:
                 continue
-            if (
-                len(sys.rules) + 1 > limits.max_rules
-                or len(outcome.rule.lhs) > limits.max_word_length
-            ):
+            if len(sys.rules) >= limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
                 return CompletionResult(sys, tuple(filter(live, queue[n:])))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             return CompletionResult(sys.as_complete())
-        if passes >= limits.max_passes:
-            return CompletionResult(sys, tuple(critical_pairs(sys, new_start, sys.retired)))
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -248,24 +238,19 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     entries = data.get("rules") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError("a saved system needs a list of rules")
-    rules, logs = {}, {}
+    rules, logs = [], {}
     for n, entry in enumerate(entries):
         rid = entry.get("id") if isinstance(entry, dict) else None
         try:  # a malformed entry raises ValueError, naming its rule when it has an id
             if not isinstance(rid, str):
                 raise ValueError("needs a string id")
             rule = Rule(rid, word_from_str(entry["lhs"]), word_from_str(entry["rhs"]))
-            decreasing = order.greater(rule.lhs, rule.rhs)  # the key ranks every letter of both
             log = entry.get("log")
             log = None if log is None else twocell.cell_from_json(log)
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             where = f"rule {rid}" if isinstance(rid, str) else f"rule entry {n}"
             raise ValueError(f"{where}: {'missing ' if isinstance(err, KeyError) else ''}{err}") from None
-        if rule.rid in rules:  # redexes are found by index, applied by id
-            raise ValueError(f"rule {rule.rid}: duplicate id")
-        if not decreasing:
-            raise ValueError(f"rule {rule.rid}: lhs is not greater than rhs")
-        rules[rule.rid] = rule
+        rules.append(rule)
         provenance, logged = entry.get("provenance", "initial"), log is not None
         if provenance not in ("initial", "derived"):
             raise ValueError(f"rule {rule.rid}: unknown provenance {provenance!r}")
@@ -276,8 +261,9 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     status = data.get("status", "limit")
     if status not in ("complete", "limit"):
         raise ValueError(f"unknown status {status!r}")
-    # LoggedSystem checks that each log names only earlier rules and replays
-    sys = LoggedSystem(tuple(rules.values()), logs, complete=status == "complete", order=order)
+    # LoggedSystem checks that ids are unique, rules decrease, and each log
+    # names only earlier rules and replays
+    sys = LoggedSystem(tuple(rules), logs, complete=status == "complete", order=order)
     if sys.complete:  # prove answers NOT_EQUAL on a complete system, so check the claim
         ok, witness = is_complete(sys)
         if not ok:

@@ -54,26 +54,26 @@ class _Automaton:
         self.step, self.depth, self.fail, self.out, self.kids = [{}], [0], [0], [0], {}
         self.hits, self.through, self.lowest, self.paths, self.retired = {}, {}, {}, (), frozenset()
         for rule in rules:
-            self._add(rule.lhs)
+            self._add(rule)
 
-    def extended(self, lhs: Word) -> "_Automaton":
-        """A copy with lhs added as the next rule's; this index is not written."""
+    def extended(self, rule: Rule) -> "_Automaton":
+        """A copy with rule's lhs added as the next rule's; this index is not written."""
         grown = object.__new__(_Automaton)
         grown.step, grown.depth, grown.fail, grown.out, grown.kids = (
             self.step[:], self.depth[:], self.fail[:], self.out[:], self.kids.copy())
         grown.hits, grown.through, grown.lowest, grown.paths, grown.retired = (
             self.hits.copy(), self.through.copy(), self.lowest.copy(), self.paths, self.retired)
-        grown._add(lhs)
+        grown._add(rule)
         return grown
 
-    def _add(self, lhs: Word) -> None:
-        """Add lhs as the next rule's, replacing but never writing a row, tuple
+    def _add(self, rule: Rule) -> None:
+        """Add rule's lhs as the next rule's, replacing but never writing a row, tuple
         or set, so a copy of the top-level lists and dicts leaves its original as it was."""
-        if not lhs:
-            raise ValueError("a rule needs a non-empty lhs")
+        if not rule.lhs:
+            raise ValueError(f"rule {rule.rid}: needs a non-empty lhs")
         step, depth, fail, out, kids = self.step, self.depth, self.fail, self.out, self.kids
         x, s, path = len(self.paths), 0, []
-        for letter in lhs:
+        for letter in rule.lhs:
             t = step[s].get(letter, 0)
             if depth[t] != depth[s] + 1:  # no trie edge: t is a new state, s's child
                 t, f = len(depth), step[fail[s]].get(letter, 0) if s else 0
@@ -135,10 +135,21 @@ class LoggedSystem:
         self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
         self.retired = frozenset(rules[x].rid for x in self._lhs.retired)
+        # a step names its rule by id, so ids are unique, and each rule
+        # decreases, so reduction ends
+        place = {}  # id -> index
+        for x, rule in enumerate(rules):
+            try:  # the key ranks every letter of both words
+                decreasing = order.greater(rule.lhs, rule.rhs)
+            except ValueError as err:
+                raise ValueError(f"rule {rule.rid}: {err}") from None
+            if rule.rid in place or not decreasing:
+                fault = "duplicate id" if rule.rid in place else "lhs is not greater than rhs"
+                raise ValueError(f"rule {rule.rid}: {fault}")
+            place[rule.rid] = x
         # each log names only rules listed before its own and replays from its
-        # rule's lhs to its rhs, so it expands onto initial rules; with_rule
-        # and as_complete take completion's own logs and do not check them
-        place = {rule.rid: x for x, rule in enumerate(rules)} if logs else {}
+        # rule's lhs to its rhs, so it expands onto initial rules; with_rule and
+        # as_complete take completion's own rules and logs and check neither
         for rid, log in self.logs.items():
             if rid not in place:
                 raise ValueError(f"rule {rid}: a log for a rule that is not listed")
@@ -160,7 +171,7 @@ class LoggedSystem:
         grown = object.__new__(LoggedSystem)
         grown.rules, grown.complete, grown.order = self.rules + (rule,), False, self.order
         grown.logs, grown.rule_map = {**self.logs, rule.rid: log}, {**self.rule_map, rule.rid: rule}
-        grown._lhs = self._lhs.extended(rule.lhs)
+        grown._lhs = self._lhs.extended(rule)
         grown.retired = frozenset(grown.rules[x].rid for x in grown._lhs.retired)
         return grown
 

@@ -10,7 +10,7 @@ import pytest
 from logrew import completion
 from logrew.core import Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
 from logrew.engine import (
-    LoggedSystem, expand_log, normal_form, prove, system_from_presentation,
+    LoggedSystem, expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
 from logrew.completion import (
     CompletionLimits, NewRule, critical_pairs, is_complete,
@@ -502,6 +502,7 @@ def test_system_json_round_trip(ab_completion):
     ("lhs", "x y", "rule r1: letter 'x' not in alphabet"),
     ("lhs", "x b", "rule r1: letter 'x' not in alphabet"),
     ("rhs", "y", "rule r1: letter 'y' not in alphabet"),
+    ("lhs", "1", "rule r1: needs a non-empty lhs"),
 ])
 def test_system_from_json_rejects_bad_rule(ab_completion, field, value, message):
     # a derived rule (r3) without a log would fail later, in expand_log, as
@@ -575,6 +576,23 @@ def test_system_from_json_rejects_duplicate_id():
     ]}
     with pytest.raises(ValueError, match="rule r1: duplicate id"):
         system_from_json(data, OrderSpec(Alphabet(("a", "b"))))
+
+
+def test_completion_gives_a_new_rule_an_id_no_listed_rule_has():
+    # a loaded system may use any ids; named by the rule count alone, the
+    # fourth rule was r4 again, so a step of one r4 replayed as the other
+    # (19 of the words below) and the completed system did not load back
+    order = OrderSpec(Alphabet(("a", "b")))
+    init = LoggedSystem((Rule("r1", W("a a"), ()), Rule("r4", W("b b b"), ()),
+                         Rule("r2", W("a b a b"), ())), order=order)
+    result = logged_knuth_bendix(init)
+    assert result.status == "complete"
+    sys = result.system
+    ids = [rule.rid for rule in sys.rules]
+    assert ids[:4] == ["r1", "r4", "r2", "r5"] and len(set(ids)) == len(ids)
+    for w in words_over(("a", "b"), 6):
+        assert tc.target(reduce_logged(w, sys), sys.rule_map) == normal_form(w, sys)
+    assert system_to_json(system_from_json(system_to_json(result), order)) == system_to_json(result)
 
 
 @pytest.mark.parametrize("justifier", [

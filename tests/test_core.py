@@ -125,6 +125,9 @@ def test_parse_comments_and_blank_lines():
     ("monoid\nletters: a b\norder: wreath\nrules:\n", "unsupported order"),
     ("group\nletters: a\norder: shortlex\nrules:\n", "monoid"),
     ("monoid\nletters: a\norder: shortlex\nrules:\na a\n", "relation"),
+    ("monoid\norder: shortlex\nrules:\n", "expected 'letters:' declaration"),
+    ("monoid\nletters:\norder: shortlex\nrules:\n", "empty letter declaration"),
+    ("monoid\nletters: a\nrules:\n", "expected 'order:' declaration"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

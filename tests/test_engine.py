@@ -101,9 +101,10 @@ def systems_and_words(draw):
 
 
 def system(*rules):
+    # b before a, so every example's rules decrease, b -> a included
     return LoggedSystem(
         tuple(Rule(f"r{i}", W(l), W(r)) for i, (l, r) in enumerate(rules, 1)),
-        order=OrderSpec(Alphabet(("a", "b"))),
+        order=OrderSpec(Alphabet(("b", "a"))),
     )
 
 
@@ -283,6 +284,20 @@ def test_system_rejects_a_log_that_does_not_expand(log, message):
     rules = (Rule("r1", W("a a"), ()), Rule("r2", W("a"), W("b")))
     with pytest.raises(ValueError, match=f"^rule r2: {message}$"):
         LoggedSystem(rules, {"r2": log}, order=OrderSpec(Alphabet(("a", "b"))))
+
+
+@pytest.mark.parametrize("rules,message", [
+    # a step names its rule by id: reduce_logged(a a) logged r1 at a a,
+    # which replays as b -> a and fails
+    ((("r1", "a a", "1"), ("r1", "b", "a")), "rule r1: duplicate id"),
+    # normal_form(a) rewrote a to a a and never returned
+    ((("r1", "a", "a a"),), "rule r1: lhs is not greater than rhs"),
+    ((("r1", "b a", "1"), ("r2", "x", "a")), "rule r2: letter 'x' not in alphabet"),
+], ids=["duplicate-id", "increasing", "unknown-letter"])
+def test_system_rejects_a_duplicate_id_and_a_rule_that_does_not_decrease(rules, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoggedSystem(tuple(Rule(rid, W(lhs), W(rhs)) for rid, lhs, rhs in rules),
+                     order=OrderSpec(Alphabet(("b", "a"))))
 
 
 def test_system_rejects_a_log_for_an_unlisted_rule():
