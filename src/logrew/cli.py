@@ -77,7 +77,7 @@ def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
     any; raises one of BAD_CELL_ERRORS on any other file content."""
     import json  # only where JSON is read
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.loads(handle.read().removeprefix("\ufeff"))
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     cell = twocell.cell_from_json(data)

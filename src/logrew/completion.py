@@ -16,9 +16,9 @@ the two reducts unlogged and logs only a branching that becomes a rule.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
 (Huet 1981), as the system's ``retired`` records.  It stays listed,
-unchanged, so every log still replays, but only its inclusion branchings,
-which keep its equation derivable, are resolved again.  Reduction uses
-every listed rule: a retired lhs contains an active one, so the
+unchanged, so every log still replays; completion and ``is_complete``
+resolve only its inclusions, which keep its equation derivable.  Reduction
+uses every listed rule: a retired lhs contains an active one, so the
 irreducible words are the same, and proofs are shorter.
 """
 
@@ -58,7 +58,9 @@ class CompletionLimits(NamedTuple("CompletionLimits", [
 
 
 class CompletionResult(NamedTuple):
-    """A system and the branchings left to resolve; its status is the system's flag."""
+    """A system, whose flag is the status, and the branchings pending after a limit:
+    on ``max_passes`` the next pass's; else the stopping pass's queue from the
+    branching that hit the limit, which holds none of a rule that pass added."""
 
     system: LoggedSystem
     pending: tuple[Overlap, ...] = ()
@@ -174,8 +176,8 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     rule and a rule added in the previous pass, once) with FIFO
     critical-pair resolution.  A branching is resolved while both its
     rules are active, or when it is an inclusion; a pass builds only the
-    inclusions of the rules already retired when it starts.  Exceeding a limit
-    returns the partial system together with the unprocessed pairs.
+    inclusions of the rules already retired when it starts.  Exceeding a
+    limit returns the partial system and its pending branchings.
     """
     limits = limits or CompletionLimits()
     sys = init
@@ -197,15 +199,15 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 return CompletionResult(sys, tuple(filter(live, queue[n:])))
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
-            return CompletionResult(sys.as_complete())
+            return CompletionResult(sys._as_complete())
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
-    """Check every critical branching resolves; returns a failing witness otherwise."""
-    for overlap in critical_pairs(sys, 0):
-        if resolve(overlap, sys) is not None:
-            return False, overlap
-    return True, None
+    """Check the branchings completion resolves (inclusions, and those of two active rules);
+    returns a failing witness otherwise.  Any other closes below its superposition
+    through an inclusion of its retired rule (Winkler & Buchberger 1983)."""
+    witness = next((o for o in critical_pairs(sys, 0, sys.retired) if resolve(o, sys) is not None), None)
+    return witness is None, witness
 
 
 def system_to_json(result: CompletionResult) -> dict:
@@ -261,12 +263,11 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     status = data.get("status", "limit")
     if status not in ("complete", "limit"):
         raise ValueError(f"unknown status {status!r}")
-    # LoggedSystem checks that ids are unique, rules decrease, and each log
-    # names only earlier rules and replays
-    sys = LoggedSystem(tuple(rules), logs, complete=status == "complete", order=order)
-    if sys.complete:  # prove answers NOT_EQUAL on a complete system, so check the claim
+    sys = LoggedSystem(tuple(rules), logs, order=order)  # checks the ids, rules and logs
+    if status == "complete":  # prove answers NOT_EQUAL on a complete system, so check the claim
         ok, witness = is_complete(sys)
         if not ok:
             raise ValueError(f"status complete, but the branching of rules "
                              f"{witness.left.rule} and {witness.right.rule} does not resolve")
+        sys = sys._as_complete()
     return CompletionResult(sys)

@@ -116,7 +116,7 @@ def parse_presentation(text: str) -> Presentation:
     is the empty word, so no letter is named ``1`` or contains ``=``.
     """
     lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((number, stripped))

@@ -128,9 +128,8 @@ class LoggedSystem:
 
     __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs")
 
-    def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, complete: bool = False, *,
-                 order: OrderSpec):
-        self.rules, self.complete, self.order = rules, complete, order
+    def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
+        self.rules, self.complete, self.order = rules, False, order
         self.logs = dict(logs)  # an own copy, so the caller's dict is never written or shared
         self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
@@ -149,8 +148,10 @@ class LoggedSystem:
             place[rule.rid] = x
         # each log names only rules listed before its own and replays from its
         # rule's lhs to its rhs, so it expands onto initial rules; with_rule and
-        # as_complete take completion's own rules and logs and check neither
+        # _as_complete take completion's own rules and logs and check neither
         for rid, log in self.logs.items():
+            if not isinstance(log, TwoCell):
+                raise ValueError(f"rule {rid}: log is not a two-cell")
             if rid not in place:
                 raise ValueError(f"rule {rid}: a log for a rule that is not listed")
             later = next((s.rule for s in log.steps if place.get(s.rule, -1) >= place[rid]), None)
@@ -175,8 +176,8 @@ class LoggedSystem:
         grown.retired = frozenset(grown.rules[x].rid for x in grown._lhs.retired)
         return grown
 
-    def as_complete(self) -> "LoggedSystem":
-        """The system flagged complete, sharing the logs and index nothing writes."""
+    def _as_complete(self) -> "LoggedSystem":
+        """The system flagged complete, sharing its index; only completion and a checked load call it."""
         done = object.__new__(LoggedSystem)
         done.rules, done.logs, done.order, done.rule_map, done._lhs, done.retired = (
             self.rules, self.logs, self.order, self.rule_map, self._lhs, self.retired)

@@ -342,6 +342,17 @@ def test_express_round_trip(capsys, tmp_path, se_init):
         assert tc.validate(conj, se_init.rule_map) is None
 
 
+def test_a_byte_order_mark_is_read(capsys, tmp_path):
+    # as an editor may save them: UTF-8 with a leading U+FEFF
+    presentation, cell = tmp_path / "se.txt", tmp_path / "cell.json"
+    presentation.write_bytes(b"\xef\xbb\xbf" + Path(SE).read_bytes())
+    cell.write_bytes(b"\xef\xbb\xbf" + json.dumps(tc.cell_to_json(loop_cell("se_1"))).encode())
+    assert run(capsys, "nf", str(presentation), "s s s e") == (0, "s e\n", "")
+    code, out, _ = run(capsys, "verify", SE, str(cell))
+    assert code == 0 and out.startswith("ok:")
+    assert run(capsys, "express", str(presentation), str(cell))[0] == 0
+
+
 def test_express_identity_loop(capsys, tmp_path):
     cellfile = tmp_path / "idloop.json"
     cellfile.write_text(json.dumps({"source": "s e", "steps": []}))

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew import completion
-from logrew.core import Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
+from logrew.core import EMPTY, Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
 from logrew.engine import (
     LoggedSystem, expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
@@ -22,12 +22,13 @@ from logrew.twocell import Step, TwoCell
 
 import helpers
 from helpers import (
-    LADDER, NINE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
-    expanded_lengths, filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, scan_retired,
-    words_over,
+    LADDER, NINE_GROUPS, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
+    every_branching_resolves, expanded_lengths, filter_knuth_bendix, find_overlaps,
+    pairwise_critical_pairs, scan_retired, words_over,
 )
 from test_endorewrites import presentations
 from test_engine import system, systems_and_words
+from test_groups import PSL27
 
 W = word_from_str
 
@@ -357,6 +358,46 @@ def test_is_complete_empty_system():
     sys = LoggedSystem((), order=OrderSpec(Alphabet(("a",))))
     ok, witness = is_complete(sys)
     assert ok and witness is None
+
+
+def _corrupted(sys: LoggedSystem) -> list[LoggedSystem]:
+    """sys, from its rules alone, with one listed rule dropped, and with one
+    retired rule's rhs set to the empty word."""
+    rules = sys.rules
+    return [LoggedSystem(corrupt, order=sys.order) for corrupt in (
+        *(rules[:k] + rules[k + 1:] for k in range(len(rules))),
+        *(tuple(r._replace(rhs=EMPTY) if r is gone else r for r in rules)
+          for gone in rules if gone.rid in sys.retired))]
+
+
+@pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)", *SCALE_GROUPS])
+def test_is_complete_agrees_with_every_branching_resolving(name):
+    # is_complete resolves only the branchings completion resolves: another
+    # peak of a retired rule closes through that rule's inclusions, so the
+    # verdict is the one over all branchings.  Checked on the completed
+    # system and, for the ladder, on it corrupted and on partial completions
+    text = {**LADDER, **SCALE_GROUPS, "PSL(2,7)": (PSL27, 168)}[name][0]
+    init = system_from_presentation(parse_presentation(text))
+    done = logged_knuth_bendix(init).system
+    systems = [done]
+    if name in LADDER:
+        systems += _corrupted(done) + [logged_knuth_bendix(init, limits).system for limits in (
+            CompletionLimits(len(init.rules) + 2, 64, 64), CompletionLimits(64, 1, 64),
+            CompletionLimits(64, 2, 64))]
+    verdicts = [(is_complete(sys)[0], every_branching_resolves(sys)) for sys in systems]
+    assert verdicts[0] == (True, True)
+    assert [ok for ok, _ in verdicts] == [every for _, every in verdicts]
+
+
+@given(text=presentations())
+@settings(max_examples=60, deadline=None)
+def test_is_complete_agrees_with_every_branching_resolving_on_random_presentations(text):
+    # complete and partial systems alike, each also with one rule dropped
+    # or a retired rule's rhs emptied
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
+                              CompletionLimits(12, 6, 8)).system
+    for candidate in (sys, *_corrupted(sys)):
+        assert is_complete(candidate)[0] == every_branching_resolves(candidate)
 
 
 def test_retired_marks_contained_and_repeated_lhs():

@@ -128,11 +128,29 @@ def test_parse_comments_and_blank_lines():
     ("monoid\norder: shortlex\nrules:\n", "expected 'letters:' declaration"),
     ("monoid\nletters:\norder: shortlex\nrules:\n", "empty letter declaration"),
     ("monoid\nletters: a\nrules:\n", "expected 'order:' declaration"),
+    ("monoid\nletters: a\norder: shortlex\nfoo\n", "expected 'rules:' section (line 4)"),
+    # a byte-order mark is dropped once, so a second one is text
+    ("\ufeff\ufeffmonoid\nletters: a\norder: shortlex\nrules:\n", "expected 'monoid' header"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert fragment in str(err.value)
+
+
+def test_parse_drops_a_byte_order_mark():
+    text = "monoid\nletters: a b\norder: shortlex\nrules:\na b = a\n"
+    assert parse_presentation("\ufeff" + text) == parse_presentation(text)
+
+
+def test_alphabet_equality_hash_and_repr():
+    # two parses of one file give equal presentations with equal hashes
+    text = "monoid\nletters: s e\norder: shortlex\nrules:\ne e = e\n"
+    first, second = parse_presentation(text), parse_presentation(text)
+    assert first.alphabet is not second.alphabet
+    assert first == second and hash(first) == hash(second)
+    assert Alphabet(("s", "e")) != ("s", "e") and Alphabet(("s", "e")) != Alphabet(("e", "s"))
+    assert repr(first.alphabet) == "Alphabet(letters=('s', 'e'))"
 
 
 @pytest.mark.parametrize("letters,relation", [("a 1", "a a = 1"), ("a =", "= = a a")])

@@ -11,7 +11,7 @@ import pytest
 from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, normal_form, system_from_presentation
 from logrew.completion import (
-    CompletionLimits, critical_pairs, logged_knuth_bendix, resolve,
+    CompletionLimits, CompletionResult, critical_pairs, logged_knuth_bendix, resolve,
 )
 from logrew.endorewrites import (
     UnmatchedDiamond, _diamond, delta, decomposition_to_json, express, generate,
@@ -21,9 +21,9 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, check_retirement, cyclic_core, find_overlaps, interchange_normalize,
-    intermediate_words, invert, random_cell, random_loop, random_word, scan_conjugacy_reduce,
-    scan_redexes, signed_factor_sum, words_over,
+    A5, MERGING, check_retirement, cyclic_core, every_branching_resolves, find_overlaps,
+    interchange_normalize, intermediate_words, invert, random_cell, random_loop, random_word,
+    scan_conjugacy_reduce, scan_redexes, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -76,6 +76,15 @@ def test_delta_disjoint_pair_interchange_trivial(se_system, se_rules):
     loop = delta(*cp, se_system)
     assert loop.source == W("e e s s s")
     assert interchange_normalize(loop, se_rules) == identity(loop.source)
+
+
+def test_delta_and_generate_need_a_complete_system(ab_init):
+    # ab_monoid's initial rules take a b a to a a one way and to a the other
+    [overlap] = [o for o in critical_pairs(ab_init, 0) if o.superposition == W("a b a")]
+    with pytest.raises(ValueError, match="^critical branching does not resolve; the system is incomplete$"):
+        delta(overlap.superposition, overlap.left, overlap.right, ab_init)
+    with pytest.raises(ValueError, match="^generator extraction needs a completed system$"):
+        generate(CompletionResult(ab_init))
 
 
 def test_delta_whisker_coherence(se_generators, se_system):
@@ -436,13 +445,12 @@ def test_generator_set_json(se_generators):
 def test_empty_rhs_rules_full_pipeline(rng):
     # two mutually inverse generators: rules with empty right-hand sides
     from logrew import parse_presentation, system_from_presentation
-    from logrew.completion import is_complete
 
     text = "monoid\nletters: a b\norder: shortlex\nrules:\na b = 1\nb a = 1\n"
     init = system_from_presentation(parse_presentation(text))
     comp = logged_knuth_bendix(init)
     assert comp.status == "complete"
-    assert is_complete(comp.system)[0]
+    assert every_branching_resolves(comp.system)
     assert normal_form(W("a b b a"), comp.system) == W("1")
     gens = generate(comp, init)
     assert {word_to_str(g.cell.source) for g in gens.generators} == {"a b a", "b a b"}

@@ -1,9 +1,11 @@
 """Logged reduction, normal forms, the word problem, log expansion."""
 
+import ast
 import copy
 import random
 import sys as _sys
 import threading
+from pathlib import Path
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -268,7 +270,7 @@ def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion)
 def test_as_complete_shares_the_index(abc_completion):
     full = abc_completion.system
     s = LoggedSystem(full.rules, full.logs, order=full.order)
-    done = s.as_complete()
+    done = s._as_complete()
     assert (done.rules, done.logs, done.order) == (s.rules, s.logs, s.order)
     assert done.complete and not s.complete
     assert done._lhs is s._lhs and done.rule_map is s.rule_map and done.retired is s.retired
@@ -279,6 +281,8 @@ def test_as_complete_shares_the_index(abc_completion):
     (TwoCell(W("a"), (Step((), "r2", 1, ()),)), "log names rule r2, which is not listed before it"),
     (TwoCell(W("a"), (Step((), "r9", 1, ()),)), r"log does not replay: unknown rule 'r9' \(step 0\)"),
     (TwoCell(W("a a"), (Step((), "r1", 1, ()),)), "log does not run from its lhs to its rhs"),
+    (None, "log is not a two-cell"),
+    ({"source": "a", "steps": []}, "log is not a two-cell"),
 ])
 def test_system_rejects_a_log_that_does_not_expand(log, message):
     rules = (Rule("r1", W("a a"), ()), Rule("r2", W("a"), W("b")))
@@ -322,7 +326,7 @@ def test_reduction_shared_across_threads():
     letters = f4.order.alphabet.letters
 
     def fresh():  # the same rules with an index of its own
-        return LoggedSystem(f4.rules, f4.logs, complete=True, order=f4.order)
+        return LoggedSystem(f4.rules, f4.logs, order=f4.order)
 
     words = [[random_word(random.Random(seed * 1000 + i), letters, 40) for i in range(200)]
              for seed in range(4)]
@@ -365,6 +369,25 @@ def test_prove_unknown_without_completeness(se_init):
     # same rules, but the system is not flagged complete
     assert not se_init.complete
     assert prove(W("e"), W("s"), se_init) is Verdict.UNKNOWN
+
+
+def test_only_completion_and_a_checked_load_flag_a_system_complete(ab_init, ab_completion):
+    # ab_monoid's two initial rules do not resolve a b a; a system of them
+    # taken as complete had prove call a a and a unequal, which completion
+    # proves equal
+    with pytest.raises(TypeError):
+        LoggedSystem(ab_init.rules, complete=True, order=ab_init.order)
+    assert not hasattr(LoggedSystem, "as_complete")
+    assert prove(W("a a"), W("a"), LoggedSystem(ab_init.rules, order=ab_init.order)) is Verdict.UNKNOWN
+    assert isinstance(prove(W("a a"), W("a"), ab_completion.system), TwoCell)
+    callers = {
+        (path.stem, node.name)
+        for path in Path(engine.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "_as_complete" for n in ast.walk(node))
+    }
+    assert callers == {("completion", "logged_knuth_bendix"), ("completion", "system_from_json")}
 
 
 def test_prove_witness_connects_inputs(rng, se_system, se_rules):

@@ -1,5 +1,7 @@
-"""Smoke tests of the scripts in ``scripts/``, run in-process on the s/e monoid."""
+"""Smoke tests of the scripts in ``scripts/`` and of README's Python example,
+run in-process on the s/e monoid."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -29,3 +31,13 @@ def test_census_normal_forms(monkeypatch, capsys):
     rows = {line.split("<-")[0].strip(): line.split("<-")[1].strip() for line in lines[1:]}
     assert rows["s s"] == "3 words"
     assert rows["e s e"] == "122 words"
+
+
+def test_readme_python_examples_run(monkeypatch):
+    # each python block of README.md, run as written from the repo root
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -102,6 +102,18 @@ def test_compose_all_checks_every_join(se_rules):
             tc.compose_all(cells, se_rules)
 
 
+def test_malformed_calls_raise_value_error(se_rules):
+    # an exponent other than +1 or -1, an empty composite, and transport
+    # across an overlapping step: r2 (s s s) and r3 (s s e) on s s s e
+    with pytest.raises(ValueError, match=r"^step exponent must be \+1 or -1, got 2$"):
+        tc.step_io(Step(W("1"), "r1", 2, W("1")), se_rules)
+    with pytest.raises(ValueError, match="^compose_all needs at least one cell$"):
+        tc.compose_all([], se_rules)
+    across, step = Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", 1, W("1"))
+    with pytest.raises(ValueError, match="^steps are not disjoint$"):
+        tc.transport(step, across, tc.step_target(across, se_rules), se_rules)
+
+
 def test_compose_all_is_the_fold_of_compose(rng, se_system, se_rules):
     for _ in range(100):
         base = random_word(rng, ("s", "e"), 6, min_len=1)
