@@ -1,7 +1,9 @@
 """Golden outputs: exit code and stdout hash of every CLI command, frozen.
 
 Each command runs in-process through ``logrew.cli.main`` on every file in
-``presentations/``, in text form and with ``--json``, plus ``express`` on
+``presentations/``, in text form and with ``--json`` (``escaped_letters``
+names letters that JSON must escape: non-ASCII, a quote, backslashes),
+plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
 A5, S4 and MERGING, whose generator sets ``endos`` prints too.
 ``complete --json`` runs on the groups of the benchmark ladder and on
@@ -44,6 +46,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 # per presentation: a word to reduce, an equal pair, an unequal pair
 WORDS = {
     "ab_monoid": ("b a a b a b b", ("a b b a", "a"), ("a", "b")),
+    "escaped_letters": ('b"q c\\\\ aα aα b"q', ('aα aα b"q b"q', "c\\\\"), ("aα", 'b"q')),
     "abc_cyclic": ("a b c a b c b", ("a b c", "c c"), ("a", "b")),
     "free_monoid": ("x y x", ("x y", "x y"), ("x", "y")),
     "int_monoid": ("a b b a a b", ("a a b", "a"), ("a", "1")),
