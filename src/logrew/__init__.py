@@ -13,7 +13,6 @@ from .core import (
 from .twocell import Step, TwoCell, ChainError
 from .engine import LoggedSystem, Verdict, system_from_presentation
 from .completion import CompletionLimits, CompletionResult, logged_knuth_bendix
-from .endorewrites import Decomposition, Generator, GeneratorSet, express, generate
 
 __all__ = [
     "Alphabet", "OrderSpec", "ParseError", "Presentation", "Rule", "Word",
@@ -23,3 +22,17 @@ __all__ = [
     "CompletionLimits", "CompletionResult", "logged_knuth_bendix",
     "Decomposition", "Generator", "GeneratorSet", "express", "generate",
 ]
+
+# endorewrites loads on first use (PEP 562): only endos and express need it
+LAZY = ("Decomposition", "Generator", "GeneratorSet", "express", "generate")
+
+
+def __getattr__(name):
+    if name in LAZY:
+        from . import endorewrites
+        return getattr(endorewrites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *LAZY})

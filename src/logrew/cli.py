@@ -19,10 +19,6 @@ from .engine import (
     system_from_presentation,
 )
 from .completion import CompletionLimits, logged_knuth_bendix, system_to_json
-from .endorewrites import (
-    UnmatchedDiamond, decomposition_to_json, express, generate,
-    generator_set_to_json, minimize,
-)
 from .twocell import ChainError, TwoCell
 
 OK, USAGE, LIMIT, NOT_EQUAL, BAD_CERT = 0, 1, 2, 3, 4
@@ -39,10 +35,37 @@ def _limits(text: str) -> CompletionLimits:
         raise ValueError("expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH") from None
 
 
+def write_json(value, out: list[str], indent: str = "\n") -> None:
+    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to out for a str,
+    int, bool, None, list or str-keyed dict, without json's pure-Python encoder."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            out.append(f'"{value}"')
+        else:  # only a string that needs escapes loads json
+            from json.encoder import encode_basestring_ascii
+            out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        is_dict = isinstance(value, dict)
+        pairs = sorted(value.items()) if is_dict else [(None, item) for item in value]
+        out.append("{" if is_dict else "[")
+        for i, (key, item) in enumerate(pairs):
+            out.append(("," if i else "") + indent + "  ")
+            if is_dict:
+                write_json(key, out)
+                out.append(": ")
+            write_json(item, out, indent + "  ")
+        out.append((indent if pairs else "") + ("}" if is_dict else "]"))
+
+
 def _emit(data: dict, as_json: bool, render) -> None:
     if as_json:
-        import json  # only where JSON is written, so text output never loads it
-        print(json.dumps(data, indent=2, sort_keys=True))
+        out: list[str] = []
+        write_json(data, out)
+        print("".join(out))
     else:
         render(data)
 
@@ -165,6 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_endos(args) -> int:
+    from .endorewrites import generate, generator_set_to_json, minimize  # only endos and express load it
     result = _complete(_load_presentation(args.file), args)
     if result.status != "complete":
         print("completion exceeded limits; no generator set", file=_sys.stderr)
@@ -188,6 +212,7 @@ def cmd_endos(args) -> int:
 
 
 def cmd_express(args) -> int:
+    from .endorewrites import UnmatchedDiamond, decomposition_to_json, express, generate
     presentation = _load_presentation(args.file)
     try:
         cell, _ = _load_cell(args.cell, presentation.alphabet)

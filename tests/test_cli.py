@@ -13,7 +13,7 @@ import pytest
 
 import logrew
 from logrew import parse_presentation, system_from_presentation
-from logrew.cli import main
+from logrew.cli import main, write_json
 from logrew.completion import logged_knuth_bendix, system_from_json
 import logrew.twocell as tc
 
@@ -91,18 +91,65 @@ def test_complete_rejects_nonpositive_limits(capsys):
     assert "Traceback" not in err
 
 
+def loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after code runs in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                          capture_output=True, text=True, env=CHILD_ENV, check=True)
+    return set(proc.stdout.split())
+
+
 def test_import_loads_no_module_it_does_not_use():
     # dataclasses loads inspect, ast and dis, logging loads traceback and
     # string, argparse loads gettext: a cold command would pay for them
-    # before doing any work; json loads only where JSON is read or written
-    def loaded(code):
-        proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
-                              capture_output=True, text=True, env=CHILD_ENV, check=True)
-        return set(proc.stdout.split())
-
-    added = loaded("import logrew.cli") - loaded("pass")
+    # before doing any work; json loads only where JSON is read or a string
+    # needs escapes, endorewrites only for endos and express
+    added = loaded_modules("import logrew.cli") - loaded_modules("pass")
     assert "logrew.cli" in added
-    assert not added & {"dataclasses", "inspect", "logging", "fractions", "argparse", "json"}
+    assert not added & {"dataclasses", "inspect", "logging", "fractions", "argparse", "json",
+                        "logrew.endorewrites"}
+
+
+@pytest.mark.parametrize("argv,endorewrites", [
+    (["complete", SE, "--json"], False),
+    (["prove", SE, "s s s e", "s e", "--json"], False),
+    (["nf", SE, "s s s e"], False),
+    (["endos", SE, "--json"], True),
+])
+def test_a_cold_command_loads_only_what_it_runs(argv, endorewrites):
+    modules = loaded_modules(
+        "import contextlib, io\nfrom logrew.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+    ) - loaded_modules("pass")
+    assert "json" not in modules
+    assert ("logrew.endorewrites" in modules) == endorewrites
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from logrew import *", namespace)
+    for name in logrew.__all__:
+        assert namespace[name] is getattr(logrew, name), name
+        assert name in dir(logrew), name
+    assert logrew.generate is logrew.endorewrites.generate
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        getattr(logrew, "missing")
+
+
+# any code point, lone surrogates included; or one from around the edge of
+# the quoted-as-is ASCII range: space and ~, or controls, DEL, " and \
+JSON_TEXT = (st.text(st.characters(exclude_categories=()))
+             | st.text(st.sampled_from(' ~"\\\x00\x1f\x7f\xa0\ud800\U0001f600')))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children), max_leaves=20)
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_write_json_equals_json_dumps(value):
+    out = []
+    write_json(value, out)
+    assert "".join(out) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["nf", "-h"], ["prove", SE, "--help"]])
@@ -442,7 +489,7 @@ def test_bad_cell_input_exits_4(capsys, tmp_path):
 
 
 def test_express_checks_the_cell_before_completing(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("logrew.cli.generate", lambda *_: pytest.fail("generate ran"))
+    monkeypatch.setattr("logrew.endorewrites.generate", lambda *_: pytest.fail("generate ran"))
     presentation = tmp_path / "a5.txt"
     presentation.write_text(A5)
     cellfile = tmp_path / "bad.json"
