@@ -24,15 +24,15 @@ __all__ = [
 ]
 
 # endorewrites loads on first use (PEP 562): only endos and express need it
-LAZY = ("Decomposition", "Generator", "GeneratorSet", "express", "generate")
+_LAZY = ("Decomposition", "Generator", "GeneratorSet", "express", "generate")
 
 
 def __getattr__(name):
-    if name in LAZY:
+    if name in _LAZY:
         from . import endorewrites
         return getattr(endorewrites, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *LAZY})
+    return sorted({*globals(), *_LAZY})

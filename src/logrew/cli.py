@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_endos(args) -> int:
-    from .endorewrites import generate, generator_set_to_json, minimize  # only endos and express load it
+    from .endorewrites import generate, generator_set_to_json, minimize  # no other command loads it
     result = _complete(_load_presentation(args.file), args)
     if result.status != "complete":
         print("completion exceeded limits; no generator set", file=_sys.stderr)
