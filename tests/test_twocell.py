@@ -49,6 +49,36 @@ def test_target_chain_broken(se_rules):
     assert err.value.index == 1
 
 
+def test_target_error_contract(se_rules):
+    # the message and index of each way a replay fails, and the index
+    # validate gives for it: a misaligned step, an unknown rule, and a bad
+    # exponent, which is a ValueError of step_io's and not a ChainError
+    down = Step(W("1"), "r1", 1, W("1"))  # e e -> e
+    for steps, message, index in (
+        ((down, Step(W("e"), "r1", 1, W("1"))), "step expects e e e but stands on e", 1),
+        ((Step(W("1"), "r1", -1, W("1")),), "step expects e but stands on e e", 0),
+        ((down, down), "step expects e e but stands on e", 1),
+        ((down, Step(W("1"), "r1", -1, W("s"))), "step expects e s but stands on e", 1),
+        ((Step(W("1"), "r99", 1, W("1")),), "unknown rule 'r99'", 0),
+        ((down, Step(W("1"), "r99", 2, W("1"))), "unknown rule 'r99'", 1),
+    ):
+        cell = TwoCell(W("e e"), steps)
+        with pytest.raises(ChainError) as err:
+            tc.target(cell, se_rules)
+        assert str(err.value) == f"{message} (step {index})"
+        assert err.value.index == index
+        assert tc.validate(cell, se_rules) == index
+    cell = TwoCell(W("1"), (Step(W("1"), "r1", 1, W("1")),))
+    with pytest.raises(ChainError, match=r"^step expects e e but stands on 1 \(step 0\)$"):
+        tc.target(cell, se_rules)
+    for exp, index in ((2, 0), (0, 1)):
+        steps = (down,) * index + (Step(W("1"), "r1", exp, W("1")),)
+        for replay in (tc.target, tc.validate):
+            with pytest.raises(ValueError, match=rf"^step exponent must be \+1 or -1, got {exp}$") as err:
+                replay(TwoCell(W("e e"), steps), se_rules)
+            assert type(err.value) is ValueError
+
+
 def test_validate_fixture_loops(se_rules):
     for name in SE_LOOPS:
         cell = loop_cell(name)
