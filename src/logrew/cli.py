@@ -1,10 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 parse or usage error, 2 completion limit
-exceeded, 3 words not equal, 4 invalid certificate or cell (malformed,
-over letters outside the alphabet, or not replaying).  Data goes to
-stdout, diagnostics to stderr; ``--json`` switches the rendering, the
-JSON being the source of truth either way.
+Exit codes: 0 success, 1 parse or usage error or stdout closed early,
+2 completion limit exceeded, 3 words not equal, 4 invalid certificate or
+cell (malformed, over letters outside the alphabet, or not replaying).
+Data goes to stdout, diagnostics to stderr; ``--json`` switches the
+rendering, the JSON being the source of truth either way.
 """
 
 from __future__ import annotations
@@ -311,9 +311,15 @@ def main(argv=None) -> int:
         print(f"{USAGE_TEXT}\nlogrew: error: {err}", file=_sys.stderr)
         return USAGE
     try:
-        return func(args)
+        code = func(args)
+        _sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except ParseError as err:
         print(f"parse error: {err}", file=_sys.stderr)
+        return USAGE
+    except BrokenPipeError:  # stdout closed early, as by `| head`: the exit flush writes nowhere
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         return USAGE
     except OSError as err:
         print(f"cannot read {err.filename}: {err.strerror}", file=_sys.stderr)

@@ -2,7 +2,8 @@
 
 The reduction strategy is fixed to leftmost position, then lowest rule
 index, so logs are reproducible.  Derived rules carry an unexpanded log;
-``expand_log`` rewrites any cell so it references initial rules only.
+``expand_log`` rewrites any cell so it references initial rules only,
+keeping each rule's expansion in its system's table for later calls.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
 left-hand sides with the failure links of Aho & Corasick 1975, which one
@@ -124,12 +125,13 @@ class _Automaton:
 
 
 class LoggedSystem:
-    """Rules, the ids of those retired, and for each derived one (exactly those logged) its log."""
+    """Rules, the ids of those retired, and for each derived one (exactly those logged) its log;
+    _expanded maps (id, exponent) to the derived rule's log expanded, filled by expand_log."""
 
-    __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs")
+    __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs", "_expanded")
 
     def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
-        self.rules, self.complete, self.order = rules, False, order
+        self.rules, self.complete, self.order, self._expanded = rules, False, order, {}
         self.logs = dict(logs)  # an own copy, so the caller's dict is never written or shared
         self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
@@ -170,17 +172,20 @@ class LoggedSystem:
     def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
         """The system with one more rule, its index this one's extended by the rule's lhs."""
         grown = object.__new__(LoggedSystem)
-        grown.rules, grown.complete, grown.order = self.rules + (rule,), False, self.order
+        grown.rules, grown.complete, grown.order, grown._expanded = (
+            self.rules + (rule,), False, self.order, {})
         grown.logs, grown.rule_map = {**self.logs, rule.rid: log}, {**self.rule_map, rule.rid: rule}
         grown._lhs = self._lhs.extended(rule)
         grown.retired = frozenset(grown.rules[x].rid for x in grown._lhs.retired)
         return grown
 
     def _as_complete(self) -> "LoggedSystem":
-        """The system flagged complete, sharing its index; only completion and a checked load call it."""
+        """The system flagged complete, sharing its index and expansion table; only
+        completion and a checked load call it."""
         done = object.__new__(LoggedSystem)
         done.rules, done.logs, done.order, done.rule_map, done._lhs, done.retired = (
             self.rules, self.logs, self.order, self.rule_map, self._lhs, self.retired)
+        done._expanded = self._expanded
         done.complete = True
         return done
 
@@ -252,29 +257,34 @@ def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
 
 
 def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
-    """Replace derived-rule steps by their stored logs until only initial rules remain;
-    a log names only earlier rules, so each rule reached expands, once per exponent, in list order."""
-    logs, rules = sys.logs, sys.rules
-    reached = {step.rule for step in cell.steps if step.rule in logs}
-    for rule in reversed(rules):
-        if rule.rid in reached:
-            reached.update(step.rule for step in logs[rule.rid].steps if step.rule in logs)
-    expanded: dict[tuple[str, int], TwoCell] = {}  # (rule, exponent) -> its log, expanded
+    """Replace derived-rule steps by their stored logs until only initial rules remain.
+
+    A log names only earlier rules, so each derived rule reached expands in list
+    order, once per exponent per system: the expansions are kept in the system's
+    table, each stored only once complete, and a system's logs never change."""
+    logs, expanded = sys.logs, sys._expanded
+    reached = {step.rule for step in cell.steps if step.rule in logs and (step.rule, 1) not in expanded}
+    if reached:
+        for rule in reversed(sys.rules):
+            if rule.rid in reached:
+                reached.update(step.rule for step in logs[rule.rid].steps
+                               if step.rule in logs and (step.rule, 1) not in expanded)
 
     def _expand(c: TwoCell) -> TwoCell:
         steps: list[Step] = []
         for step in c.steps:
-            if step.rule not in logs:  # an initial rule
+            prefix, rid, exp, suffix = step
+            if rid not in logs:  # an initial rule
                 steps.append(step)
                 continue
-            key = step.rule, step.exp
-            if key not in expanded:  # a log runs from its rule's lhs to its rhs
-                expanded[key] = TwoCell(sys.rule(step.rule).rhs, twocell.invert_steps(
-                    expanded[step.rule, 1].steps))
-            steps.extend(twocell.whisker(step.prefix, expanded[key], step.suffix).steps)
+            done = expanded.get((rid, exp))
+            if done is None:  # only an inverse is missing; a log runs from its rule's lhs to its rhs
+                done = expanded[rid, -1] = TwoCell(sys.rule(rid).rhs, twocell.invert_steps(
+                    expanded[rid, 1].steps))
+            steps += [Step(prefix + p, r, e, s + suffix) for p, r, e, s in done.steps]
         return TwoCell(c.source, tuple(steps))
 
-    for rule in rules:
+    for rule in sys.rules:
         if rule.rid in reached:
             expanded[rule.rid, 1] = _expand(logs[rule.rid])
     return _expand(cell)

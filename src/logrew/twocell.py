@@ -69,15 +69,17 @@ def target(cell: TwoCell, rules: dict[str, Rule]) -> Word:
     word = cell.source
     for i, step in enumerate(cell.steps):
         try:
-            expected = step_source(step, rules)
+            consumed, produced = step_io(step, rules)
         except KeyError:
             raise ChainError(f"unknown rule {step.rule!r}", index=i) from None
+        prefix, _, _, suffix = step
+        expected = prefix + consumed + suffix
         if word != expected:
             raise ChainError(
                 f"step expects {word_to_str(expected)} but stands on {word_to_str(word)}",
                 index=i,
             )
-        word = step_target(step, rules)
+        word = prefix + produced + suffix
     return word
 
 
@@ -106,7 +108,7 @@ def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
 
 def invert_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """The steps reversed, each inverted: inversion without the replay."""
-    return tuple(invert_step(s) for s in reversed(steps))
+    return tuple([Step(prefix, rule, -exp, suffix) for prefix, rule, exp, suffix in reversed(steps)])
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
@@ -114,7 +116,7 @@ def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
         return cell
     return TwoCell(
         u + cell.source + v,
-        tuple(Step(u + s.prefix, s.rule, s.exp, s.suffix + v) for s in cell.steps),
+        tuple([Step(u + prefix, rule, exp, suffix + v) for prefix, rule, exp, suffix in cell.steps]),
     )
 
 
@@ -184,13 +186,8 @@ def cell_to_json(cell: TwoCell) -> dict:
     return {
         "source": word_to_str(cell.source),
         "steps": [
-            {
-                "prefix": word_to_str(s.prefix),
-                "rule": s.rule,
-                "exp": s.exp,
-                "suffix": word_to_str(s.suffix),
-            }
-            for s in cell.steps
+            {"prefix": word_to_str(prefix), "rule": rule, "exp": exp, "suffix": word_to_str(suffix)}
+            for prefix, rule, exp, suffix in cell.steps
         ],
     }
 

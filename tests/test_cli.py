@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +454,30 @@ def test_complete_text_marks_retired_rules(capsys, tmp_path):
     marked = {line.split(":")[0].strip() for line in out.splitlines() if line.endswith("  (retired)")}
     assert marked == {rule["id"] for rule in json.loads(data)["rules"] if rule.get("retired")}
     assert len(marked) == 8
+
+
+def test_closed_stdout_exits_1_silently(tmp_path):
+    # endos --json on S4 writes about 120 KB, more than a pipe holds: the
+    # reader takes one byte and closes the pipe while the command writes
+    f = tmp_path / "s4.txt"
+    f.write_text(S4)
+    with subprocess.Popen([sys.executable, "-m", "logrew.cli", "endos", str(f), "--json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 1
+    assert err == ""
+    # output small enough to sit in the buffer until exit, on a pipe closed before the start
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "logrew.cli", "nf", SE, "s s s e"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 BAD_CELLS = {

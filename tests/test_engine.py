@@ -445,3 +445,107 @@ def test_expand_log_follows_a_chain_of_logs_deeper_than_the_recursion_limit():
     assert expand_log(TwoCell(lhs, (Step((), f"r{depth}", 1, ()),)), sys) == TwoCell(lhs, down)
     up = TwoCell(W("b"), (Step((), f"r{depth}", -1, ()),))
     assert expand_log(up, sys) == TwoCell(W("b"), tuple(Step(s.prefix, "r1", -1, ()) for s in reversed(down)))
+
+
+@pytest.fixture(scope="module")
+def s5():
+    return logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER["S5"][0]))).system
+
+
+def fresh(sys):
+    """The same rules and logs, complete, with an expansion table of their own."""
+    return LoggedSystem(sys.rules, sys.logs, order=sys.order)._as_complete()
+
+
+def s5_proofs(sys, seed, count):
+    """Proofs of w = w with a letter squared inserted (each letter of S5 is an
+    involution), so that derived rules are used with both exponents."""
+    rng, letters, cells = random.Random(seed), sys.order.alphabet.letters, []
+    for _ in range(count):
+        w = random_word(rng, letters, 24, min_len=1)
+        k = rng.randint(0, len(w))
+        cells.append(prove(w, w[:k] + (rng.choice(letters),) * 2 + w[k:], sys))
+    return cells
+
+
+def check_expansion(cell, expanded, sys):
+    assert expanded.source == cell.source
+    assert tc.validate(expanded, sys.rule_map) is None
+    assert tc.target(expanded, sys.rule_map) == tc.target(cell, sys.rule_map)
+    assert not any(step.rule in sys.logs for step in expanded.steps)
+
+
+def test_expansion_table_warm_equals_cold(s5):
+    warm = fresh(s5)
+    cells = s5_proofs(warm, 7, 120)
+    assert {(step.rule, step.exp) for cell in cells for step in cell.steps
+            if step.rule in s5.logs} >= {(rid, exp) for rid in ("r19", "r20") for exp in (1, -1)}
+    first = [expand_log(cell, warm) for cell in cells]
+    assert warm._expanded  # filled, and used below
+    for cell, before in zip(cells, first):
+        cold = expand_log(cell, fresh(s5))
+        check_expansion(cell, cold, s5)
+        assert expand_log(cell, warm) == before == cold
+
+
+def test_expansions_shared_across_threads(s5):
+    cells = [s5_proofs(s5, seed, 60) for seed in range(4)]
+    alone = fresh(s5)
+    expected = [[expand_log(cell, alone) for cell in batch] for batch in cells]
+    shared, start, results = fresh(s5), threading.Barrier(4), [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [expand_log(cell, shared) for cell in cells[k]]
+
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        _sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert shared._expanded == alone._expanded
+
+
+def test_expansions_do_not_leak_between_systems(s5):
+    # a second system with the same ids, one derived rule's log taking a
+    # detour: its first step, undone, then the log as stored
+    rid = next(rid for rid in reversed(s5.logs) if len(s5.logs[rid].steps) > 1)
+    log = s5.logs[rid]
+    detour = TwoCell(log.source, (log.steps[0], *tc.invert_steps(log.steps[:1]), *log.steps))
+    other = LoggedSystem(s5.rules, {**s5.logs, rid: detour}, order=s5.order)._as_complete()
+    lhs = s5.rule(rid).lhs
+    cells = [TwoCell(lhs, (Step((), rid, 1, ()),)),
+             TwoCell(s5.rule(rid).rhs, (Step((), rid, -1, ()),))]
+    cold = [expand_log(cell, fresh(other)) for cell in cells]
+    assert cold != [expand_log(cell, fresh(s5)) for cell in cells]
+    first = fresh(s5)
+    for cell in [*cells, *s5_proofs(first, 3, 40)]:
+        expand_log(cell, first)
+    assert first._expanded
+    for cell, expected in zip(cells, cold):
+        check_expansion(cell, expected, other)
+        assert expand_log(cell, other) == expected != expand_log(cell, first)
+
+
+def test_a_grown_system_starts_an_empty_expansion_table(s5):
+    last = s5.rules[-1]
+    assert last.rid in s5.logs
+    parent = LoggedSystem(s5.rules[:-1], {rid: log for rid, log in s5.logs.items() if rid != last.rid},
+                          order=s5.order)
+    for cell in s5_proofs(parent, 5, 20):
+        expand_log(cell, parent)
+    before = dict(parent._expanded)
+    assert before and parent._as_complete()._expanded is parent._expanded
+    child = parent.with_rule(last, s5.logs[last.rid])
+    assert child._expanded == {}
+    for cell in s5_proofs(child, 5, 20):
+        assert expand_log(cell, child) == expand_log(cell, fresh(s5))
+    assert parent._expanded == before
+    assert child._expanded.keys() > before.keys()
