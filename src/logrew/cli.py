@@ -300,13 +300,15 @@ def parse_args(argv: list[str]):
     return func, SimpleNamespace(**values, **dict(zip(names, operands)))
 
 
+def _help(args) -> int:
+    print(USAGE_TEXT)
+    return OK
+
+
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        print(USAGE_TEXT)
-        return OK
     try:
-        func, args = parse_args(argv)
+        func, args = (_help, None) if "-h" in argv or "--help" in argv else parse_args(argv)
     except ValueError as err:
         print(f"{USAGE_TEXT}\nlogrew: error: {err}", file=_sys.stderr)
         return USAGE

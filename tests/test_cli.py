@@ -470,14 +470,15 @@ def test_closed_stdout_exits_1_silently(tmp_path):
     assert code == 1
     assert err == ""
     # output small enough to sit in the buffer until exit, on a pipe closed before the start
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "logrew.cli", "nf", SE, "s s s e"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV, timeout=120)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    for argv in (["nf", SE, "s s s e"], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "logrew.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
 
 
 BAD_CELLS = {
