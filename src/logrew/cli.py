@@ -29,10 +29,10 @@ BAD_CELL_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 def _limits(text: str) -> CompletionLimits:
     try:
-        max_rules, max_passes, max_word_length = (int(p) for p in text.split(","))
-        return CompletionLimits(max_rules, max_passes, max_word_length)
+        max_rules, max_word_length = (int(p) for p in text.split(","))
+        return CompletionLimits(max_rules, max_word_length)
     except ValueError:
-        raise ValueError("expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH") from None
+        raise ValueError("expected --limits MAX_RULES,MAX_WORD_LENGTH") from None
 
 
 def write_json(value, out: list[str], indent: str = "\n") -> None:
@@ -269,7 +269,7 @@ USAGE_TEXT = """usage: logrew COMMAND FILE [OPERAND ...] [FLAG ...]
 FILE is a presentation file; a WORD is space separated letters, or 1.
 Flags, the first three on every command but verify:
   --json                   emit JSON
-  --limits R,P,L           completion limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH
+  --limits R,L             completion limits MAX_RULES,MAX_WORD_LENGTH
   --interreduce            accepted for compatibility; has no effect
   --expand                 (reduce, prove) expand derived-rule steps to initial rules
   --minimize               (endos) drop generators whose abelianization the kept ones span

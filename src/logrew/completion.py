@@ -41,16 +41,15 @@ class Overlap(NamedTuple):
     right: Step
 
 
-class CompletionLimits(NamedTuple("CompletionLimits", [
-        ("max_rules", int), ("max_passes", int), ("max_word_length", int)])):
-    """Positive bounds on the rules, the passes and the lhs length of a completion."""
+class CompletionLimits(NamedTuple("CompletionLimits", [("max_rules", int), ("max_word_length", int)])):
+    """Positive bounds on a completion's listed rules, retired ones included, and lhs length."""
 
     __slots__ = ()
 
-    def __new__(cls, max_rules: int = 256, max_passes: int = 64, max_word_length: int = 64):
-        if min(max_rules, max_passes, max_word_length) <= 0:
+    def __new__(cls, max_rules: int = 256, max_word_length: int = 64):
+        if min(max_rules, max_word_length) <= 0:
             raise ValueError("completion limits must be positive")
-        return super().__new__(cls, max_rules, max_passes, max_word_length)
+        return super().__new__(cls, max_rules, max_word_length)
 
     @classmethod
     def _make(cls, iterable):  # _replace makes its copy here: check it too
@@ -58,9 +57,9 @@ class CompletionLimits(NamedTuple("CompletionLimits", [
 
 
 class CompletionResult(NamedTuple):
-    """A system, whose flag is the status, and the branchings pending after a limit:
-    on ``max_passes`` the next pass's; else the stopping pass's queue from the
-    branching that hit the limit, which holds none of a rule that pass added."""
+    """A system, whose flag is the status, and the branchings pending after a
+    limit: the live rest of the stopping pass's queue, from the branching that
+    hit the limit on, which holds none of a rule that pass added."""
 
     system: LoggedSystem
     pending: tuple[Overlap, ...] = ()
@@ -176,8 +175,9 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     rule and a rule added in the previous pass, once) with FIFO
     critical-pair resolution.  A branching is resolved while both its
     rules are active, or when it is an inclusion; a pass builds only the
-    inclusions of the rules already retired when it starts.  Exceeding a
-    limit returns the partial system and its pending branchings.
+    inclusions of the rules already retired when it starts.  A rule past
+    ``max_rules`` listed rules, or with an lhs longer than ``max_word_length``,
+    is not added: the partial system returns with its pending branchings.
     """
     limits = limits or CompletionLimits()
     sys = init
@@ -185,12 +185,10 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     def live(overlap: Overlap) -> bool:
         return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))
 
-    new_start = passes = 0
+    new_start = 0
     while True:
         queue = critical_pairs(sys, new_start, sys.retired)
-        if passes == limits.max_passes:
-            return CompletionResult(sys, tuple(queue))
-        passes, new_start = passes + 1, len(sys.rules)
+        new_start = len(sys.rules)
         for n, overlap in enumerate(queue):
             outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:

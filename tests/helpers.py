@@ -227,9 +227,7 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone
 
     new_start = 0
-    passes = 0
     while True:
-        passes += 1
         queue = pairwise_critical_pairs(sys, new_start)
         new_start = len(sys.rules)
         while queue:
@@ -246,8 +244,6 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             sys = sys.with_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             return CompletionResult(sys._as_complete())
-        if passes >= limits.max_passes:
-            return CompletionResult(sys, tuple(filter(live, pairwise_critical_pairs(sys, new_start))))
 
 
 def expanded_lengths(sys: LoggedSystem) -> dict[str, int]:

@@ -79,16 +79,16 @@ def test_complete_warns_of_trivial_relation(tmp_path):
 def test_complete_limit_exceeded(capsys, tmp_path):
     f = tmp_path / "loopy.txt"
     f.write_text("monoid\nletters: a b\norder: shortlex\nrules:\na b a = b a a\n")
-    code, out, _ = run(capsys, "complete", str(f), "--json", "--limits", "3,64,64")
+    code, out, _ = run(capsys, "complete", str(f), "--json", "--limits", "3,64")
     assert code == 2
     data = json.loads(out)
     assert data["status"] == "limit"
 
 
 def test_complete_rejects_nonpositive_limits(capsys):
-    code, out, err = run(capsys, "complete", SE, "--limits", "0,64,64")
+    code, out, err = run(capsys, "complete", SE, "--limits", "0,64")
     assert code == 1 and out == ""
-    assert "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH" in err
+    assert "expected --limits MAX_RULES,MAX_WORD_LENGTH" in err
     assert "Traceback" not in err
 
 
@@ -160,7 +160,7 @@ def test_help_prints_usage_to_stdout(capsys, argv):
     assert out.startswith("usage: logrew COMMAND") and "Flags cannot be abbreviated." in out
 
 
-LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH"
+LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_WORD_LENGTH"
 
 
 @pytest.mark.parametrize("argv,reason", [
@@ -176,8 +176,9 @@ LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_PASSES,MAX_WORD_LENGTH"
     (["endos", SE, "--expand"], "unknown flag --expand for endos"),
     (["complete", SE, "--limits"], LIMITS_MESSAGE),
     (["complete", SE, "--limits="], LIMITS_MESSAGE),
-    (["complete", SE, "--limits=0,64,64"], LIMITS_MESSAGE),
-    (["complete", SE, "--limits", "3,64"], LIMITS_MESSAGE),
+    (["complete", SE, "--limits=0,64"], LIMITS_MESSAGE),
+    (["complete", SE, "--limits", "3,64,64"], LIMITS_MESSAGE),  # there is no pass limit
+    (["complete", SE, "--limits", "3"], LIMITS_MESSAGE),
 ])
 def test_usage_error_exits_1_with_usage_and_reason(capsys, argv, reason):
     code, out, err = run(capsys, *argv)
@@ -189,16 +190,16 @@ def test_usage_error_exits_1_with_usage_and_reason(capsys, argv, reason):
 def test_cold_usage_paths_print_no_traceback():
     code, out, err = run_cold("nf", "-h")
     assert code == 0 and out.startswith("usage: logrew") and err == ""
-    for argv in ([], ["nf", SE], ["complete", SE, "--limits"]):
+    for argv in ([], ["nf", SE], ["complete", SE, "--limits"], ["complete", SE, "--limits", "3,64,64"]):
         code, out, err = run_cold(*argv)
         assert code == 1 and out == "", argv
         assert err.startswith("usage: logrew") and "Traceback" not in err, argv
 
 
 def test_limits_value_may_follow_an_equals_sign(capsys):
-    joined = run(capsys, "complete", AB, "--json", "--limits=3,64,64")
-    assert joined == run(capsys, "complete", AB, "--json", "--limits", "3,64,64")
-    assert joined == run(capsys, "complete", "--limits=3,64,64", "--json", AB)  # flags first
+    joined = run(capsys, "complete", AB, "--json", "--limits=3,64")
+    assert joined == run(capsys, "complete", AB, "--json", "--limits", "3,64")
+    assert joined == run(capsys, "complete", "--limits=3,64", "--json", AB)  # flags first
     assert joined[0] == 2 and json.loads(joined[1])["status"] == "limit"
 
 
@@ -214,7 +215,7 @@ def test_limit_exceeded_exit_code(capsys, tmp_path, command, expect):
         {"prefix": "1", "rule": "r1", "exp": -1, "suffix": "1"},
     ]}))
     operands = {"prove": ["a", "b"], "endos": [], "express": [str(cellfile)]}[command]
-    code, out, err = run(capsys, command, AB, *operands, "--limits", "3,64,64")
+    code, out, err = run(capsys, command, AB, *operands, "--limits", "3,64")
     assert code == 2
     assert out == "" and expect in err
 
@@ -520,7 +521,7 @@ def test_express_checks_the_cell_before_completing(capsys, tmp_path, monkeypatch
     presentation.write_text(A5)
     cellfile = tmp_path / "bad.json"
     cellfile.write_text(json.dumps({"source": "q", "steps": []}))
-    for limits in ((), ("--limits", "3,1,4")):  # 3 rules stop A5's completion
+    for limits in ((), ("--limits", "3,4")):  # 3 rules stop A5's completion
         code, out, err = run(capsys, "express", str(presentation), str(cellfile), *limits)
         assert code == 4 and out == "", limits
         assert "malformed cell" in err
@@ -547,7 +548,7 @@ def spliced(original: bytes):
 
 
 CELL = json.dumps({**tc.cell_to_json(loop_cell("e_2")), "target": "e e s s"}).encode()
-LIMITS = ("--limits", "8,4,8")
+LIMITS = ("--limits", "8,8")
 COMMANDS = st.sampled_from([
     ("complete", "P", *LIMITS), ("nf", "P", "W", *LIMITS),
     ("reduce", "P", "W", "--expand", "--json", *LIMITS), ("prove", "P", "W", "V", *LIMITS),

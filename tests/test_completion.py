@@ -23,7 +23,7 @@ from logrew.twocell import Step, TwoCell
 import helpers
 from helpers import (
     LADDER, NINE_GROUPS, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
-    every_branching_resolves, expanded_lengths, filter_knuth_bendix, find_overlaps,
+    count_normal_forms, every_branching_resolves, expanded_lengths, filter_knuth_bendix, find_overlaps,
     pairwise_critical_pairs, scan_retired, words_over,
 )
 from test_endorewrites import presentations
@@ -191,7 +191,7 @@ def test_knuth_bendix_determinism(se_init, ab_init):
 def test_limit_exceeded_keeps_pending():
     text = "monoid\nletters: a b\norder: shortlex\nrules:\na b a = b a a\n"
     init = system_from_presentation(parse_presentation(text))
-    result = logged_knuth_bendix(init, CompletionLimits(max_rules=3, max_passes=64, max_word_length=64))
+    result = logged_knuth_bendix(init, CompletionLimits(max_rules=3))
     assert result.status == "limit"
     assert result.pending
     # partial system still usable and resumable at higher limits
@@ -199,20 +199,12 @@ def test_limit_exceeded_keeps_pending():
 
 
 def test_max_word_length_limit(ab_init):
-    result = logged_knuth_bendix(ab_init, CompletionLimits(max_rules=64, max_passes=64, max_word_length=1))
+    result = logged_knuth_bendix(ab_init, CompletionLimits(max_word_length=1))
     assert result.status == "limit"
     assert result.pending
 
 
-def test_max_passes_limit_reports_pending(ab_init):
-    result = logged_knuth_bendix(ab_init, CompletionLimits(max_rules=64, max_passes=1, max_word_length=64))
-    assert result.status == "limit"
-    assert result.pending  # the next pass's pairs, unsearched
-    resumed = logged_knuth_bendix(result.system)
-    assert resumed.status == "complete"
-
-
-@pytest.mark.parametrize("bounds", [(0, 64, 64), (64, 0, 64), (64, 64, 0)])
+@pytest.mark.parametrize("bounds", [(0, 64), (64, 0), (64, -1)])
 def test_completion_limits_must_be_positive(bounds):
     with pytest.raises(ValueError, match="^completion limits must be positive$"):
         CompletionLimits(*bounds)
@@ -220,9 +212,19 @@ def test_completion_limits_must_be_positive(bounds):
         CompletionLimits()._replace(**dict(zip(CompletionLimits._fields, bounds)))
 
 
-@pytest.mark.parametrize("limits", [CompletionLimits(10, 64, 64), CompletionLimits(64, 2, 64)])
+def test_completion_limits_have_no_pass_limit():
+    # an old call with a pass limit fails rather than read its bounds anew
+    assert CompletionLimits._fields == ("max_rules", "max_word_length")
+    with pytest.raises(TypeError):
+        CompletionLimits(1, 2, 3)
+    with pytest.raises(TypeError):
+        CompletionLimits(max_passes=1)
+
+
+@pytest.mark.parametrize("limits", [CompletionLimits(10), CompletionLimits(12)])
 def test_pending_pairs_of_retired_rules_are_inclusions(limits):
-    # a limit reports only what completion would still resolve
+    # a limit reports only what completion would still resolve; S4 lists
+    # 12 rules after two passes
     init = system_from_presentation(parse_presentation(LADDER["S4"][0]))
     result = logged_knuth_bendix(init, limits)
     assert result.status == "limit"
@@ -234,16 +236,18 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
     check_retirement(resumed.system)
 
 
-@pytest.mark.parametrize("limits", [None, CompletionLimits(12, 64, 64), CompletionLimits(64, 2, 64)],
-                         ids=["complete", "max_rules", "max_passes"])
+# twice: twice the initial rules, which stops every group but Z8xZ9 partway
+@pytest.mark.parametrize("max_rules", [None, lambda n: 12, lambda n: 2 * n],
+                         ids=["complete", "max_rules", "twice"])
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_completion_resolves_what_building_every_overlap_resolves(name, limits, monkeypatch):
+def test_completion_resolves_what_building_every_overlap_resolves(name, max_rules, monkeypatch):
     # a pass builds only the inclusions of a rule retired before it starts;
     # it resolves the same branchings, in the same order, and stops at a
     # limit with the same pending pairs as when it built them all.  Each
     # run counts the overlaps its pair search returns: completion's
     # critical_pairs, and the pairwise reference the filtering run builds by
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    limits = max_rules and CompletionLimits(max_rules(len(init.rules)))
     resolve = completion.resolve
     resolved, built = [], []
 
@@ -299,7 +303,7 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
     assert len(calls) > 6 and any(calls)
 
 
-@pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(12, 6, 8)],
+@pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(12, 8)],
                          ids=["default", "small"])
 @given(text=presentations(), start=st.integers(0, 300), mask=st.integers(0, 2 ** 300))
 @example(text=LADDER["triangle_r4"][0], start=7, mask=0b1010110)
@@ -370,6 +374,13 @@ def _corrupted(sys: LoggedSystem) -> list[LoggedSystem]:
           for gone in rules if gone.rid in sys.retired))]
 
 
+# the rules each ladder group lists after one and after two passes of
+# completion; Z8xZ9 completes in its first pass
+PASS_RULES = {"S4": (9, 12), "S5": (16, 22), "S6": (25, 35), "S7": (36, 51), "B4": (16, 22),
+              "H3": (9, 12), "F4": (16, 22), "triangle_r3": (4, 5), "triangle_r4": (4, 5),
+              "triangle_r5": (4, 5)}
+
+
 @pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)", *SCALE_GROUPS])
 def test_is_complete_agrees_with_every_branching_resolving(name):
     # is_complete resolves only the branchings completion resolves: another
@@ -381,9 +392,10 @@ def test_is_complete_agrees_with_every_branching_resolving(name):
     done = logged_knuth_bendix(init).system
     systems = [done]
     if name in LADDER:
-        systems += _corrupted(done) + [logged_knuth_bendix(init, limits).system for limits in (
-            CompletionLimits(len(init.rules) + 2, 64, 64), CompletionLimits(64, 1, 64),
-            CompletionLimits(64, 2, 64))]
+        partials = [logged_knuth_bendix(init, CompletionLimits(n))
+                    for n in (len(init.rules) + 2, *PASS_RULES.get(name, ()))]
+        assert all(partial.status == "limit" for partial in partials[1:])
+        systems += _corrupted(done) + [partial.system for partial in partials]
     verdicts = [(is_complete(sys)[0], every_branching_resolves(sys)) for sys in systems]
     assert verdicts[0] == (True, True)
     assert [ok for ok, _ in verdicts] == [every for _, every in verdicts]
@@ -395,7 +407,7 @@ def test_is_complete_agrees_with_every_branching_resolving_on_random_presentatio
     # complete and partial systems alike, each also with one rule dropped
     # or a retired rule's rhs emptied
     sys = logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
-                              CompletionLimits(12, 6, 8)).system
+                              CompletionLimits(12, 8)).system
     for candidate in (sys, *_corrupted(sys)):
         assert is_complete(candidate)[0] == every_branching_resolves(candidate)
 
@@ -671,7 +683,7 @@ def test_saved_partial_system_resumes(name):
     # the saved JSON has no order, so it is passed back in on loading
     path = PRESENTATIONS / f"{name}.txt"
     init = system_from_presentation(parse_presentation(path.read_text()))
-    partial = logged_knuth_bendix(init, CompletionLimits(3, 64, 64))
+    partial = logged_knuth_bendix(init, CompletionLimits(3))
     assert partial.status == "limit"
     data = json.loads(json.dumps(system_to_json(partial)))
     resumed = logged_knuth_bendix(system_from_json(data, init.order).system)
@@ -689,7 +701,7 @@ def test_resumed_completion_keeps_normal_forms(name, max_rules):
     # (here S4 lists its rules in another order, A5 one rule fewer); the
     # normal forms may not
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
-    partial = logged_knuth_bendix(init, CompletionLimits(max_rules, 64, 64))
+    partial = logged_knuth_bendix(init, CompletionLimits(max_rules))
     assert partial.status == "limit"
     data = json.loads(json.dumps(system_to_json(partial)))
     resumed = logged_knuth_bendix(system_from_json(data, init.order).system)
@@ -698,3 +710,24 @@ def test_resumed_completion_keeps_normal_forms(name, max_rules):
     check_retirement(resumed.system)
     for w in words_over(init.order.alphabet.letters, 6):
         assert normal_form(w, resumed.system) == normal_form(w, direct.system), w
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_max_rules_alone_stops_and_resumes(name):
+    # each max_rules from the initial rule count to the completed one: the
+    # run lists at most that many rules, its pending branchings of a retired
+    # rule are inclusions, and resuming it reaches a direct run's normal forms
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    done = logged_knuth_bendix(init).system
+    counts, touching = count_normal_forms(done, 200), 0
+    for max_rules in range(len(init.rules), len(done.rules) + 1):
+        result = logged_knuth_bendix(init, CompletionLimits(max_rules))
+        assert len(result.system.rules) <= max_rules
+        assert result.status == ("complete" if max_rules == len(done.rules) else "limit")
+        gone = result.system.retired
+        cases = [o.case for o in result.pending if {o.left.rule, o.right.rule} & gone]
+        assert set(cases) <= {"i", "iv"}, max_rules
+        touching += len(cases)
+        resumed = logged_knuth_bendix(result.system)
+        assert resumed.status == "complete" and count_normal_forms(resumed.system, 200) == counts, max_rules
+    assert touching or not done.retired

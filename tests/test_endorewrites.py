@@ -361,7 +361,7 @@ def test_generate_is_one_loop_per_branching(text):
     # merged into another's; ids go by base element (shortest first, the
     # greatest word first within a length), then discovery
     init = system_from_presentation(parse_presentation(text))
-    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
+    comp = logged_knuth_bendix(init, CompletionLimits(12, 8))
     if comp.status != "complete":
         return
     sys = comp.system
@@ -385,7 +385,7 @@ def test_generate_is_one_loop_per_branching(text):
 @settings(max_examples=60, deadline=None)
 def test_branchings_taken_once_complete_and_express(text):
     init = system_from_presentation(parse_presentation(text))
-    comp = logged_knuth_bendix(init, CompletionLimits(12, 6, 8))
+    comp = logged_knuth_bendix(init, CompletionLimits(12, 8))
     if comp.status != "complete":
         return
     sys = comp.system

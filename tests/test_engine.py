@@ -219,7 +219,7 @@ def test_extended_index_equals_a_fresh_build_on_random_presentations(text):
     with pytest.MonkeyPatch.context() as monkeypatch:
         grown = checked_extensions(monkeypatch)
         result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
-                                     CompletionLimits(12, 6, 8))
+                                     CompletionLimits(12, 8))
         assert len(grown) == len(result.system.logs)
 
 

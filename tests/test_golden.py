@@ -60,7 +60,7 @@ def presentation_cases(name: str) -> dict[str, list[str]]:
     word, equal, unequal = WORDS[name]
     commands = {
         "complete": ["complete", path],
-        "complete-limit": ["complete", path, "--limits", "3,64,64"],
+        "complete-limit": ["complete", path, "--limits", "3,64"],
         "complete-interreduce": ["complete", path, "--interreduce"],
         "nf": ["nf", path, word],
         "reduce": ["reduce", path, word],
