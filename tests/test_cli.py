@@ -136,6 +136,39 @@ def test_every_public_name_resolves():
         getattr(logrew, "missing")
 
 
+def test_record_types_keep_their_public_surface(se_init):
+    # the fields, default, checks, tuple equality and repr that callers,
+    # saved outputs and origin_index keys rely on, however the classes are declared
+    from logrew import completion, core, endorewrites
+    fields = {
+        core.OrderSpec: ("alphabet",),
+        core.Rule: ("rid", "lhs", "rhs"),
+        core.Presentation: ("alphabet", "relations", "order"),
+        tc.Step: ("prefix", "rule", "exp", "suffix"),
+        tc.TwoCell: ("source", "steps"),
+        completion.Overlap: ("case", "superposition", "left", "right"),
+        completion.CompletionLimits: ("max_rules", "max_word_length"),
+        completion.CompletionResult: ("system", "pending"),
+        completion.NewRule: ("rule", "log"),
+        endorewrites.Generator: ("gid", "cell", "base_element", "origin"),
+        endorewrites.Factor: ("gen", "x", "z", "conjugator", "exp", "cell"),
+        endorewrites.Decomposition: ("factors", "residual"),
+    }
+    for cls, names in fields.items():
+        assert cls._fields == names, cls.__name__
+        values = tuple(range(1, len(names) + 1))
+        record = cls(*values)
+        assert record == values and hash(record) == hash(values), cls.__name__
+        assert record._replace(**{names[0]: 7}) == (7, *values[1:]), cls.__name__
+    assert completion.CompletionResult(se_init).pending == ()
+    assert completion.CompletionLimits() == (256, 64)
+    with pytest.raises(ValueError, match="^completion limits must be positive$"):
+        completion.CompletionLimits()._replace(max_rules=0)
+    step = tc.Step(("s",), "r2", -1, ())
+    assert (("s",), "r2", -1, ()) in frozenset({step})
+    assert repr(step) == "Step(prefix=('s',), rule='r2', exp=-1, suffix=())"
+
+
 # any code point, lone surrogates included; or one from around the edge of
 # the quoted-as-is ASCII range: space and ~, or controls, DEL, " and \
 JSON_TEXT = (st.text(st.characters(exclude_categories=()))
