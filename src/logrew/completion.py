@@ -24,7 +24,7 @@ irreducible words are the same, and proofs are shorter.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
@@ -32,16 +32,13 @@ from .engine import LoggedSystem, reduce_into
 from .twocell import Step, TwoCell
 
 
-class Overlap(NamedTuple):
+class Overlap(namedtuple("Overlap", "case superposition left right")):
     """A critical branching: two forward steps on the superposition."""
 
-    case: str
-    superposition: Word
-    left: Step
-    right: Step
+    __slots__ = ()
 
 
-class CompletionLimits(NamedTuple("CompletionLimits", [("max_rules", int), ("max_word_length", int)])):
+class CompletionLimits(namedtuple("CompletionLimits", "max_rules max_word_length")):
     """Positive bounds on a completion's listed rules, retired ones included, and lhs length."""
 
     __slots__ = ()
@@ -56,22 +53,19 @@ class CompletionLimits(NamedTuple("CompletionLimits", [("max_rules", int), ("max
         return cls(*iterable)
 
 
-class CompletionResult(NamedTuple):
+class CompletionResult(namedtuple("CompletionResult", "system pending", defaults=((),))):
     """A system, whose flag is the status, and the branchings pending after a
     limit: the live rest of the stopping pass's queue, from the branching that
     hit the limit on, which holds none of a rule that pass added."""
 
-    system: LoggedSystem
-    pending: tuple[Overlap, ...] = ()
+    __slots__ = ()
 
     @property
     def status(self) -> str:
         return "complete" if self.system.complete else "limit"
 
 
-class NewRule(NamedTuple):
-    rule: Rule
-    log: TwoCell
+NewRule = namedtuple("NewRule", "rule log")
 
 
 def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:

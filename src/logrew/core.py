@@ -7,7 +7,7 @@ the alphabet, earliest declared = greatest.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 Word = tuple[str, ...]
 
@@ -78,10 +78,10 @@ class Alphabet:
         return w
 
 
-class OrderSpec(NamedTuple):
+class OrderSpec(namedtuple("OrderSpec", "alphabet")):
     """The shortlex well-ordering on words over an alphabet."""
 
-    alphabet: Alphabet
+    __slots__ = ()
 
     def key(self, w: Word) -> tuple[int, tuple[int, ...]]:
         """Sort key putting greater words first: longer first, then by the
@@ -93,18 +93,13 @@ class OrderSpec(NamedTuple):
         return self.key(a) < self.key(b)
 
 
-class Rule(NamedTuple):
+class Rule(namedtuple("Rule", "rid lhs rhs")):
     """An oriented relation lhs -> rhs with a stable identifier."""
 
-    rid: str
-    lhs: Word
-    rhs: Word
+    __slots__ = ()
 
 
-class Presentation(NamedTuple):
-    alphabet: Alphabet
-    relations: tuple[tuple[Word, Word], ...]
-    order: OrderSpec
+Presentation = namedtuple("Presentation", "alphabet relations order")
 
 
 def parse_presentation(text: str) -> Presentation:

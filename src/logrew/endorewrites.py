@@ -11,7 +11,7 @@ branching, so that the extracted product replays to the input exactly.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import Rule, Word, word_to_str
 from . import twocell
@@ -70,11 +70,12 @@ def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCel
     return TwoCell(word, twocell.join(side1.steps, twocell.invert_steps(side2.steps))), end1
 
 
-class Generator(NamedTuple):
-    gid: str
-    cell: TwoCell  # based at the superposition of its origin
-    base_element: Word
-    origin: Overlap
+Generator = namedtuple("Generator", (
+    "gid",
+    "cell",  # based at the superposition of its origin
+    "base_element",
+    "origin",
+))
 
 
 class GeneratorSet:
@@ -153,18 +154,18 @@ def minimize(gens: GeneratorSet) -> GeneratorSet:
 # expression of loops over the generators
 
 
-class Factor(NamedTuple):
-    gen: str | None       # generator id, None for a trivial (disjoint) diamond
-    x: Word
-    z: Word
-    conjugator: TwoCell   # from the decomposition base to the diamond apex
-    exp: int
-    cell: TwoCell         # exact contribution, a loop at the base
-
-
-class Decomposition(NamedTuple):
-    factors: tuple[Factor, ...]
-    residual: TwoCell  # based at the input's source, the decomposition base
+Factor = namedtuple("Factor", (
+    "gen",         # generator id, None for a trivial (disjoint) diamond
+    "x",
+    "z",
+    "conjugator",  # from the decomposition base to the diamond apex
+    "exp",
+    "cell",        # exact contribution, a loop at the base
+))
+Decomposition = namedtuple("Decomposition", (
+    "factors",
+    "residual",  # based at the input's source, the decomposition base
+))
 
 
 def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:

@@ -11,7 +11,7 @@ the junction, where alone a product of reduced pieces can cancel.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import Rule, Word, word_from_str, word_to_str
 
@@ -24,16 +24,8 @@ class ChainError(ValueError):
         super().__init__(message if index is None else f"{message} (step {index})")
 
 
-class Step(NamedTuple):
-    prefix: Word
-    rule: str
-    exp: int
-    suffix: Word
-
-
-class TwoCell(NamedTuple):
-    source: Word
-    steps: tuple[Step, ...]
+Step = namedtuple("Step", "prefix rule exp suffix")
+TwoCell = namedtuple("TwoCell", "source steps")
 
 
 def identity(w: Word) -> TwoCell:

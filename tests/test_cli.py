@@ -92,22 +92,32 @@ def test_complete_rejects_nonpositive_limits(capsys):
     assert "Traceback" not in err
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The names in sys.modules after code runs in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+def loaded_modules(code: str, *options: str) -> set[str]:
+    """The names in sys.modules after code runs in a fresh interpreter,
+    started with the given interpreter options."""
+    proc = subprocess.run([sys.executable, *options, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
                           capture_output=True, text=True, env=CHILD_ENV, check=True)
     return set(proc.stdout.split())
 
 
 def test_import_loads_no_module_it_does_not_use():
     # dataclasses loads inspect, ast and dis, logging loads traceback and
-    # string, argparse loads gettext: a cold command would pay for them
-    # before doing any work; json loads only where JSON is read or a string
-    # needs escapes, endorewrites only for endos and express
+    # string, argparse loads gettext, typing.NamedTuple compiles each field
+    # annotation: a cold command would pay for them before doing any work;
+    # json loads only where JSON is read or a string needs escapes,
+    # endorewrites only for endos and express
     added = loaded_modules("import logrew.cli") - loaded_modules("pass")
     assert "logrew.cli" in added
     assert not added & {"dataclasses", "inspect", "logging", "fractions", "argparse", "json",
-                        "logrew.endorewrites"}
+                        "typing", "logrew.endorewrites"}
+
+
+def test_a_cold_import_without_site_loads_no_typing():
+    # a .pth file that site runs can load typing before the package does,
+    # which hides it from the test above; under -S nothing is preloaded
+    modules = loaded_modules("import logrew.cli, logrew.endorewrites", "-S")
+    assert "logrew.endorewrites" in modules
+    assert "typing" not in modules
 
 
 @pytest.mark.parametrize("argv,endorewrites", [

@@ -236,8 +236,9 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
     check_retirement(resumed.system)
 
 
-# twice: twice the initial rules, which stops every group but Z8xZ9 partway
-@pytest.mark.parametrize("max_rules", [None, lambda n: 12, lambda n: 2 * n],
+# max_rules: one derived rule, then the limit; twice: twice the initial
+# rules.  Each stops every group but Z8xZ9 partway, at a different point
+@pytest.mark.parametrize("max_rules", [None, lambda n: n + 1, lambda n: 2 * n],
                          ids=["complete", "max_rules", "twice"])
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_completion_resolves_what_building_every_overlap_resolves(name, max_rules, monkeypatch):
