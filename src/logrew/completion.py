@@ -172,9 +172,11 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     inclusions of the rules already retired when it starts.  A rule past
     ``max_rules`` listed rules, or with an lhs longer than ``max_word_length``,
     is not added: the partial system returns with its pending branchings.
+    It grows a system of its own, so ``init`` is not written, and writes it
+    only before returning it.
     """
     limits = limits or CompletionLimits()
-    sys = init
+    sys = LoggedSystem(init.rules, init.logs, order=init.order)
 
     def live(overlap: Overlap) -> bool:
         return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))
@@ -189,9 +191,10 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
                 continue
             if len(sys.rules) >= limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
                 return CompletionResult(sys, tuple(filter(live, queue[n:])))
-            sys = sys.with_rule(outcome.rule, outcome.log)
+            sys._add_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
-            return CompletionResult(sys._as_complete())
+            sys.complete = True
+            return CompletionResult(sys)
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
@@ -255,11 +258,11 @@ def system_from_json(data: dict, order: OrderSpec) -> CompletionResult:
     status = data.get("status", "limit")
     if status not in ("complete", "limit"):
         raise ValueError(f"unknown status {status!r}")
-    sys = LoggedSystem(tuple(rules), logs, order=order)  # checks the ids, rules and logs
+    sys = LoggedSystem(rules, logs, order=order)  # checks the ids, rules and logs
     if status == "complete":  # prove answers NOT_EQUAL on a complete system, so check the claim
         ok, witness = is_complete(sys)
         if not ok:
             raise ValueError(f"status complete, but the branching of rules "
                              f"{witness.left.rule} and {witness.right.rule} does not resolve")
-        sys = sys._as_complete()
+        sys.complete = True
     return CompletionResult(sys)

@@ -8,8 +8,8 @@ keeping each rule's expansion in its system's table for later calls.
 Redexes are found by the index automaton of Sims 1994: a trie of the
 left-hand sides with the failure links of Aho & Corasick 1975, which one
 insertion grows by an lhs and the rules it retires: a system made from a
-rule list inserts them in turn, ``with_rule`` one into a copy of its
-parent's, and no index is written after it is made.  Reduction reads the
+rule list inserts them in turn, and completion each rule it derives into
+the system it built, before returning it.  Reduction reads the
 word once, one table entry per letter, keeping the state after each.  A
 longer lhs can start further left yet end later, so it reads on until no
 open partial match starts left of the leftmost redex found.  After a
@@ -45,8 +45,8 @@ class _Automaton:
     the rules with another lhs as a proper factor or an earlier equal one.
 
     ``_add`` is the one way an lhs enters the index: a system made from a
-    rule list adds them in turn from the root, ``extended`` one to a copy,
-    so no index is written after it is made."""
+    rule list adds them in turn from the root, and completion each derived
+    rule's to the system it built, before returning it."""
 
     __slots__ = ("step", "depth", "fail", "out", "kids", "hits", "through", "lowest", "paths",
                  "retired")
@@ -57,19 +57,8 @@ class _Automaton:
         for rule in rules:
             self._add(rule)
 
-    def extended(self, rule: Rule) -> "_Automaton":
-        """A copy with rule's lhs added as the next rule's; this index is not written."""
-        grown = object.__new__(_Automaton)
-        grown.step, grown.depth, grown.fail, grown.out, grown.kids = (
-            self.step[:], self.depth[:], self.fail[:], self.out[:], self.kids.copy())
-        grown.hits, grown.through, grown.lowest, grown.paths, grown.retired = (
-            self.hits.copy(), self.through.copy(), self.lowest.copy(), self.paths, self.retired)
-        grown._add(rule)
-        return grown
-
     def _add(self, rule: Rule) -> None:
-        """Add rule's lhs as the next rule's, replacing but never writing a row, tuple
-        or set, so a copy of the top-level lists and dicts leaves its original as it was."""
+        """Add rule's lhs as the next rule's; an empty lhs raises before anything is written."""
         if not rule.lhs:
             raise ValueError(f"rule {rule.rid}: needs a non-empty lhs")
         step, depth, fail, out, kids = self.step, self.depth, self.fail, self.out, self.kids
@@ -81,14 +70,14 @@ class _Automaton:
                 # the states whose word ends with s's, up to one with an edge
                 # of its own on letter, now move to t; the edge's far end had
                 # f as its longest proper suffix and now has t
-                step[s], todo, moved = {**step[s], letter: t}, [s], []
+                step[s][letter], todo, moved = t, [s], []
                 for u in todo:
                     for v in kids.get(u, ()):
                         w = step[v].get(letter, 0)
                         if depth[w] == depth[v] + 1:
                             moved.append(w)
                         else:
-                            step[v] = {**step[v], letter: t}
+                            step[v][letter] = t
                             todo.append(v)
                 step.append(dict(step[f]))
                 depth.append(depth[s] + 1)
@@ -131,8 +120,8 @@ class LoggedSystem:
     __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs", "_expanded")
 
     def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
-        self.rules, self.complete, self.order, self._expanded = rules, False, order, {}
-        self.logs = dict(logs)  # an own copy, so the caller's dict is never written or shared
+        self.rules = rules = tuple(rules)  # own copies: the caller's list and dict are never written
+        self.logs, self.complete, self.order, self._expanded = dict(logs), False, order, {}
         self.rule_map = {r.rid: r for r in rules}
         self._lhs = _Automaton(rules)
         self.retired = frozenset(rules[x].rid for x in self._lhs.retired)
@@ -149,8 +138,8 @@ class LoggedSystem:
                 raise ValueError(f"rule {rule.rid}: {fault}")
             place[rule.rid] = x
         # each log names only rules listed before its own and replays from its
-        # rule's lhs to its rhs, so it expands onto initial rules; with_rule and
-        # _as_complete take completion's own rules and logs and check neither
+        # rule's lhs to its rhs, so it expands onto initial rules; _add_rule takes
+        # completion's own rules and logs and checks neither
         for rid, log in self.logs.items():
             if not isinstance(log, TwoCell):
                 raise ValueError(f"rule {rid}: log is not a two-cell")
@@ -169,25 +158,13 @@ class LoggedSystem:
     def rule(self, rid: str) -> Rule:
         return self.rule_map[rid]
 
-    def with_rule(self, rule: Rule, log: TwoCell) -> "LoggedSystem":
-        """The system with one more rule, its index this one's extended by the rule's lhs."""
-        grown = object.__new__(LoggedSystem)
-        grown.rules, grown.complete, grown.order, grown._expanded = (
-            self.rules + (rule,), False, self.order, {})
-        grown.logs, grown.rule_map = {**self.logs, rule.rid: log}, {**self.rule_map, rule.rid: rule}
-        grown._lhs = self._lhs.extended(rule)
-        grown.retired = frozenset(grown.rules[x].rid for x in grown._lhs.retired)
-        return grown
-
-    def _as_complete(self) -> "LoggedSystem":
-        """The system flagged complete, sharing its index and expansion table; only
-        completion and a checked load call it."""
-        done = object.__new__(LoggedSystem)
-        done.rules, done.logs, done.order, done.rule_map, done._lhs, done.retired = (
-            self.rules, self.logs, self.order, self.rule_map, self._lhs, self.retired)
-        done._expanded = self._expanded
-        done.complete = True
-        return done
+    def _add_rule(self, rule: Rule, log: TwoCell) -> None:
+        """Add a derived rule and its log, unchecked: only completion calls it, on a
+        system it built.  The index goes first, so an lhs it rejects changes nothing."""
+        self._lhs._add(rule)
+        self.rules += (rule,)
+        self.logs[rule.rid], self.rule_map[rule.rid] = log, rule
+        self.retired = frozenset(self.rules[x].rid for x in self._lhs.retired)
 
 
 def system_from_presentation(p: Presentation) -> LoggedSystem:

@@ -1,3 +1,4 @@
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,13 @@ from logrew.completion import logged_knuth_bendix
 from logrew.endorewrites import generate
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
+
+
+def pytest_report_header(config):
+    # found without importing it, and with no warning filter: none removes the traceback
+    if find_spec("mypy_extensions") is not None:
+        return ("mypy_extensions is installed: under -W error a failing Hypothesis test also "
+                "prints an INTERNALERROR traceback (ROADMAP item 12)")
 
 
 def load(name):

@@ -217,10 +217,12 @@ def check_retirement(sys: LoggedSystem) -> None:
 def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
     """Completion that builds every overlap of a pass, then drops by
     ``live`` the ones no retired rule may resolve: non-inclusions that
-    involve a retired rule.  It calls ``completion.resolve`` through the
-    module, so a test can record the calls."""
+    involve a retired rule.  Each grown system is built afresh by the
+    checked constructor, so it shares no growth code with completion.  It
+    calls ``completion.resolve`` through the module, so a test can record
+    the calls."""
     limits = limits or CompletionLimits()
-    sys = init
+    sys = LoggedSystem(init.rules, init.logs, order=init.order)
     gone = set(init.retired)
 
     def live(overlap):
@@ -241,9 +243,11 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             ):
                 return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
             gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
-            sys = sys.with_rule(outcome.rule, outcome.log)
+            sys = LoggedSystem(sys.rules + (outcome.rule,), {**sys.logs, outcome.rule.rid: outcome.log},
+                               order=sys.order)
         if len(sys.rules) == new_start:
-            return CompletionResult(sys._as_complete())
+            sys.complete = True
+            return CompletionResult(sys)
 
 
 def expanded_lengths(sys: LoggedSystem) -> dict[str, int]:

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew import completion
-from logrew.core import EMPTY, Alphabet, OrderSpec, Rule, parse_presentation, word_from_str
+from logrew.core import EMPTY, Alphabet, OrderSpec, Rule, orient, parse_presentation, word_from_str
 from logrew.engine import (
     LoggedSystem, expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
@@ -528,9 +528,19 @@ def test_system_does_not_write_into_caller_dicts():
     rule = Rule("r1", W("a a"), W("a"))
     sys = LoggedSystem((rule,), logs, order=OrderSpec(Alphabet(("a",))))
     assert sys.logs is not logs
-    grown = sys.with_rule(Rule("r2", W("a a a"), W("a")), TwoCell(W("a a a"), ()))
-    assert logs == {} and sys.logs == {}
-    assert list(grown.logs) == ["r2"]
+    sys._add_rule(Rule("r2", W("a a a"), W("a")), TwoCell(W("a a a"), ()))
+    assert logs == {}
+    assert list(sys.logs) == ["r2"]
+
+
+def test_a_system_built_from_a_list_completes_and_leaves_the_list(ab_presentation):
+    # a kept list was concatenated with a tuple at the first derived rule
+    rules = list(orient(ab_presentation))
+    kept = rules[:]
+    from_list = logged_knuth_bendix(LoggedSystem(rules, order=ab_presentation.order))
+    expected = logged_knuth_bendix(LoggedSystem(tuple(rules), order=ab_presentation.order))
+    assert system_to_json(from_list) == system_to_json(expected)
+    assert len(from_list.system.rules) > len(rules) and rules == kept
 
 
 def test_system_json_round_trip(ab_completion):

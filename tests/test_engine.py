@@ -12,8 +12,11 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew import engine, parse_presentation, system_from_presentation
-from logrew.completion import CompletionLimits, logged_knuth_bendix, system_from_json
+from logrew.completion import (
+    CompletionLimits, critical_pairs, is_complete, logged_knuth_bendix, system_from_json,
+)
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
+from logrew.endorewrites import express, generate
 from logrew.engine import (
     LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged,
 )
@@ -21,7 +24,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, all_normal_forms, intermediate_words, random_cell, random_word, scan_redexes,
+    LADDER, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, scan_redexes,
     scan_reduce, scan_retired, words_over,
 )
 from test_endorewrites import presentations
@@ -186,24 +189,67 @@ def tables(index):
     return found
 
 
+def snapshot(sys, expanded=True):
+    """A deep copy of what a system holds: its rules, logs, rule map, retired
+    set, flag and index tables, and its expansion table unless expanded is false."""
+    held = {"rules": sys.rules, "logs": sys.logs, "rule_map": sys.rule_map, "retired": sys.retired,
+            "complete": sys.complete, "index": tables(sys._lhs)}
+    if expanded:
+        held["_expanded"] = sys._expanded
+    return copy.deepcopy(held)
+
+
 def checked_extensions(monkeypatch):
-    """Make every ``with_rule`` check the index it extends: the new one equals
+    """Make every ``_add_rule`` check the index it grows: afterwards it equals
     a fresh build of the same rules, table by table, and meets its
-    definitions, and the parent's tables are as they were before the call.
-    Returns the list of the systems checked."""
-    with_rule, grown = LoggedSystem.with_rule, []
+    definitions.  Returns the list of the rule counts checked."""
+    add_rule, grown = LoggedSystem._add_rule, []
 
-    def checked(parent, rule, log):
-        before = copy.deepcopy(tables(parent._lhs))
-        child = with_rule(parent, rule, log)
-        assert tables(parent._lhs) == before
-        assert tables(child._lhs) == tables(LoggedSystem(child.rules, order=child.order)._lhs)
-        check_index(child)
-        grown.append(child)
-        return child
+    def checked(sys, rule, log):
+        add_rule(sys, rule, log)
+        assert tables(sys._lhs) == tables(LoggedSystem(sys.rules, order=sys.order)._lhs)
+        check_index(sys)
+        grown.append(len(sys.rules))
 
-    monkeypatch.setattr(LoggedSystem, "with_rule", checked)
+    monkeypatch.setattr(LoggedSystem, "_add_rule", checked)
     return grown
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["initial", "resumed"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_completion_leaves_its_input_as_it_was(name, resumed):
+    # completion grows a system of its own: the one passed in, initial or a
+    # partial result resumed (stopped at twice the initial rules), keeps
+    # every table
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    if resumed:
+        init = logged_knuth_bendix(init, CompletionLimits(2 * len(init.rules))).system
+    before = snapshot(init)
+    result = logged_knuth_bendix(init)
+    assert snapshot(init) == before
+    assert result.status == "complete"
+
+
+def test_a_completed_system_is_written_only_by_expand_log(rng):
+    # the README lets threads share a completed system: once completion has
+    # returned it, only expand_log's table is written
+    init = system_from_presentation(parse_presentation(LADDER["F4"][0]))
+    result = logged_knuth_bendix(init)
+    sys = result.system
+    before = snapshot(sys, expanded=False)
+    letters = sys.order.alphabet.letters
+    for _ in range(20):
+        w, v = random_word(rng, letters, 20), random_word(rng, letters, 20)
+        assert reduce_logged(w, sys).source == w
+        proof = prove(w + v, normal_form(w, sys) + v, sys)
+        assert expand_log(proof, sys).source == w + v
+    assert is_complete(sys) == (True, None)
+    assert critical_pairs(sys, 0)
+    gens = generate(result, init)
+    for _ in range(5):
+        base = random_word(rng, letters, 6, min_len=1)
+        assert express(random_loop(rng, sys, base, 4), gens).residual == identity(base)
+    assert snapshot(sys, expanded=False) == before
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -225,16 +271,16 @@ def test_extended_index_equals_a_fresh_build_on_random_presentations(text):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_completion_builds_its_index_once(name, monkeypatch):
-    # the full build runs for the initial rule list only; every derived
-    # rule extends its parent's index
+    # the full build runs once, for completion's own copy of the initial
+    # rules; every derived rule grows that index in place
     build, builds = engine._Automaton.__init__, []
 
     def counted(index, rules):
         builds.append(len(rules))
         build(index, rules)
 
-    monkeypatch.setattr(engine._Automaton, "__init__", counted)
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    monkeypatch.setattr(engine._Automaton, "__init__", counted)
     logged_knuth_bendix(init)
     assert builds == [len(init.rules)]
 
@@ -246,34 +292,26 @@ def test_an_empty_lhs_is_rejected():
     for rules in ((empty,), (other, empty)):
         with pytest.raises(ValueError, match="non-empty lhs"):
             LoggedSystem(rules, order=order)
-    parent = LoggedSystem((other,), order=order)
+    sys = LoggedSystem((other,), order=order)
+    before = snapshot(sys)
     with pytest.raises(ValueError, match="non-empty lhs"):
-        parent.with_rule(empty, identity(()))
-    assert parent.rules == (other,) and parent.retired == frozenset()
+        sys._add_rule(empty, identity(()))
+    assert snapshot(sys) == before
 
 
 def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
-    # each system builds its own index: the one over the first k rules
-    # must not serve the system with one rule more
+    # a system grown by a rule reduces by its grown index: the one over the
+    # first k rules must not serve once it holds one rule more
     full = abc_completion.system
     words = [random_word(rng, ("a", "b", "c"), 30) for _ in range(40)]
     for k in range(2, len(full.rules)):
-        parent = LoggedSystem(full.rules[:k], {r.rid: full.logs[r.rid] for r in full.rules[2:k]},
-                              order=full.order)
-        child = parent.with_rule(full.rules[k], full.logs[full.rules[k].rid])
+        sys = LoggedSystem(full.rules[:k], {r.rid: full.logs[r.rid] for r in full.rules[2:k]},
+                           order=full.order)
         for w in words:
-            assert reduce_logged(w, parent) == scan_reduce(w, parent)
+            assert reduce_logged(w, sys) == scan_reduce(w, sys)
+        sys._add_rule(full.rules[k], full.logs[full.rules[k].rid])
         for w in words:
-            assert reduce_logged(w, child) == scan_reduce(w, child)
-
-
-def test_as_complete_shares_the_index(abc_completion):
-    full = abc_completion.system
-    s = LoggedSystem(full.rules, full.logs, order=full.order)
-    done = s._as_complete()
-    assert (done.rules, done.logs, done.order) == (s.rules, s.logs, s.order)
-    assert done.complete and not s.complete
-    assert done._lhs is s._lhs and done.rule_map is s.rule_map and done.retired is s.retired
+            assert reduce_logged(w, sys) == scan_reduce(w, sys)
 
 
 @pytest.mark.parametrize("log,message", [
@@ -380,14 +418,24 @@ def test_only_completion_and_a_checked_load_flag_a_system_complete(ab_init, ab_c
     assert not hasattr(LoggedSystem, "as_complete")
     assert prove(W("a a"), W("a"), LoggedSystem(ab_init.rules, order=ab_init.order)) is Verdict.UNKNOWN
     assert isinstance(prove(W("a a"), W("a"), ab_completion.system), TwoCell)
-    callers = {
-        (path.stem, node.name)
-        for path in Path(engine.__file__).parent.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef)
-        and any(isinstance(n, ast.Attribute) and n.attr == "_as_complete" for n in ast.walk(node))
-    }
-    assert callers == {("completion", "logged_knuth_bendix"), ("completion", "system_from_json")}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(engine.__file__).parent.glob("*.py")}
+
+    def functions(test):
+        return {(stem, node.name) for stem, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and any(map(test, ast.walk(node)))}
+
+    def sets_complete(node):
+        targets = [t for a in getattr(node, "targets", ()) for t in getattr(a, "elts", [a])]
+        return any(isinstance(t, ast.Attribute) and t.attr == "complete" for t in targets)
+
+    # the constructor sets the flag false; only these two set it true
+    assert functions(sets_complete) == {("engine", "__init__"), ("completion", "logged_knuth_bendix"),
+                                        ("completion", "system_from_json")}
+    assert functions(lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_add_rule") \
+        == {("completion", "logged_knuth_bendix")}
+    names = {getattr(n, "attr", getattr(n, "name", None)) for tree in trees.values() for n in ast.walk(tree)}
+    assert names.isdisjoint({"with_rule", "_as_complete", "extended"})
 
 
 def test_prove_witness_connects_inputs(rng, se_system, se_rules):
@@ -454,7 +502,9 @@ def s5():
 
 def fresh(sys):
     """The same rules and logs, complete, with an expansion table of their own."""
-    return LoggedSystem(sys.rules, sys.logs, order=sys.order)._as_complete()
+    own = LoggedSystem(sys.rules, sys.logs, order=sys.order)
+    own.complete = True
+    return own
 
 
 def s5_proofs(sys, seed, count):
@@ -519,7 +569,7 @@ def test_expansions_do_not_leak_between_systems(s5):
     rid = next(rid for rid in reversed(s5.logs) if len(s5.logs[rid].steps) > 1)
     log = s5.logs[rid]
     detour = TwoCell(log.source, (log.steps[0], *tc.invert_steps(log.steps[:1]), *log.steps))
-    other = LoggedSystem(s5.rules, {**s5.logs, rid: detour}, order=s5.order)._as_complete()
+    other = LoggedSystem(s5.rules, {**s5.logs, rid: detour}, order=s5.order)
     lhs = s5.rule(rid).lhs
     cells = [TwoCell(lhs, (Step((), rid, 1, ()),)),
              TwoCell(s5.rule(rid).rhs, (Step((), rid, -1, ()),))]
@@ -533,19 +583,3 @@ def test_expansions_do_not_leak_between_systems(s5):
         check_expansion(cell, expected, other)
         assert expand_log(cell, other) == expected != expand_log(cell, first)
 
-
-def test_a_grown_system_starts_an_empty_expansion_table(s5):
-    last = s5.rules[-1]
-    assert last.rid in s5.logs
-    parent = LoggedSystem(s5.rules[:-1], {rid: log for rid, log in s5.logs.items() if rid != last.rid},
-                          order=s5.order)
-    for cell in s5_proofs(parent, 5, 20):
-        expand_log(cell, parent)
-    before = dict(parent._expanded)
-    assert before and parent._as_complete()._expanded is parent._expanded
-    child = parent.with_rule(last, s5.logs[last.rid])
-    assert child._expanded == {}
-    for cell in s5_proofs(child, 5, 20):
-        assert expand_log(cell, child) == expand_log(cell, fresh(s5))
-    assert parent._expanded == before
-    assert child._expanded.keys() > before.keys()
