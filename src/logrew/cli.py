@@ -274,12 +274,14 @@ Flags, the first three on every command but verify:
   --expand                 (reduce, prove) expand derived-rule steps to initial rules
   --minimize               (endos) drop generators whose abelianization the kept ones span
   -h, --help               print this text
+  --                       end the flags: every argument after it is an operand
 Flags cannot be abbreviated."""
 
 
 def parse_args(argv: list[str]):
     """The handler and its args for argv, read off COMMANDS; raises ValueError
-    if they do not fit.  An argument that starts with - is a flag unless it holds a space."""
+    if they do not fit.  An argument that starts with - is a flag unless it holds a space
+    or follows a bare --, which ends the flags."""
     if not argv or argv[0] not in COMMANDS:
         raise ValueError(f"unknown command {argv[0]!r}" if argv else "expected a command")
     func, names, flags = COMMANDS[argv[0]]
@@ -287,7 +289,9 @@ def parse_args(argv: list[str]):
     operands, rest = [], iter(argv[1:])
     for arg in rest:
         flag, eq, value = arg.partition("=")
-        if not arg.startswith("-") or " " in arg:
+        if arg == "--":
+            operands += rest
+        elif not arg.startswith("-") or " " in arg:
             operands.append(arg)
         elif flag == "--limits" and flag in flags:
             values["limits"] = _limits(value if eq else next(rest, ""))
@@ -308,7 +312,8 @@ def _help(args) -> int:
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        func, args = (_help, None) if "-h" in argv or "--help" in argv else parse_args(argv)
+        before = argv[:argv.index("--")] if "--" in argv else argv  # after --, -h is an operand
+        func, args = (_help, None) if "-h" in before or "--help" in before else parse_args(argv)
     except ValueError as err:
         print(f"{USAGE_TEXT}\nlogrew: error: {err}", file=_sys.stderr)
         return USAGE

@@ -119,12 +119,12 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     l_x on the left.  An lhs with a proper prefix of l_x as a proper suffix
     ends in the failure subtree of that prefix's state: case iii, l_x on
     the right."""
-    rules, lhs = sys.rules, sys._lhs
-    depth, fail, out, hits, through = lhs.depth, lhs.fail, lhs.out, lhs.hits, lhs.through
+    rules, depth, fail, out = sys.rules, sys._depth, sys._fail, sys._out
+    hits, through = sys._hits, sys._through
     dead = [rule.rid in gone for rule in rules]
     found = {}  # (i, j, case, position) -> overlap
     for x in range(new_start, len(rules)):
-        l1, rid, path = rules[x].lhs, rules[x].rid, lhs.paths[x]
+        l1, rid, path = rules[x].lhs, rules[x].rid, sys._paths[x]
         a, n1 = Step(EMPTY, rid, 1, EMPTY), len(l1)
         for e, s in enumerate(path, 1):  # an earlier l_y inside l_x: case i of (y, x)
             s = out[s]
@@ -134,7 +134,7 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
                     if y < x:
                         found[y, x, 0, p] = Overlap("i", l1, Step(l1[:p], rules[y].rid, 1, l1[e:]), a)
                 s = out[fail[s]]
-        for u in lhs.below(path[-1]):  # an earlier l_y around l_x: case iv of (y, x)
+        for u in sys.below(path[-1]):  # an earlier l_y around l_x: case iv of (y, x)
             p = depth[u] - n1
             for y in through.get(u, ()) + (hits.get(u, ()) if p else ()):
                 if y < x:
@@ -153,7 +153,7 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
                                                 Step(EMPTY, rid, 1, l2[k:]))
             s = fail[s]
         for k, s in enumerate(path[:-1], 1):
-            for u in lhs.below(s)[1:]:  # an earlier l_y on the left: case iii of (y, x)
+            for u in sys.below(s)[1:]:  # an earlier l_y on the left: case iii of (y, x)
                 for y in hits.get(u, ()):
                     if y < x and not dead[y]:
                         l2 = rules[y].lhs

@@ -6,14 +6,16 @@ index, so logs are reproducible.  Derived rules carry an unexpanded log;
 keeping each rule's expansion in its system's table for later calls.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
-left-hand sides with the failure links of Aho & Corasick 1975, which one
-insertion grows by an lhs and the rules it retires: a system made from a
-rule list inserts them in turn, and completion each rule it derives into
-the system it built, before returning it.  Reduction reads the
-word once, one table entry per letter, keeping the state after each.  A
-longer lhs can start further left yet end later, so it reads on until no
-open partial match starts left of the leftmost redex found.  After a
-rewrite it reads on from the redex, rereading only the right-hand side.
+left-hand sides with the failure links of Aho & Corasick 1975, whose
+tables the ``LoggedSystem`` holds.  ``LoggedSystem._add_rule`` is the one
+way a rule enters a system: it checks the rule, inserts its lhs and
+retires the rules the lhs makes redundant.  A system made from a rule list
+adds them in turn, and completion each rule it derives into the system it
+built, before returning it.  Reduction reads the word once, one table
+entry per letter, keeping the state after each.  A longer lhs can start
+further left yet end later, so it reads on until no open partial match
+starts left of the leftmost redex found.  After a rewrite it reads on
+from the redex, rereading only the right-hand side.
 """
 
 from __future__ import annotations
@@ -30,39 +32,68 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class _Automaton:
-    """The lhs index automaton over int states, 0 the root; each state's word
-    is the path to it in the trie of left-hand sides.  Per state: step, its
-    move on each letter to the state of the longest suffix of word + letter
-    that is a trie state (absent: the root; a move one deeper is a trie
-    edge); depth; fail, the state of its longest proper suffix that is a
-    trie state; and out, the state of the longest lhs that is a suffix of
-    its word, 0 if none.  kids maps a state to its children in the failure
-    tree (the states it is the failure link of), hits an lhs end state to
-    the rules that end there, through a state to the rules whose lhs runs
-    on past it, and lowest an lhs end state to the lowest rule ending on its
-    trie path; paths holds each rule's states, one per letter, and retired
-    the rules with another lhs as a proper factor or an earlier equal one.
+class LoggedSystem:
+    """Rules, the ids of those retired (another lhs is a proper factor of
+    theirs, or an earlier rule's lhs equals theirs), and for each derived
+    one (exactly those logged) its log; _expanded maps (id, exponent) to a
+    derived rule's log expanded, filled by expand_log.  The rest is the lhs
+    index automaton over int states, 0 the root, a state's word the path to
+    it in the trie of left-hand sides.  Per state: _step, its move on each
+    letter to the state of the longest suffix of word + letter that is a
+    trie state (absent: the root; a move one deeper is a trie edge);
+    _depth; _fail, the state of its longest proper suffix that is a trie
+    state; and _out, the state of the longest lhs that is a suffix of its
+    word, 0 if none.  _kids maps a state to its children in the failure
+    tree, _hits an lhs end state to the rules that end there, _through a
+    state to the rules whose lhs runs on past it, and _lowest an lhs end
+    state to the lowest rule ending on its trie path; _paths holds each
+    rule's states, one per letter.  A rule is named by its index."""
 
-    ``_add`` is the one way an lhs enters the index: a system made from a
-    rule list adds them in turn from the root, and completion each derived
-    rule's to the system it built, before returning it."""
+    __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_expanded",
+                 "_step", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_lowest", "_paths")
 
-    __slots__ = ("step", "depth", "fail", "out", "kids", "hits", "through", "lowest", "paths",
-                 "retired")
-
-    def __init__(self, rules: tuple[Rule, ...]):
-        self.step, self.depth, self.fail, self.out, self.kids = [{}], [0], [0], [0], {}
-        self.hits, self.through, self.lowest, self.paths, self.retired = {}, {}, {}, (), frozenset()
+    def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
+        # own copies: the caller's list and dict are never written
+        self.rules, self.logs, self.complete, self.order = (), dict(logs), False, order
+        self.rule_map, self.retired, self._expanded = {}, frozenset(), {}
+        self._step, self._depth, self._fail, self._out, self._kids = [{}], [0], [0], [0], {}
+        self._hits, self._through, self._lowest, self._paths = {}, {}, {}, []
         for rule in rules:
-            self._add(rule)
+            self._add_rule(rule)
+        # each log names only earlier rules and replays from its rule's lhs to
+        # its rhs, so it expands onto initial rules; completion's are not replayed
+        place = {rule.rid: x for x, rule in enumerate(self.rules)}
+        for rid, log in self.logs.items():
+            if not isinstance(log, TwoCell):
+                raise ValueError(f"rule {rid}: log is not a two-cell")
+            if rid not in place:
+                raise ValueError(f"rule {rid}: a log for a rule that is not listed")
+            later = next((s.rule for s in log.steps if place.get(s.rule, -1) >= place[rid]), None)
+            if later is not None:
+                raise ValueError(f"rule {rid}: log names rule {later}, which is not listed before it")
+            try:
+                end = twocell.target(log, self.rule_map)
+            except twocell.ChainError as err:
+                raise ValueError(f"rule {rid}: log does not replay: {err}") from None
+            if (log.source, end) != (self.rule_map[rid].lhs, self.rule_map[rid].rhs):
+                raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
 
-    def _add(self, rule: Rule) -> None:
-        """Add rule's lhs as the next rule's; an empty lhs raises before anything is written."""
+    def _add_rule(self, rule: Rule, log: TwoCell | None = None) -> None:
+        """List rule, with its log if derived: the one way a rule enters a system.
+        A rejected rule writes nothing.  Its lhs is not empty (reduction never
+        looks at the root), its words are over the alphabet, its id is new (a
+        step names its rule by id) and it decreases (so reduction ends)."""
         if not rule.lhs:
             raise ValueError(f"rule {rule.rid}: needs a non-empty lhs")
-        step, depth, fail, out, kids = self.step, self.depth, self.fail, self.out, self.kids
-        x, s, path = len(self.paths), 0, []
+        try:  # the key ranks every letter of both words
+            decreasing = self.order.greater(rule.lhs, rule.rhs)
+        except ValueError as err:
+            raise ValueError(f"rule {rule.rid}: {err}") from None
+        if rule.rid in self.rule_map or not decreasing:
+            fault = "duplicate id" if rule.rid in self.rule_map else "lhs is not greater than rhs"
+            raise ValueError(f"rule {rule.rid}: {fault}")
+        step, depth, fail, out, kids = self._step, self._depth, self._fail, self._out, self._kids
+        x, s, path = len(self.rules), 0, []
         for letter in rule.lhs:
             t = step[s].get(letter, 0)
             if depth[t] != depth[s] + 1:  # no trie edge: t is a new state, s's child
@@ -97,74 +128,24 @@ class _Automaton:
             for u in self.below(s):
                 if depth[out[u]] < depth[s]:
                     out[u] = s
-                gone += self.through.get(u, ()) + self.hits.get(u, ())
+                gone += self._through.get(u, ()) + self._hits.get(u, ())
         for u in path[:-1]:
-            self.through[u] = (*self.through.get(u, ()), x)
-        self.hits[s] = (*self.hits.get(s, ()), x)
-        self.lowest[s] = min(self.hits[u][0] for u in path if u in self.hits)
-        self.paths += (tuple(path),)
-        self.retired = self.retired.union(gone)
+            self._through[u] = (*self._through.get(u, ()), x)
+        self._hits[s] = (*self._hits.get(s, ()), x)
+        self._lowest[s] = min(self._hits[u][0] for u in path if u in self._hits)
+        self._paths.append(tuple(path))
+        self.rules, self.rule_map[rule.rid] = self.rules + (rule,), rule
+        if log is not None:
+            self.logs[rule.rid] = log
+        if gone:
+            self.retired = self.retired.union(self.rules[y].rid for y in gone)
 
     def below(self, s: int) -> list[int]:
         """s and its descendants in the failure tree: the states whose word ends with s's."""
         states = [s]
         for u in states:
-            states.extend(self.kids.get(u, ()))
+            states.extend(self._kids.get(u, ()))
         return states
-
-
-class LoggedSystem:
-    """Rules, the ids of those retired, and for each derived one (exactly those logged) its log;
-    _expanded maps (id, exponent) to the derived rule's log expanded, filled by expand_log."""
-
-    __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_lhs", "_expanded")
-
-    def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
-        self.rules = rules = tuple(rules)  # own copies: the caller's list and dict are never written
-        self.logs, self.complete, self.order, self._expanded = dict(logs), False, order, {}
-        self.rule_map = {r.rid: r for r in rules}
-        self._lhs = _Automaton(rules)
-        self.retired = frozenset(rules[x].rid for x in self._lhs.retired)
-        # a step names its rule by id, so ids are unique, and each rule
-        # decreases, so reduction ends
-        place = {}  # id -> index
-        for x, rule in enumerate(rules):
-            try:  # the key ranks every letter of both words
-                decreasing = order.greater(rule.lhs, rule.rhs)
-            except ValueError as err:
-                raise ValueError(f"rule {rule.rid}: {err}") from None
-            if rule.rid in place or not decreasing:
-                fault = "duplicate id" if rule.rid in place else "lhs is not greater than rhs"
-                raise ValueError(f"rule {rule.rid}: {fault}")
-            place[rule.rid] = x
-        # each log names only rules listed before its own and replays from its
-        # rule's lhs to its rhs, so it expands onto initial rules; _add_rule takes
-        # completion's own rules and logs and checks neither
-        for rid, log in self.logs.items():
-            if not isinstance(log, TwoCell):
-                raise ValueError(f"rule {rid}: log is not a two-cell")
-            if rid not in place:
-                raise ValueError(f"rule {rid}: a log for a rule that is not listed")
-            later = next((s.rule for s in log.steps if place.get(s.rule, -1) >= place[rid]), None)
-            if later is not None:
-                raise ValueError(f"rule {rid}: log names rule {later}, which is not listed before it")
-            try:
-                end = twocell.target(log, self.rule_map)
-            except twocell.ChainError as err:
-                raise ValueError(f"rule {rid}: log does not replay: {err}") from None
-            if (log.source, end) != (self.rule(rid).lhs, self.rule(rid).rhs):
-                raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
-
-    def rule(self, rid: str) -> Rule:
-        return self.rule_map[rid]
-
-    def _add_rule(self, rule: Rule, log: TwoCell) -> None:
-        """Add a derived rule and its log, unchecked: only completion calls it, on a
-        system it built.  The index goes first, so an lhs it rejects changes nothing."""
-        self._lhs._add(rule)
-        self.rules += (rule,)
-        self.logs[rule.rid], self.rule_map[rule.rid] = log, rule
-        self.retired = frozenset(self.rules[x].rid for x in self._lhs.retired)
 
 
 def system_from_presentation(p: Presentation) -> LoggedSystem:
@@ -174,8 +155,7 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
 def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
     """The normal form of w by leftmost, lowest-index rewriting; each step
     is appended to steps unless steps is None."""
-    lhs = sys._lhs
-    step, depth, out, through, lowest = lhs.step, lhs.depth, lhs.out, lhs.through, lhs.lowest
+    step, depth, out, through, lowest = sys._step, sys._depth, sys._out, sys._through, sys._lowest
     rules, current, stack = sys.rules, w, [0]  # stack[i]: the state after current[:i]
     while True:
         # read on until no partial match can start left of the best start
@@ -256,7 +236,7 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
                 continue
             done = expanded.get((rid, exp))
             if done is None:  # only an inverse is missing; a log runs from its rule's lhs to its rhs
-                done = expanded[rid, -1] = TwoCell(sys.rule(rid).rhs, twocell.invert_steps(
+                done = expanded[rid, -1] = TwoCell(sys.rule_map[rid].rhs, twocell.invert_steps(
                     expanded[rid, 1].steps))
             steps += [Step(prefix + p, r, e, s + suffix) for p, r, e, s in done.steps]
         return TwoCell(c.source, tuple(steps))

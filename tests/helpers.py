@@ -106,7 +106,7 @@ def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
     path from the root that never enters a state whose word has an lhs as a
     suffix (out != 0).  Raises ValueError if words longer than bound remain:
     the monoid is infinite or has longer normal forms."""
-    index, letters = sys._lhs, sys.order.alphabet.letters
+    step, out, letters = sys._step, sys._out, sys.order.alphabet.letters
     counts, layer = [], {0: 1}  # state -> number of irreducible words that reach it
     while layer:
         if len(counts) > bound:
@@ -115,8 +115,8 @@ def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
         after = {}
         for s, n in layer.items():
             for letter in letters:
-                t = index.step[s].get(letter, 0)
-                if not index.out[t]:
+                t = step[s].get(letter, 0)
+                if not out[t]:
                     after[t] = after.get(t, 0) + n
         layer = after
     return counts
@@ -289,7 +289,7 @@ def scan_reduce(w: Word, sys: LoggedSystem) -> TwoCell:
     current = w
     while redexes := scan_redexes(current, sys):
         pos, rid = redexes[0]
-        rule = sys.rule(rid)
+        rule = sys.rule_map[rid]
         steps.append(Step(current[:pos], rid, 1, current[pos + len(rule.lhs):]))
         current = current[:pos] + rule.rhs + current[pos + len(rule.lhs):]
     return TwoCell(w, tuple(steps))
@@ -299,7 +299,7 @@ def one_step_reducts(w: Word, sys: LoggedSystem):
     """Every word reachable in one forward rule application."""
     out = []
     for pos, rid in scan_redexes(w, sys):
-        rule = sys.rule(rid)
+        rule = sys.rule_map[rid]
         out.append(w[:pos] + rule.rhs + w[pos + len(rule.lhs):])
     return out
 
@@ -394,7 +394,7 @@ def random_cell(rng, sys: LoggedSystem, source: Word, n_steps: int) -> TwoCell:
         if not options:
             break
         pos, rid, exp = rng.choice(options)
-        rule = sys.rule(rid)
+        rule = sys.rule_map[rid]
         inw, outw = (rule.lhs, rule.rhs) if exp == 1 else (rule.rhs, rule.lhs)
         steps.append(Step(w[:pos], rid, exp, w[pos + len(inw):]))
         w = w[:pos] + outw + w[pos + len(inw):]

@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import hypothesis.strategies as st
 import pytest
 
 import logrew
-from logrew import parse_presentation, system_from_presentation
+from logrew import cli, parse_presentation, system_from_presentation
 from logrew.cli import main, write_json
 from logrew.completion import logged_knuth_bendix, system_from_json
 import logrew.twocell as tc
@@ -201,6 +203,47 @@ def test_help_prints_usage_to_stdout(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.startswith("usage: logrew COMMAND") and "Flags cannot be abbreviated." in out
+
+
+def test_usage_text_agrees_with_the_command_table():
+    # the usage text is kept by hand beside cli.COMMANDS: it names every
+    # command with its operands, and exactly the flags each command takes
+    text, commands = cli.USAGE_TEXT, cli.COMMANDS
+    listed = {words[0]: list(itertools.takewhile(str.isupper, words[1:]))
+              for words in map(str.split, text.splitlines()) if words and words[0] in commands}
+    assert listed == {name: [operand.upper() for operand in operands]
+                      for name, (_, operands, _) in commands.items()}
+    flags = re.findall(r"^  (-h, --help|--[a-z]*) +(?:\(([a-z, ]+)\))?", text, re.M)
+    assert [flag for flag, _ in flags[-2:]] == ["-h, --help", "--"]
+    count, but = re.search(r"the first (\w+) on every command but (\w+):", text).groups()
+    common = ("one", "two", "three", "four", "five").index(count) + 1
+    takes = {name: set() for name in commands}
+    for k, (flag, where) in enumerate(flags[:-2]):
+        assert (k < common) == (not where), flag
+        for name in where.split(", ") if where else set(commands) - {but}:
+            takes[name].add(flag)
+    assert takes == {name: set(flags) for name, (_, _, flags) in commands.items()}
+
+
+@pytest.fixture
+def dash(tmp_path):
+    """A presentation whose letter -a starts like a flag."""
+    path = tmp_path / "dash.txt"
+    path.write_text("monoid\nletters: -a b\norder: shortlex\nrules:\n-a -a = 1\n", encoding="utf-8")
+    return str(path)
+
+
+def test_a_bare_double_dash_ends_the_flags(capsys, dash):
+    # the letter -a is a flag before --, and an operand after it
+    assert run(capsys, "nf", dash, "--", "-a") == (0, "-a\n", "")
+    assert run(capsys, "prove", dash, "--", "-a", "-a -a -a") == (0, "-a = -a -a -a\n  [1] r1^-1 [-a]\n", "")
+    for argv, reason in ((("nf", dash, "-a"), "unknown flag -a for nf"),
+                         (("complete", dash, "--", "--json"), "complete takes FILE")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.splitlines()[-1] == f"logrew: error: {reason}"
+    # only a -h or --help before -- asks for the usage
+    assert run(capsys, "nf", dash, "-h", "--", "-a")[1].startswith("usage: logrew COMMAND")
+    assert run(capsys, "nf", dash, "--", "-h") == (1, "", "parse error: unknown letter '-h'\n")
 
 
 LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_WORD_LENGTH"

@@ -34,7 +34,7 @@ W = word_from_str
 
 
 def test_find_overlaps_published_example(se_init):
-    r2, r3 = se_init.rule("r2"), se_init.rule("r3")
+    r2, r3 = se_init.rule_map["r2"], se_init.rule_map["r3"]
     overlaps = find_overlaps(r2, r3)
     cases = {(o.case, o.superposition) for o in overlaps}
     assert ("iii", W("s s s s e")) in cases
@@ -46,7 +46,7 @@ def test_find_overlaps_published_example(se_init):
 
 
 def test_find_overlaps_self_overlap(se_init):
-    r1 = se_init.rule("r1")
+    r1 = se_init.rule_map["r1"]
     overlaps = find_overlaps(r1, r1)
     assert {(o.case, o.superposition) for o in overlaps} == {
         ("ii", W("e e e")), ("iii", W("e e e")),
@@ -82,7 +82,7 @@ def test_find_overlaps_excludes_identical_self_placement():
 def test_find_overlaps_against_brute_force(se_init):
     letters = ("s", "e")
     # r7 shares r2's lhs, so a placement found twice would show in the counts
-    rules = se_init.rules + (Rule("r7", se_init.rule("r2").lhs, ()),)
+    rules = se_init.rules + (Rule("r7", se_init.rule_map["r2"].lhs, ()),)
     for a in rules:
         for b in rules:
             got = sorted(
@@ -94,7 +94,7 @@ def test_find_overlaps_against_brute_force(se_init):
 
 
 def test_resolve_published_overlap(se_init, se_presentation):
-    r2, r3 = se_init.rule("r2"), se_init.rule("r3")
+    r2, r3 = se_init.rule_map["r2"], se_init.rule_map["r3"]
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s s e")]
     assert resolve(ov, se_init) is None
     loop = delta(ov.superposition, ov.left, ov.right, se_init)
@@ -103,7 +103,7 @@ def test_resolve_published_overlap(se_init, se_presentation):
 
 
 def test_resolve_small_overlap_two_step_loop(se_init):
-    r2, r3 = se_init.rule("r2"), se_init.rule("r3")
+    r2, r3 = se_init.rule_map["r2"], se_init.rule_map["r3"]
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
     assert resolve(ov, se_init) is None
     assert delta(ov.superposition, ov.left, ov.right, se_init) == TwoCell(W("s s s e"), (
@@ -122,7 +122,7 @@ def test_every_published_pair_resolves(se_init):
 
 
 def test_resolve_new_rule_ab(ab_init):
-    r1, r2 = ab_init.rule("r1"), ab_init.rule("r2")
+    r1, r2 = ab_init.rule_map["r1"], ab_init.rule_map["r2"]
     [ov] = [o for o in find_overlaps(r1, r2) if o.superposition == W("a b a")]
     outcome = resolve(ov, ab_init)
     assert isinstance(outcome, NewRule)
@@ -161,8 +161,8 @@ def test_knuth_bendix_ab_monoid(ab_completion, ab_init):
     for rid in ("r3", "r4"):
         expanded = expand_log(sys.logs[rid], sys)
         assert tc.validate(expanded, ab_init.rule_map) is None
-        assert expanded.source == sys.rule(rid).lhs
-        assert tc.target(expanded, ab_init.rule_map) == sys.rule(rid).rhs
+        assert expanded.source == sys.rule_map[rid].lhs
+        assert tc.target(expanded, ab_init.rule_map) == sys.rule_map[rid].rhs
 
 
 def test_knuth_bendix_agrees_with_congruence_closure(ab_completion, ab_presentation):
@@ -519,8 +519,8 @@ def test_saved_system_round_trips(limits, text):
             continue
         expanded = expand_log(log, again.system)
         assert len(expanded.steps) == lengths[rid]
-        assert expanded.source == again.system.rule(rid).lhs
-        assert tc.target(expanded, init.rule_map) == again.system.rule(rid).rhs
+        assert expanded.source == again.system.rule_map[rid].lhs
+        assert tc.target(expanded, init.rule_map) == again.system.rule_map[rid].rhs
 
 
 def test_system_does_not_write_into_caller_dicts():

@@ -60,7 +60,7 @@ def _pair_on(sys, word, p1, r1, p2, r2):
 
 
 def test_delta_published_overlap(se_init, se_system):
-    r2, r3 = se_init.rule("r2"), se_init.rule("r3")
+    r2, r3 = se_init.rule_map["r2"], se_init.rule_map["r3"]
     [ov] = [o for o in find_overlaps(r2, r3) if o.superposition == W("s s s e")]
     loop = delta(ov.superposition, ov.left, ov.right, se_system)
     assert loop == loop_cell("se_1")

@@ -24,7 +24,7 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, scan_redexes,
+    LADDER, S4, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, scan_redexes,
     scan_reduce, scan_retired, words_over,
 )
 from test_endorewrites import presentations
@@ -137,35 +137,34 @@ def test_indexed_reduction_matches_rescan(case):
 
 
 def check_index(sys):
-    """Every table of the index, and the system's retired rules, against
+    """Every table of the system's index, and its retired rules, against
     their definitions on the states' words and the left-hand sides."""
-    index = sys._lhs
-    words = [()] * len(index.step)
-    for s, row in enumerate(index.step):  # a state is numbered after its parent
+    words = [()] * len(sys._step)
+    for s, row in enumerate(sys._step):  # a state is numbered after its parent
         for letter, t in row.items():
-            if index.depth[t] == index.depth[s] + 1:
+            if sys._depth[t] == sys._depth[s] + 1:
                 words[t] = words[s] + (letter,)
     state = {w: s for s, w in enumerate(words)}
-    assert len(state) == len(words) and index.depth == [len(w) for w in words]
+    assert len(state) == len(words) and sys._depth == [len(w) for w in words]
     lhss = [rule.lhs for rule in sys.rules]
     letters = {letter for lhs in lhss for letter in lhs}
     for s, w in enumerate(words):
         suffixes = [w[k:] for k in range(1, len(w) + 1)]  # proper, longest first
         if s:
-            assert index.fail[s] == state[next(u for u in suffixes if u in state)]
-        assert index.out[s] == next((state[u] for u in (w, *suffixes) if u and u in lhss), 0)
+            assert sys._fail[s] == state[next(u for u in suffixes if u in state)]
+        assert sys._out[s] == next((state[u] for u in (w, *suffixes) if u and u in lhss), 0)
         moves = {c: next((state[u] for u in (w + (c,), *(v + (c,) for v in suffixes)) if u in state), 0)
                  for c in letters}
-        assert index.step[s] == {c: t for c, t in moves.items() if t}
-    assert tables(index)["kids"] == {
-        s: [u for u in range(1, len(words)) if index.fail[u] == s] for s in set(index.fail[1:])}
-    assert index.paths == tuple(tuple(state[lhs[:k]] for k in range(1, len(lhs) + 1)) for lhs in lhss)
-    assert index.hits == {state[lhs]: tuple(x for x, other in enumerate(lhss) if other == lhs)
+        assert sys._step[s] == {c: t for c, t in moves.items() if t}
+    assert tables(sys)["_kids"] == {
+        s: [u for u in range(1, len(words)) if sys._fail[u] == s] for s in set(sys._fail[1:])}
+    assert sys._paths == [tuple(state[lhs[:k]] for k in range(1, len(lhs) + 1)) for lhs in lhss]
+    assert sys._hits == {state[lhs]: tuple(x for x, other in enumerate(lhss) if other == lhs)
                           for lhs in lhss}
-    assert index.through == {
+    assert sys._through == {
         s: tuple(x for x, lhs in enumerate(lhss) if lhs[:len(w)] == w and len(lhs) > len(w))
         for s, w in enumerate(words) if s and any(lhs[:len(w)] == w and len(lhs) > len(w) for lhs in lhss)}
-    assert index.lowest == {state[lhs]: min(x for x, other in enumerate(lhss) if lhs[:len(other)] == other)
+    assert sys._lowest == {state[lhs]: min(x for x, other in enumerate(lhss) if lhs[:len(other)] == other)
                             for lhs in lhss}
     assert sys.retired == scan_retired(sys)
 
@@ -182,32 +181,32 @@ def test_index_matches_its_definitions():
     on_random_rules()
 
 
-def tables(index):
-    """The index's tables, each failure tree child list in ascending order."""
-    found = {name: getattr(index, name) for name in index.__slots__}
-    found["kids"] = {s: sorted(kids) for s, kids in index.kids.items()}
+def tables(sys, *skip):
+    """What a system holds, slot by slot but the slots named in skip, each
+    failure tree child list in ascending order; walking ``__slots__``, it
+    misses no table added later."""
+    found = {name: getattr(sys, name) for name in LoggedSystem.__slots__ if name not in skip}
+    found["_kids"] = {s: sorted(kids) for s, kids in sys._kids.items()}
     return found
 
 
 def snapshot(sys, expanded=True):
-    """A deep copy of what a system holds: its rules, logs, rule map, retired
-    set, flag and index tables, and its expansion table unless expanded is false."""
-    held = {"rules": sys.rules, "logs": sys.logs, "rule_map": sys.rule_map, "retired": sys.retired,
-            "complete": sys.complete, "index": tables(sys._lhs)}
-    if expanded:
-        held["_expanded"] = sys._expanded
-    return copy.deepcopy(held)
+    """A deep copy of what a system holds, its expansion table only if expanded."""
+    return copy.deepcopy(tables(sys, *(() if expanded else ("_expanded",))))
 
 
 def checked_extensions(monkeypatch):
-    """Make every ``_add_rule`` check the index it grows: afterwards it equals
-    a fresh build of the same rules, table by table, and meets its
-    definitions.  Returns the list of the rule counts checked."""
+    """Make every ``_add_rule`` of a derived rule check the system it grows:
+    afterwards it equals a fresh build of the same rules, slot by slot but
+    the logs, and its index meets its definitions.  Returns the list of the
+    rule counts checked."""
     add_rule, grown = LoggedSystem._add_rule, []
 
-    def checked(sys, rule, log):
+    def checked(sys, rule, log=None):
         add_rule(sys, rule, log)
-        assert tables(sys._lhs) == tables(LoggedSystem(sys.rules, order=sys.order)._lhs)
+        if log is None:  # the constructor's, the fresh build's below included
+            return
+        assert tables(sys, "logs") == tables(LoggedSystem(sys.rules, order=sys.order), "logs")
         check_index(sys)
         grown.append(len(sys.rules))
 
@@ -271,16 +270,16 @@ def test_extended_index_equals_a_fresh_build_on_random_presentations(text):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_completion_builds_its_index_once(name, monkeypatch):
-    # the full build runs once, for completion's own copy of the initial
-    # rules; every derived rule grows that index in place
-    build, builds = engine._Automaton.__init__, []
+    # one system is built, completion's own copy of the initial rules;
+    # every derived rule grows it in place
+    build, builds = LoggedSystem.__init__, []
 
-    def counted(index, rules):
+    def counted(sys, rules, logs={}, *, order):
         builds.append(len(rules))
-        build(index, rules)
+        build(sys, rules, logs, order=order)
 
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
-    monkeypatch.setattr(engine._Automaton, "__init__", counted)
+    monkeypatch.setattr(LoggedSystem, "__init__", counted)
     logged_knuth_bendix(init)
     assert builds == [len(init.rules)]
 
@@ -297,6 +296,23 @@ def test_an_empty_lhs_is_rejected():
     with pytest.raises(ValueError, match="non-empty lhs"):
         sys._add_rule(empty, identity(()))
     assert snapshot(sys) == before
+
+
+@pytest.mark.parametrize("rule,message", [
+    (Rule("r3", W("a b"), W("b a")), "rule r3: duplicate id"),
+    (Rule("r7", W("c"), W("a b")), "rule r7: lhs is not greater than rhs"),
+    (Rule("r7", W("a d"), W("a")), "rule r7: letter 'd' not in alphabet"),
+    (Rule("r7", (), W("a")), "rule r7: needs a non-empty lhs"),
+], ids=["duplicate-id", "increasing", "unknown-letter", "empty-lhs"])
+def test_a_rule_added_to_a_live_system_is_checked_as_the_constructor_checks(rule, message):
+    # every rule that enters a system is checked, and a rejected one writes nothing
+    sys = system_from_presentation(parse_presentation(S4))
+    before = snapshot(sys)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sys._add_rule(rule, TwoCell(rule.lhs, ()))
+    assert snapshot(sys) == before
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoggedSystem(sys.rules + (rule,), order=sys.order)
 
 
 def test_reduction_on_an_extended_system_uses_its_own_index(rng, abc_completion):
@@ -335,7 +351,9 @@ def test_system_rejects_a_log_that_does_not_expand(log, message):
     # normal_form(a) rewrote a to a a and never returned
     ((("r1", "a", "a a"),), "rule r1: lhs is not greater than rhs"),
     ((("r1", "b a", "1"), ("r2", "x", "a")), "rule r2: letter 'x' not in alphabet"),
-], ids=["duplicate-id", "increasing", "unknown-letter"])
+    # each rule is checked in list order, so the first faulty one is named
+    ((("r1", "a", "a a"), ("r2", "1", "a")), "rule r1: lhs is not greater than rhs"),
+], ids=["duplicate-id", "increasing", "unknown-letter", "first-fault"])
 def test_system_rejects_a_duplicate_id_and_a_rule_that_does_not_decrease(rules, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LoggedSystem(tuple(Rule(rid, W(lhs), W(rhs)) for rid, lhs, rhs in rules),
@@ -356,7 +374,7 @@ def test_reduction_with_an_lhs_longer_than_the_recursion_limit():
     assert reduce_logged(w, sys) == scan_reduce(w, sys)
     # the index is built without recursion, so its 1,500-state chain
     # of failure links needs no workaround
-    assert sys._lhs.fail[1499] == 1498
+    assert sys._fail[1499] == 1498
 
 
 def test_reduction_shared_across_threads():
@@ -433,9 +451,9 @@ def test_only_completion_and_a_checked_load_flag_a_system_complete(ab_init, ab_c
     assert functions(sets_complete) == {("engine", "__init__"), ("completion", "logged_knuth_bendix"),
                                         ("completion", "system_from_json")}
     assert functions(lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_add_rule") \
-        == {("completion", "logged_knuth_bendix")}
+        == {("engine", "__init__"), ("completion", "logged_knuth_bendix")}
     names = {getattr(n, "attr", getattr(n, "name", None)) for tree in trees.values() for n in ast.walk(tree)}
-    assert names.isdisjoint({"with_rule", "_as_complete", "extended"})
+    assert names.isdisjoint({"with_rule", "_as_complete", "extended", "_Automaton", "_lhs"})
 
 
 def test_prove_witness_connects_inputs(rng, se_system, se_rules):
@@ -489,7 +507,7 @@ def test_expand_log_follows_a_chain_of_logs_deeper_than_the_recursion_limit():
                         "provenance": "derived", "log": tc.cell_to_json(log)})
     sys = system_from_json({"status": "limit", "rules": entries}, OrderSpec(Alphabet(("a", "b")))).system
     down = tuple(Step(("a",) * j, "r1", 1, ()) for j in reversed(range(depth)))
-    lhs = sys.rule(f"r{depth}").lhs
+    lhs = sys.rule_map[f"r{depth}"].lhs
     assert expand_log(TwoCell(lhs, (Step((), f"r{depth}", 1, ()),)), sys) == TwoCell(lhs, down)
     up = TwoCell(W("b"), (Step((), f"r{depth}", -1, ()),))
     assert expand_log(up, sys) == TwoCell(W("b"), tuple(Step(s.prefix, "r1", -1, ()) for s in reversed(down)))
@@ -570,9 +588,9 @@ def test_expansions_do_not_leak_between_systems(s5):
     log = s5.logs[rid]
     detour = TwoCell(log.source, (log.steps[0], *tc.invert_steps(log.steps[:1]), *log.steps))
     other = LoggedSystem(s5.rules, {**s5.logs, rid: detour}, order=s5.order)
-    lhs = s5.rule(rid).lhs
+    lhs = s5.rule_map[rid].lhs
     cells = [TwoCell(lhs, (Step((), rid, 1, ()),)),
-             TwoCell(s5.rule(rid).rhs, (Step((), rid, -1, ()),))]
+             TwoCell(s5.rule_map[rid].rhs, (Step((), rid, -1, ()),))]
     cold = [expand_log(cell, fresh(other)) for cell in cells]
     assert cold != [expand_log(cell, fresh(s5)) for cell in cells]
     first = fresh(s5)
