@@ -1,6 +1,6 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 parse or usage error or stdout closed early,
+Exit codes: 0 success, 1 parse or usage error or stdout closed or full,
 2 completion limit exceeded, 3 words not equal, 4 invalid certificate or
 cell (malformed, over letters outside the alphabet, or not replaying).
 Data goes to stdout, diagnostics to stderr; ``--json`` switches the
@@ -319,22 +319,37 @@ def main(argv=None) -> int:
         return USAGE
     try:
         code = func(args)
-        _sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        if _sys.stdout is None:  # started with stdout closed (`>&-`): print wrote nothing
+            return USAGE
+        _sys.stdout.flush()  # so that a closed or full stdout raises here, not at exit
         return code
     except ParseError as err:
         print(f"parse error: {err}", file=_sys.stderr)
         return USAGE
-    except BrokenPipeError:  # stdout closed early, as by `| head`: the exit flush writes nowhere
-        import os
-        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
-        return USAGE
     except OSError as err:
-        print(f"cannot read {err.filename}: {err.strerror}", file=_sys.stderr)
+        if err.filename is not None:  # open() names the file it could not open
+            print(f"cannot read {err.filename}: {err.strerror}", file=_sys.stderr)
+            return USAGE
+        import os  # a write to stdout failed: the exit flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        if not isinstance(err, BrokenPipeError):  # closed early, as by `| head`: silent
+            print(f"cannot write to stdout: {err.strerror}", file=_sys.stderr)
         return USAGE
     except UnicodeDecodeError:  # the presentation; cells are read under BAD_CELL_ERRORS
         print(f"cannot read {args.file}: not UTF-8 text", file=_sys.stderr)
         return USAGE
 
 
+def console_entry() -> None:
+    """Run main() as the process: flush stdout and stderr, then os._exit, which
+    skips the interpreter's teardown (atexit handlers, finalizers, module cleanup)
+    that the command line has no use for.  An exception from main exits as usual."""
+    code = main()
+    import os
+    for stream in filter(None, (_sys.stdout, _sys.stderr)):  # None if started closed
+        stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_entry()

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON round trips, renderings."""
 
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -566,6 +567,61 @@ def test_closed_stdout_exits_1_silently(tmp_path):
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b""), argv
+        # fd 1 closed in the child (`>&-`), so that Python starts with sys.stdout None
+        proc = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "logrew.cli",
+                               *argv], stderr=subprocess.PIPE, env=CHILD_ENV, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, b""), ("closed", argv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["nf", SE, "s s s e"], ["endos", SE, "--json"], ["--help"]])
+def test_a_full_stdout_is_a_write_error(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "logrew.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+WRONG_RULE = {"source": "e e", "steps": [{"prefix": "1", "rule": "r9", "exp": 1, "suffix": "1"}]}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["nf", SE, "s s s e"], 0),
+    (["nf", SE, "s s s e", "--bogus"], 1),
+    (["complete", AB, "--limits", "3,64"], 2),
+    (["prove", SE, "s", "e"], 3),
+    (["verify", SE, "{cert}"], 4),
+    (["endos", "{s4}", "--json"], 0),  # about 120 KB, more than a pipe holds
+])
+def test_a_cold_command_ends_as_main_returns(capsys, tmp_path, argv, code):
+    # the process ends by os._exit, after flushing both streams itself
+    (tmp_path / "s4.txt").write_text(S4)
+    (tmp_path / "cert.json").write_text(json.dumps(WRONG_RULE))
+    argv = [arg.format(cert=tmp_path / "cert.json", s4=tmp_path / "s4.txt") for arg in argv]
+    expect = run(capsys, *argv)
+    assert expect[0] == code
+    proc = subprocess.run([sys.executable, "-m", "logrew.cli", *argv], capture_output=True,
+                          env=CHILD_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, expect[1].encode(), expect[2])
+
+
+def test_a_cold_command_skips_the_interpreters_teardown():
+    child = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: sys.stderr.write('atexit ran'))\n"
+             f"sys.argv = ['logrew', 'nf', {SE!r}, 's s s e']\n"
+             "runpy.run_module('logrew.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "s e\n", "")
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    # read as text: tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    entry = re.search(r'^\[project\.scripts\]\nlogrew = "logrew\.cli:(\w+)"$', text, re.M)
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert source.endswith(f'\nif __name__ == "__main__":\n    {entry.group(1)}()\n')
 
 
 BAD_CELLS = {
