@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 parse or usage error or stdout closed or full,
 2 completion limit exceeded, 3 words not equal, 4 invalid certificate or
 cell (malformed, over letters outside the alphabet, or not replaying).
-Data goes to stdout, diagnostics to stderr; ``--json`` switches the
-rendering, the JSON being the source of truth either way.
+Data goes to stdout, diagnostics to stderr (dropped if it is closed or
+full); ``--json`` switches the rendering, the JSON being the source of
+truth either way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ OK, USAGE, LIMIT, NOT_EQUAL, BAD_CERT = 0, 1, 2, 3, 4
 
 # what reading a bad certificate or cell file raises (ParseError included)
 BAD_CELL_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _warn(message: str) -> None:
+    """Print a diagnostic to stderr, or drop it if stderr is closed or full:
+    a diagnostic never changes the exit code."""
+    try:
+        if _sys.stderr is not None:  # None if started closed, where print would write to stdout
+            print(message, file=_sys.stderr)
+    except OSError:
+        pass
 
 
 def _limits(text: str) -> CompletionLimits:
@@ -155,10 +166,10 @@ def cmd_prove(args) -> int:
     w2 = word_from_str(args.word2, presentation.alphabet)
     outcome = prove(w1, w2, result.system)
     if outcome is Verdict.NOT_EQUAL:
-        print("not equal", file=_sys.stderr)
+        _warn("not equal")
         return NOT_EQUAL
     if outcome is Verdict.UNKNOWN:
-        print("unknown: system is not complete within limits", file=_sys.stderr)
+        _warn("unknown: system is not complete within limits")
         return LIMIT
     _emit_cell(outcome, args, result.system, "=")
     return OK
@@ -170,18 +181,15 @@ def cmd_verify(args) -> int:
     try:
         cell, declared = _load_cell(args.certificate, presentation.alphabet)
     except BAD_CELL_ERRORS as err:
-        print(f"malformed certificate: {err}", file=_sys.stderr)
+        _warn(f"malformed certificate: {err}")
         return BAD_CERT
     try:
         reached = twocell.target(cell, init.rule_map)
     except ChainError as err:
-        print(f"invalid certificate at step {err.index}", file=_sys.stderr)
+        _warn(f"invalid certificate at step {err.index}")
         return BAD_CERT
     if declared is not None and declared != reached:
-        print(
-            f"certificate ends at {word_to_str(reached)}, declared {word_to_str(declared)}",
-            file=_sys.stderr,
-        )
+        _warn(f"certificate ends at {word_to_str(reached)}, declared {word_to_str(declared)}")
         return BAD_CERT
     print(f"ok: {word_to_str(cell.source)} -> {word_to_str(reached)}")
     return OK
@@ -191,7 +199,7 @@ def cmd_endos(args) -> int:
     from .endorewrites import generate, generator_set_to_json, minimize  # no other command loads it
     result = _complete(_load_presentation(args.file), args)
     if result.status != "complete":
-        print("completion exceeded limits; no generator set", file=_sys.stderr)
+        _warn("completion exceeded limits; no generator set")
         return LIMIT
     gens = generate(result)
     if args.minimize:
@@ -217,20 +225,20 @@ def cmd_express(args) -> int:
     try:
         cell, _ = _load_cell(args.cell, presentation.alphabet)
     except BAD_CELL_ERRORS as err:
-        print(f"malformed cell: {err}", file=_sys.stderr)
+        _warn(f"malformed cell: {err}")
         return BAD_CERT
     result = _complete(presentation, args)
     if result.status != "complete":
-        print("completion exceeded limits; cannot express", file=_sys.stderr)
+        _warn("completion exceeded limits; cannot express")
         return LIMIT
     gens = generate(result)
     try:
         decomposition = express(cell, gens)
     except UnmatchedDiamond as err:
-        print(f"unmatched diamond: {err}", file=_sys.stderr)
+        _warn(f"unmatched diamond: {err}")
         return USAGE
     except ChainError as err:  # the cell does not replay or is not a loop
-        print(f"invalid cell: {err}", file=_sys.stderr)
+        _warn(f"invalid cell: {err}")
         return BAD_CERT
     data = decomposition_to_json(decomposition)
 
@@ -315,7 +323,7 @@ def main(argv=None) -> int:
         before = argv[:argv.index("--")] if "--" in argv else argv  # after --, -h is an operand
         func, args = (_help, None) if "-h" in before or "--help" in before else parse_args(argv)
     except ValueError as err:
-        print(f"{USAGE_TEXT}\nlogrew: error: {err}", file=_sys.stderr)
+        _warn(f"{USAGE_TEXT}\nlogrew: error: {err}")
         return USAGE
     try:
         code = func(args)
@@ -324,19 +332,19 @@ def main(argv=None) -> int:
         _sys.stdout.flush()  # so that a closed or full stdout raises here, not at exit
         return code
     except ParseError as err:
-        print(f"parse error: {err}", file=_sys.stderr)
+        _warn(f"parse error: {err}")
         return USAGE
     except OSError as err:
         if err.filename is not None:  # open() names the file it could not open
-            print(f"cannot read {err.filename}: {err.strerror}", file=_sys.stderr)
+            _warn(f"cannot read {err.filename}: {err.strerror}")
             return USAGE
         import os  # a write to stdout failed: the exit flush writes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         if not isinstance(err, BrokenPipeError):  # closed early, as by `| head`: silent
-            print(f"cannot write to stdout: {err.strerror}", file=_sys.stderr)
+            _warn(f"cannot write to stdout: {err.strerror}")
         return USAGE
     except UnicodeDecodeError:  # the presentation; cells are read under BAD_CELL_ERRORS
-        print(f"cannot read {args.file}: not UTF-8 text", file=_sys.stderr)
+        _warn(f"cannot read {args.file}: not UTF-8 text")
         return USAGE
 
 
@@ -347,7 +355,10 @@ def console_entry() -> None:
     code = main()
     import os
     for stream in filter(None, (_sys.stdout, _sys.stderr)):  # None if started closed
-        stream.flush()
+        try:
+            stream.flush()
+        except OSError:  # a full stderr: main has flushed stdout, so the diagnostic is dropped
+            pass
     os._exit(code)
 
 

@@ -1,9 +1,10 @@
 """Logged reduction: find redexes, rewrite to normal form, emit witnesses.
 
-The reduction strategy is fixed to leftmost position, then lowest rule
-index, so logs are reproducible.  Derived rules carry an unexpanded log;
-``expand_log`` rewrites any cell so it references initial rules only,
-keeping each rule's expansion in its system's table for later calls.
+The reduction strategy is fixed to leftmost end, then longest lhs, then
+lowest rule index, so logs are reproducible.  Derived rules carry an
+unexpanded log; ``expand_log`` rewrites any cell so it references initial
+rules only, keeping each rule's expansion in its system's table for later
+calls.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
 left-hand sides with the failure links of Aho & Corasick 1975, whose
@@ -12,10 +13,10 @@ way a rule enters a system: it checks the rule, inserts its lhs and
 retires the rules the lhs makes redundant.  A system made from a rule list
 adds them in turn, and completion each rule it derives into the system it
 built, before returning it.  Reduction reads the word once, one table
-entry per letter, keeping the state after each.  A longer lhs can start
-further left yet end later, so it reads on until no open partial match
-starts left of the leftmost redex found.  After a rewrite it reads on
-from the redex, rereading only the right-hand side.
+entry per letter, keeping the state after each.  As soon as a state ends
+an lhs it rewrites there, in place, cuts the states back to the redex's
+start and reads on from it, so no letter is read twice but a right-hand
+side's.
 """
 
 from __future__ import annotations
@@ -44,20 +45,20 @@ class LoggedSystem:
     _depth; _fail, the state of its longest proper suffix that is a trie
     state; and _out, the state of the longest lhs that is a suffix of its
     word, 0 if none.  _kids maps a state to its children in the failure
-    tree, _hits an lhs end state to the rules that end there, _through a
-    state to the rules whose lhs runs on past it, and _lowest an lhs end
-    state to the lowest rule ending on its trie path; _paths holds each
-    rule's states, one per letter.  A rule is named by its index."""
+    tree, _hits an lhs end state to the rules that end there, lowest index
+    first, and _through a state to the rules whose lhs runs on past it;
+    _paths holds each rule's states, one per letter.  A rule is named by
+    its index."""
 
     __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_expanded",
-                 "_step", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_lowest", "_paths")
+                 "_step", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_paths")
 
     def __init__(self, rules: tuple[Rule, ...], logs: dict = {}, *, order: OrderSpec):
         # own copies: the caller's list and dict are never written
         self.rules, self.logs, self.complete, self.order = (), dict(logs), False, order
         self.rule_map, self.retired, self._expanded = {}, frozenset(), {}
         self._step, self._depth, self._fail, self._out, self._kids = [{}], [0], [0], [0], {}
-        self._hits, self._through, self._lowest, self._paths = {}, {}, {}, []
+        self._hits, self._through, self._paths = {}, {}, []
         for rule in rules:
             self._add_rule(rule)
         # each log names only earlier rules and replays from its rule's lhs to
@@ -132,7 +133,6 @@ class LoggedSystem:
         for u in path[:-1]:
             self._through[u] = (*self._through.get(u, ()), x)
         self._hits[s] = (*self._hits.get(s, ()), x)
-        self._lowest[s] = min(self._hits[u][0] for u in path if u in self._hits)
         self._paths.append(tuple(path))
         self.rules, self.rule_map[rule.rid] = self.rules + (rule,), rule
         if log is not None:
@@ -153,41 +153,23 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
 
 
 def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
-    """The normal form of w by leftmost, lowest-index rewriting; each step
-    is appended to steps unless steps is None."""
-    step, depth, out, through, lowest = sys._step, sys._depth, sys._out, sys._through, sys._lowest
-    rules, current, stack = sys.rules, w, [0]  # stack[i]: the state after current[:i]
-    while True:
-        # read on until no partial match can start left of the best start
-        best = n = len(current)
-        pos, state = len(stack) - 1, stack[-1]
-        while pos < n and pos - depth[state] < best:
-            state = step[state].get(current[pos], 0)
-            pos += 1
-            stack.append(state)
-            end = out[state]
-            if end and pos - depth[end] < best:
-                best, found = pos - depth[end], end
-        if best == n:
-            return current
-        # the lowest rule whose lhs starts at best: on found's trie path, or
-        # on a longer one, walked while some lhs runs on
-        low = lowest[found]
-        if found in through:
-            state = found
-            for pos in range(best + depth[found], n):
-                state = step[state].get(current[pos], 0)
-                if depth[state] != pos + 1 - best:
-                    break
-                low = lowest.get(state, low)
-                if state not in through:
-                    break
-        rule = rules[low]
-        suffix = current[best + len(rule.lhs):]
-        if steps is not None:
-            steps.append(Step(current[:best], rule.rid, 1, suffix))
-        current = current[:best] + rule.rhs + suffix
-        del stack[best + 1:]
+    """The normal form of w by leftmost-end rewriting: as soon as an lhs
+    ends, the longest one ending there, the lowest index among equal ones;
+    each step is appended to steps unless steps is None."""
+    step, depth, out, hits, rules = sys._step, sys._depth, sys._out, sys._hits, sys.rules
+    current, stack, pos = list(w), [0], 0  # stack[i]: the state after current[:i]
+    while pos < len(current):
+        state = step[stack[pos]].get(current[pos], 0)
+        pos += 1
+        stack.append(state)
+        if end := out[state]:
+            rule, start = rules[hits[end][0]], pos - depth[end]
+            if steps is not None:
+                steps.append(Step(tuple(current[:start]), rule.rid, 1, tuple(current[pos:])))
+            current[start:pos] = rule.rhs
+            del stack[start + 1:]
+            pos = start
+    return tuple(current)
 
 
 def reduce_logged(w: Word, sys: LoggedSystem) -> TwoCell:

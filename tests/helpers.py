@@ -283,12 +283,20 @@ def scan_redexes(w: Word, sys: LoggedSystem) -> list[tuple[int, str]]:
 
 
 def scan_reduce(w: Word, sys: LoggedSystem) -> TwoCell:
-    """Leftmost, lowest-index reduction, rescanning the whole word after
-    every step."""
+    """Leftmost-end reduction: the redex that ends first, then the longest
+    lhs, then the lowest rule index, rescanning the whole word after every
+    step."""
+    index = {rule.rid: x for x, rule in enumerate(sys.rules)}
+
+    def end_first(hit):
+        pos, rid = hit
+        k = len(sys.rule_map[rid].lhs)
+        return pos + k, -k, index[rid]
+
     steps = []
     current = w
     while redexes := scan_redexes(current, sys):
-        pos, rid = redexes[0]
+        pos, rid = min(redexes, key=end_first)
         rule = sys.rule_map[rid]
         steps.append(Step(current[:pos], rid, 1, current[pos + len(rule.lhs):]))
         current = current[:pos] + rule.rhs + current[pos + len(rule.lhs):]

@@ -583,6 +583,36 @@ def test_a_full_stdout_is_a_write_error(argv):
     assert proc.stderr == f"cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
+# commands that end on a diagnostic alone, with their exit codes
+DIAGNOSED = [pytest.param(["prove", SE, "s", "e"], 3, id="prove"),
+             pytest.param(["nf", SE, "s", "--bogus"], 1, id="usage"),
+             pytest.param(["verify", SE, "{cert}"], 4, id="verify")]
+
+
+def cold_with_stderr(tmp_path, argv, redirect):
+    """Run ``python -m logrew.cli argv`` through ``sh -c`` with stderr redirected
+    as the shell word redirect says; returns the exit code and stdout."""
+    (tmp_path / "cert.json").write_text(json.dumps(WRONG_RULE))
+    argv = [arg.format(cert=tmp_path / "cert.json") for arg in argv]
+    proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "logrew.cli",
+                           *argv], stdout=subprocess.PIPE, env=CHILD_ENV, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv,code", DIAGNOSED)
+def test_a_closed_stderr_drops_the_diagnostic(tmp_path, argv, code):
+    # fd 2 closed in the child (`2>&-`), so that Python starts with sys.stderr
+    # None, where print(file=None) writes to stdout
+    assert cold_with_stderr(tmp_path, argv, "2>&-") == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,code", DIAGNOSED)
+def test_a_full_stderr_leaves_the_exit_code(tmp_path, argv, code):
+    # the diagnostic fails to write; that is not a failed write to stdout
+    assert cold_with_stderr(tmp_path, argv, "2>/dev/full") == (code, b"")
+
+
 WRONG_RULE = {"source": "e e", "steps": [{"prefix": "1", "rule": "r9", "exp": 1, "suffix": "1"}]}
 
 

@@ -498,7 +498,7 @@ def test_saved_ladder_system_loads(name):
 @pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(max_rules=4)],
                          ids=["default", "max_rules=4"])
 @given(text=presentations())
-# stops at the limit; its rule r255 expands to about 1.3e15 steps
+# stops at the word-length limit; its rule r199 expands to about 1.1e17 steps
 @example(text="monoid\nletters: a b c\norder: shortlex\nrules:\n"
               "a a b a = c b c\nc c = a\nb b c a = b b\n")
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,8 @@ the published loops of the s/e monoid and on seeded random loops over
 A5, S4 and MERGING, whose generator sets ``endos`` prints too.
 ``complete --json`` runs on the groups of the benchmark ladder and on
 PSL(2,7), and ``reduce --json`` on one seeded 512-letter word of S5:
-their left-hand sides are long, so reduction must look ahead there.
+their left-hand sides are long, so redexes overlap and the reduction
+strategy's tie-breaks decide the logs there.
 ``complete`` and ``endos`` also run with ``--interreduce``, which must
 change nothing.  The expected exit codes and sha256 digests of stdout
 live in ``tests/golden.json``; a refactor must leave every one of them
