@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from .core import EMPTY, OrderSpec, Rule, Word, word_from_str, word_to_str
 from . import twocell
-from .engine import LoggedSystem, reduce_into
+from .engine import LoggedSystem, reduce_into, replay_moves
 from .twocell import Step, TwoCell
 
 
@@ -71,9 +71,12 @@ NewRule = namedtuple("NewRule", "rule log")
 def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:
     """Each of two steps on word followed by the logged reduction of its
     target, paired with the normal form that reduction ends at."""
-    legs = [[s1], [s2]]
-    ends = [reduce_into(twocell.step_target(leg[0], sys.rule_map), sys, leg) for leg in legs]
-    return tuple((TwoCell(word, tuple(leg)), end) for leg, end in zip(legs, ends))
+    cells = []
+    for s in (s1, s2):
+        top, moves = twocell.step_target(s, sys.rule_map), []
+        end = reduce_into(top, sys, moves)
+        cells.append((TwoCell(word, (s, *replay_moves(top, moves, sys))), end))
+    return tuple(cells)
 
 
 def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:

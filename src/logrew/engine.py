@@ -1,22 +1,22 @@
 """Logged reduction: find redexes, rewrite to normal form, emit witnesses.
 
 The reduction strategy is fixed to leftmost end, then longest lhs, then
-lowest rule index, so logs are reproducible.  Derived rules carry an
-unexpanded log; ``expand_log`` rewrites any cell so it references initial
-rules only, keeping each rule's expansion in its system's table for later
-calls.
+lowest rule index, so logs are reproducible.  Reduction records each rewrite
+as a move, (start, rule index), and ``replay_moves`` builds the steps of the
+moves a caller keeps: ``prove`` keeps those before its two reductions
+coincide.  ``expand_log`` rewrites any cell so it references initial rules
+only, keeping each rule's expansion in its system's table for later calls.
 
 Redexes are found by the index automaton of Sims 1994: a trie of the
-left-hand sides with the failure links of Aho & Corasick 1975, whose
-tables the ``LoggedSystem`` holds.  ``LoggedSystem._add_rule`` is the one
-way a rule enters a system: it checks the rule, inserts its lhs and
-retires the rules the lhs makes redundant.  A system made from a rule list
-adds them in turn, and completion each rule it derives into the system it
-built, before returning it.  Reduction reads the word once, one table
-entry per letter, keeping the state after each.  As soon as a state ends
-an lhs it rewrites there, in place, cuts the states back to the redex's
-start and reads on from it, so no letter is read twice but a right-hand
-side's.
+left-hand sides with the failure links of Aho & Corasick 1975, whose tables
+the ``LoggedSystem`` holds.  ``LoggedSystem._add_rule`` is the one way a
+rule enters a system: it checks the rule, inserts its lhs and retires the
+rules the lhs makes redundant.  A system made from a rule list adds them in
+turn, and completion each rule it derives into the system it built, before
+returning it.  Reduction reads the word once, one table entry per letter,
+keeping the state after each.  As soon as a state ends an lhs it rewrites
+there, in place, cuts the states back to the redex's start and reads on from
+it, so no letter is read twice but a right-hand side's.
 """
 
 from __future__ import annotations
@@ -152,10 +152,10 @@ def system_from_presentation(p: Presentation) -> LoggedSystem:
     return LoggedSystem(orient(p), order=p.order)
 
 
-def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
+def reduce_into(w: Word, sys: LoggedSystem, moves: list | None) -> Word:
     """The normal form of w by leftmost-end rewriting: as soon as an lhs
     ends, the longest one ending there, the lowest index among equal ones;
-    each step is appended to steps unless steps is None."""
+    each rewrite goes to moves as (start, rule index) unless it is None."""
     step, depth, out, hits, rules = sys._step, sys._depth, sys._out, sys._hits, sys.rules
     current, stack, pos = list(w), [0], 0  # stack[i]: the state after current[:i]
     while pos < len(current):
@@ -163,20 +163,30 @@ def reduce_into(w: Word, sys: LoggedSystem, steps: list | None) -> Word:
         pos += 1
         stack.append(state)
         if end := out[state]:
-            rule, start = rules[hits[end][0]], pos - depth[end]
-            if steps is not None:
-                steps.append(Step(tuple(current[:start]), rule.rid, 1, tuple(current[pos:])))
-            current[start:pos] = rule.rhs
+            x, start = hits[end][0], pos - depth[end]
+            if moves is not None:
+                moves.append((start, x))
+            current[start:pos] = rules[x].rhs
             del stack[start + 1:]
             pos = start
     return tuple(current)
 
 
+def replay_moves(w: Word, moves: list, sys: LoggedSystem) -> tuple[Step, ...]:
+    """The steps of moves, (start, rule index) pairs, applied in turn from w."""
+    current, steps = list(w), []
+    for start, x in moves:
+        rid, lhs, rhs = sys.rules[x]
+        steps.append(Step(tuple(current[:start]), rid, 1, tuple(current[start + len(lhs):])))
+        current[start:start + len(lhs)] = rhs
+    return tuple(steps)
+
+
 def reduce_logged(w: Word, sys: LoggedSystem) -> TwoCell:
     """Reduce to an irreducible word, logging every application."""
-    steps: list[Step] = []
-    reduce_into(w, sys, steps)
-    return TwoCell(w, tuple(steps))
+    moves: list = []
+    reduce_into(w, sys, moves)
+    return TwoCell(w, replay_moves(w, moves, sys))
 
 
 def normal_form(w: Word, sys: LoggedSystem) -> Word:
@@ -184,15 +194,17 @@ def normal_form(w: Word, sys: LoggedSystem) -> Word:
 
 
 def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
-    """A cell w1 -> w2 when their normal forms agree, else a verdict.
+    """A free-reduced cell w1 -> w2 when their normal forms agree, else a verdict.
 
-    NOT_EQUAL is only claimed for systems flagged complete; otherwise
-    disagreeing normal forms yield UNKNOWN.
-    """
-    down1, down2 = [], []
-    if reduce_into(w1, sys, down1) == reduce_into(w2, sys, down2):
-        return TwoCell(w1, tuple(down1) + twocell.invert_steps(down2))
-    return Verdict.NOT_EQUAL if sys.complete else Verdict.UNKNOWN
+    Read back from the one normal form, equal (start, rule) tails of the two
+    reductions are equal steps, so the cell turns where they first coincide.
+    NOT_EQUAL is only claimed for systems flagged complete, else UNKNOWN."""
+    moves1, moves2 = [], []
+    if reduce_into(w1, sys, moves1) != reduce_into(w2, sys, moves2):
+        return Verdict.NOT_EQUAL if sys.complete else Verdict.UNKNOWN
+    while moves1 and moves2 and moves1[-1] == moves2[-1]:
+        del moves1[-1], moves2[-1]
+    return TwoCell(w1, replay_moves(w1, moves1, sys) + twocell.invert_steps(replay_moves(w2, moves2, sys)))
 
 
 def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:

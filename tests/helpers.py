@@ -17,7 +17,7 @@ cyclic core of a loop and its conjugacy canonical form
 
 from itertools import product
 
-from logrew import completion
+from logrew import completion, parse_presentation
 from logrew.completion import CompletionLimits, CompletionResult, Overlap, critical_pairs, resolve
 from logrew.core import EMPTY, Rule, Word
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
@@ -423,6 +423,15 @@ def random_loop(rng, sys: LoggedSystem, source: Word, n_steps: int) -> TwoCell:
 
 def random_word(rng, letters, max_len, min_len=0) -> Word:
     return tuple(rng.choice(letters) for _ in range(rng.randint(min_len, max_len)))
+
+
+def relator_pair(rng, text: str, length: int) -> tuple[Word, Word]:
+    """A random word of length letters of the presentation text, and the same
+    word with the lhs of one of its relations X = 1 inserted: an equal pair."""
+    p = parse_presentation(text)
+    w = random_word(rng, p.alphabet.letters, length, min_len=length)
+    k = rng.randint(0, length)
+    return w, w[:k] + rng.choice([lhs for lhs, rhs in p.relations if not rhs]) + w[k:]
 
 
 def signed_factor_sum(dec) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import itertools
 import json
@@ -19,6 +20,8 @@ import logrew
 from logrew import cli, parse_presentation, system_from_presentation
 from logrew.cli import main, write_json
 from logrew.completion import logged_knuth_bendix, system_from_json
+from logrew.core import word_from_str
+from logrew.engine import expand_log, reduce_logged
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
@@ -388,6 +391,29 @@ def test_prove_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", SE, str(cert))
     assert code == 0
     assert out.startswith("ok:")
+
+
+# sha256 of ``prove --expand --json`` of this ab_monoid pair when prove
+# printed w1's reduction followed by w2's inverted, shared tail and all
+UNREDUCED = ("b a b b a b", "b b b a b", "f200efcc006dc9b49a82df8d7b348dcccb97a2bd84522cb71a1e95d0d3b44292")
+
+
+def test_an_unreduced_certificate_verifies_as_the_free_reduced_one(capsys, tmp_path, ab_completion):
+    w1, w2, digest = UNREDUCED
+    system = ab_completion.system
+    down = [reduce_logged(word_from_str(w), system).steps for w in (w1, w2)]
+    old = expand_log(tc.TwoCell(word_from_str(w1), down[0] + tc.invert_steps(down[1])), system)
+    data = {**tc.cell_to_json(old), "target": w2}
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert len(old.steps) == 21
+    code, new, _ = run(capsys, "prove", AB, w1, w2, "--expand", "--json")
+    assert code == 0
+    assert len(json.loads(new)["steps"]) == 1
+    (tmp_path / "old.json").write_text(text)
+    (tmp_path / "new.json").write_text(new)
+    verdicts = [run(capsys, "verify", AB, str(tmp_path / name)) for name in ("old.json", "new.json")]
+    assert verdicts == [(0, f"ok: {w1} -> {w2}\n", "")] * 2
 
 
 def test_verify_all_published_loops(capsys, tmp_path):

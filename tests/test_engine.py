@@ -18,14 +18,14 @@ from logrew.completion import (
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.endorewrites import express, generate
 from logrew.engine import (
-    LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged,
+    LoggedSystem, Verdict, expand_log, normal_form, prove, reduce_into, reduce_logged, replay_moves,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, S4, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, scan_redexes,
-    scan_reduce, scan_retired, words_over,
+    LADDER, S4, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, relator_pair,
+    scan_redexes, scan_reduce, scan_retired, words_over,
 )
 from test_endorewrites import presentations
 
@@ -133,12 +133,13 @@ def test_indexed_reduction_matches_rescan(case):
     expected = scan_reduce(w, sys)
     assert reduce_logged(w, sys) == expected
     assert normal_form(w, sys) == tc.target(expected, sys.rule_map)
-    # the word reduce_into returns is where its steps replay to
-    steps = []
-    end = reduce_into(w, sys, steps)
-    assert TwoCell(w, tuple(steps)) == expected
+    # the word reduce_into returns is where the steps of its moves replay to
+    moves = []
+    end = reduce_into(w, sys, moves)
+    assert TwoCell(w, replay_moves(w, moves, sys)) == expected
     assert end == tc.target(expected, sys.rule_map)
-    assert prove(w, w, sys) == TwoCell(w, expected.steps + tc.invert_steps(expected.steps))
+    # a word's reduction cancels against itself
+    assert prove(w, w, sys) == identity(w)
 
 
 def check_index(sys):
@@ -544,6 +545,39 @@ def test_reduction_reads_no_letter_twice_but_a_rhs(s5):
     cell = reduce_logged(w, sys)
     assert len(cell.steps) > 1000
     assert len(reads) == len(w) + sum(len(sys.rule_map[step.rule].rhs) for step in cell.steps)
+
+
+def check_free_reduced_proof(w1, w2, sys):
+    """prove of an equal pair is the free reduction of w1's logged reduction
+    followed by w2's inverted: no step is followed by its inverse, and it
+    replays to w2 both as it is and expanded onto the initial rules."""
+    outcome = prove(w1, w2, sys)
+    if normal_form(w1, sys) != normal_form(w2, sys):
+        assert outcome is (Verdict.NOT_EQUAL if sys.complete else Verdict.UNKNOWN)
+        return
+    down = TwoCell(w1, reduce_logged(w1, sys).steps + tc.invert_steps(reduce_logged(w2, sys).steps))
+    assert outcome == tc.free_reduce(down)
+    assert not any(t == tc.invert_step(s) for s, t in zip(outcome.steps, outcome.steps[1:]))
+    assert tc.target(outcome, sys.rule_map) == w2
+    initial = {rule.rid: rule for rule in sys.rules if rule.rid not in sys.logs}
+    assert tc.target(expand_log(outcome, sys), initial) == w2
+
+
+@given(systems_and_words(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_prove_is_the_free_reduced_pair_of_reductions(case, data):
+    # a rule's two sides put into one word: on these systems, which need not
+    # be confluent, the two reductions may also end apart
+    sys, w = case
+    rule, k = data.draw(st.sampled_from(sys.rules)), data.draw(st.integers(0, len(w)))
+    check_free_reduced_proof(w[:k] + rule.lhs + w[k:], w[:k] + rule.rhs + w[k:], sys)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(8, 64))
+@settings(max_examples=60, deadline=None)
+def test_prove_on_s5_relator_pairs_is_the_free_reduced_pair_of_reductions(s5, seed, length):
+    # derived rules too, with both exponents, so the expansion is checked
+    check_free_reduced_proof(*relator_pair(random.Random(seed), LADDER["S5"][0], length), s5)
 
 
 def s5_proofs(sys, seed, count):

@@ -7,9 +7,12 @@ plus ``express`` on
 the published loops of the s/e monoid and on seeded random loops over
 A5, S4 and MERGING, whose generator sets ``endos`` prints too.
 ``complete --json`` runs on the groups of the benchmark ladder and on
-PSL(2,7), and ``reduce --json`` on one seeded 512-letter word of S5:
-their left-hand sides are long, so redexes overlap and the reduction
-strategy's tie-breaks decide the logs there.
+PSL(2,7), ``reduce --json`` on one seeded 512-letter word of S5 and
+``prove --json`` of another with a relator inserted: their left-hand
+sides are long, so redexes overlap and the reduction strategy's
+tie-breaks decide the logs there.  ``prove`` also runs on an ab_monoid
+pair whose reductions end alike, so that its certificate drops their
+shared tail.
 ``complete`` and ``endos`` also run with ``--interreduce``, which must
 change nothing.  The expected exit codes and sha256 digests of stdout
 live in ``tests/golden.json``; a refactor must leave every one of them
@@ -38,7 +41,7 @@ from logrew.completion import logged_knuth_bendix
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
-from helpers import A5, LADDER, MERGING, S4, random_loop, random_word
+from helpers import A5, LADDER, MERGING, S4, random_loop, random_word, relator_pair
 from test_groups import PSL27
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
@@ -141,7 +144,8 @@ def group_express_cases(workdir: Path) -> dict[str, list[str]]:
 
 def long_lhs_cases(workdir: Path) -> dict[str, list[str]]:
     """Case name -> argv for ``complete --json`` on the ladder groups and
-    PSL(2,7), and ``reduce --json`` on a seeded 512-letter word of S5."""
+    PSL(2,7), ``reduce --json`` on a seeded 512-letter word of S5, and
+    ``prove --json`` of another with one of S5's relators inserted."""
     cases = {}
     for name, text in {**{n: t for n, (t, _) in LADDER.items()}, "PSL27": PSL27}.items():
         path = workdir / f"{name}.txt"
@@ -149,7 +153,22 @@ def long_lhs_cases(workdir: Path) -> dict[str, list[str]]:
         cases[f"{name}:complete:json"] = ["complete", str(path), "--json"]
     word = random_word(random.Random(512), tuple("abcd"), 512, min_len=512)
     cases["S5:reduce-512:json"] = ["reduce", str(workdir / "S5.txt"), " ".join(word), "--json"]
+    pair = relator_pair(random.Random(513), LADDER["S5"][0], 512)
+    cases["S5:prove-512:json"] = ["prove", str(workdir / "S5.txt"), *map(" ".join, pair), "--json"]
     return cases
+
+
+# an equal pair whose reductions end alike: b a b b a b takes 5 steps to b
+# and b b b a b takes the last 4 of them, so prove prints the one step left
+SHARED_TAIL = ("b a b b a b", "b b b a b")
+
+
+def shared_tail_cases() -> dict[str, list[str]]:
+    """Case name -> argv for ``prove`` of SHARED_TAIL on ab_monoid."""
+    argv = ["prove", str(PRESENTATIONS / "ab_monoid.txt"), *SHARED_TAIL]
+    return {"ab_monoid:prove-shared-tail": argv,
+            "ab_monoid:prove-shared-tail:json": argv + ["--json"],
+            "ab_monoid:prove-shared-tail-expand:json": argv + ["--expand", "--json"]}
 
 
 def outcome(argv: list[str]) -> dict:
@@ -190,6 +209,10 @@ def test_golden_long_lhs(tmp_path):
     check(long_lhs_cases(tmp_path))
 
 
+def test_golden_shared_tail():
+    check(shared_tail_cases())
+
+
 def record() -> None:
     import tempfile
 
@@ -201,6 +224,7 @@ def record() -> None:
         cases.update(group_express_cases(Path(workdir)))
         cases.update(group_endos_cases(Path(workdir)))
         cases.update(long_lhs_cases(Path(workdir)))
+        cases.update(shared_tail_cases())
         golden = {name: outcome(argv) for name, argv in sorted(cases.items())}
     before = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     changed = [name for name in golden if before.get(name) != golden[name]]
