@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys as _sys
 from types import SimpleNamespace
 
-from .core import Alphabet, ParseError, Word, parse_presentation, word_from_str, word_to_str
+from .core import Alphabet, ParseError, Word, orient, parse_presentation, word_from_str, word_to_str
 from . import twocell
 from .engine import (
     Verdict, expand_log, normal_form, prove, reduce_logged,
@@ -177,14 +177,14 @@ def cmd_prove(args) -> int:
 
 def cmd_verify(args) -> int:
     presentation = _load_presentation(args.file)
-    init = system_from_presentation(presentation)
+    initial = {rule.rid: rule for rule in orient(presentation)}
     try:
         cell, declared = _load_cell(args.certificate, presentation.alphabet)
     except BAD_CELL_ERRORS as err:
         _warn(f"malformed certificate: {err}")
         return BAD_CERT
     try:
-        reached = twocell.target(cell, init.rule_map)
+        reached = twocell.target(cell, initial)
     except ChainError as err:
         _warn(f"invalid certificate at step {err.index}")
         return BAD_CERT

@@ -24,19 +24,6 @@ class UnmatchedDiamond(ValueError):
     """A branching whose overlap is missing from the generator table."""
 
 
-def _strip(word: Word, a: Step, b: Step, rules: dict[str, Rule]) -> tuple[Word, Word, Step, Step]:
-    """The whiskers x, z common to two overlapping steps on word, and the
-    two steps on their minimal superposition, word = x . superposition . z."""
-    lo = min(len(a.prefix), len(b.prefix))
-    hi = max(len(s.prefix) + len(twocell.step_io(s, rules)[0]) for s in (a, b))
-    cut = len(word) - hi
-
-    def inner(s: Step) -> Step:
-        return Step(s.prefix[lo:], s.rule, s.exp, s.suffix[:len(s.suffix) - cut])
-
-    return word[:lo], word[hi:], inner(a), inner(b)
-
-
 def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
     """Whether two forward steps on one word rewrite disjoint regions."""
     (p, ls), (q, lt) = ((len(u.prefix), len(rules[u.rule].lhs)) for u in (s, t))
@@ -100,7 +87,7 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     """Endorewrite generators from the critical branchings of the completed system.
 
     Every listed rule counts, retired ones included, since reduction uses
-    them all.  ``init`` is not read; it is kept for existing callers.
+    them all.  ``init`` is not read; the benchmark's endos workload passes it.
     Each unordered branching gives one generator, its loop.  Ids follow
     the base element, the normal form of the superposition: shortest
     first, the greatest word first within a length, then discovery.  A
@@ -180,12 +167,16 @@ def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Facto
     sys = gens.system
     rules = sys.rule_map
     v = twocell.step_source(a, rules)
-    x, z, inner_a, inner_b = _strip(v, a, b, rules)
+    # the whiskers common to a and b: v = x . their minimal superposition . z
+    lo = min(len(a.prefix), len(b.prefix))
+    x, z = v[:lo], v[max(len(s.prefix) + len(rules[s.rule].lhs) for s in (a, b)):]
     if _disjoint(a, b, rules):
         # a trivial diamond has exponent 1 with its left step first
         gid, exp = None, 1 if len(a.prefix) < len(b.prefix) else -1
         dia = delta(v, a, b, sys).steps
-    else:
+    else:  # the generator table is keyed by the two steps on the superposition
+        inner_a, inner_b = (Step(s.prefix[lo:], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
+                            for s in (a, b))
         found = gens.origin_index.get(frozenset((inner_a, inner_b)))
         if found is None:
             raise UnmatchedDiamond(
@@ -215,12 +206,11 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     the way round it that replaces them.  The loop, conj and every
     diamond are free reduced, so each product of them is a join.
     """
-    rules = gens.system.rule_map
-    conj = twocell.identity(loop.source)  # always free reduced, ending at loop.source
+    conj = twocell.identity(loop.source)  # always free reduced
     factors: list[Factor] = []
     deferred: list[Factor] = []
-    while loop.steps:
-        steps = loop.steps
+    steps = loop.steps  # the loop left, based where conj ends
+    while steps:
         peak = next(
             (i for i in range(len(steps) - 1)
              if steps[i].exp == -1 and steps[i + 1].exp == 1),
@@ -233,21 +223,19 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
             up = TwoCell(conj.source, twocell.join(conj.steps, steps[:peak + 1]))
             factor, around = _diamond(up, down_b, down_a, gens)
             factors.append(factor)
-            loop = TwoCell(loop.source, twocell.join(
-                twocell.join(steps[:peak], around), steps[peak + 2:]))
+            steps = twocell.join(twocell.join(steps[:peak], around), steps[peak + 2:])
             continue
         # no internal peak: descending then ascending around the base
         m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
         assert 0 < m < len(steps), "a nonempty monotone loop cannot close"
         s1 = steps[0]
         s2 = twocell.invert_step(steps[-1])
-        rest = steps[1:-1]
+        steps = steps[1:-1]
         if s1 != s2:
             factor, around = _diamond(conj, s1, s2, gens)
             deferred.append(factor)
-            rest = twocell.join(rest, around)
+            steps = twocell.join(steps, around)
         conj = TwoCell(conj.source, twocell.join(conj.steps, (s1,)))
-        loop = TwoCell(twocell.step_target(s1, rules), rest)
     return factors + deferred[::-1]
 
 

@@ -36,8 +36,8 @@ class Verdict(enum.Enum):
 class LoggedSystem:
     """Rules, the ids of those retired (another lhs is a proper factor of
     theirs, or an earlier rule's lhs equals theirs), and for each derived
-    one (exactly those logged) its log; _expanded maps (id, exponent) to a
-    derived rule's log expanded, filled by expand_log.  The rest is the lhs
+    one (exactly those logged) its log; _expanded maps a derived rule's id
+    to the steps of its log expanded, filled by expand_log.  The rest is the lhs
     index automaton over int states, 0 the root, a state's word the path to
     it in the trie of left-hand sides.  Per state: _step, its move on each
     letter to the state of the longest suffix of word + letter that is a
@@ -211,31 +211,30 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     """Replace derived-rule steps by their stored logs until only initial rules remain.
 
     A log names only earlier rules, so each derived rule reached expands in list
-    order, once per exponent per system: the expansions are kept in the system's
-    table, each stored only once complete, and a system's logs never change."""
+    order, once per system: the expansions are kept in the system's table, each
+    stored only once complete, and a system's logs never change.  A log runs
+    from its rule's lhs to its rhs, so a -1 step reads its expansion backwards."""
     logs, expanded = sys.logs, sys._expanded
-    reached = {step.rule for step in cell.steps if step.rule in logs and (step.rule, 1) not in expanded}
+    reached = {step.rule for step in cell.steps if step.rule in logs and step.rule not in expanded}
     if reached:
         for rule in reversed(sys.rules):
             if rule.rid in reached:
                 reached.update(step.rule for step in logs[rule.rid].steps
-                               if step.rule in logs and (step.rule, 1) not in expanded)
+                               if step.rule in logs and step.rule not in expanded)
 
-    def _expand(c: TwoCell) -> TwoCell:
-        steps: list[Step] = []
-        for step in c.steps:
+    def _expand(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+        out: list[Step] = []
+        for step in steps:
             prefix, rid, exp, suffix = step
             if rid not in logs:  # an initial rule
-                steps.append(step)
-                continue
-            done = expanded.get((rid, exp))
-            if done is None:  # only an inverse is missing; a log runs from its rule's lhs to its rhs
-                done = expanded[rid, -1] = TwoCell(sys.rule_map[rid].rhs, twocell.invert_steps(
-                    expanded[rid, 1].steps))
-            steps += [Step(prefix + p, r, e, s + suffix) for p, r, e, s in done.steps]
-        return TwoCell(c.source, tuple(steps))
+                out.append(step)
+            elif exp == 1:
+                out += [Step(prefix + p, r, e, s + suffix) for p, r, e, s in expanded[rid]]
+            else:
+                out += [Step(prefix + p, r, -e, s + suffix) for p, r, e, s in reversed(expanded[rid])]
+        return tuple(out)
 
     for rule in sys.rules:
         if rule.rid in reached:
-            expanded[rule.rid, 1] = _expand(logs[rule.rid])
-    return _expand(cell)
+            expanded[rule.rid] = _expand(logs[rule.rid].steps)
+    return TwoCell(cell.source, _expand(cell.steps))

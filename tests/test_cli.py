@@ -393,6 +393,27 @@ def test_prove_verify_round_trip(capsys, tmp_path):
     assert out.startswith("ok:")
 
 
+def test_verify_replays_on_the_initial_rules_alone(capsys, tmp_path, monkeypatch):
+    # verify trusts only the oriented relations: it builds no system and no
+    # lhs index, so it runs with LoggedSystem gone
+    code, out, _ = run(capsys, "prove", SE, "e s e s e", "e s e", "--json")
+    assert code == 0
+    cert, forged = tmp_path / "cert.json", tmp_path / "forged.json"
+    cert.write_text(out)
+    data = json.loads(out)
+    data["steps"][0]["rule"] = "r5"
+    forged.write_text(json.dumps(data))
+
+    def no_system(*_, **__):
+        raise AssertionError("verify built a LoggedSystem")
+
+    monkeypatch.setattr("logrew.engine.LoggedSystem", no_system)
+    assert run(capsys, "verify", SE, str(cert)) == (0, "ok: e s e s e -> e s e\n", "")
+    code, _, err = run(capsys, "verify", SE, str(forged))
+    assert code == 4
+    assert "step 0" in err
+
+
 # sha256 of ``prove --expand --json`` of this ab_monoid pair when prove
 # printed w1's reduction followed by w2's inverted, shared tail and all
 UNREDUCED = ("b a b b a b", "b b b a b", "f200efcc006dc9b49a82df8d7b348dcccb97a2bd84522cb71a1e95d0d3b44292")

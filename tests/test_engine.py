@@ -656,3 +656,25 @@ def test_expansions_do_not_leak_between_systems(s5):
         check_expansion(cell, expected, other)
         assert expand_log(cell, other) == expected != expand_log(cell, first)
 
+
+def test_one_expansion_per_derived_rule(s5):
+    # the table keeps one expansion per derived rule reached, keyed by its id;
+    # a -1 step reads that expansion backwards, exponents negated
+    sys = fresh(s5)
+    cells = s5_proofs(sys, 11, 60)
+    reached = {step.rule for cell in cells for step in cell.steps if step.rule in s5.logs}
+    assert {(step.rule, step.exp) for cell in cells for step in cell.steps
+            if step.rule in s5.logs} >= {(rid, exp) for rid in ("r19", "r20") for exp in (1, -1)}
+    for rule in reversed(s5.rules):  # a log names only earlier rules
+        if rule.rid in reached:
+            reached.update(step.rule for step in s5.logs[rule.rid].steps if step.rule in s5.logs)
+    for cell in cells:
+        expand_log(cell, sys)
+    assert set(sys._expanded) == reached
+    for rid in s5.logs:
+        rule = s5.rule_map[rid]
+        up, down = TwoCell(rule.lhs, (Step((), rid, 1, ()),)), TwoCell(rule.rhs, (Step((), rid, -1, ()),))
+        backward = expand_log(down, sys)
+        assert backward.steps == tc.invert_steps(expand_log(up, sys).steps)
+        check_expansion(down, backward, s5)
+
