@@ -23,7 +23,7 @@ def main():
     parser.add_argument("--max-length", type=int, default=7)
     args = parser.parse_args()
 
-    presentation = parse_presentation(Path(args.presentation).read_text())
+    presentation = parse_presentation(Path(args.presentation).read_text(encoding="utf-8"))
     init = system_from_presentation(presentation)
     result = logged_knuth_bendix(init, CompletionLimits())
     if result.status != "complete":

@@ -26,27 +26,30 @@ class UnmatchedDiamond(ValueError):
 
 def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
     """Whether two forward steps on one word rewrite disjoint regions."""
-    (p, ls), (q, lt) = ((len(u.prefix), len(rules[u.rule].lhs)) for u in (s, t))
-    return p + ls <= q or q + lt <= p
+    p, q = len(s.prefix), len(t.prefix)
+    return p + len(rules[s.rule].lhs) <= q or q + len(rules[t.rule].lhs) <= p
 
 
 def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
     """The loop of two forward steps on word: the side of s1 against the
     side of s2, each a step followed by its resolving leg, free reduced.
 
-    Disjoint redexes close in one step each (the interchange diamond).
+    Disjoint redexes close in one step each (the interchange square).
     Overlapping redexes must stand on their own superposition, where
     ``completion.sides`` reduces both to the normal form.  Each side is
     forward steps only, so it is free reduced and the two join.
     """
-    rules = sys.rule_map
-    if not _disjoint(s1, s2, rules):
+    if not _disjoint(s1, s2, sys.rule_map):
         return _resolved(word, s1, s2, sys)[0]
-    side1, side2 = (
-        (s, twocell.transport(t, s, twocell.step_target(s, rules), rules))
-        for s, t in ((s1, s2), (s2, s1))
-    )
-    return TwoCell(word, twocell.join(side1, twocell.invert_steps(side2)))
+    return TwoCell(word, _square(s1, s2, sys.rule_map))
+
+
+def _square(s1: Step, s2: Step, rules: dict[str, Rule]) -> tuple[Step, ...]:
+    """The interchange square of two disjoint forward steps on one word:
+    s1, s2 moved across s1, (s1 moved across s2)^-1, s2^-1, free reduced."""
+    across1 = twocell.transport(s2, s1, twocell.step_target(s1, rules), rules)
+    across2 = twocell.transport(s1, s2, twocell.step_target(s2, rules), rules)
+    return twocell.join((s1, across1), (twocell.invert_step(across2), twocell.invert_step(s2)))
 
 
 def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, Word]:
@@ -155,40 +158,39 @@ Decomposition = namedtuple("Decomposition", (
 ))
 
 
-def _diamond(conj: TwoCell, a: Step, b: Step, gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:
+def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
+             gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:
     """The diamond a . leg_a . leg_b^-1 . b^-1 of two distinct forward steps
     from v, the source of a, as a factor conjugated by conj (a cell ending
-    at v), and the way round it: its inner steps, reversed and inverted.
+    at v, whose steps reversed and inverted are back), and the way round
+    it: its inner steps, reversed and inverted.
 
     Overlapping steps take their generator's loop, whiskered; a generator
     holds its steps in its branching's order, so the other order inverts
     the loop and negates the exponent.  Disjoint steps close by interchange.
     """
-    sys = gens.system
-    rules = sys.rule_map
-    v = twocell.step_source(a, rules)
-    # the whiskers common to a and b: v = x . their minimal superposition . z
-    lo = min(len(a.prefix), len(b.prefix))
-    x, z = v[:lo], v[max(len(s.prefix) + len(rules[s.rule].lhs) for s in (a, b)):]
+    rules = gens.system.rule_map
+    # the whiskers common to a and b, v = x . their minimal superposition . z,
+    # are the shorter of their prefixes and the shorter of their suffixes
+    x = a.prefix if len(a.prefix) <= len(b.prefix) else b.prefix
+    z = a.suffix if len(a.suffix) <= len(b.suffix) else b.suffix
     if _disjoint(a, b, rules):
         # a trivial diamond has exponent 1 with its left step first
         gid, exp = None, 1 if len(a.prefix) < len(b.prefix) else -1
-        dia = delta(v, a, b, sys).steps
+        dia = _square(a, b, rules)
     else:  # the generator table is keyed by the two steps on the superposition
-        inner_a, inner_b = (Step(s.prefix[lo:], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
+        inner_a, inner_b = (Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
                             for s in (a, b))
         found = gens.origin_index.get(frozenset((inner_a, inner_b)))
         if found is None:
-            raise UnmatchedDiamond(
-                f"no generator origin for rules {a.rule},{b.rule} on {word_to_str(v)}"
-            )
+            raise UnmatchedDiamond(f"no generator origin for rules {a.rule},{b.rule} "
+                                   f"on {word_to_str(twocell.step_source(a, rules))}")
         gen = gens.by_id(found.gid)  # a minimized set lacks the generators it dropped
         gid, exp = gen.gid, 1
         dia = twocell.whisker(x, gen.cell, z).steps
         if inner_a != gen.origin.left:
             dia, exp = twocell.invert_steps(dia), -1
-    cell = TwoCell(conj.source, twocell.join(
-        twocell.join(conj.steps, dia), twocell.invert_steps(conj.steps)))
+    cell = TwoCell(conj.source, twocell.join(twocell.join(conj.steps, dia), back))
     return Factor(gid, x, z, conj, exp, cell), twocell.invert_steps(dia[1:-1])
 
 
@@ -207,6 +209,7 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     diamond are free reduced, so each product of them is a join.
     """
     conj = twocell.identity(loop.source)  # always free reduced
+    back: tuple[Step, ...] = ()  # conj's steps reversed and inverted
     factors: list[Factor] = []
     deferred: list[Factor] = []
     steps = loop.steps  # the loop left, based where conj ends
@@ -221,7 +224,8 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
             # the factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1;
             # the peak down_a^-1 . down_b becomes the way round, leg_a . leg_b^-1
             up = TwoCell(conj.source, twocell.join(conj.steps, steps[:peak + 1]))
-            factor, around = _diamond(up, down_b, down_a, gens)
+            up_back = twocell.join(twocell.invert_steps(steps[:peak + 1]), back)
+            factor, around = _diamond(up, up_back, down_b, down_a, gens)
             factors.append(factor)
             steps = twocell.join(twocell.join(steps[:peak], around), steps[peak + 2:])
             continue
@@ -232,10 +236,11 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         s2 = twocell.invert_step(steps[-1])
         steps = steps[1:-1]
         if s1 != s2:
-            factor, around = _diamond(conj, s1, s2, gens)
+            factor, around = _diamond(conj, back, s1, s2, gens)
             deferred.append(factor)
             steps = twocell.join(steps, around)
         conj = TwoCell(conj.source, twocell.join(conj.steps, (s1,)))
+        back = twocell.join((twocell.invert_step(s1),), back)
     return factors + deferred[::-1]
 
 

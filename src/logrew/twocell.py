@@ -24,6 +24,9 @@ class ChainError(ValueError):
         super().__init__(message if index is None else f"{message} (step {index})")
 
 
+# The builders below that make steps from steps or from JSON call
+# tuple.__new__(Step, fields): the same Step, without the Python frame of
+# namedtuple's __new__, which costs more than the tuple itself.
 Step = namedtuple("Step", "prefix rule exp suffix")
 TwoCell = namedtuple("TwoCell", "source steps")
 
@@ -53,7 +56,7 @@ def step_target(step: Step, rules: dict[str, Rule]) -> Word:
 
 
 def invert_step(step: Step) -> Step:
-    return Step(step.prefix, step.rule, -step.exp, step.suffix)
+    return tuple.__new__(Step, (step.prefix, step.rule, -step.exp, step.suffix))
 
 
 def target(cell: TwoCell, rules: dict[str, Rule]) -> Word:
@@ -100,7 +103,8 @@ def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
 
 def invert_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """The steps reversed, each inverted: inversion without the replay."""
-    return tuple([Step(prefix, rule, -exp, suffix) for prefix, rule, exp, suffix in reversed(steps)])
+    return tuple([tuple.__new__(Step, (prefix, rule, -exp, suffix))
+                  for prefix, rule, exp, suffix in reversed(steps)])
 
 
 def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
@@ -108,20 +112,16 @@ def whisker(u: Word, cell: TwoCell, v: Word) -> TwoCell:
         return cell
     return TwoCell(
         u + cell.source + v,
-        tuple([Step(u + prefix, rule, exp, suffix + v) for prefix, rule, exp, suffix in cell.steps]),
+        tuple([tuple.__new__(Step, (u + prefix, rule, exp, suffix + v))
+               for prefix, rule, exp, suffix in cell.steps]),
     )
-
-
-def _cancels(s: Step, t: Step) -> bool:
-    """Whether t undoes s: the same rule in the same context, opposite sign."""
-    return s.exp == -t.exp and s.rule == t.rule and s.prefix == t.prefix and s.suffix == t.suffix
 
 
 def free_reduce(cell: TwoCell) -> TwoCell:
     """Cancel adjacent step pairs that differ only in exponent sign."""
     stack: list[Step] = []
     for step in cell.steps:
-        if stack and _cancels(stack[-1], step):
+        if stack and stack[-1] == invert_step(step):
             stack.pop()
         else:
             stack.append(step)
@@ -132,7 +132,7 @@ def join(a: tuple[Step, ...], b: tuple[Step, ...]) -> tuple[Step, ...]:
     """The steps of ``free_reduce`` of a then b, for free-reduced a and b:
     the last steps of a cancel against the first of b, and nothing else."""
     n, most = 0, min(len(a), len(b))
-    while n < most and _cancels(a[-1 - n], b[n]):
+    while n < most and a[-1 - n] == ((t := b[n])[0], t[1], -t[2], t[3]):  # invert_step(t), uncalled
         n += 1
     return a[:len(a) - n] + b[n:]
 
@@ -190,10 +190,10 @@ def cell_from_json(data: dict) -> TwoCell:
         exp = s["exp"]
         if type(exp) is not int or exp not in (1, -1):  # JSON 1 or -1: not true, 1.0, "1"
             raise ValueError(f"step exponent must be 1 or -1, got {exp!r}")
-        steps.append(Step(
+        steps.append(tuple.__new__(Step, (
             word_from_str(s["prefix"]),
             str(s["rule"]),
             exp,
             word_from_str(s["suffix"]),
-        ))
+        )))
     return TwoCell(word_from_str(data["source"]), tuple(steps))

@@ -18,7 +18,7 @@ def pytest_report_header(config):
 
 
 def load(name):
-    return parse_presentation((PRESENTATIONS / name).read_text())
+    return parse_presentation((PRESENTATIONS / name).read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

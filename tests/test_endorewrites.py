@@ -94,7 +94,7 @@ def test_delta_whisker_coherence(se_generators, se_system):
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
     word, a, b = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
     d_inner = delta(*inner, se_system)
-    outer, _ = _diamond(identity(word), a, b, se_generators)
+    outer, _ = _diamond(identity(word), (), a, b, se_generators)
     assert tc.free_reduce(outer.cell) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
@@ -265,7 +265,7 @@ def test_diamond_either_order(name, se_generators, a5_generators):
     # runs from a to b^-1, is the generator's loop whiskered (inverted when
     # the pair is not in branching order), and taken the other way round it is
     # inverted and its exponent negated; the way round is its inner steps,
-    # reversed and inverted
+    # reversed and inverted; a disjoint pair closes by its interchange square
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
     rules = gens.system.rule_map
     kinds = Counter()
@@ -274,7 +274,7 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                  for p, rid in scan_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
-                factor, around = _diamond(identity(v), a, b, gens)
+                factor, around = _diamond(identity(v), (), a, b, gens)
                 dia, x, z = factor.cell, factor.x, factor.z
                 assert dia.source == v
                 assert dia.steps[0] == a and dia.steps[-1] == tc.invert_step(b)
@@ -290,7 +290,14 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                     assert (factor.gen, factor.exp) == (gen.gid, 1 if in_order else -1)
                 else:
                     assert factor.gen is None
-                other, _ = _diamond(identity(v), b, a, gens)
+                    # the interchange square: b moved across a, then a moved
+                    # across b inverted; they cancel only where they are one
+                    # step (two erasing redexes side by side)
+                    b_across, a_across = (tc.transport(t, s, tc.step_target(s, rules), rules)
+                                          for s, t in ((a, b), (b, a)))
+                    assert dia.steps[1:-1] == (
+                        (b_across, tc.invert_step(a_across)) if b_across != a_across else ())
+                other, _ = _diamond(identity(v), (), b, a, gens)
                 assert other.cell == invert(dia, rules)
                 assert (other.gen, other.x, other.z, other.exp) == (
                     factor.gen, x, z, -factor.exp)
@@ -312,6 +319,50 @@ def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_ge
         base = random_word(rng, ("a", "b"), 6, min_len=1)
         loop = random_loop(rng, a5_generators.system, base, rng.randint(1, 5))
         assert express(loop, a5_generators).residual == identity(base)
+
+
+def _diamonds_of(factor, gens):
+    """The diamonds a factor can stand for: its generator's loop whiskered
+    by x and z (inverted for exponent -1), or for a trivial factor the
+    interchange square of each disjoint pair of forward redexes at the
+    conjugator's end whose left one has prefix x and right one suffix z,
+    the left step first for exponent 1."""
+    sys = gens.system
+    rules = sys.rule_map
+    if factor.gen is not None:
+        dia = tc.whisker(factor.x, gens.by_id(factor.gen).cell, factor.z).steps
+        return [dia if factor.exp == 1 else tc.invert_steps(dia)]
+    v = tc.target(factor.conjugator, rules)
+    redexes = [Step(v[:p], rid, 1, v[p + len(rules[rid].lhs):]) for p, rid in scan_redexes(v, sys)]
+    pairs = [(s, t) for s in redexes for t in redexes
+             if s.prefix == factor.x and t.suffix == factor.z
+             and len(s.prefix) + len(rules[s.rule].lhs) <= len(t.prefix)]
+    assert pairs
+    return [delta(v, *(pair if factor.exp == 1 else pair[::-1]), sys).steps for pair in pairs]
+
+
+def test_factor_cells_are_conjugated_diamonds(se_generators, a5_generators):
+    # each factor's cell is join(join(conjugator, diamond), conjugator^-1),
+    # free reduced at both junctions; no golden file holds a factor's cell
+    def check(loop, gens):
+        dec = express(loop, gens)
+        assert dec.residual == identity(loop.source)
+        for factor in dec.factors:
+            conj = factor.conjugator.steps
+            assert factor.cell.source == factor.conjugator.source == loop.source
+            assert factor.cell.steps in [tc.join(tc.join(conj, dia), tc.invert_steps(conj))
+                                         for dia in _diamonds_of(factor, gens)]
+            assert all(type(s) is Step for s in factor.cell.steps)
+            kinds[factor.gen is None] += 1
+
+    kinds = Counter()
+    for loop in map(loop_cell, SE_LOOPS):
+        check(loop, se_generators)
+    rng = random.Random(2718)
+    for _ in range(60):
+        base = random_word(rng, ("a", "b"), 6, min_len=1)
+        check(random_loop(rng, a5_generators.system, base, rng.randint(1, 5)), a5_generators)
+    assert kinds[True] > 0 and kinds[False] > 0
 
 
 def test_express_rejects_missing_origin(se_generators):

@@ -199,6 +199,18 @@ def test_whisker_identity_laws(se_rules):
     assert tc.whisker(W("1"), cell, W("1")) == cell
 
 
+def test_builders_make_steps():
+    # the builders make each step with tuple.__new__: still a Step, equal,
+    # hashing and printing as the one Step(...) makes
+    cell = loop_cell("ese_8")
+    built = [tc.invert_step(cell.steps[0]), *tc.invert_steps(cell.steps),
+             *tc.whisker(W("e"), cell, W("s")).steps, *cell_from_json(cell_to_json(cell)).steps]
+    for step in built:
+        same = Step(*step)
+        assert type(step) is Step
+        assert (step, hash(step), repr(step)) == (same, hash(same), repr(same))
+
+
 def test_whisker_functoriality(rng, se_system, se_rules):
     for _ in range(100):
         base = random_word(rng, ("s", "e"), 5, min_len=1)
