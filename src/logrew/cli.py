@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
     try:
         reached = twocell.target(cell, initial)
     except ChainError as err:
-        _warn(f"invalid certificate at step {err.index}")
+        _warn(f"invalid certificate: {err}")
         return BAD_CERT
     if declared is not None and declared != reached:
         _warn(f"certificate ends at {word_to_str(reached)}, declared {word_to_str(declared)}")

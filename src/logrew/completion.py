@@ -9,8 +9,8 @@ u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
     iv)  l1       = u2 l2 v2    (l2 inside l1)
 
 The identical self-placement (all contexts empty, same rule) is excluded.
-``critical_pairs`` reads each unordered branching once, from its later
-rule, off the lhs automaton of the system's reduction, for completion,
+``critical_pairs`` reads each unordered branching once, in two walks from
+each rule, off the lhs automaton of the system's reduction, for completion,
 ``is_complete`` and ``endorewrites.generate`` alike; ``resolve`` compares
 the two reducts unlogged and logs only a branching that becomes a rule.
 
@@ -112,56 +112,52 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
     only.
 
-    The branchings are read off the lhs automaton, each from its later
-    rule x = j only, one walk per case.  The lhs that end at position e of
-    l_x are on the output chain of its state after e letters: case i, l_y
-    inside l_x.  An lhs with l_x inside runs through, or ends at, a state
-    in the failure subtree of l_x's end: case iv.  A proper suffix of l_x
-    that is a trie state is a proper prefix of every lhs that runs on past
-    it, and the failure chain of l_x's end gives each such suffix: case ii,
-    l_x on the left.  An lhs with a proper prefix of l_x as a proper suffix
-    ends in the failure subtree of that prefix's state: case iii, l_x on
-    the right."""
+    The branchings are read off the lhs automaton in two walks from each
+    rule a; which case a branching is depends only on which of its rules is
+    later.  The lhs l_b that end at position e of l_a are on the output
+    chain of its state after e letters: case i of (b, a) when b is earlier,
+    else case iv of (a, b), but for an equal lhs, case i of the later rule.
+    A proper suffix of l_a that is a trie state is a proper prefix of every
+    l_b that runs on past it, and the failure chain of l_a's end gives each
+    such suffix: case ii of (b, a) when b <= a, else case iii of (a, b).
+    A state lists its rules lowest index first, so for a rule a before
+    new_start they are read from the last back to the first before it."""
     rules, depth, fail, out = sys.rules, sys._depth, sys._fail, sys._out
     hits, through = sys._hits, sys._through
     dead = [rule.rid in gone for rule in rules]
     found = {}  # (i, j, case, position) -> overlap
-    for x in range(new_start, len(rules)):
-        l1, rid, path = rules[x].lhs, rules[x].rid, sys._paths[x]
-        a, n1 = Step(EMPTY, rid, 1, EMPTY), len(l1)
-        for e, s in enumerate(path, 1):  # an earlier l_y inside l_x: case i of (y, x)
+    for a, (rid, l1, _) in enumerate(rules):
+        path, n1, least = sys._paths[a], len(l1), 0 if a >= new_start else new_start
+        step = Step(EMPTY, rid, 1, EMPTY)
+        for e, s in enumerate(path, 1):  # each l_b inside l_a: case i of (b, a), iv of (a, b)
             s = out[s]
             while s:
                 p = e - depth[s]
-                for y in hits[s]:
-                    if y < x:
-                        found[y, x, 0, p] = Overlap("i", l1, Step(l1[:p], rules[y].rid, 1, l1[e:]), a)
+                for b in reversed(hits[s]):
+                    if b < least:
+                        break
+                    if b < a:
+                        found[b, a, 0, p] = Overlap("i", l1, Step(l1[:p], rules[b].rid, 1, l1[e:]), step)
+                    elif b > a and (p or e < n1):
+                        found[a, b, 3, p] = Overlap("iv", l1, step, Step(l1[:p], rules[b].rid, 1, l1[e:]))
                 s = out[fail[s]]
-        for u in sys.below(path[-1]):  # an earlier l_y around l_x: case iv of (y, x)
-            p = depth[u] - n1
-            for y in through.get(u, ()) + (hits.get(u, ()) if p else ()):
-                if y < x:
-                    l2 = rules[y].lhs
-                    found[y, x, 3, p] = Overlap("iv", l2, Step(EMPTY, rules[y].rid, 1, EMPTY),
-                                                Step(l2[:p], rid, 1, l2[p + n1:]))
-        if dead[x]:
+        if dead[a]:
             continue
         s = fail[path[-1]]
-        while s:  # each proper suffix of l_x that is a trie state: case ii of (y, x)
+        while s:  # each proper suffix of l_a that is a trie state: case ii of (b, a), iii of (a, b)
             k = depth[s]
-            for y in through.get(s, ()):
-                if y <= x and not dead[y]:
-                    l2 = rules[y].lhs
-                    found[y, x, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[y].rid, 1, EMPTY),
-                                                Step(EMPTY, rid, 1, l2[k:]))
+            for b in reversed(through.get(s, ())):
+                if b < least:
+                    break
+                if not dead[b]:
+                    l2 = rules[b].lhs
+                    if b <= a:
+                        found[b, a, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[b].rid, 1, EMPTY),
+                                                    Step(EMPTY, rid, 1, l2[k:]))
+                    else:
+                        found[a, b, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rid, 1, l2[k:]),
+                                                    Step(l1[:-k], rules[b].rid, 1, EMPTY))
             s = fail[s]
-        for k, s in enumerate(path[:-1], 1):
-            for u in sys.below(s)[1:]:  # an earlier l_y on the left: case iii of (y, x)
-                for y in hits.get(u, ()):
-                    if y < x and not dead[y]:
-                        l2 = rules[y].lhs
-                        found[y, x, 2, k] = Overlap("iii", l2 + l1[k:], Step(EMPTY, rules[y].rid, 1, l1[k:]),
-                                                    Step(l2[:-k], rid, 1, EMPTY))
     return [found[key] for key in sorted(found)]
 
 

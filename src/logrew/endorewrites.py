@@ -190,7 +190,8 @@ def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
         dia = twocell.whisker(x, gen.cell, z).steps
         if inner_a != gen.origin.left:
             dia, exp = twocell.invert_steps(dia), -1
-    cell = TwoCell(conj.source, twocell.join(twocell.join(conj.steps, dia), back))
+    # conj . dia never cancels: conj ends forward, or in a step the free-reduced loop follows by dia's first
+    cell = TwoCell(conj.source, twocell.join(conj.steps + dia, back))
     return Factor(gid, x, z, conj, exp, cell), twocell.invert_steps(dia[1:-1])
 
 

@@ -45,10 +45,10 @@ class LoggedSystem:
     _depth; _fail, the state of its longest proper suffix that is a trie
     state; and _out, the state of the longest lhs that is a suffix of its
     word, 0 if none.  _kids maps a state to its children in the failure
-    tree, _hits an lhs end state to the rules that end there, lowest index
-    first, and _through a state to the rules whose lhs runs on past it;
-    _paths holds each rule's states, one per letter.  A rule is named by
-    its index."""
+    tree, read by insertion only; _hits an lhs end state to the rules that
+    end there, lowest index first, and _through a state to the rules whose
+    lhs runs on past it, in the same order; _paths holds each rule's
+    states, one per letter.  A rule is named by its index."""
 
     __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_expanded",
                  "_step", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_paths")
@@ -122,11 +122,13 @@ class LoggedSystem:
                         fail[w] = t
             s = t
             path.append(s)
-        # retired: the new rule when a listed lhs is a factor of it, and the
-        # listed ones through, or ending below, its end state in the failure tree
+        # retired: the new rule when a listed lhs is a factor of it, and the listed
+        # ones through, or ending at, s or below it in the failure tree
         gone = [x] if any(out[u] for u in path) else []
         if out[s] != s:  # else an equal lhs is listed: out is raised and they are retired
-            for u in self.below(s):
+            below = [s]
+            for u in below:
+                below.extend(kids.get(u, ()))
                 if depth[out[u]] < depth[s]:
                     out[u] = s
                 gone += self._through.get(u, ()) + self._hits.get(u, ())
@@ -139,13 +141,6 @@ class LoggedSystem:
             self.logs[rule.rid] = log
         if gone:
             self.retired = self.retired.union(self.rules[y].rid for y in gone)
-
-    def below(self, s: int) -> list[int]:
-        """s and its descendants in the failure tree: the states whose word ends with s's."""
-        states = [s]
-        for u in states:
-            states.extend(self._kids.get(u, ()))
-        return states
 
 
 def system_from_presentation(p: Presentation) -> LoggedSystem:

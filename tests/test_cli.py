@@ -455,6 +455,16 @@ def test_verify_corrupted_certificate(capsys, tmp_path):
     assert "step 1" in err
 
 
+def test_verify_says_an_unexpanded_certificate_names_a_derived_rule(capsys, tmp_path):
+    # without --expand, prove's first step on ab_monoid is derived rule r4,
+    # which verify's initial rules do not hold: the message says so
+    code, out, _ = run(capsys, "prove", AB, "a a b b", "a b", "--json")
+    assert code == 0 and json.loads(out)["steps"][0]["rule"] == "r4"
+    cert = tmp_path / "unexpanded.json"
+    cert.write_text(out)
+    assert run(capsys, "verify", AB, str(cert)) == (4, "", "invalid certificate: unknown rule 'r4' (step 0)\n")
+
+
 def test_verify_declared_target_mismatch(capsys, tmp_path):
     data = tc.cell_to_json(loop_cell("se_1"))
     data["target"] = "s e"
