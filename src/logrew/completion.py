@@ -123,12 +123,12 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
     A state lists its rules lowest index first, so for a rule a before
     new_start they are read from the last back to the first before it."""
     rules, depth, fail, out = sys.rules, sys._depth, sys._fail, sys._out
-    hits, through = sys._hits, sys._through
+    hits, through, new = sys._hits, sys._through, tuple.__new__  # records without namedtuple's frame
     dead = [rule.rid in gone for rule in rules]
     found = {}  # (i, j, case, position) -> overlap
     for a, (rid, l1, _) in enumerate(rules):
         path, n1, least = sys._paths[a], len(l1), 0 if a >= new_start else new_start
-        step = Step(EMPTY, rid, 1, EMPTY)
+        step = new(Step, (EMPTY, rid, 1, EMPTY))
         for e, s in enumerate(path, 1):  # each l_b inside l_a: case i of (b, a), iv of (a, b)
             s = out[s]
             while s:
@@ -137,9 +137,11 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
                     if b < least:
                         break
                     if b < a:
-                        found[b, a, 0, p] = Overlap("i", l1, Step(l1[:p], rules[b].rid, 1, l1[e:]), step)
+                        sb = new(Step, (l1[:p], rules[b].rid, 1, l1[e:]))
+                        found[b, a, 0, p] = new(Overlap, ("i", l1, sb, step))
                     elif b > a and (p or e < n1):
-                        found[a, b, 3, p] = Overlap("iv", l1, step, Step(l1[:p], rules[b].rid, 1, l1[e:]))
+                        sb = new(Step, (l1[:p], rules[b].rid, 1, l1[e:]))
+                        found[a, b, 3, p] = new(Overlap, ("iv", l1, step, sb))
                 s = out[fail[s]]
         if dead[a]:
             continue
@@ -151,12 +153,11 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
                     break
                 if not dead[b]:
                     l2 = rules[b].lhs
+                    sa, sb = new(Step, (EMPTY, rid, 1, l2[k:])), new(Step, (l1[:-k], rules[b].rid, 1, EMPTY))
                     if b <= a:
-                        found[b, a, 1, k] = Overlap("ii", l1[:-k] + l2, Step(l1[:-k], rules[b].rid, 1, EMPTY),
-                                                    Step(EMPTY, rid, 1, l2[k:]))
+                        found[b, a, 1, k] = new(Overlap, ("ii", l1[:-k] + l2, sb, sa))
                     else:
-                        found[a, b, 2, k] = Overlap("iii", l1 + l2[k:], Step(EMPTY, rid, 1, l2[k:]),
-                                                    Step(l1[:-k], rules[b].rid, 1, EMPTY))
+                        found[a, b, 2, k] = new(Overlap, ("iii", l1 + l2[k:], sa, sb))
             s = fail[s]
     return [found[key] for key in sorted(found)]
 
@@ -171,11 +172,12 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     inclusions of the rules already retired when it starts.  A rule past
     ``max_rules`` listed rules, or with an lhs longer than ``max_word_length``,
     is not added: the partial system returns with its pending branchings.
-    It grows a system of its own, so ``init`` is not written, and writes it
-    only before returning it.
+    It grows a copy of ``init`` (``LoggedSystem._copy``), so ``init`` is not
+    written and its rules are neither inserted nor checked again, as they
+    were when they entered it; it writes the copy only before returning it.
     """
     limits = limits or CompletionLimits()
-    sys = LoggedSystem(init.rules, init.logs, order=init.order)
+    sys = init._copy()
 
     def live(overlap: Overlap) -> bool:
         return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))

@@ -12,11 +12,11 @@ left-hand sides with the failure links of Aho & Corasick 1975, whose tables
 the ``LoggedSystem`` holds.  ``LoggedSystem._add_rule`` is the one way a
 rule enters a system: it checks the rule, inserts its lhs and retires the
 rules the lhs makes redundant.  A system made from a rule list adds them in
-turn, and completion each rule it derives into the system it built, before
-returning it.  Reduction reads the word once, one table entry per letter,
-keeping the state after each.  As soon as a state ends an lhs it rewrites
-there, in place, cuts the states back to the redex's start and reads on from
-it, so no letter is read twice but a right-hand side's.
+turn, and completion each rule it derives into its copy of its input's
+system, before returning it.  Reduction reads the word once, one table
+entry per letter, keeping the state after each.  As soon as a state ends an
+lhs it rewrites there, in place, cuts the states back to the redex's start
+and reads on from it, so no letter is read twice but a right-hand side's.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class LoggedSystem:
     tree, read by insertion only; _hits an lhs end state to the rules that
     end there, lowest index first, and _through a state to the rules whose
     lhs runs on past it, in the same order; _paths holds each rule's
-    states, one per letter.  A rule is named by its index."""
+    states, one per letter.  A rule is named by its index.  Completion grows
+    a ``_copy`` of its input, whose rules and logs are not checked again."""
 
     __slots__ = ("rules", "logs", "complete", "order", "rule_map", "retired", "_expanded",
                  "_step", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_paths")
@@ -78,6 +79,16 @@ class LoggedSystem:
                 raise ValueError(f"rule {rid}: log does not replay: {err}") from None
             if (log.source, end) != (self.rule_map[rid].lhs, self.rule_map[rid].rhs):
                 raise ValueError(f"rule {rid}: log does not run from its lhs to its rhs")
+
+    def _copy(self) -> LoggedSystem:
+        """A copy to grow in place: per-state dicts and lists are copied, tuples
+        shared.  Nothing is checked again, and no check is lost: each rule was
+        checked as it entered, each log by the constructor unless completion wrote it."""
+        new = LoggedSystem((), order=self.order)  # not complete, nothing expanded
+        new.rules, new.retired, new._step = self.rules, self.retired, [*map(dict, self._step)]
+        for name in ("logs", "rule_map", "_depth", "_fail", "_out", "_kids", "_hits", "_through", "_paths"):
+            setattr(new, name, getattr(self, name).copy())
+        return new
 
     def _add_rule(self, rule: Rule, log: TwoCell | None = None) -> None:
         """List rule, with its log if derived: the one way a rule enters a system.
@@ -172,7 +183,7 @@ def replay_moves(w: Word, moves: list, sys: LoggedSystem) -> tuple[Step, ...]:
     current, steps = list(w), []
     for start, x in moves:
         rid, lhs, rhs = sys.rules[x]
-        steps.append(Step(tuple(current[:start]), rid, 1, tuple(current[start + len(lhs):])))
+        steps.append(tuple.__new__(Step, (tuple(current[:start]), rid, 1, tuple(current[start + len(lhs):]))))
         current[start:start + len(lhs)] = rhs
     return tuple(steps)
 
@@ -209,7 +220,7 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     order, once per system: the expansions are kept in the system's table, each
     stored only once complete, and a system's logs never change.  A log runs
     from its rule's lhs to its rhs, so a -1 step reads its expansion backwards."""
-    logs, expanded = sys.logs, sys._expanded
+    logs, expanded, new = sys.logs, sys._expanded, tuple.__new__  # steps without namedtuple's frame
     reached = {step.rule for step in cell.steps if step.rule in logs and step.rule not in expanded}
     if reached:
         for rule in reversed(sys.rules):
@@ -224,9 +235,9 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
             if rid not in logs:  # an initial rule
                 out.append(step)
             elif exp == 1:
-                out += [Step(prefix + p, r, e, s + suffix) for p, r, e, s in expanded[rid]]
+                out += [new(Step, (prefix + p, r, e, s + suffix)) for p, r, e, s in expanded[rid]]
             else:
-                out += [Step(prefix + p, r, -e, s + suffix) for p, r, e, s in reversed(expanded[rid])]
+                out += [new(Step, (prefix + p, r, -e, s + suffix)) for p, r, e, s in reversed(expanded[rid])]
         return tuple(out)
 
     for rule in sys.rules:

@@ -274,18 +274,19 @@ def test_extended_index_equals_a_fresh_build_on_random_presentations(text):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_completion_builds_its_index_once(name, monkeypatch):
-    # one system is built, completion's own copy of the initial rules;
-    # every derived rule grows it in place
-    build, builds = LoggedSystem.__init__, []
+    # completion copies its input's index, built once, and grows it in place:
+    # _add_rule, the one way a rule enters an index, runs once for each
+    # derived rule and never for an input rule
+    add, added = LoggedSystem._add_rule, []
 
-    def counted(sys, rules, logs={}, *, order):
-        builds.append(len(rules))
-        build(sys, rules, logs, order=order)
+    def counted(sys, rule, log=None):
+        added.append(rule.rid)
+        add(sys, rule, log)
 
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
-    monkeypatch.setattr(LoggedSystem, "__init__", counted)
-    logged_knuth_bendix(init)
-    assert builds == [len(init.rules)]
+    monkeypatch.setattr(LoggedSystem, "_add_rule", counted)
+    grown = logged_knuth_bendix(init).system
+    assert added == [rule.rid for rule in grown.rules[len(init.rules):]] == list(grown.logs)
 
 
 def test_an_empty_lhs_is_rejected():

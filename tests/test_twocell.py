@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from logrew.completion import logged_knuth_bendix
+from logrew.completion import Overlap, critical_pairs, logged_knuth_bendix
 from logrew.core import Rule, parse_presentation, word_from_str
-from logrew.engine import system_from_presentation
+from logrew.engine import LoggedSystem, expand_log, reduce_into, replay_moves, system_from_presentation
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
 from helpers import (
-    A5, compose, interchange_normalize, invert, random_cell, random_loop, random_word,
+    A5, LADDER, compose, interchange_normalize, invert, random_cell, random_loop, random_word,
     swap_adjacent,
 )
 from fixture_loops import SE_LOOPS, loop_cell
@@ -200,11 +200,26 @@ def test_whisker_identity_laws(se_rules):
 
 
 def test_builders_make_steps():
-    # the builders make each step with tuple.__new__: still a Step, equal,
-    # hashing and printing as the one Step(...) makes
+    # the builders make each step and overlap with tuple.__new__: still a
+    # Step or Overlap, equal, hashing and printing as the constructor's value
     cell = loop_cell("ese_8")
     built = [tc.invert_step(cell.steps[0]), *tc.invert_steps(cell.steps),
              *tc.whisker(W("e"), cell, W("s")).steps, *cell_from_json(cell_to_json(cell)).steps]
+    # critical_pairs of a completed ladder system, and of one whose later lhs
+    # holds an earlier one (case i); replay_moves and expand_log of reductions
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER["B4"][0]))).system
+    nested = LoggedSystem((Rule("r1", W("a a"), W("a")), Rule("r2", W("b a a"), W("b"))), order=sys.order)
+    overlaps = critical_pairs(sys, 0) + critical_pairs(nested, 0)
+    assert {overlap.case for overlap in overlaps} == {"i", "ii", "iii", "iv"}
+    for overlap in overlaps:
+        same = Overlap(*overlap)
+        assert type(overlap) is Overlap
+        assert (overlap, hash(overlap), repr(overlap)) == (same, hash(same), repr(same))
+        moves = []
+        reduce_into(overlap.superposition, sys, moves)
+        replayed = replay_moves(overlap.superposition, moves, sys)
+        expanded = expand_log(TwoCell(overlap.superposition, replayed), sys).steps
+        built += [overlap.left, overlap.right, *replayed, *expanded]
     for step in built:
         same = Step(*step)
         assert type(step) is Step
