@@ -223,9 +223,12 @@ def cmd_express(args) -> int:
     from .endorewrites import UnmatchedDiamond, decomposition_to_json, express, generate
     presentation = _load_presentation(args.file)
     try:
-        cell, _ = _load_cell(args.cell, presentation.alphabet)
+        cell, declared = _load_cell(args.cell, presentation.alphabet)
     except BAD_CELL_ERRORS as err:
         _warn(f"malformed cell: {err}")
+        return BAD_CERT
+    if declared not in (None, cell.source):  # an endorewrite ends where it starts
+        _warn(f"invalid cell: declared target {word_to_str(declared)} != source {word_to_str(cell.source)}")
         return BAD_CERT
     result = _complete(presentation, args)
     if result.status != "complete":

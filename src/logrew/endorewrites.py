@@ -47,9 +47,17 @@ def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
 def _square(s1: Step, s2: Step, rules: dict[str, Rule]) -> tuple[Step, ...]:
     """The interchange square of two disjoint forward steps on one word:
     s1, s2 moved across s1, (s1 moved across s2)^-1, s2^-1, free reduced."""
-    across1 = twocell.transport(s2, s1, twocell.step_target(s1, rules), rules)
-    across2 = twocell.transport(s1, s2, twocell.step_target(s2, rules), rules)
-    return twocell.join((s1, across1), (twocell.invert_step(across2), twocell.invert_step(s2)))
+    return twocell.join((s1, _across(s2, s1, rules)),
+                        (twocell.invert_step(_across(s1, s2, rules)), twocell.invert_step(s2)))
+
+
+def _across(s: Step, t: Step, rules: dict[str, Rule]) -> Step:
+    """Forward step s moved onto the target of t, a forward step disjoint from it."""
+    p, rule, exp, q = s
+    lhs, rhs = rules[t.rule].lhs, rules[t.rule].rhs
+    if len(p) > len(t.prefix):  # right of t: t's rhs, then the letters between them
+        return tuple.__new__(Step, (t.prefix + rhs + p[len(t.prefix) + len(lhs):], rule, exp, q))
+    return tuple.__new__(Step, (p, rule, exp, q[:len(q) - len(lhs) - len(t.suffix)] + rhs + t.suffix))
 
 
 def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, Word]:
@@ -199,11 +207,12 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     """Peak elimination: rewrite a free-reduced loop away, extracting diamonds.
 
     A peak is resolved in place and its diamond factor taken at once.  A
-    loop without peaks descends from its base and climbs back: its outer
-    steps move conj into the loop, and when they differ their diamond is
-    deferred, so it follows every factor of the loop inside it.  Invariant:
-    input ~ factors . conj . loop . conj^-1 . deferred (last first) in the
-    free sesquigroupoid, so the factor product replays to the input.
+    loop without peaks descends from its base and climbs back: when its
+    outer steps differ, their diamond is taken at once too and the way
+    round it goes in front of the rest of the loop; the second outer step
+    then moves conj into the loop.  Invariant: input ~ factors . conj .
+    loop . conj^-1 in the free sesquigroupoid, so the factors come in the
+    order the loop is rewritten and their product replays to the input.
     A diamond's ends are its two distinct forward steps, which free
     reduction never cancels; its inner steps, reversed and inverted, are
     the way round it that replaces them.  The loop, conj and every
@@ -212,7 +221,6 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     conj = twocell.identity(loop.source)  # always free reduced
     back: tuple[Step, ...] = ()  # conj's steps reversed and inverted
     factors: list[Factor] = []
-    deferred: list[Factor] = []
     steps = loop.steps  # the loop left, based where conj ends
     while steps:
         peak = next(
@@ -233,16 +241,15 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
         # no internal peak: descending then ascending around the base
         m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
         assert 0 < m < len(steps), "a nonempty monotone loop cannot close"
-        s1 = steps[0]
-        s2 = twocell.invert_step(steps[-1])
+        s1, s2 = steps[0], twocell.invert_step(steps[-1])
         steps = steps[1:-1]
-        if s1 != s2:
+        if s1 != s2:  # s1 . steps . s2^-1 ~ the diamond . s2 . around . steps . s2^-1
             factor, around = _diamond(conj, back, s1, s2, gens)
-            deferred.append(factor)
-            steps = twocell.join(steps, around)
-        conj = TwoCell(conj.source, twocell.join(conj.steps, (s1,)))
-        back = twocell.join((twocell.invert_step(s1),), back)
-    return factors + deferred[::-1]
+            factors.append(factor)
+            steps = twocell.join(around, steps)
+        conj = TwoCell(conj.source, twocell.join(conj.steps, (s2,)))
+        back = twocell.join((twocell.invert_step(s2),), back)
+    return factors
 
 
 def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:

@@ -137,24 +137,6 @@ def join(a: tuple[Step, ...], b: tuple[Step, ...]) -> tuple[Step, ...]:
     return a[:len(a) - n] + b[n:]
 
 
-def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> Step:
-    """``step`` moved onto ``word``, the target of ``across``.
-
-    Both steps stand on one word on disjoint regions; a step right of
-    ``across`` shifts by the change in length ``across`` makes.  Two empty
-    regions at one position are ordered by what their steps put there, so
-    moving either step across the other closes the square.
-    """
-    in_s, out_s = step_io(step, rules)
-    in_a, out_a = step_io(across, rules)
-    p, q = len(step.prefix), len(across.prefix)
-    if p >= q + len(in_a) and (p + len(in_s) > q or out_s > out_a):
-        p += len(out_a) - len(in_a)
-    elif p + len(in_s) > q:
-        raise ValueError("steps are not disjoint")
-    return Step(word[:p], step.rule, step.exp, word[p + len(in_s):])
-
-
 def abelianize(cell: TwoCell) -> dict[str, int]:
     """Signed rule-use counts, forgetting contexts and step order."""
     counts: dict[str, int] = {}

@@ -10,9 +10,10 @@ afresh.  Tests compare the library against these, never against itself.
 
 The cell operations that only tests use live here too, one copy each:
 ``intermediate_words``, ``compose``, ``invert``, interchange
-normalization (``interchange_normalize`` with ``swap_adjacent``), the
-cyclic core of a loop and its conjugacy canonical form
-(``scan_conjugacy_reduce``).
+normalization (``interchange_normalize`` with ``swap_adjacent`` and
+``transport``), the cyclic core of a loop and its conjugacy canonical
+form (``scan_conjugacy_reduce``), and the replay of a decomposition in
+the order its loop is rewritten (``replay_in_order``).
 """
 
 from itertools import product
@@ -442,6 +443,49 @@ def signed_factor_sum(dec) -> dict:
     return {rid: n for rid, n in sorted(total.items()) if n}
 
 
+def replay_in_order(cell: TwoCell, factors) -> None:
+    """Replay a decomposition's factors in list order against the loop they
+    came from, asserting each is the next diamond peak elimination meets.
+
+    The loop starts free reduced, at an empty conjugator.  With no peak
+    left, equal outer steps move into the conjugator.  Each factor must
+    then be conjugated by the conjugator followed by the loop up to its
+    leftmost peak (or by the conjugator alone, for unequal outer steps),
+    and its diamond, join(join(conj^-1, cell), conj), must start and end
+    with the two steps there; the way round the diamond, its inner steps
+    reversed and inverted, is spliced in for them.  The loop must end empty.
+    """
+    steps, conj = tc.free_reduce(cell).steps, ()
+
+    def leftmost_peak():
+        return next((i for i in range(len(steps) - 1)
+                     if steps[i].exp == -1 and steps[i + 1].exp == 1), None)
+
+    def strip_outer():
+        nonlocal steps, conj
+        while leftmost_peak() is None and steps and steps[0] == tc.invert_step(steps[-1]):
+            conj, steps = conj + steps[:1], steps[1:-1]
+
+    for n, factor in enumerate(factors):
+        strip_outer()
+        peak = leftmost_peak()
+        if peak is None:
+            assert steps, f"factor {n} is left over"
+            at, ends, outer = conj, (steps[0], steps[-1]), True
+        else:
+            at, ends, outer = tc.join(conj, steps[:peak + 1]), (steps[peak + 1], steps[peak]), False
+        assert factor.conjugator.steps == at, f"factor {n} is conjugated elsewhere"
+        dia = tc.join(tc.join(tc.invert_steps(at), factor.cell.steps), at)
+        assert (dia[0], dia[-1]) == ends, f"factor {n} is not the diamond met here"
+        around = tc.invert_steps(dia[1:-1])
+        if outer:
+            steps, conj = tc.join(around, steps[1:-1]), conj + (tc.invert_step(ends[1]),)
+        else:
+            steps = tc.join(tc.join(steps[:peak], around), steps[peak + 2:])
+    strip_outer()
+    assert not steps, "the factors leave part of the loop"
+
+
 def intermediate_words(cell: TwoCell, rules: dict[str, Rule]) -> list[Word]:
     """All words visited, source first; length is len(steps) + 1."""
     words = [cell.source]
@@ -456,6 +500,25 @@ def compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
 
 def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     return TwoCell(tc.target(cell, rules), tc.invert_steps(cell.steps))
+
+
+def transport(step: Step, across: Step, word: Word, rules: dict[str, Rule]) -> Step:
+    """``step`` moved onto ``word``, the target of ``across``: the reference
+    that ``endorewrites._square`` moves forward steps by position against.
+
+    Both steps stand on one word on disjoint regions; a step right of
+    ``across`` shifts by the change in length ``across`` makes.  Two empty
+    regions at one position are ordered by what their steps put there, so
+    moving either step across the other closes the square.
+    """
+    in_s, out_s = tc.step_io(step, rules)
+    in_a, out_a = tc.step_io(across, rules)
+    p, q = len(step.prefix), len(across.prefix)
+    if p >= q + len(in_a) and (p + len(in_s) > q or out_s > out_a):
+        p += len(out_a) - len(in_a)
+    elif p + len(in_s) > q:
+        raise ValueError("steps are not disjoint")
+    return Step(word[:p], step.rule, step.exp, word[p + len(in_s):])
 
 
 def swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[Step, Step] | None:
@@ -475,8 +538,8 @@ def swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[St
     # close the square of first^-1 and second on the word between them,
     # where their regions never tie as they may on the word before first
     undo = tc.invert_step(first)
-    back = tc.transport(undo, second, tc.step_target(second, rules), rules)
-    return tc.transport(second, undo, tc.step_source(first, rules), rules), tc.invert_step(back)
+    back = transport(undo, second, tc.step_target(second, rules), rules)
+    return transport(second, undo, tc.step_source(first, rules), rules), tc.invert_step(back)
 
 
 def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:

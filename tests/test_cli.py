@@ -767,6 +767,21 @@ def test_express_rejects_a_cell_that_is_not_a_loop(capsys, tmp_path):
     assert "not an endorewrite" in err
 
 
+def test_express_checks_a_declared_target(capsys, tmp_path):
+    # a loop ends at its source, so a declared target elsewhere is an invalid
+    # cell, though the steps replay to a loop; a target at the source is kept
+    cellfile = tmp_path / "loop.json"
+    for target, expected in (("s e", 4), ("s s s e", 0)):
+        cellfile.write_text(json.dumps({**tc.cell_to_json(loop_cell("se_1")), "target": target}))
+        code, out, err = run(capsys, "express", SE, str(cellfile))
+        assert code == expected, target
+        if expected:
+            assert out == "" and err.strip().endswith(
+                "invalid cell: declared target s e != source s s s e")
+        else:
+            assert out.endswith("residual: 1\n")
+
+
 def spliced(original: bytes):
     """original with one slice replaced by random bytes or text, or random bytes."""
     n = len(original)

@@ -21,9 +21,9 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, check_retirement, cyclic_core, every_branching_resolves, find_overlaps,
+    A5, MERGING, S4, check_retirement, cyclic_core, every_branching_resolves, find_overlaps,
     interchange_normalize, intermediate_words, invert, random_cell, random_loop, random_word,
-    scan_conjugacy_reduce, scan_redexes, signed_factor_sum, words_over,
+    replay_in_order, scan_conjugacy_reduce, scan_redexes, signed_factor_sum, transport, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -293,8 +293,8 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                     # the interchange square: b moved across a, then a moved
                     # across b inverted; they cancel only where they are one
                     # step (two erasing redexes side by side)
-                    b_across, a_across = (tc.transport(t, s, tc.step_target(s, rules), rules)
-                                          for s, t in ((a, b), (b, a)))
+                    b_across, a_across = (transport(t, s, tc.step_target(s, rules), rules)
+                                       for s, t in ((a, b), (b, a)))
                     assert dia.steps[1:-1] == (
                         (b_across, tc.invert_step(a_across)) if b_across != a_across else ())
                 other, _ = _diamond(identity(v), (), b, a, gens)
@@ -363,6 +363,21 @@ def test_factor_cells_are_conjugated_diamonds(se_generators, a5_generators):
         base = random_word(rng, ("a", "b"), 6, min_len=1)
         check(random_loop(rng, a5_generators.system, base, rng.randint(1, 5)), a5_generators)
     assert kinds[True] > 0 and kinds[False] > 0
+
+
+def test_factors_replay_in_rewrite_order(se_generators, a5_generators):
+    # the factor list is the order peak elimination rewrites the loop in:
+    # each factor is the diamond at the leftmost peak or, with none left,
+    # at the loop's outer steps, conjugated by the path to it
+    for loop in map(loop_cell, SE_LOOPS):
+        replay_in_order(loop, express(loop, se_generators).factors)
+    s4_generators = generate(logged_knuth_bendix(system_from_presentation(parse_presentation(S4))))
+    rng = random.Random(1202)
+    for gens, letters in ((a5_generators, ("a", "b")), (s4_generators, ("a", "b", "c"))):
+        for _ in range(60):
+            base = random_word(rng, letters, 6, min_len=1)
+            loop = random_loop(rng, gens.system, base, rng.randint(1, 5))
+            replay_in_order(loop, express(loop, gens).factors)
 
 
 def test_express_rejects_missing_origin(se_generators):

@@ -153,6 +153,13 @@ def test_normal_forms_counted_off_the_index(name):
     assert sum(counts) == order
     if name in LONGEST:
         assert len(counts) - 1 == LONGEST[name]
+    if name in ("S4", "S5", "S6", "S7"):
+        # type A_{n-1}: the growth series is the q-factorial, the product
+        # over k = 1..n of 1 + t + ... + t^(k-1)
+        series = [1]
+        for k in range(1, int(name[1:]) + 1):
+            series = [sum(series[max(0, i - k + 1):i + 1]) for i in range(len(series) + k - 1)]
+        assert counts == series
 
 
 def test_count_of_an_infinite_monoid_stops_at_the_bound():

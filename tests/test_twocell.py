@@ -14,7 +14,7 @@ from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_js
 
 from helpers import (
     A5, LADDER, compose, interchange_normalize, invert, random_cell, random_loop, random_word,
-    swap_adjacent,
+    swap_adjacent, transport,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -133,15 +133,15 @@ def test_compose_all_checks_every_join(se_rules):
 
 
 def test_malformed_calls_raise_value_error(se_rules):
-    # an exponent other than +1 or -1, an empty composite, and transport
-    # across an overlapping step: r2 (s s s) and r3 (s s e) on s s s e
+    # an exponent other than +1 or -1, an empty composite, and the tests'
+    # reference transport across an overlapping step: r2 (s s s) and r3 (s s e) on s s s e
     with pytest.raises(ValueError, match=r"^step exponent must be \+1 or -1, got 2$"):
         tc.step_io(Step(W("1"), "r1", 2, W("1")), se_rules)
     with pytest.raises(ValueError, match="^compose_all needs at least one cell$"):
         tc.compose_all([], se_rules)
     across, step = Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", 1, W("1"))
     with pytest.raises(ValueError, match="^steps are not disjoint$"):
-        tc.transport(step, across, tc.step_target(across, se_rules), se_rules)
+        transport(step, across, tc.step_target(across, se_rules), se_rules)
 
 
 def test_compose_all_is_the_fold_of_compose(rng, se_system, se_rules):
@@ -533,8 +533,8 @@ def test_transport_closes_the_square(case):
     rules, word, step, across = case
     assert tc.step_source(step, rules) == tc.step_source(across, rules) == word
     t_step, t_across = tc.step_target(step, rules), tc.step_target(across, rules)
-    step_moved = tc.transport(step, across, t_across, rules)
-    across_moved = tc.transport(across, step, t_step, rules)
+    step_moved = transport(step, across, t_across, rules)
+    across_moved = transport(across, step, t_step, rules)
     assert tc.step_source(step_moved, rules) == t_across
     assert tc.step_source(across_moved, rules) == t_step
     assert tc.step_target(step_moved, rules) == tc.step_target(across_moved, rules)
