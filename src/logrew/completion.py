@@ -9,10 +9,10 @@ u2 b v2 on one superposition, for rules a: l1 -> r1 and b: l2 -> r2:
     iv)  l1       = u2 l2 v2    (l2 inside l1)
 
 The identical self-placement (all contexts empty, same rule) is excluded.
-``critical_pairs`` reads each unordered branching once, in two walks from
-each rule, off the lhs automaton of the system's reduction, for completion,
-``is_complete`` and ``endorewrites.generate`` alike; ``resolve`` compares
-the two reducts unlogged and logs only a branching that becomes a rule.
+``_branchings`` keys each unordered branching once, in two walks from each
+rule off the lhs automaton of the system's reduction.  Completion and
+``is_complete`` test a key's two reducts, read off its rules, unlogged, and
+build an ``Overlap`` only for a rule, a pending branching or a witness.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
 (Huet 1981), as the system's ``retired`` records.  It stays listed,
@@ -90,6 +90,11 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     if (reduce_into(left.prefix + rules[left.rule].rhs + left.suffix, sys, None)
             == reduce_into(right.prefix + rules[right.rule].rhs + right.suffix, sys, None)):
         return None
+    return _new_rule(overlap, sys)
+
+
+def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:
+    """The rule of a branching whose reducts differ, logged by its ``sides``."""
     (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
@@ -99,36 +104,27 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
         (lhs, up), (rhs, over) = (rhs, over), (lhs, up)
     log = TwoCell(lhs, twocell.invert_steps(up.steps) + over.steps)
     k = len(sys.rules) + 1
-    while f"r{k}" in rules:  # a loaded system may use any ids
+    while f"r{k}" in sys.rule_map:  # a loaded system may use any ids
         k += 1
     return NewRule(Rule(f"r{k}", lhs, rhs), log)
 
 
-def critical_pairs(sys: LoggedSystem, new_start: int,
-                   gone: frozenset | set = frozenset()) -> list[Overlap]:
-    """Each unordered critical branching once, between rules i <= j with
-    j >= new_start, in order of (i, j), then case, then position; case iii
-    of a rule against itself is dropped, since it is case ii with the two
-    steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
-    only.
-
-    The branchings are read off the lhs automaton in two walks from each
-    rule a; which case a branching is depends only on which of its rules is
-    later.  The lhs l_b that end at position e of l_a are on the output
-    chain of its state after e letters: case i of (b, a) when b is earlier,
-    else case iv of (a, b), but for an equal lhs, case i of the later rule.
-    A proper suffix of l_a that is a trie state is a proper prefix of every
-    l_b that runs on past it, and the failure chain of l_a's end gives each
-    such suffix: case ii of (b, a) when b <= a, else case iii of (a, b).
-    A state lists its rules lowest index first, so for a rule a before
-    new_start they are read from the last back to the first before it."""
-    rules, depth, fail, out = sys.rules, sys._depth, sys._fail, sys._out
-    hits, through, new = sys._hits, sys._through, tuple.__new__  # records without namedtuple's frame
-    dead = [rule.rid in gone for rule in rules]
-    found = {}  # (i, j, case, position) -> overlap
-    for a, (rid, l1, _) in enumerate(rules):
-        path, n1, least = sys._paths[a], len(l1), 0 if a >= new_start else new_start
-        step = new(Step, (EMPTY, rid, 1, EMPTY))
+def _branchings(sys: LoggedSystem, new_start: int, gone: frozenset | set) -> list[tuple]:
+    """The sorted keys (i, j, case 0-3 for i-iv, position) of ``critical_pairs``,
+    read in two walks from each rule a, which is j in cases i and ii and i in
+    iii and iv: which case a branching is depends only on which rule is later.
+    The l_b that end at position e of l_a are on the output chain of its state
+    after e letters, at p = e - |l_b|: case i of (b, a) when b is earlier, else
+    iv of (a, b), but for an equal lhs, case i of the later rule.  The failure
+    chain of l_a's end gives each proper suffix of l_a of k letters that is a
+    trie state, a proper prefix of every l_b running on past it: case ii of (b, a)
+    when b <= a, else iii of (a, b).  A state lists its rules lowest index first,
+    so for a rule a before new_start they are read from the last back to the first."""
+    depth, fail, out, hits, through = sys._depth, sys._fail, sys._out, sys._hits, sys._through
+    dead = [rule.rid in gone for rule in sys.rules]
+    found = []
+    for a, path in enumerate(sys._paths):
+        n1, least = len(path), 0 if a >= new_start else new_start
         for e, s in enumerate(path, 1):  # each l_b inside l_a: case i of (b, a), iv of (a, b)
             s = out[s]
             while s:
@@ -137,29 +133,52 @@ def critical_pairs(sys: LoggedSystem, new_start: int,
                     if b < least:
                         break
                     if b < a:
-                        sb = new(Step, (l1[:p], rules[b].rid, 1, l1[e:]))
-                        found[b, a, 0, p] = new(Overlap, ("i", l1, sb, step))
+                        found.append((b, a, 0, p))
                     elif b > a and (p or e < n1):
-                        sb = new(Step, (l1[:p], rules[b].rid, 1, l1[e:]))
-                        found[a, b, 3, p] = new(Overlap, ("iv", l1, step, sb))
+                        found.append((a, b, 3, p))
                 s = out[fail[s]]
-        if dead[a]:
-            continue
-        s = fail[path[-1]]
+        s = 0 if dead[a] else fail[path[-1]]
         while s:  # each proper suffix of l_a that is a trie state: case ii of (b, a), iii of (a, b)
             k = depth[s]
             for b in reversed(through.get(s, ())):
                 if b < least:
                     break
                 if not dead[b]:
-                    l2 = rules[b].lhs
-                    sa, sb = new(Step, (EMPTY, rid, 1, l2[k:])), new(Step, (l1[:-k], rules[b].rid, 1, EMPTY))
-                    if b <= a:
-                        found[b, a, 1, k] = new(Overlap, ("ii", l1[:-k] + l2, sb, sa))
-                    else:
-                        found[a, b, 2, k] = new(Overlap, ("iii", l1 + l2[k:], sa, sb))
+                    found.append((b, a, 1, k) if b <= a else (a, b, 2, k))
             s = fail[s]
-    return [found[key] for key in sorted(found)]
+    found.sort()
+    return found
+
+
+def _joins(sys: LoggedSystem, key: tuple) -> bool:
+    """Whether a branching's two one-step reducts, read off its rules, have one normal
+    form, compared unlogged: r_a, the walked rule a's, and l_a[:p] + r_b + l_a[p+|l_b|:]
+    for an inclusion, r_a + l_b[k:] and l_a[:-k] + r_b for an overlap of k letters."""
+    i, j, case, k = key
+    (_, la, ra), (_, lb, rb) = (sys.rules[j], sys.rules[i]) if case < 2 else (sys.rules[i], sys.rules[j])
+    if case in (0, 3):
+        return reduce_into(ra, sys, None) == reduce_into(la[:k] + rb + la[k + len(lb):], sys, None)
+    return reduce_into(ra + lb[k:], sys, None) == reduce_into(la[:-k] + rb, sys, None)
+
+
+def _overlap(rules: tuple[Rule, ...], key: tuple) -> Overlap:
+    """The ``Overlap`` of a branching's key, built without namedtuple's frame."""
+    i, j, case, k, new = *key, tuple.__new__
+    (ra, la, _), (rb, lb, _) = (rules[j], rules[i]) if case < 2 else (rules[i], rules[j])
+    if case in (0, 3):
+        word, sa, sb = la, new(Step, (EMPTY, ra, 1, EMPTY)), new(Step, (la[:k], rb, 1, la[k + len(lb):]))
+    else:
+        word, sa, sb = la + lb[k:], new(Step, (EMPTY, ra, 1, lb[k:])), new(Step, (la[:-k], rb, 1, EMPTY))
+    return new(Overlap, (("i", "ii", "iii", "iv")[case], word, *((sb, sa) if case < 2 else (sa, sb))))
+
+
+def critical_pairs(sys: LoggedSystem, new_start: int, gone: frozenset | set = frozenset()) -> list[Overlap]:
+    """Each unordered critical branching once, between rules i <= j with
+    j >= new_start, in order of (i, j), then case, then position; case iii
+    of a rule against itself is dropped, since it is case ii with the two
+    steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
+    only.  It builds every key ``_branchings`` reads."""
+    return [_overlap(sys.rules, key) for key in _branchings(sys, new_start, gone)]
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -168,10 +187,12 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     Passes alternate overlap search (each unordered branching between a
     rule and a rule added in the previous pass, once) with FIFO
     critical-pair resolution.  A branching is resolved while both its
-    rules are active, or when it is an inclusion; a pass builds only the
-    inclusions of the rules already retired when it starts.  A rule past
-    ``max_rules`` listed rules, or with an lhs longer than ``max_word_length``,
-    is not added: the partial system returns with its pending branchings.
+    rules are active, or when it is an inclusion; a pass keys only the
+    inclusions of the rules already retired when it starts.  ``_joins`` tests
+    a key; only one whose reducts differ becomes an ``Overlap``, whose
+    ``sides`` log its rule.  A rule past ``max_rules`` listed rules, or with
+    an lhs longer than ``max_word_length``, is not added: the partial system
+    returns with its pending branchings, the only other records built.
     It grows a copy of ``init`` (``LoggedSystem._copy``), so ``init`` is not
     written and its rules are neither inserted nor checked again, as they
     were when they entered it; it writes the copy only before returning it.
@@ -179,19 +200,22 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     limits = limits or CompletionLimits()
     sys = init._copy()
 
-    def live(overlap: Overlap) -> bool:
-        return overlap.case in ("i", "iv") or sys.retired.isdisjoint((overlap.left.rule, overlap.right.rule))
+    def live(key: tuple) -> bool:
+        i, j, case, _ = key
+        return case in (0, 3) or sys.retired.isdisjoint((sys.rules[i].rid, sys.rules[j].rid))
 
     new_start = 0
     while True:
-        queue = critical_pairs(sys, new_start, sys.retired)
+        keys = _branchings(sys, new_start, sys.retired)
         new_start = len(sys.rules)
-        for n, overlap in enumerate(queue):
-            outcome = resolve(overlap, sys) if live(overlap) else None
-            if outcome is None:
+        for n, key in enumerate(keys):
+            if not live(key) or _joins(sys, key):
                 continue
+            overlap = _overlap(sys.rules, key)
+            outcome = _new_rule(overlap, sys)
             if len(sys.rules) >= limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
-                return CompletionResult(sys, tuple(filter(live, queue[n:])))
+                rest = (_overlap(sys.rules, later) for later in keys[n + 1:] if live(later))
+                return CompletionResult(sys, (overlap, *rest))
             sys._add_rule(outcome.rule, outcome.log)
         if len(sys.rules) == new_start:
             sys.complete = True
@@ -199,11 +223,11 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
 
 
 def is_complete(sys: LoggedSystem) -> tuple[bool, Overlap | None]:
-    """Check the branchings completion resolves (inclusions, and those of two active rules);
-    returns a failing witness otherwise.  Any other closes below its superposition
-    through an inclusion of its retired rule (Winkler & Buchberger 1983)."""
-    witness = next((o for o in critical_pairs(sys, 0, sys.retired) if resolve(o, sys) is not None), None)
-    return witness is None, witness
+    """Check the keys of the branchings completion resolves (inclusions, and those of two
+    active rules); returns a failing witness otherwise, the one record it builds.  Any other
+    closes below its superposition through an inclusion of its retired rule (Winkler & Buchberger 1983)."""
+    key = next((key for key in _branchings(sys, 0, sys.retired) if not _joins(sys, key)), None)
+    return (True, None) if key is None else (False, _overlap(sys.rules, key))
 
 
 def system_to_json(result: CompletionResult) -> dict:

@@ -5,8 +5,9 @@ position for redexes and reduction, exhaustive reduction-graph search,
 union-find congruence closure, brute-force overlap scans, a pairwise
 overlap search that compares every pair of left-hand sides by slicing,
 retirement by slicing every lhs, completion that builds every overlap
-before it filters them, and a rotation search that keys every rotation
-afresh.  Tests compare the library against these, never against itself.
+before it filters them, a rotation search that keys every rotation
+afresh, and Steinberg's growth series of a Coxeter group, summed from its
+labels.  Tests compare the library against these, never against itself.
 
 The cell operations that only tests use live here too, one copy each:
 ``intermediate_words``, ``compose``, ``invert``, interchange
@@ -16,6 +17,7 @@ form (``scan_conjugacy_reduce``), and the replay of a decomposition in
 the order its loop is rewritten (``replay_in_order``).
 """
 
+from fractions import Fraction
 from itertools import product
 
 from logrew import completion, parse_presentation
@@ -59,17 +61,20 @@ def _presentation(letters, relations):
                    + [f"{' '.join(lhs) or '1'} = {' '.join(rhs) or '1'}\n" for lhs, rhs in relations])
 
 
-def coxeter(letters, labels):
-    """The Coxeter group of a diagram: labels maps two letters, written together,
-    to their label, and unmarked pairs commute; a list labels a linear diagram,
-    labels[i] joining letters i and i + 1."""
+def pair_labels(letters, labels):
+    """Each pair of letters, written together in the order of letters, to its
+    Coxeter label: labels maps pairs to their labels, and unmarked pairs
+    commute (2); a list labels a linear diagram, labels[i] joining letters i
+    and i + 1."""
     if isinstance(labels, list):
         labels = {letters[i:i + 2]: m for i, m in enumerate(labels)}
+    return {s + u: labels.get(s + u, 2) for i, s in enumerate(letters) for u in letters[i + 1:]}
+
+
+def coxeter(letters, labels):
+    """The Coxeter group of a diagram, labelled as ``pair_labels`` reads it."""
     relations = [(s + s, "") for s in letters]
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            pair = letters[i] + letters[j]
-            relations.append((pair * labels.get(pair, 2), ""))
+    relations += [(pair * m, "") for pair, m in pair_labels(letters, labels).items()]
     return _presentation(letters, relations)
 
 
@@ -99,28 +104,65 @@ SCALE_GROUPS = {
     "H4": (coxeter("abcd", [5, 3, 3]), 14400),
     "E6": (coxeter("abcdef", {"ab": 3, "bc": 3, "cd": 3, "de": 3, "cf": 3}), 51840),
 }
+# the infinite Coxeter groups of rank 3, whose proper parabolic subgroups are
+# finite: name -> labels on a b c, as ``coxeter`` and ``steinberg_growth`` read them
+INFINITE_COXETER = {
+    "A~2": {"ab": 3, "bc": 3, "ac": 3},
+    "C~2": [4, 4],
+    "G~2": [6, 3],
+    "(2,3,7)": {"bc": 3, "ac": 7},
+}
 
 
-def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
-    """The number of irreducible words of each length, up to the first length
-    with none, read off the lhs index (Sims 1994): an irreducible word is a
-    path from the root that never enters a state whose word has an lhs as a
-    suffix (out != 0).  Raises ValueError if words longer than bound remain:
-    the monoid is infinite or has longer normal forms."""
+def growth(sys: LoggedSystem, n: int) -> list[int]:
+    """The number of irreducible words of each length 0 to n, read off the lhs
+    index (Sims 1994): an irreducible word is a path from the root that never
+    enters a state whose word has an lhs as a suffix (out != 0)."""
     step, out, letters = sys._step, sys._out, sys.order.alphabet.letters
     counts, layer = [], {0: 1}  # state -> number of irreducible words that reach it
-    while layer:
-        if len(counts) > bound:
-            raise ValueError(f"irreducible words longer than {bound}")
+    for _ in range(n + 1):
         counts.append(sum(layer.values()))
         after = {}
-        for s, n in layer.items():
+        for s, k in layer.items():
             for letter in letters:
                 t = step[s].get(letter, 0)
                 if not out[t]:
-                    after[t] = after.get(t, 0) + n
+                    after[t] = after.get(t, 0) + k
         layer = after
     return counts
+
+
+def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
+    """``growth`` up to the first length with no irreducible word.  Raises
+    ValueError if words longer than bound remain: the monoid is infinite or
+    has longer normal forms."""
+    counts = growth(sys, bound + 1)
+    if counts[-1]:
+        raise ValueError(f"irreducible words longer than {bound}")
+    return counts[:counts.index(0)]
+
+
+def _series_quotient(num: list, den: list, n: int) -> list[Fraction]:
+    """The coefficients of t^0 to t^n of the power series num / den; den[0] != 0."""
+    q = []
+    for k in range(n + 1):
+        c = Fraction(num[k] if k < len(num) else 0)
+        q.append((c - sum(den[i] * q[k - i] for i in range(1, min(k, len(den) - 1) + 1))) / den[0])
+    return q
+
+
+def steinberg_growth(letters, labels, n: int) -> list[Fraction]:
+    """The growth series to length n of an infinite Coxeter group of rank 3,
+    labelled as ``coxeter`` reads it, all of whose proper parabolic subgroups
+    W_T are finite (Steinberg 1968): 1 / sum over T of (-1)^|T| t^N_T / W_T(t),
+    N_T the length of W_T's longest element.  W_T(t) is 1 for T empty, 1 + t
+    for one letter (N_T 1) and (1 + t)(1 + t + ... + t^(m-1)) for a pair
+    labelled m (N_T m)."""
+    assert len(letters) == 3
+    terms = [([1], [1])] + [([0, -1], [1, 1])] * 3  # (numerator, denominator)
+    terms += [([0] * m + [1], [1] + [2] * (m - 1) + [1]) for m in pair_labels(letters, labels).values()]
+    total = [sum(column) for column in zip(*(_series_quotient(num, den, n) for num, den in terms))]
+    return _series_quotient([1], total, n)
 
 
 def occurrences(needle: Word, haystack: Word) -> list[int]:

@@ -242,15 +242,21 @@ def test_pending_pairs_of_retired_rules_are_inclusions(limits):
                          ids=["complete", "max_rules", "twice"])
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_completion_resolves_what_building_every_overlap_resolves(name, max_rules, monkeypatch):
-    # a pass builds only the inclusions of a rule retired before it starts;
-    # it resolves the same branchings, in the same order, and stops at a
-    # limit with the same pending pairs as when it built them all.  Each
-    # run counts the overlaps its pair search returns: completion's
-    # critical_pairs, and the pairwise reference the filtering run builds by
+    # a pass keys only the inclusions of a rule retired before it starts;
+    # it tests the same branchings, in the same order, and stops at a limit
+    # with the same pending pairs as the filtering reference, which builds
+    # every overlap and resolves each live one.  Completion tests a key by
+    # _joins and never calls resolve, so it reduces no pair twice.  Each run
+    # counts what its pair search returns: completion's keys, and the
+    # overlaps of the pairwise reference the filtering run builds by
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
     limits = max_rules and CompletionLimits(max_rules(len(init.rules)))
-    resolve = completion.resolve
-    resolved, built = [], []
+    joins, resolve = completion._joins, completion.resolve
+    tested, resolved, built = [], [], []
+
+    def recorded_joins(sys, key):
+        tested.append(completion._overlap(sys.rules, key))
+        return joins(sys, key)
 
     def recorded_resolve(overlap, sys):
         resolved.append(overlap)
@@ -263,32 +269,35 @@ def test_completion_resolves_what_building_every_overlap_resolves(name, max_rule
             return found
         return counted_search
 
+    monkeypatch.setattr(completion, "_joins", recorded_joins)
     monkeypatch.setattr(completion, "resolve", recorded_resolve)
-    monkeypatch.setattr(completion, "critical_pairs", counted(completion.critical_pairs))
+    monkeypatch.setattr(completion, "_branchings", counted(completion._branchings))
     monkeypatch.setattr(helpers, "pairwise_critical_pairs", counted(helpers.pairwise_critical_pairs))
     result = logged_knuth_bendix(init, limits)
-    ours, ours_built = resolved[:], sum(built)
-    resolved.clear()
+    assert tested and not resolved
+    ours_built = sum(built)
     built.clear()
     expected = filter_knuth_bendix(init, limits)
-    assert resolved == ours
+    assert tested == resolved
     assert (result.status, result.system.rules, result.system.logs, result.pending) == (
         expected.status, expected.system.rules, expected.system.logs, expected.pending)
     assert 0 < ours_built <= sum(built)
 
 
-def _checked_critical_pairs(monkeypatch):
-    """Make completion check each pair search against the pairwise reference;
-    returns the list of the calls checked."""
-    search, calls = completion.critical_pairs, []
+def _checked_branchings(monkeypatch):
+    """Make completion, ``is_complete`` and ``critical_pairs`` check each pass's
+    keys, built into records, against the pairwise reference; returns the
+    list of the calls checked."""
+    search, calls = completion._branchings, []
 
-    def checked(sys, new_start, gone=frozenset()):
-        found = search(sys, new_start, gone)
+    def checked(sys, new_start, gone):
+        keys = search(sys, new_start, gone)
+        found = [completion._overlap(sys.rules, key) for key in keys]
         assert found == pairwise_critical_pairs(sys, new_start, gone), (new_start, sorted(gone))
         calls.append(len(found))
-        return found
+        return keys
 
-    monkeypatch.setattr(completion, "critical_pairs", checked)
+    monkeypatch.setattr(completion, "_branchings", checked)
     return calls
 
 
@@ -306,7 +315,7 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
     # on every pass of a completion, with the rules retired so far, and on
     # the completed system with and without its retired rules' pairs, its
     # failure tree unreadable: the walks follow output and failure chains only
-    calls = _checked_critical_pairs(monkeypatch)
+    calls = _checked_branchings(monkeypatch)
     sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0]))).system
     sys._kids = _Unread(sys._kids)
     for gone in (frozenset(), sys.retired):
@@ -323,39 +332,93 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
 @settings(max_examples=60, deadline=None)
 def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits, text, start, mask):
     # every pass of the completion, then any new_start and any gone set, on
-    # the grown system and on one built afresh from its rules
+    # the grown system, checked; on one built afresh from its rules, the same
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _checked_critical_pairs(monkeypatch)
+        _checked_branchings(monkeypatch)
         grown = logged_knuth_bendix(system_from_presentation(parse_presentation(text)), limits).system
-        fresh = LoggedSystem(grown.rules, grown.logs, order=grown.order)
         drawn = start % (len(grown.rules) + 1), {r.rid for x, r in enumerate(grown.rules) if mask >> x & 1}
-        for new_start, gone in ((0, grown.retired), drawn):
-            assert critical_pairs(fresh, new_start, gone) == completion.critical_pairs(grown, new_start, gone)
+        found = [critical_pairs(grown, new_start, gone) for new_start, gone in ((0, grown.retired), drawn)]
+    fresh = LoggedSystem(grown.rules, grown.logs, order=grown.order)
+    assert [critical_pairs(fresh, new_start, gone) for new_start, gone in ((0, grown.retired), drawn)] == found
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
-    # resolve compares the ends unlogged: it gives None exactly when the two
-    # ends of sides agree, and otherwise the rule and log sides yields
-    resolve, outcomes = completion.resolve, []
+    # completion compares the ends unlogged and takes the rule path of
+    # resolve, _new_rule, only when the two ends of sides differ; it gives
+    # the rule and log sides yields, and each one is added, in turn.  The
+    # completed system resolves every branching the pairwise search finds
+    new_rule, outcomes = completion._new_rule, []
 
     def checked(overlap, sys):
-        outcome = resolve(overlap, sys)
+        outcome = new_rule(overlap, sys)
         (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
-        if z_left == z_right:
-            assert outcome is None
-        else:
-            (up, lhs), (over, rhs) = sorted(
-                [(left, z_left), (right, z_right)], key=lambda side: sys.order.key(side[1]))
-            assert outcome == NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs),
-                                      TwoCell(lhs, tc.invert_steps(up.steps) + over.steps))
+        assert z_left != z_right
+        (up, lhs), (over, rhs) = sorted(
+            [(left, z_left), (right, z_right)], key=lambda side: sys.order.key(side[1]))
+        assert outcome == NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs),
+                                  TwoCell(lhs, tc.invert_steps(up.steps) + over.steps))
         outcomes.append(outcome)
         return outcome
 
-    monkeypatch.setattr(completion, "resolve", checked)
-    result = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0])))
-    assert outcomes.count(None) < len(outcomes) or name == "Z8xZ9"
-    assert len(outcomes) - outcomes.count(None) == len(result.system.logs)
+    monkeypatch.setattr(completion, "_new_rule", checked)
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0]))).system
+    assert bool(outcomes) == (name != "Z8xZ9")
+    assert [(rule, sys.logs[rule.rid]) for rule in sys.rules if rule.rid in sys.logs] == outcomes
+    assert all(resolve(overlap, sys) is None for overlap in pairwise_critical_pairs(sys, 0))
+
+
+def _check_keys(sys: LoggedSystem) -> int:
+    """Every key of sys, retired rules' overlaps included: the two words
+    ``_joins`` reduces, read off the rules, are the targets of the steps of
+    the key's ``Overlap``, and its verdict is ``resolve``'s; returns the
+    number of keys checked."""
+    keys, read, reduce = completion._branchings(sys, 0, frozenset()), [], completion.reduce_into
+
+    def recorded(w, *args):
+        read.append(w)
+        return reduce(w, *args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(completion, "reduce_into", recorded)
+        for key in keys:
+            overlap, read[:] = completion._overlap(sys.rules, key), []
+            joins = completion._joins(sys, key)
+            targets = [tc.step_target(step, sys.rule_map) for step in (overlap.left, overlap.right)]
+            assert sorted(read) == sorted(targets), (key, overlap)
+            assert joins == (resolve(overlap, sys) is None), (key, overlap)
+    return len(keys)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_keys_read_the_reducts_and_verdicts_of_their_overlaps(name):
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0]))).system
+    assert _check_keys(sys)
+
+
+@given(text=presentations(), max_rules=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_keys_read_the_reducts_and_verdicts_of_their_overlaps_on_random_presentations(text, max_rules):
+    # partial systems too, where many keys do not join
+    _check_keys(logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
+                                    CompletionLimits(max_rules)).system)
+
+
+@pytest.mark.parametrize("max_rules", [None, lambda n: n + 1, lambda n: 2 * n],
+                         ids=["complete", "max_rules", "twice"])
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_completion_builds_a_record_per_rule_and_pending_branching(name, max_rules, monkeypatch):
+    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    overlap, built = completion._overlap, []
+
+    def counted(rules, key):
+        built.append(key)
+        return overlap(rules, key)
+
+    monkeypatch.setattr(completion, "_overlap", counted)
+    result = logged_knuth_bendix(init, max_rules and CompletionLimits(max_rules(len(init.rules))))
+    assert (result.status == "limit") == (max_rules is not None and name != "Z8xZ9")
+    assert len(built) == len(result.system.logs) + len(result.pending)
 
 
 def test_is_complete_published(se_system):

@@ -11,7 +11,8 @@ residual on random loops.
 
 The ladder, PSL(2,7), H4 and E6 are counted off the lhs index instead,
 by ``count_normal_forms``; the element search above checks reduction,
-the count checks the index tables.
+the count checks the index tables.  The four infinite Coxeter groups of
+rank 3 are counted by ``growth`` to length 11, against Steinberg's series.
 """
 
 import random
@@ -28,7 +29,8 @@ from logrew.core import Alphabet, OrderSpec
 from logrew.engine import LoggedSystem
 
 from helpers import (
-    A5, LADDER, S4, SCALE_GROUPS, count_normal_forms, random_cell, random_loop, random_word,
+    A5, INFINITE_COXETER, LADDER, S4, SCALE_GROUPS, count_normal_forms, coxeter, growth, random_cell,
+    random_loop, random_word, steinberg_growth,
 )
 
 A4 = """monoid
@@ -160,6 +162,21 @@ def test_normal_forms_counted_off_the_index(name):
         for k in range(1, int(name[1:]) + 1):
             series = [sum(series[max(0, i - k + 1):i + 1]) for i in range(len(series) + k - 1)]
         assert counts == series
+
+
+# two series written out, to check the formula as well as the counts
+STEINBERG = {"A~2": [1, *range(3, 34, 3)], "(2,3,7)": [1, 3, 5, 7, 9, 12, 16, 20, 24, 28, 33, 40]}
+
+
+@pytest.mark.parametrize("name", INFINITE_COXETER)
+def test_infinite_coxeter_groups_grow_as_steinbergs_series(name):
+    # counts to length 11 at every length: they do not depend on rule order or logs
+    labels = INFINITE_COXETER[name]
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(coxeter("abc", labels))))
+    assert completion.status == "complete"
+    series = steinberg_growth("abc", labels, 11)
+    assert growth(completion.system, 11) == series
+    assert series == STEINBERG.get(name, series)
 
 
 def test_count_of_an_infinite_monoid_stops_at_the_bound():
