@@ -69,28 +69,16 @@ NewRule = namedtuple("NewRule", "rule log")
 
 
 def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:
-    """Each of two steps on word followed by the logged reduction of its
-    target, paired with the normal form that reduction ends at."""
-    cells = []
+    """Each of two forward steps on word followed by the logged reduction of
+    its target, paired with the normal form that reduction ends at.
+    ``_new_rule`` orients the two into a rule, and ``endorewrites._resolved``
+    closes them into the loop of a branching that resolves."""
+    cells, rules = [], sys.rule_map
     for s in (s1, s2):
-        top, moves = twocell.step_target(s, sys.rule_map), []
+        top, moves = s.prefix + rules[s.rule].rhs + s.suffix, []
         end = reduce_into(top, sys, moves)
         cells.append((TwoCell(word, (s, *replay_moves(top, moves, sys))), end))
     return tuple(cells)
-
-
-def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
-    """Reduce both sides: unequal reducts give a new rule, equal ones None.
-
-    The reducts are compared unlogged; only a pair that becomes a rule
-    has its ``sides`` logged.  ``endorewrites.delta`` closes the same two
-    sides into the loop of a resolved branching.
-    """
-    rules, left, right = sys.rule_map, overlap.left, overlap.right
-    if (reduce_into(left.prefix + rules[left.rule].rhs + left.suffix, sys, None)
-            == reduce_into(right.prefix + rules[right.rule].rhs + right.suffix, sys, None)):
-        return None
-    return _new_rule(overlap, sys)
 
 
 def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:

@@ -17,7 +17,7 @@ from .core import Rule, Word, word_to_str
 from . import twocell
 from .engine import LoggedSystem
 from .twocell import ChainError, Step, TwoCell
-from .completion import CompletionResult, Overlap, critical_pairs, sides
+from .completion import CompletionResult, critical_pairs, sides
 
 
 class UnmatchedDiamond(ValueError):
@@ -28,20 +28,6 @@ def _disjoint(s: Step, t: Step, rules: dict[str, Rule]) -> bool:
     """Whether two forward steps on one word rewrite disjoint regions."""
     p, q = len(s.prefix), len(t.prefix)
     return p + len(rules[s.rule].lhs) <= q or q + len(rules[t.rule].lhs) <= p
-
-
-def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
-    """The loop of two forward steps on word: the side of s1 against the
-    side of s2, each a step followed by its resolving leg, free reduced.
-
-    Disjoint redexes close in one step each (the interchange square).
-    Overlapping redexes must stand on their own superposition, where
-    ``completion.sides`` reduces both to the normal form.  Each side is
-    forward steps only, so it is free reduced and the two join.
-    """
-    if not _disjoint(s1, s2, sys.rule_map):
-        return _resolved(word, s1, s2, sys)[0]
-    return TwoCell(word, _square(s1, s2, sys.rule_map))
 
 
 def _square(s1: Step, s2: Step, rules: dict[str, Rule]) -> tuple[Step, ...]:
@@ -61,7 +47,9 @@ def _across(s: Step, t: Step, rules: dict[str, Rule]) -> Step:
 
 
 def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, Word]:
-    """delta of two overlapping steps, and the normal form both sides reach."""
+    """The loop of two overlapping forward steps on word: the side of s1
+    against the side of s2, and the normal form both sides reach.  Each
+    side is forward steps only, so it is free reduced and the two join."""
     (side1, end1), (side2, end2) = sides(word, s1, s2, sys)
     if end1 != end2:
         raise ValueError("critical branching does not resolve; the system is incomplete")
@@ -192,7 +180,7 @@ def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
         found = gens.origin_index.get(frozenset((inner_a, inner_b)))
         if found is None:
             raise UnmatchedDiamond(f"no generator origin for rules {a.rule},{b.rule} "
-                                   f"on {word_to_str(twocell.step_source(a, rules))}")
+                                   f"on {word_to_str(a.prefix + rules[a.rule].lhs + a.suffix)}")
         gen = gens.by_id(found.gid)  # a minimized set lacks the generators it dropped
         gid, exp = gen.gid, 1
         dia = twocell.whisker(x, gen.cell, z).steps
@@ -268,11 +256,12 @@ def express(cell: TwoCell, gens: GeneratorSet) -> Decomposition:
         raise ChainError("input is not an endorewrite")
     loop = twocell.free_reduce(cell)
     factors = _decompose(loop, gens)
-    # one replay of every factor cell, checking each is a loop at the base
-    at_base = twocell.identity(cell.source)
-    twocell.compose_all([at_base, *(f.cell for f in factors), at_base], rules)
     product: tuple[Step, ...] = ()
-    for factor in factors:
+    for n, factor in enumerate(factors):  # one replay of each factor cell: a loop at the base
+        end = twocell.target(factor.cell, rules)
+        if end != cell.source:
+            raise ChainError(f"factor {n} ends at {word_to_str(end)}, "
+                             f"not at the base {word_to_str(cell.source)}")
         product = twocell.join(product, factor.cell.steps)
     residual = TwoCell(cell.source, twocell.join(twocell.invert_steps(product), loop.steps))
     return Decomposition(tuple(factors), residual)

@@ -45,16 +45,6 @@ def step_io(step: Step, rules: dict[str, Rule]) -> tuple[Word, Word]:
     raise ValueError(f"step exponent must be +1 or -1, got {step.exp}")
 
 
-def step_source(step: Step, rules: dict[str, Rule]) -> Word:
-    inw, _ = step_io(step, rules)
-    return step.prefix + inw + step.suffix
-
-
-def step_target(step: Step, rules: dict[str, Rule]) -> Word:
-    _, outw = step_io(step, rules)
-    return step.prefix + outw + step.suffix
-
-
 def invert_step(step: Step) -> Step:
     return tuple.__new__(Step, (step.prefix, step.rule, -step.exp, step.suffix))
 
@@ -85,20 +75,6 @@ def validate(cell: TwoCell, rules: dict[str, Rule]) -> int | None:
     except ChainError as err:
         return err.index if err.index is not None else 0
     return None
-
-
-def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
-    """The cells one after another; each join is checked on one replay of
-    the cell before it, so a step that does not replay is indexed in its cell."""
-    if not cells:
-        raise ValueError("compose_all needs at least one cell")
-    for before, cell in zip(cells, cells[1:]):
-        end = target(before, rules)
-        if end != cell.source:
-            raise ChainError(
-                f"cannot compose: target {word_to_str(end)} != source {word_to_str(cell.source)}"
-            )
-    return TwoCell(cells[0].source, tuple(step for cell in cells for step in cell.steps))
 
 
 def invert_steps(steps: tuple[Step, ...]) -> tuple[Step, ...]:

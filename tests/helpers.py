@@ -9,9 +9,12 @@ before it filters them, a rotation search that keys every rotation
 afresh, and Steinberg's growth series of a Coxeter group, summed from its
 labels.  Tests compare the library against these, never against itself.
 
-The cell operations that only tests use live here too, one copy each:
-``intermediate_words``, ``compose``, ``invert``, interchange
-normalization (``interchange_normalize`` with ``swap_adjacent`` and
+The cell operations that only tests use live here too, one copy each,
+built on the library's remaining paths: a step's two ends
+(``step_ends``), ``intermediate_words``, ``compose`` and ``compose_all``,
+``invert``, a critical branching's verdict read off its logged sides
+(``resolve``), the loop of two forward steps on one word (``delta``),
+interchange normalization (``interchange_normalize`` with ``swap_adjacent`` and
 ``transport``), the cyclic core of a loop and its conjugacy canonical
 form (``scan_conjugacy_reduce``), and the replay of a decomposition in
 the order its loop is rewritten (``replay_in_order``).
@@ -20,11 +23,11 @@ the order its loop is rewritten (``replay_in_order``).
 from fractions import Fraction
 from itertools import product
 
-from logrew import completion, parse_presentation
-from logrew.completion import CompletionLimits, CompletionResult, Overlap, critical_pairs, resolve
-from logrew.core import EMPTY, Rule, Word
+from logrew import completion, endorewrites, parse_presentation
+from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap, critical_pairs
+from logrew.core import EMPTY, Rule, Word, word_to_str
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
-from logrew.twocell import Step, TwoCell
+from logrew.twocell import ChainError, Step, TwoCell
 import logrew.twocell as tc
 
 
@@ -231,6 +234,24 @@ def scan_retired(sys: LoggedSystem) -> set[str]:
     }
 
 
+def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
+    """Completion's verdict on a branching, read off its logged sides rather
+    than ``completion._joins``'s unlogged reducts: None when the two sides
+    end at one normal form, else the rule ``completion._new_rule`` logs."""
+    (_, left), (_, right) = completion.sides(overlap.superposition, overlap.left, overlap.right, sys)
+    return None if left == right else completion._new_rule(overlap, sys)
+
+
+def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
+    """The loop of two forward steps on word: the interchange square of
+    disjoint ones, ``endorewrites._square``, else the loop
+    ``endorewrites._resolved`` closes from their ``completion.sides``,
+    which must stand on their superposition."""
+    if endorewrites._disjoint(s1, s2, sys.rule_map):
+        return TwoCell(word, endorewrites._square(s1, s2, sys.rule_map))
+    return endorewrites._resolved(word, s1, s2, sys)[0]
+
+
 def every_branching_resolves(sys: LoggedSystem) -> bool:
     """Every critical branching of every listed rule resolves, retired
     rules' overlaps included: the stricter criterion that
@@ -262,8 +283,8 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
     ``live`` the ones no retired rule may resolve: non-inclusions that
     involve a retired rule.  Each grown system is built afresh by the
     checked constructor, so it shares no growth code with completion.  It
-    calls ``completion.resolve`` through the module, so a test can record
-    the calls."""
+    calls ``resolve`` by its name in this module, so a test can record the
+    calls."""
     limits = limits or CompletionLimits()
     sys = LoggedSystem(init.rules, init.logs, order=init.order)
     gone = set(init.retired)
@@ -277,7 +298,7 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         new_start = len(sys.rules)
         while queue:
             overlap = queue.pop(0)
-            outcome = completion.resolve(overlap, sys) if live(overlap) else None
+            outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:
                 continue
             if (
@@ -528,16 +549,30 @@ def replay_in_order(cell: TwoCell, factors) -> None:
     assert not steps, "the factors leave part of the loop"
 
 
+def step_ends(step: Step, rules: dict[str, Rule]) -> tuple[Word, Word]:
+    """The words a step stands on and produces."""
+    consumed, produced = tc.step_io(step, rules)
+    return step.prefix + consumed + step.suffix, step.prefix + produced + step.suffix
+
+
 def intermediate_words(cell: TwoCell, rules: dict[str, Rule]) -> list[Word]:
     """All words visited, source first; length is len(steps) + 1."""
-    words = [cell.source]
-    for step in cell.steps:
-        words.append(tc.step_target(step, rules))
-    return words
+    return [cell.source] + [step_ends(step, rules)[1] for step in cell.steps]
+
+
+def compose_all(cells: list[TwoCell], rules: dict[str, Rule]) -> TwoCell:
+    """The cells one after another; each join is checked on one replay of
+    the cell before it by ``twocell.target``."""
+    for before, cell in zip(cells, cells[1:]):
+        end = tc.target(before, rules)
+        if end != cell.source:
+            raise ChainError(
+                f"cannot compose: target {word_to_str(end)} != source {word_to_str(cell.source)}")
+    return TwoCell(cells[0].source, tuple(step for cell in cells for step in cell.steps))
 
 
 def compose(a: TwoCell, b: TwoCell, rules: dict[str, Rule]) -> TwoCell:
-    return tc.compose_all([a, b], rules)
+    return compose_all([a, b], rules)
 
 
 def invert(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
@@ -580,8 +615,8 @@ def swap_adjacent(first: Step, second: Step, rules: dict[str, Rule]) -> tuple[St
     # close the square of first^-1 and second on the word between them,
     # where their regions never tie as they may on the word before first
     undo = tc.invert_step(first)
-    back = transport(undo, second, tc.step_target(second, rules), rules)
-    return transport(second, undo, tc.step_source(first, rules), rules), tc.invert_step(back)
+    back = transport(undo, second, step_ends(second, rules)[1], rules)
+    return transport(second, undo, step_ends(first, rules)[0], rules), tc.invert_step(back)
 
 
 def interchange_normalize(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
@@ -612,7 +647,7 @@ def cyclic_core(cell: TwoCell, rules: dict[str, Rule]) -> TwoCell:
     which advances its base word: the cyclic reduction of its walk."""
     steps, source = list(tc.free_reduce(cell).steps), cell.source
     while len(steps) >= 2 and steps[0] == tc.invert_step(steps[-1]):
-        source = tc.step_target(steps[0], rules)
+        source = step_ends(steps[0], rules)[1]
         steps = steps[1:-1]
     return TwoCell(source, tuple(steps))
 

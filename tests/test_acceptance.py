@@ -17,15 +17,15 @@ from logrew.engine import (
     expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
 from logrew.completion import logged_knuth_bendix
-from logrew.endorewrites import delta, express, generate
+from logrew.endorewrites import express, generate
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 from logrew.cli import main
 
 from helpers import (
-    all_normal_forms, congruence_classes, every_branching_resolves, interchange_normalize, invert,
-    random_cell, random_loop, random_word, scan_conjugacy_reduce, scan_redexes, signed_factor_sum,
-    words_over,
+    all_normal_forms, compose_all, congruence_classes, delta, every_branching_resolves,
+    interchange_normalize, invert, random_cell, random_loop, random_word, scan_conjugacy_reduce,
+    scan_redexes, signed_factor_sum, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -200,14 +200,14 @@ def test_criterion_9_invariance_suite(se_system, se_rules):
             base = random_word(rng, ("s", "e"), 7, min_len=1)
             loop = random_loop(rng, se_system, base, rng.randint(0, 4))
             beta = random_cell(rng, se_system, base, rng.randint(0, 4))
-            conjugated = tc.compose_all(
+            conjugated = compose_all(
                 [invert(beta, se_rules), loop, beta], se_rules)
             assert tc.abelianize(conjugated) == tc.abelianize(loop)
         for _ in range(200):
             base = random_word(rng, ("s", "e"), 7, min_len=1)
             gamma = random_loop(rng, se_system, base, rng.randint(0, 4))
             beta = random_cell(rng, se_system, base, rng.randint(0, 4))
-            conjugated = tc.compose_all(
+            conjugated = compose_all(
                 [invert(beta, se_rules), gamma, beta], se_rules)
             assert (scan_conjugacy_reduce(conjugated, se_system)
                     == scan_conjugacy_reduce(gamma, se_system))

@@ -14,17 +14,16 @@ from logrew.engine import (
 )
 from logrew.completion import (
     CompletionLimits, NewRule, critical_pairs, is_complete,
-    logged_knuth_bendix, resolve, sides, system_from_json, system_to_json,
+    logged_knuth_bendix, sides, system_from_json, system_to_json,
 )
-from logrew.endorewrites import delta
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
 
 import helpers
 from helpers import (
     LADDER, NINE_GROUPS, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
-    count_normal_forms, every_branching_resolves, expanded_lengths, filter_knuth_bendix, find_overlaps,
-    pairwise_critical_pairs, scan_retired, words_over,
+    count_normal_forms, delta, every_branching_resolves, expanded_lengths, filter_knuth_bendix,
+    find_overlaps, pairwise_critical_pairs, resolve, scan_retired, step_ends, words_over,
 )
 from test_endorewrites import presentations
 from test_engine import system, systems_and_words
@@ -245,13 +244,13 @@ def test_completion_resolves_what_building_every_overlap_resolves(name, max_rule
     # a pass keys only the inclusions of a rule retired before it starts;
     # it tests the same branchings, in the same order, and stops at a limit
     # with the same pending pairs as the filtering reference, which builds
-    # every overlap and resolves each live one.  Completion tests a key by
-    # _joins and never calls resolve, so it reduces no pair twice.  Each run
+    # every overlap and resolves each live one by helpers.resolve.  Completion
+    # tests a key by _joins alone, so it reduces no pair twice.  Each run
     # counts what its pair search returns: completion's keys, and the
     # overlaps of the pairwise reference the filtering run builds by
     init = system_from_presentation(parse_presentation(LADDER[name][0]))
     limits = max_rules and CompletionLimits(max_rules(len(init.rules)))
-    joins, resolve = completion._joins, completion.resolve
+    joins, resolve = completion._joins, helpers.resolve
     tested, resolved, built = [], [], []
 
     def recorded_joins(sys, key):
@@ -270,7 +269,7 @@ def test_completion_resolves_what_building_every_overlap_resolves(name, max_rule
         return counted_search
 
     monkeypatch.setattr(completion, "_joins", recorded_joins)
-    monkeypatch.setattr(completion, "resolve", recorded_resolve)
+    monkeypatch.setattr(helpers, "resolve", recorded_resolve)
     monkeypatch.setattr(completion, "_branchings", counted(completion._branchings))
     monkeypatch.setattr(helpers, "pairwise_critical_pairs", counted(helpers.pairwise_critical_pairs))
     result = logged_knuth_bendix(init, limits)
@@ -344,10 +343,10 @@ def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
-    # completion compares the ends unlogged and takes the rule path of
-    # resolve, _new_rule, only when the two ends of sides differ; it gives
-    # the rule and log sides yields, and each one is added, in turn.  The
-    # completed system resolves every branching the pairwise search finds
+    # completion compares the ends unlogged and calls _new_rule only when
+    # the two ends of sides differ; it gives the rule and log sides yields,
+    # and each one is added, in turn.  The completed system resolves every
+    # branching the pairwise search finds
     new_rule, outcomes = completion._new_rule, []
 
     def checked(overlap, sys):
@@ -371,8 +370,8 @@ def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
 def _check_keys(sys: LoggedSystem) -> int:
     """Every key of sys, retired rules' overlaps included: the two words
     ``_joins`` reduces, read off the rules, are the targets of the steps of
-    the key's ``Overlap``, and its verdict is ``resolve``'s; returns the
-    number of keys checked."""
+    the key's ``Overlap``, and its verdict is that of ``helpers.resolve``,
+    read off the logged sides; returns the number of keys checked."""
     keys, read, reduce = completion._branchings(sys, 0, frozenset()), [], completion.reduce_into
 
     def recorded(w, *args):
@@ -384,7 +383,7 @@ def _check_keys(sys: LoggedSystem) -> int:
         for key in keys:
             overlap, read[:] = completion._overlap(sys.rules, key), []
             joins = completion._joins(sys, key)
-            targets = [tc.step_target(step, sys.rule_map) for step in (overlap.left, overlap.right)]
+            targets = [step_ends(step, sys.rule_map)[1] for step in (overlap.left, overlap.right)]
             assert sorted(read) == sorted(targets), (key, overlap)
             assert joins == (resolve(overlap, sys) is None), (key, overlap)
     return len(keys)

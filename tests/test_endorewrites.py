@@ -11,19 +11,21 @@ import pytest
 from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, normal_form, system_from_presentation
 from logrew.completion import (
-    CompletionLimits, CompletionResult, critical_pairs, logged_knuth_bendix, resolve,
+    CompletionLimits, CompletionResult, critical_pairs, logged_knuth_bendix,
 )
+from logrew import endorewrites
 from logrew.endorewrites import (
-    UnmatchedDiamond, _diamond, delta, decomposition_to_json, express, generate,
+    UnmatchedDiamond, _diamond, decomposition_to_json, express, generate,
     generator_set_to_json, minimize,
 )
 import logrew.twocell as tc
-from logrew.twocell import Step, TwoCell, identity
+from logrew.twocell import ChainError, Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, S4, check_retirement, cyclic_core, every_branching_resolves, find_overlaps,
-    interchange_normalize, intermediate_words, invert, random_cell, random_loop, random_word,
-    replay_in_order, scan_conjugacy_reduce, scan_redexes, signed_factor_sum, transport, words_over,
+    A5, MERGING, S4, check_retirement, compose_all, cyclic_core, delta, every_branching_resolves,
+    find_overlaps, interchange_normalize, intermediate_words, invert, random_cell, random_loop,
+    random_word, replay_in_order, resolve, scan_conjugacy_reduce, scan_redexes, signed_factor_sum,
+    step_ends, transport, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -155,7 +157,7 @@ def test_conjugacy_reduce_published_generator_unchanged(se_system):
 def test_conjugacy_reduce_strips_outer_pair(se_system, se_rules):
     loop = loop_cell("se_1")
     beta = TwoCell(W("s s s s s e"), (Step(W("1"), "r2", 1, W("s s e")),))
-    conjugated = tc.compose_all(
+    conjugated = compose_all(
         [invert(beta, se_rules), tc.whisker(W("s s"), loop, W("1")), beta],
         se_rules,
     )
@@ -168,7 +170,7 @@ def test_conjugacy_invariance(rng, se_system, se_rules, a5_generators):
         base = random_word(rng, ("s", "e"), 7, min_len=1)
         gamma = random_loop(rng, se_system, base, rng.randint(0, 5))
         beta = random_cell(rng, se_system, base, rng.randint(0, 4))
-        conjugated = tc.compose_all(
+        conjugated = compose_all(
             [invert(beta, se_rules), gamma, beta], se_rules)
         assert scan_conjugacy_reduce(conjugated, se_system) == scan_conjugacy_reduce(gamma, se_system)
     # g . g . h visits the words of g twice, so its greatest word is often
@@ -182,7 +184,7 @@ def test_conjugacy_invariance(rng, se_system, se_rules, a5_generators):
             loop = TwoCell(base, g.steps + g.steps + h.steps)
             for gamma in (loop, TwoCell(base, tc.invert_steps(loop.steps))):
                 beta = random_cell(r, sys, base, r.randint(0, 4))
-                conjugated = tc.compose_all([invert(beta, rules), gamma, beta], rules)
+                conjugated = compose_all([invert(beta, rules), gamma, beta], rules)
                 assert scan_conjugacy_reduce(conjugated, sys) == scan_conjugacy_reduce(gamma, sys)
 
 
@@ -250,7 +252,7 @@ def test_express_conjugation_factor_content(rng, se_generators, se_system, se_ru
         base = random_word(rng, ("s", "e"), 6, min_len=1)
         loop = random_loop(rng, se_system, base, rng.randint(1, 4))
         beta = random_cell(rng, se_system, base, rng.randint(0, 3))
-        conjugated = tc.compose_all(
+        conjugated = compose_all(
             [invert(beta, se_rules), loop, beta], se_rules)
         left = express(scan_conjugacy_reduce(conjugated, se_system), se_generators)
         right = express(scan_conjugacy_reduce(loop, se_system), se_generators)
@@ -293,7 +295,7 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                     # the interchange square: b moved across a, then a moved
                     # across b inverted; they cancel only where they are one
                     # step (two erasing redexes side by side)
-                    b_across, a_across = (transport(t, s, tc.step_target(s, rules), rules)
+                    b_across, a_across = (transport(t, s, step_ends(s, rules)[1], rules)
                                        for s, t in ((a, b), (b, a)))
                     assert dia.steps[1:-1] == (
                         (b_across, tc.invert_step(a_across)) if b_across != a_across else ())
@@ -319,6 +321,27 @@ def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_ge
         base = random_word(rng, ("a", "b"), 6, min_len=1)
         loop = random_loop(rng, a5_generators.system, base, rng.randint(1, 5))
         assert express(loop, a5_generators).residual == identity(base)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (slice(None, -1), r"^factor 3 ends at a b a b b b, not at the base a b a$"),
+    (slice(1, None), r"^step expects a b a a a but stands on a b a \(step 0\)$"),
+], ids=["last-step", "first-step"])
+def test_express_replays_each_factor(monkeypatch, a5_generators, cut, message):
+    # the last factor cell, with a step cut off, no longer closes at the
+    # base, or no longer replays from it; only express's replay of each
+    # factor sees that
+    decompose = endorewrites._decompose
+
+    def cut_last(loop, gens):
+        *rest, last = decompose(loop, gens)
+        return [*rest, last._replace(cell=TwoCell(last.cell.source, last.cell.steps[cut]))]
+
+    loop = random_loop(random.Random(1), a5_generators.system, W("a b a"), 4)
+    assert len(express(loop, a5_generators).factors) == 4
+    monkeypatch.setattr(endorewrites, "_decompose", cut_last)
+    with pytest.raises(ChainError, match=message):
+        express(loop, a5_generators)
 
 
 def _diamonds_of(factor, gens):

@@ -12,7 +12,8 @@ residual on random loops.
 The ladder, PSL(2,7), H4 and E6 are counted off the lhs index instead,
 by ``count_normal_forms``; the element search above checks reduction,
 the count checks the index tables.  The four infinite Coxeter groups of
-rank 3 are counted by ``growth`` to length 11, against Steinberg's series.
+rank 3 are counted by ``growth`` to length 11, against Steinberg's series,
+and PSL(2,Z) and Z x Z to length 13, against the series of their factors.
 """
 
 import random
@@ -29,8 +30,8 @@ from logrew.core import Alphabet, OrderSpec
 from logrew.engine import LoggedSystem
 
 from helpers import (
-    A5, INFINITE_COXETER, LADDER, S4, SCALE_GROUPS, count_normal_forms, coxeter, growth, random_cell,
-    random_loop, random_word, steinberg_growth,
+    A5, INFINITE_COXETER, LADDER, S4, SCALE_GROUPS, _series_quotient, count_normal_forms, coxeter,
+    growth, random_cell, random_loop, random_word, steinberg_growth,
 )
 
 A4 = """monoid
@@ -177,6 +178,52 @@ def test_infinite_coxeter_groups_grow_as_steinbergs_series(name):
     series = steinberg_growth("abc", labels, 11)
     assert growth(completion.system, 11) == series
     assert series == STEINBERG.get(name, series)
+
+
+PSL2Z = """monoid
+letters: a b
+order: shortlex
+rules:
+a a = 1
+b b b = 1
+"""
+
+Z2 = """monoid
+letters: a A b B
+order: shortlex
+rules:
+a A = 1
+A a = 1
+b B = 1
+B b = 1
+b a = a b
+B a = a B
+b A = A b
+B A = A B
+"""
+
+
+def _product_growth(n):
+    """Z x Z over a, A, b, B: the square of Z's series (1 + t) / (1 - t)."""
+    z = _series_quotient([1, 1], [1, -1], n)
+    return [sum(z[i] * z[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+def _free_product_growth(n):
+    """Z2 * Z3 = <a | a^2> * <b | b^3>: 1 / f = 1 / (1 + t) + 1 / (1 + t + t^2) - 1."""
+    inverse = [x + y for x, y in zip(_series_quotient([1], [1, 1], n), _series_quotient([1], [1, 1, 1], n))]
+    inverse[0] -= 1
+    return _series_quotient([1], inverse, n)
+
+
+@pytest.mark.parametrize("text, series", [(PSL2Z, _free_product_growth), (Z2, _product_growth)],
+                         ids=["PSL(2,Z)", "ZxZ"])
+def test_infinite_groups_grow_as_their_factors_give(text, series):
+    # a free product and a direct product: their series follow from their
+    # factors', so counts to length 13 check the completion at every length
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    assert completion.status == "complete"
+    assert growth(completion.system, 13) == series(13)
 
 
 def test_count_of_an_infinite_monoid_stops_at_the_bound():

@@ -13,8 +13,8 @@ import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
 from helpers import (
-    A5, LADDER, compose, interchange_normalize, invert, random_cell, random_loop, random_word,
-    swap_adjacent, transport,
+    A5, LADDER, compose, compose_all, interchange_normalize, invert, random_cell, random_loop,
+    random_word, step_ends, swap_adjacent, transport,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
@@ -117,44 +117,14 @@ def test_compose_endpoint_mismatch(se_rules):
         compose(identity(W("s")), identity(W("e")), se_rules)
 
 
-def test_compose_all_checks_every_join(se_rules):
-    down = TwoCell(W("s s s e"), (Step(W("1"), "r2", 1, W("e")),))
-    up = invert(down, se_rules)
-    assert tc.compose_all([down, up, down], se_rules) == TwoCell(
-        W("s s s e"), down.steps + up.steps + down.steps)
-    # a mismatch at the first, a middle and the last join of four cells
-    for cells, target, source in (
-        ([down, down, up, down], "s e", "s s s e"),
-        ([down, up, up, down], "s s s e", "s e"),
-        ([down, up, down, down], "s e", "s s s e"),
-    ):
-        with pytest.raises(ChainError, match=f"^cannot compose: target {target} != source {source}$"):
-            tc.compose_all(cells, se_rules)
-
-
 def test_malformed_calls_raise_value_error(se_rules):
-    # an exponent other than +1 or -1, an empty composite, and the tests'
-    # reference transport across an overlapping step: r2 (s s s) and r3 (s s e) on s s s e
+    # an exponent other than +1 or -1, and the tests' reference transport
+    # across an overlapping step: r2 (s s s) and r3 (s s e) on s s s e
     with pytest.raises(ValueError, match=r"^step exponent must be \+1 or -1, got 2$"):
         tc.step_io(Step(W("1"), "r1", 2, W("1")), se_rules)
-    with pytest.raises(ValueError, match="^compose_all needs at least one cell$"):
-        tc.compose_all([], se_rules)
     across, step = Step(W("1"), "r2", 1, W("e")), Step(W("s"), "r3", 1, W("1"))
     with pytest.raises(ValueError, match="^steps are not disjoint$"):
-        transport(step, across, tc.step_target(across, se_rules), se_rules)
-
-
-def test_compose_all_is_the_fold_of_compose(rng, se_system, se_rules):
-    for _ in range(100):
-        base = random_word(rng, ("s", "e"), 6, min_len=1)
-        cells = [random_cell(rng, se_system, base, rng.randint(0, 3))]
-        for _ in range(rng.randint(0, 3)):
-            source = tc.target(cells[-1], se_rules)
-            cells.append(random_cell(rng, se_system, source, rng.randint(0, 3)))
-        folded = cells[0]
-        for cell in cells[1:]:
-            folded = compose(folded, cell, se_rules)
-        assert tc.compose_all(cells, se_rules) == folded
+        transport(step, across, step_ends(across, se_rules)[1], se_rules)
 
 
 def test_invert_identity_and_one_step(se_rules):
@@ -363,7 +333,7 @@ def test_abelianize_invariance(rng, se_system, se_rules):
         assert tc.abelianize(tc.free_reduce(cell)) == tc.abelianize(cell)
         loop = random_loop(rng, se_system, base, rng.randint(0, 4))
         b = random_cell(rng, se_system, base, rng.randint(0, 4))
-        conjugated = tc.compose_all(
+        conjugated = compose_all(
             [invert(b, se_rules), loop, b], se_rules)
         assert tc.abelianize(conjugated) == tc.abelianize(loop)
 
@@ -407,7 +377,7 @@ def _commutator(r, sys, letters):
     c, d = (random_cell(r, sys, w, r.randint(1, 4)) for w in (u, v))
     rules = sys.rule_map
     cu, dv = tc.target(c, rules), tc.target(d, rules)
-    return tc.compose_all([
+    return compose_all([
         tc.whisker((), c, v), tc.whisker(cu, d, ()),
         tc.whisker((), invert(c, rules), dv), tc.whisker(u, invert(d, rules), ()),
     ], rules)
@@ -509,7 +479,7 @@ def adjacent_steps(draw):
     rid, exp, inw = _draw_rule(draw, rules)
     x, z = draw(words(0, 3)), draw(words(0, 3))
     first = Step(x, rid, exp, z)
-    middle = tc.step_target(first, rules)
+    middle = step_ends(first, rules)[1]
     seconds = [
         Step(middle[:p], rule.rid, sign, middle[p + len(taken):])
         for rule in rules.values()
@@ -531,13 +501,14 @@ TIE_STEPS = Step(W("a"), "r1", -1, W("b")), Step(W("a"), "r2", -1, W("b"))
 @settings(max_examples=200, deadline=None)
 def test_transport_closes_the_square(case):
     rules, word, step, across = case
-    assert tc.step_source(step, rules) == tc.step_source(across, rules) == word
-    t_step, t_across = tc.step_target(step, rules), tc.step_target(across, rules)
+    (s_step, t_step), (s_across, t_across) = step_ends(step, rules), step_ends(across, rules)
+    assert s_step == s_across == word
     step_moved = transport(step, across, t_across, rules)
     across_moved = transport(across, step, t_step, rules)
-    assert tc.step_source(step_moved, rules) == t_across
-    assert tc.step_source(across_moved, rules) == t_step
-    assert tc.step_target(step_moved, rules) == tc.step_target(across_moved, rules)
+    (s_step_moved, t_step_moved), (s_across_moved, t_across_moved) = (
+        step_ends(step_moved, rules), step_ends(across_moved, rules))
+    assert (s_step_moved, s_across_moved) == (t_across, t_step)
+    assert t_step_moved == t_across_moved
 
 
 @given(adjacent_steps())
