@@ -349,6 +349,9 @@ def main(argv=None) -> int:
     except UnicodeDecodeError:  # the presentation; cells are read under BAD_CELL_ERRORS
         _warn(f"cannot read {args.file}: not UTF-8 text")
         return USAGE
+    except MemoryError:  # a last resort: nothing bounds what express or generate builds
+        _warn("out of memory")
+        return USAGE
 
 
 def console_entry() -> None:

@@ -12,7 +12,8 @@ The identical self-placement (all contexts empty, same rule) is excluded.
 ``_branchings`` keys each unordered branching once, in two walks from each
 rule off the lhs automaton of the system's reduction.  Completion and
 ``is_complete`` test a key's two reducts, read off its rules, unlogged, and
-build an ``Overlap`` only for a rule, a pending branching or a witness.
+build an ``Overlap`` only for a rule, a pending branching or a witness;
+``endorewrites.generate`` builds every key's.
 
 Completion retires a rule once another lhs is a proper factor of its lhs
 (Huet 1981), as the system's ``retired`` records.  It stays listed,
@@ -98,8 +99,10 @@ def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:
 
 
 def _branchings(sys: LoggedSystem, new_start: int, gone: frozenset | set) -> list[tuple]:
-    """The sorted keys (i, j, case 0-3 for i-iv, position) of ``critical_pairs``,
-    read in two walks from each rule a, which is j in cases i and ii and i in
+    """The sorted keys (i, j, case 0-3 for i-iv, position) of each unordered critical
+    branching of rules i <= j, j >= new_start, once (case iii of a rule with itself
+    is its case ii); a pair with a rule id in ``gone`` gives its inclusions only.
+    They are read in two walks from each rule a, which is j in cases i and ii and i in
     iii and iv: which case a branching is depends only on which rule is later.
     The l_b that end at position e of l_a are on the output chain of its state
     after e letters, at p = e - |l_b|: case i of (b, a) when b is earlier, else
@@ -158,15 +161,6 @@ def _overlap(rules: tuple[Rule, ...], key: tuple) -> Overlap:
     else:
         word, sa, sb = la + lb[k:], new(Step, (EMPTY, ra, 1, lb[k:])), new(Step, (la[:-k], rb, 1, EMPTY))
     return new(Overlap, (("i", "ii", "iii", "iv")[case], word, *((sb, sa) if case < 2 else (sa, sb))))
-
-
-def critical_pairs(sys: LoggedSystem, new_start: int, gone: frozenset | set = frozenset()) -> list[Overlap]:
-    """Each unordered critical branching once, between rules i <= j with
-    j >= new_start, in order of (i, j), then case, then position; case iii
-    of a rule against itself is dropped, since it is case ii with the two
-    steps swapped.  A pair with a rule id in ``gone`` gives its inclusions
-    only.  It builds every key ``_branchings`` reads."""
-    return [_overlap(sys.rules, key) for key in _branchings(sys, new_start, gone)]
 
 
 def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:

@@ -17,7 +17,7 @@ from .core import Rule, Word, word_to_str
 from . import twocell
 from .engine import LoggedSystem
 from .twocell import ChainError, Step, TwoCell
-from .completion import CompletionResult, critical_pairs, sides
+from .completion import CompletionResult, _branchings, _overlap, sides
 
 
 class UnmatchedDiamond(ValueError):
@@ -66,7 +66,8 @@ Generator = namedtuple("Generator", (
 
 class GeneratorSet:
     """Generators in id order, and every branching's generator by the
-    frozenset of its two steps, which ``express`` looks diamonds up in.
+    frozenset of its two steps' (rule id, offset on the superposition) pairs,
+    which ``express`` looks diamonds up in.
     ``minimize`` keeps the full index, so ``by_id`` names a generator it
     dropped."""
 
@@ -95,13 +96,15 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
     sys = comp.system
-    found = [(o, *_resolved(o.superposition, o.left, o.right, sys)) for o in critical_pairs(sys, 0)]
+    overlaps = (_overlap(sys.rules, key) for key in _branchings(sys, 0, frozenset()))
+    found = [(o, *_resolved(o.superposition, o.left, o.right, sys)) for o in overlaps]
     found.sort(key=lambda f: (len(f[2]), sys.order.key(f[2])))  # stable: discovery breaks ties
     generators = tuple(
         Generator(f"g{n}", loop, meet, o)
         for n, (o, loop, meet) in enumerate(found, start=1)
     )
-    index = {frozenset((gen.origin.left, gen.origin.right)): gen for gen in generators}
+    index = {frozenset((s.rule, len(s.prefix)) for s in (gen.origin.left, gen.origin.right)): gen
+             for gen in generators}
     return GeneratorSet(generators, index, sys)
 
 
@@ -174,17 +177,16 @@ def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
         # a trivial diamond has exponent 1 with its left step first
         gid, exp = None, 1 if len(a.prefix) < len(b.prefix) else -1
         dia = _square(a, b, rules)
-    else:  # the generator table is keyed by the two steps on the superposition
-        inner_a, inner_b = (Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
-                            for s in (a, b))
-        found = gens.origin_index.get(frozenset((inner_a, inner_b)))
+    else:  # the generator table is keyed by each step's rule and offset on the superposition
+        place_a = a.rule, len(a.prefix) - len(x)
+        found = gens.origin_index.get(frozenset((place_a, (b.rule, len(b.prefix) - len(x)))))
         if found is None:
             raise UnmatchedDiamond(f"no generator origin for rules {a.rule},{b.rule} "
                                    f"on {word_to_str(a.prefix + rules[a.rule].lhs + a.suffix)}")
         gen = gens.by_id(found.gid)  # a minimized set lacks the generators it dropped
         gid, exp = gen.gid, 1
         dia = twocell.whisker(x, gen.cell, z).steps
-        if inner_a != gen.origin.left:
+        if place_a != (gen.origin.left.rule, len(gen.origin.left.prefix)):
             dia, exp = twocell.invert_steps(dia), -1
     # conj . dia never cancels: conj ends forward, or in a step the free-reduced loop follows by dia's first
     cell = TwoCell(conj.source, twocell.join(conj.steps + dia, back))

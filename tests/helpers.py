@@ -6,13 +6,16 @@ union-find congruence closure, brute-force overlap scans, a pairwise
 overlap search that compares every pair of left-hand sides by slicing,
 retirement by slicing every lhs, completion that builds every overlap
 before it filters them, a rotation search that keys every rotation
-afresh, and Steinberg's growth series of a Coxeter group, summed from its
-labels.  Tests compare the library against these, never against itself.
+afresh, Steinberg's growth series of an infinite Coxeter group, summed
+from its labels, and Solomon's of a finite one, from its degrees, and
+the reduced complete system of a finite group read off a Todd-Coxeter
+coset table, with no rewriting.  Tests compare the library against
+these, never against itself.
 
 The cell operations that only tests use live here too, one copy each,
-built on the library's remaining paths: a step's two ends
-(``step_ends``), ``intermediate_words``, ``compose`` and ``compose_all``,
-``invert``, a critical branching's verdict read off its logged sides
+built on the library's remaining paths: the record of every branching
+key (``critical_pairs``), a step's two ends (``step_ends``),
+``intermediate_words``, ``compose`` and ``compose_all``, ``invert``, a critical branching's verdict read off its logged sides
 (``resolve``), the loop of two forward steps on one word (``delta``),
 interchange normalization (``interchange_normalize`` with ``swap_adjacent`` and
 ``transport``), the cyclic core of a loop and its conjugacy canonical
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 
 from logrew import completion, endorewrites, parse_presentation
-from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap, critical_pairs
+from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap
 from logrew.core import EMPTY, Rule, Word, word_to_str
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import ChainError, Step, TwoCell
@@ -168,6 +171,121 @@ def steinberg_growth(letters, labels, n: int) -> list[Fraction]:
     return _series_quotient([1], total, n)
 
 
+def solomon_growth(degrees) -> list[int]:
+    """The growth series of a finite Coxeter group with these degrees, its
+    Poincare polynomial (Solomon 1966): the product over each degree d of
+    1 + t + ... + t^(d-1)."""
+    series = [1]
+    for d in degrees:
+        series = [sum(series[max(0, i - d + 1):i + 1]) for i in range(len(series) + d - 1)]
+    return series
+
+
+def todd_coxeter(letters, relators, max_cosets: int = 200_000) -> list[list[int]]:
+    """The right regular representation of a finite group, by enumerating the
+    cosets of its trivial subgroup (Todd & Coxeter 1936) with the HLT strategy
+    and coincidence processing (Holt, Eick & O'Brien 2005, sections 5.1-5.2):
+    table[c][i] is coset c times letter i, coset 0 the identity.  Each relator
+    is a list of (letter index, +1 or -1).  Column 2i is letter i, 2i + 1 its inverse.
+    Raises ValueError past max_cosets defined (E6, of order 51,840, defines 115,249)."""
+    n = 2 * len(letters)
+    table, parent = [[None] * n], [0]  # parent[c] is c while c is live, else a coset it merged into
+
+    def rep(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    def define(c, g):
+        if len(table) >= max_cosets:
+            raise ValueError(f"more than {max_cosets} cosets defined")
+        table.append([None] * n)
+        parent.append(len(parent))
+        table[c][g], table[-1][g ^ 1] = len(table) - 1, c
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(a, b):
+            a, b = sorted((rep(a), rep(b)))
+            if a != b:
+                parent[b] = a
+                queue.append(b)
+
+        merge(a, b)
+        for e in queue:  # grows as merges follow
+            for g in range(n):
+                f = table[e][g]
+                if f is None:
+                    continue
+                table[f][g ^ 1] = None
+                e1, f1 = rep(e), rep(f)
+                if table[e1][g] is not None:
+                    merge(f1, table[e1][g])
+                elif table[f1][g ^ 1] is not None:
+                    merge(e1, table[f1][g ^ 1])
+                else:
+                    table[e1][g], table[f1][g ^ 1] = f1, e1
+
+    def scan_and_fill(c, word):
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:  # forward from c
+                f, i = table[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][word[j] ^ 1] is not None:  # backward to c
+                b, j = table[b][word[j] ^ 1], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:  # a deduction closes the scan
+                table[f][word[i]], table[b][word[i] ^ 1] = b, f
+                return
+            define(f, word[i])
+
+    words = [[2 * x + (exp < 0) for x, exp in relator] for relator in relators]
+    c = 0
+    while c < len(table):
+        for word in words:
+            if parent[c] == c:
+                scan_and_fill(c, word)
+        for g in range(n):
+            if parent[c] == c and table[c][g] is None:
+                define(c, g)
+        c += 1
+    live = [c for c in range(len(table)) if parent[c] == c]
+    number = {c: k for k, c in enumerate(live)}
+    return [[number[rep(table[c][2 * i])] for i in range(len(letters))] for c in live]
+
+
+def reduced_system(text: str) -> tuple[int, dict[Word, Word]]:
+    """The order of the finite group a presentation text names, and its
+    reduced complete system for shortlex, read off ``todd_coxeter`` without
+    rewriting: a relation l = r is the relator l r^-1.  A breadth-first walk of
+    the Cayley graph, least letter (the last declared) first, reaches each element
+    first by its least word, nf; the rules are w -> nf(w) over the words w = nf(u) x
+    that are not least but whose longest proper suffix is (Metivier 1983)."""
+    p = parse_presentation(text)
+    letters, rank = p.alphabet.letters, p.alphabet.rank
+    relators = [[(rank(x), 1) for x in lhs] + [(rank(x), -1) for x in reversed(rhs)]
+                for lhs, rhs in p.relations]
+    table = todd_coxeter(letters, relators)
+    nf, queue = {0: EMPTY}, [0]
+    for c in queue:
+        for i in reversed(range(len(letters))):
+            if table[c][i] not in nf:
+                nf[table[c][i]] = nf[c] + (letters[i],)
+                queue.append(table[c][i])
+    least = set(nf.values())
+    rules = {nf[c] + (letters[i],): nf[table[c][i]]
+             for c in queue for i in range(len(letters))
+             if nf[table[c][i]] != nf[c] + (letters[i],) and nf[c][1:] + (letters[i],) in least}
+    return len(table), rules
+
+
 def occurrences(needle: Word, haystack: Word) -> list[int]:
     k = len(needle)
     return [p for p in range(len(haystack) - k + 1) if haystack[p:p + k] == needle]
@@ -210,8 +328,17 @@ def find_overlaps(a: Rule, b: Rule, inclusions_only: bool = False) -> list[Overl
     return found
 
 
+def critical_pairs(sys: LoggedSystem, new_start: int, gone=frozenset()) -> list[Overlap]:
+    """The records of ``completion._branchings``' keys, as ``generate`` builds them:
+    each unordered critical branching once, between rules i <= j with j >= new_start,
+    in order of (i, j), then case, then position; only the inclusions of a pair
+    with a rule id in ``gone``.  Both are read through the module, so a test
+    that patches ``completion._branchings`` reaches this too."""
+    return [completion._overlap(sys.rules, key) for key in completion._branchings(sys, new_start, gone)]
+
+
 def pairwise_critical_pairs(sys: LoggedSystem, new_start: int, gone=frozenset()) -> list[Overlap]:
-    """``completion.critical_pairs`` by ``find_overlaps`` on every pair of
+    """``critical_pairs`` by ``find_overlaps`` on every pair of
     rules i <= j with j >= new_start, in order of (i, j)."""
     rules = sys.rules
     return [

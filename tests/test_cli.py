@@ -153,8 +153,9 @@ def test_every_public_name_resolves():
 
 
 def test_record_types_keep_their_public_surface(se_init):
-    # the fields, default, checks, tuple equality and repr that callers,
-    # saved outputs and origin_index keys rely on, however the classes are declared
+    # the fields, default, checks, tuple equality and repr that callers and
+    # saved outputs rely on, and the rule and prefix of a generator's origin
+    # steps that its origin_index key is read off, however the classes are declared
     from logrew import completion, core, endorewrites
     fields = {
         core.OrderSpec: ("alphabet",),
@@ -552,6 +553,22 @@ def test_express_identity_loop(capsys, tmp_path):
     code, out, _ = run(capsys, "express", SE, str(cellfile), "--json")
     assert code == 0
     assert json.loads(out)["factors"] == []
+
+
+@pytest.mark.parametrize("command, builder", [("express", "express"), ("endos", "generate")])
+def test_out_of_memory_is_one_line_and_exit_1(capsys, tmp_path, monkeypatch, command, builder):
+    # no bound keeps a decomposition or a generator set in memory, so main
+    # turns the MemoryError of one too large to build into a diagnostic
+    from logrew import endorewrites
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(endorewrites, builder, exhausted)
+    cellfile = tmp_path / "loop.json"
+    cellfile.write_text(json.dumps(tc.cell_to_json(loop_cell("ese_3"))))
+    code, out, err = run(capsys, command, SE, *([str(cellfile)] if command == "express" else []))
+    assert (code, out, err) == (1, "", "out of memory\n")
 
 
 def test_express_invalid_cell(capsys, tmp_path):

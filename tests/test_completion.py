@@ -13,8 +13,7 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, critical_pairs, is_complete,
-    logged_knuth_bendix, sides, system_from_json, system_to_json,
+    CompletionLimits, NewRule, is_complete, logged_knuth_bendix, sides, system_from_json, system_to_json,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
@@ -22,8 +21,9 @@ from logrew.twocell import Step, TwoCell
 import helpers
 from helpers import (
     LADDER, NINE_GROUPS, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
-    count_normal_forms, delta, every_branching_resolves, expanded_lengths, filter_knuth_bendix,
-    find_overlaps, pairwise_critical_pairs, resolve, scan_retired, step_ends, words_over,
+    count_normal_forms, critical_pairs, delta, every_branching_resolves, expanded_lengths,
+    filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, resolve, scan_retired, step_ends,
+    words_over,
 )
 from test_endorewrites import presentations
 from test_engine import system, systems_and_words
@@ -284,7 +284,7 @@ def test_completion_resolves_what_building_every_overlap_resolves(name, max_rule
 
 
 def _checked_branchings(monkeypatch):
-    """Make completion, ``is_complete`` and ``critical_pairs`` check each pass's
+    """Make completion, ``is_complete`` and ``helpers.critical_pairs`` check each pass's
     keys, built into records, against the pairwise reference; returns the
     list of the calls checked."""
     search, calls = completion._branchings, []
@@ -319,7 +319,7 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
     sys._kids = _Unread(sys._kids)
     for gone in (frozenset(), sys.retired):
         for new_start in (0, len(sys.rules) // 2, len(sys.rules)):
-            completion.critical_pairs(sys, new_start, gone)
+            critical_pairs(sys, new_start, gone)
     assert len(calls) > 6 and any(calls)
 
 

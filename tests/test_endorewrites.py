@@ -11,7 +11,7 @@ import pytest
 from logrew.core import parse_presentation, word_from_str, word_to_str
 from logrew.engine import expand_log, normal_form, system_from_presentation
 from logrew.completion import (
-    CompletionLimits, CompletionResult, critical_pairs, logged_knuth_bendix,
+    CompletionLimits, CompletionResult, logged_knuth_bendix,
 )
 from logrew import endorewrites
 from logrew.endorewrites import (
@@ -22,12 +22,13 @@ import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, identity
 
 from helpers import (
-    A5, MERGING, S4, check_retirement, compose_all, cyclic_core, delta, every_branching_resolves,
-    find_overlaps, interchange_normalize, intermediate_words, invert, random_cell, random_loop,
-    random_word, replay_in_order, resolve, scan_conjugacy_reduce, scan_redexes, signed_factor_sum,
-    step_ends, transport, words_over,
+    A5, LADDER, MERGING, S4, check_retirement, compose_all, critical_pairs, cyclic_core, delta,
+    every_branching_resolves, find_overlaps, interchange_normalize, intermediate_words, invert,
+    random_cell, random_loop, random_word, replay_in_order, resolve, scan_conjugacy_reduce,
+    scan_redexes, signed_factor_sum, step_ends, transport, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
+from test_groups import PSL27
 
 W = word_from_str
 
@@ -267,9 +268,12 @@ def test_diamond_either_order(name, se_generators, a5_generators):
     # runs from a to b^-1, is the generator's loop whiskered (inverted when
     # the pair is not in branching order), and taken the other way round it is
     # inverted and its exponent negated; the way round is its inner steps,
-    # reversed and inverted; a disjoint pair closes by its interchange square
+    # reversed and inverted; a disjoint pair closes by its interchange square.
+    # The reference finds the generator by its two origin steps, context words
+    # and all, not by the (rule id, offset) pairs that key origin_index
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
     rules = gens.system.rule_map
+    by_steps = {frozenset((gen.origin.left, gen.origin.right)): gen for gen in gens.generators}
     kinds = Counter()
     for v in words_over(letters, 7):
         steps = [Step(v[:p], rid, 1, v[p + len(rules[rid].lhs):])
@@ -284,7 +288,7 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                 inner_a, inner_b = (
                     Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
                     for s in (a, b))
-                gen = gens.origin_index.get(frozenset((inner_a, inner_b)))
+                gen = by_steps.get(frozenset((inner_a, inner_b)))
                 if gen is not None:
                     in_order = inner_a == gen.origin.left
                     whiskered = tc.whisker(x, gen.cell, z)
@@ -305,6 +309,28 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                     factor.gen, x, z, -factor.exp)
                 kinds["disjoint" if gen is None else "generator"] += 1
     assert kinds["disjoint"] > 0 and kinds["generator"] > 0
+
+
+@pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)"])
+def test_diamonds_find_their_generator_by_rule_and_offset(name):
+    # generate's origins are helpers.critical_pairs' records in base element
+    # order, discovery breaking ties, so no id moves; each generator's origin
+    # steps, whiskered by a random x and z, find it from either order by their
+    # (rule id, offset) pairs, with exponent +1 in branching order, else -1
+    text = {**LADDER, "PSL(2,7)": (PSL27, 168)}[name][0]
+    comp = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    gens, sys = generate(comp), comp.system
+    branchings = critical_pairs(sys, 0)
+    meets = [normal_form(o.superposition, sys) for o in branchings]
+    ids = sorted(range(len(branchings)), key=lambda i: (len(meets[i]), sys.order.key(meets[i])))
+    assert [gen.origin for gen in gens.generators] == [branchings[i] for i in ids]
+    rng, letters = random.Random(7), sys.order.alphabet.letters
+    for gen in gens.generators:
+        x, z = random_word(rng, letters, 3), random_word(rng, letters, 3)
+        a, b = (Step(x + s.prefix, s.rule, 1, s.suffix + z) for s in (gen.origin.left, gen.origin.right))
+        for s, t, exp in ((a, b, 1), (b, a, -1)):
+            factor, _ = _diamond(identity(x + gen.cell.source + z), (), s, t, gens)
+            assert (factor.gen, factor.exp, factor.x, factor.z) == (gen.gid, exp, x, z)
 
 
 def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_generators):
@@ -407,7 +433,7 @@ def test_express_rejects_missing_origin(se_generators):
     from logrew.endorewrites import GeneratorSet
 
     cell = loop_cell("se_1")
-    needed = frozenset((Step(W("s"), "r3", 1, W("1")), Step(W("1"), "r2", 1, W("e"))))
+    needed = frozenset((("r3", 1), ("r2", 0)))  # r3 on s s s e after one letter, r2 at its start
     assert needed in se_generators.origin_index
     gutted = GeneratorSet(
         se_generators.generators,
@@ -466,7 +492,9 @@ def test_generate_is_one_loop_per_branching(text):
         assert gen.origin == o
         assert gen.cell == delta(o.superposition, o.left, o.right, sys)
         assert (gen.cell.source, gen.base_element) == (o.superposition, meets[i])
-        assert gens.origin_index[frozenset((o.left, o.right))] is gen
+        assert gens.origin_index[frozenset(((o.left.rule, len(o.left.prefix)),
+                                            (o.right.rule, len(o.right.prefix))))] is gen
+    assert len(gens.origin_index) == len(branchings)
 
 
 @given(presentations())

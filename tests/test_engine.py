@@ -13,7 +13,7 @@ import pytest
 
 from logrew import engine, parse_presentation, system_from_presentation
 from logrew.completion import (
-    CompletionLimits, critical_pairs, is_complete, logged_knuth_bendix, system_from_json,
+    CompletionLimits, is_complete, logged_knuth_bendix, system_from_json,
 )
 from logrew.core import Alphabet, OrderSpec, Rule, word_from_str
 from logrew.endorewrites import express, generate
@@ -24,8 +24,8 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, S4, all_normal_forms, intermediate_words, random_cell, random_loop, random_word, relator_pair,
-    scan_redexes, scan_reduce, scan_retired, words_over,
+    LADDER, S4, all_normal_forms, critical_pairs, intermediate_words, random_cell, random_loop,
+    random_word, relator_pair, scan_redexes, scan_reduce, scan_retired, words_over,
 )
 from test_endorewrites import presentations
 

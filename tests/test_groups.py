@@ -11,7 +11,11 @@ residual on random loops.
 
 The ladder, PSL(2,7), H4 and E6 are counted off the lhs index instead,
 by ``count_normal_forms``; the element search above checks reduction,
-the count checks the index tables.  The four infinite Coxeter groups of
+the count checks the index tables.  The nine Coxeter groups among them
+are counted at every length, against Solomon's product over their
+degrees.  On the ladder, PSL(2,7) and H4, completion's active rules are
+compared with the reduced system read off a Todd-Coxeter coset table,
+an oracle that does no rewriting.  The four infinite Coxeter groups of
 rank 3 are counted by ``growth`` to length 11, against Steinberg's series,
 and PSL(2,Z) and Z x Z to length 13, against the series of their factors.
 """
@@ -31,7 +35,7 @@ from logrew.engine import LoggedSystem
 
 from helpers import (
     A5, INFINITE_COXETER, LADDER, S4, SCALE_GROUPS, _series_quotient, count_normal_forms, coxeter,
-    growth, random_cell, random_loop, random_word, steinberg_growth,
+    growth, random_cell, random_loop, random_word, reduced_system, solomon_growth, steinberg_growth,
 )
 
 A4 = """monoid
@@ -143,26 +147,37 @@ def test_psl27_completes_to_168_elements():
     assert len(elements(("a", "b"), completion.system)) == 168
 
 
-# the length of a Coxeter group's longest element: its number of reflections
-LONGEST = {"S4": 6, "S5": 10, "S6": 15, "S7": 21, "B4": 16, "H3": 15, "F4": 24, "H4": 60, "E6": 36}
+# the degrees of the finite Coxeter groups: their product is the order, and the
+# sum of d - 1 the length of the longest element, the number of reflections;
+# type A_{n-1} (S_n) has 2..n, so its growth series is the q-factorial
+DEGREES = {"S4": (2, 3, 4), "S5": (2, 3, 4, 5), "S6": (2, 3, 4, 5, 6), "S7": (2, 3, 4, 5, 6, 7),
+           "B4": (2, 4, 6, 8), "H3": (2, 6, 10), "F4": (2, 6, 8, 12), "H4": (2, 12, 20, 30),
+           "E6": (2, 5, 6, 8, 9, 12)}
 
 
 @pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)", *SCALE_GROUPS])
 def test_normal_forms_counted_off_the_index(name):
+    # a Coxeter group's counts, at every length, are Solomon's product
     text, order = {**LADDER, **SCALE_GROUPS, "PSL(2,7)": (PSL27, 168)}[name]
     completion = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
     assert completion.status == "complete"
     counts = count_normal_forms(completion.system, 200)
+    if name in DEGREES:
+        assert counts == solomon_growth(DEGREES[name])
     assert sum(counts) == order
-    if name in LONGEST:
-        assert len(counts) - 1 == LONGEST[name]
-    if name in ("S4", "S5", "S6", "S7"):
-        # type A_{n-1}: the growth series is the q-factorial, the product
-        # over k = 1..n of 1 + t + ... + t^(k-1)
-        series = [1]
-        for k in range(1, int(name[1:]) + 1):
-            series = [sum(series[max(0, i - k + 1):i + 1]) for i in range(len(series) + k - 1)]
-        assert counts == series
+
+
+@pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)", "H4"])
+def test_active_rules_are_the_system_read_off_the_cayley_graph(name):
+    # an oracle outside rewriting: the reduced complete system of shortlex is
+    # unique, so completion's active rules must be todd_coxeter's, whatever
+    # their order and logs; the coset count checks the enumeration itself
+    text, order = {**LADDER, **SCALE_GROUPS, "PSL(2,7)": (PSL27, 168)}[name]
+    cosets, rules = reduced_system(text)
+    assert cosets == order
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(text))).system
+    active = [(rule.lhs, rule.rhs) for rule in sys.rules if rule.rid not in sys.retired]
+    assert sorted(active) == sorted(rules.items())
 
 
 # two series written out, to check the formula as well as the counts

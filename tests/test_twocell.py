@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from logrew.completion import Overlap, critical_pairs, logged_knuth_bendix
+from logrew.completion import Overlap, logged_knuth_bendix
 from logrew.core import Rule, parse_presentation, word_from_str
 from logrew.engine import LoggedSystem, expand_log, reduce_into, replay_moves, system_from_presentation
 import logrew.twocell as tc
 from logrew.twocell import ChainError, Step, TwoCell, cell_from_json, cell_to_json, identity
 
 from helpers import (
-    A5, LADDER, compose, compose_all, interchange_normalize, invert, random_cell, random_loop,
-    random_word, step_ends, swap_adjacent, transport,
+    A5, LADDER, compose, compose_all, critical_pairs, interchange_normalize, invert, random_cell,
+    random_loop, random_word, step_ends, swap_adjacent, transport,
 )
 from fixture_loops import SE_LOOPS, loop_cell
 
