@@ -115,19 +115,22 @@ def _load_cell(path: str, alphabet: Alphabet) -> tuple[TwoCell, Word | None]:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     cell = twocell.cell_from_json(data)
-    for word in (cell.source, *(step.prefix + step.suffix for step in cell.steps)):
-        alphabet.check_word(word)
+    words = (cell.source, *(word for step in cell.steps for word in (step.prefix, step.suffix)))
+    if not set().union(*words) <= set(alphabet.letters):  # else rank raises on the first foreign letter
+        alphabet.rank(next(letter for word in words for letter in word if letter not in alphabet))
     target = word_from_str(data["target"], alphabet) if "target" in data else None
     return cell, target
 
 
-def _complete(presentation, args):
-    """The completion of the presentation under ``--limits``."""
-    return logged_knuth_bendix(system_from_presentation(presentation), args.limits)
+def _completed(args, presentation=None):
+    """The presentation of ``args.file``, unless one is given, and its
+    completion under ``--limits``."""
+    presentation = presentation or _load_presentation(args.file)
+    return presentation, logged_knuth_bendix(system_from_presentation(presentation), args.limits)
 
 
 def cmd_complete(args) -> int:
-    result = _complete(_load_presentation(args.file), args)
+    _, result = _completed(args)
     data = system_to_json(result)
 
     def render(data):
@@ -144,24 +147,21 @@ def cmd_complete(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    presentation = _load_presentation(args.file)
-    result = _complete(presentation, args)
+    presentation, result = _completed(args)
     word = word_from_str(args.word, presentation.alphabet)
     print(word_to_str(normal_form(word, result.system)))
     return OK if result.status == "complete" else LIMIT
 
 
 def cmd_reduce(args) -> int:
-    presentation = _load_presentation(args.file)
-    result = _complete(presentation, args)
+    presentation, result = _completed(args)
     word = word_from_str(args.word, presentation.alphabet)
     _emit_cell(reduce_logged(word, result.system), args, result.system, "->")
     return OK if result.status == "complete" else LIMIT
 
 
 def cmd_prove(args) -> int:
-    presentation = _load_presentation(args.file)
-    result = _complete(presentation, args)
+    presentation, result = _completed(args)
     w1 = word_from_str(args.word1, presentation.alphabet)
     w2 = word_from_str(args.word2, presentation.alphabet)
     outcome = prove(w1, w2, result.system)
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
 
 def cmd_endos(args) -> int:
     from .endorewrites import generate, generator_set_to_json, minimize  # no other command loads it
-    result = _complete(_load_presentation(args.file), args)
+    _, result = _completed(args)
     if result.status != "complete":
         _warn("completion exceeded limits; no generator set")
         return LIMIT
@@ -230,7 +230,7 @@ def cmd_express(args) -> int:
     if declared not in (None, cell.source):  # an endorewrite ends where it starts
         _warn(f"invalid cell: declared target {word_to_str(declared)} != source {word_to_str(cell.source)}")
         return BAD_CERT
-    result = _complete(presentation, args)
+    _, result = _completed(args, presentation)
     if result.status != "complete":
         _warn("completion exceeded limits; cannot express")
         return LIMIT

@@ -72,11 +72,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"letter {letter!r} not in alphabet") from None
 
-    def check_word(self, w: Word) -> Word:
-        for letter in w:
-            self.rank(letter)
-        return w
-
 
 class OrderSpec(namedtuple("OrderSpec", "alphabet")):
     """The shortlex well-ordering on words over an alphabet."""

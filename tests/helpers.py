@@ -5,11 +5,13 @@ position for redexes and reduction, exhaustive reduction-graph search,
 union-find congruence closure, brute-force overlap scans, a pairwise
 overlap search that compares every pair of left-hand sides by slicing,
 retirement by slicing every lhs, completion that builds every overlap
-before it filters them, a rotation search that keys every rotation
+before it filters them, and the same in heap order, shortest
+superposition first, a rotation search that keys every rotation
 afresh, Steinberg's growth series of an infinite Coxeter group, summed
 from its labels, and Solomon's of a finite one, from its degrees, and
-the reduced complete system of a finite group read off a Todd-Coxeter
-coset table, with no rewriting.  Tests compare the library against
+the Cayley graph of a finite group read off a Todd-Coxeter coset table,
+with each element's least word and the reduced complete system, with no
+rewriting.  Tests compare the library against
 these, never against itself.
 
 The cell operations that only tests use live here too, one copy each,
@@ -24,7 +26,8 @@ the order its loop is rewritten (``replay_in_order``).
 """
 
 from fractions import Fraction
-from itertools import product
+from heapq import heappop, heappush
+from itertools import count, product
 
 from logrew import completion, endorewrites, parse_presentation
 from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap
@@ -261,28 +264,45 @@ def todd_coxeter(letters, relators, max_cosets: int = 200_000) -> list[list[int]
     return [[number[rep(table[c][2 * i])] for i in range(len(letters))] for c in live]
 
 
-def reduced_system(text: str) -> tuple[int, dict[Word, Word]]:
-    """The order of the finite group a presentation text names, and its
-    reduced complete system for shortlex, read off ``todd_coxeter`` without
-    rewriting: a relation l = r is the relator l r^-1.  A breadth-first walk of
-    the Cayley graph, least letter (the last declared) first, reaches each element
-    first by its least word, nf; the rules are w -> nf(w) over the words w = nf(u) x
-    that are not least but whose longest proper suffix is (Metivier 1983)."""
+def cayley_walk(text: str) -> tuple[tuple[str, ...], list[list[int]], list[Word]]:
+    """The Cayley graph of the finite group a presentation text names, read off
+    ``todd_coxeter`` without rewriting (a relation l = r is the relator l r^-1):
+    its letters, its coset table, table[c][i] being coset c times letters[i],
+    and least[c], the least word of coset c for shortlex.  A breadth-first walk,
+    least letter (the last declared) first, reaches each coset first by it."""
     p = parse_presentation(text)
     letters, rank = p.alphabet.letters, p.alphabet.rank
     relators = [[(rank(x), 1) for x in lhs] + [(rank(x), -1) for x in reversed(rhs)]
                 for lhs, rhs in p.relations]
     table = todd_coxeter(letters, relators)
-    nf, queue = {0: EMPTY}, [0]
+    least, queue = [None] * len(table), [0]
+    least[0] = EMPTY
     for c in queue:
         for i in reversed(range(len(letters))):
-            if table[c][i] not in nf:
-                nf[table[c][i]] = nf[c] + (letters[i],)
+            if least[table[c][i]] is None:
+                least[table[c][i]] = least[c] + (letters[i],)
                 queue.append(table[c][i])
-    least = set(nf.values())
-    rules = {nf[c] + (letters[i],): nf[table[c][i]]
-             for c in queue for i in range(len(letters))
-             if nf[table[c][i]] != nf[c] + (letters[i],) and nf[c][1:] + (letters[i],) in least}
+    return letters, table, least
+
+
+def coset_of(word: Word, letters, table) -> int:
+    """The coset ``cayley_walk``'s table reaches from the identity along word."""
+    c = 0
+    for x in word:
+        c = table[c][letters.index(x)]
+    return c
+
+
+def reduced_system(text: str) -> tuple[int, dict[Word, Word]]:
+    """The order of the finite group a presentation text names, and its
+    reduced complete system for shortlex, read off ``cayley_walk``: the rules
+    are w -> least(w) over the words w = least(u) x that are not least but whose
+    longest proper suffix is (Metivier 1983)."""
+    letters, table, least = cayley_walk(text)
+    words = set(least)
+    rules = {least[c] + (x,): least[table[c][i]]
+             for c in range(len(table)) for i, x in enumerate(letters)
+             if least[table[c][i]] != least[c] + (x,) and least[c][1:] + (x,) in words}
     return len(table), rules
 
 
@@ -439,6 +459,43 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
         if len(sys.rules) == new_start:
             sys.complete = True
             return CompletionResult(sys)
+
+
+def heap_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None) -> CompletionResult:
+    """Completion in heap order, a reference for ROADMAP item 2: one heap of
+    the branchings ``pairwise_critical_pairs`` finds, keyed by (superposition
+    length, discovery number), onto which each added rule pushes its own; it
+    pops the shortest live one first and drops dead ones by ``live``, as
+    ``filter_knuth_bendix`` does, with which it shares its machinery and its
+    growth by the checked constructor.  It calls ``resolve`` by its name in
+    this module, so a test can count the calls.  At a limit, pending is the
+    popped branching and the live rest in heap order."""
+    limits = limits or CompletionLimits()
+    sys = LoggedSystem(init.rules, init.logs, order=init.order)
+    gone = set(init.retired)
+    heap, discovery = [], count()
+
+    def live(overlap):
+        return overlap.case in ("i", "iv") or not {overlap.left.rule, overlap.right.rule} & gone
+
+    def push(new_start):
+        for overlap in pairwise_critical_pairs(sys, new_start):
+            heappush(heap, (len(overlap.superposition), next(discovery), overlap))
+
+    push(0)
+    while heap:
+        overlap = heappop(heap)[-1]
+        outcome = resolve(overlap, sys) if live(overlap) else None
+        if outcome is None:
+            continue
+        if len(sys.rules) + 1 > limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
+            return CompletionResult(sys, tuple(filter(live, (overlap, *(entry[-1] for entry in sorted(heap))))))
+        gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
+        sys = LoggedSystem(sys.rules + (outcome.rule,), {**sys.logs, outcome.rule.rid: outcome.log},
+                           order=sys.order)
+        push(len(sys.rules) - 1)
+    sys.complete = True
+    return CompletionResult(sys)
 
 
 def expanded_lengths(sys: LoggedSystem) -> dict[str, int]:

@@ -571,6 +571,22 @@ def test_out_of_memory_is_one_line_and_exit_1(capsys, tmp_path, monkeypatch, com
     assert (code, out, err) == (1, "", "out of memory\n")
 
 
+def test_express_names_a_generator_missing_from_the_set(capsys, tmp_path, monkeypatch):
+    # a set without the generator a diamond names, as minimize leaves A5's,
+    # is a usage error of its own: exit 1 and one line, not a traceback
+    from logrew import endorewrites
+    gens = endorewrites.generate(logged_knuth_bendix(system_from_presentation(parse_presentation(A5))))
+    small = endorewrites.minimize(gens)
+    kept = {gen.gid for gen in small.generators}
+    dropped = next(gen for gen in gens.generators if gen.gid not in kept)
+    monkeypatch.setattr(endorewrites, "generate", lambda result: small)
+    textfile, cellfile = tmp_path / "a5.txt", tmp_path / "loop.json"
+    textfile.write_text(A5)
+    cellfile.write_text(json.dumps(tc.cell_to_json(dropped.cell)))
+    code, out, err = run(capsys, "express", str(textfile), str(cellfile))
+    assert (code, out, err) == (1, "", f"unmatched diamond: generator {dropped.gid} is not in the set\n")
+
+
 def test_express_invalid_cell(capsys, tmp_path):
     cellfile = tmp_path / "bad.json"
     cellfile.write_text(json.dumps({
@@ -759,6 +775,21 @@ def test_bad_cell_input_exits_4(capsys, tmp_path):
             assert code == 4, (command, name)
             assert "Traceback" not in err, (command, name)
             assert out == "", (command, name)
+
+
+def test_a_cell_names_its_first_foreign_letter_under_any_hash_seed(tmp_path):
+    # the letters are checked as one set, whose order follows the hash seed;
+    # the message names the first foreign letter in the cell's own order
+    cellfile = tmp_path / "two-letters.json"
+    cellfile.write_text(json.dumps({"source": "s s s e", "steps": [
+        {"prefix": "q", "rule": "r2", "exp": 1, "suffix": "e"},
+        {"prefix": "s", "rule": "r3", "exp": -1, "suffix": "z"}]}))
+    for seed in ("0", "1", "2"):
+        for command, what in (("verify", "certificate"), ("express", "cell")):
+            proc = subprocess.run([sys.executable, "-m", "logrew.cli", command, SE, str(cellfile)],
+                                  capture_output=True, text=True, env={**CHILD_ENV, "PYTHONHASHSEED": seed})
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                4, "", f"malformed {what}: letter 'q' not in alphabet\n"), (seed, command)
 
 
 def test_express_checks_the_cell_before_completing(capsys, tmp_path, monkeypatch):

@@ -15,27 +15,36 @@ the count checks the index tables.  The nine Coxeter groups among them
 are counted at every length, against Solomon's product over their
 degrees.  On the ladder, PSL(2,7) and H4, completion's active rules are
 compared with the reduced system read off a Todd-Coxeter coset table,
-an oracle that does no rewriting.  The four infinite Coxeter groups of
+an oracle that does no rewriting; on four groups they must not depend on
+the order of the relations, and on the ladder and PSL(2,7) ``normal_form``
+and ``prove`` must agree with the cosets of random words.  Completion in
+heap order, ``helpers.heap_knuth_bendix``, must reach the same system on
+the nine groups.  The four infinite Coxeter groups of
 rank 3 are counted by ``growth`` to length 11, against Steinberg's series,
 and PSL(2,Z) and Z x Z to length 13, against the series of their factors.
 """
 
+from functools import cache
 import random
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 from logrew import parse_presentation, system_from_presentation
-from logrew.completion import logged_knuth_bendix
+from logrew.completion import CompletionLimits, logged_knuth_bendix
 from logrew.endorewrites import express, generate
-from logrew.engine import expand_log, normal_form, prove
+from logrew.engine import Verdict, expand_log, normal_form, prove
 import logrew.twocell as tc
 
 from logrew.core import Alphabet, OrderSpec
 from logrew.engine import LoggedSystem
 
+import helpers
 from helpers import (
-    A5, INFINITE_COXETER, LADDER, S4, SCALE_GROUPS, _series_quotient, count_normal_forms, coxeter,
-    growth, random_cell, random_loop, random_word, reduced_system, solomon_growth, steinberg_growth,
+    A5, INFINITE_COXETER, LADDER, NINE_GROUPS, S4, SCALE_GROUPS, _series_quotient, cayley_walk, coset_of,
+    count_normal_forms, coxeter, growth, heap_knuth_bendix, random_cell, random_loop, random_word,
+    reduced_system, relator_pair, solomon_growth, steinberg_growth,
 )
 
 A4 = """monoid
@@ -176,8 +185,95 @@ def test_active_rules_are_the_system_read_off_the_cayley_graph(name):
     cosets, rules = reduced_system(text)
     assert cosets == order
     sys = logged_knuth_bendix(system_from_presentation(parse_presentation(text))).system
-    active = [(rule.lhs, rule.rhs) for rule in sys.rules if rule.rid not in sys.retired]
-    assert sorted(active) == sorted(rules.items())
+    assert active_rules(sys) == sorted(rules.items())
+
+
+def active_rules(sys):
+    return sorted((rule.lhs, rule.rhs) for rule in sys.rules if rule.rid not in sys.retired)
+
+
+@pytest.mark.parametrize("name", ["S4", "triangle_r3", "triangle_r5", "B4"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_active_rules_do_not_depend_on_the_order_of_the_relations(name, data):
+    # the oracle's system is the group's, so any order of the relation lines
+    # must complete to it, whatever rules, logs and retirements lie on the way
+    head, relations = LADDER[name][0].split("rules:\n")
+    lines = data.draw(st.permutations(relations.splitlines()))
+    text = head + "rules:\n" + "".join(line + "\n" for line in lines)
+    sys = logged_knuth_bendix(system_from_presentation(parse_presentation(text))).system
+    assert active_rules(sys) == sorted(reduced_system(LADDER[name][0])[1].items())
+
+
+# the ladder and PSL(2,7): name -> (presentation, group order)
+WALKED = {**LADDER, "PSL(2,7)": (PSL27, 168)}
+
+
+@cache
+def walked(name):
+    """The completed system of a group of WALKED, and its Cayley walk."""
+    text = WALKED[name][0]
+    return logged_knuth_bendix(system_from_presentation(parse_presentation(text))).system, cayley_walk(text)
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_normal_forms_are_the_least_words_of_their_cosets(name):
+    sys, (letters, table, least) = walked(name)
+    rng = random.Random(5)
+    for _ in range(40):
+        word = random_word(rng, letters, 30)
+        assert normal_form(word, sys) == least[coset_of(word, letters, table)], word
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_prove_answers_not_equal_exactly_for_different_cosets(name):
+    # half the pairs are equal by a relator inserted, half independent words,
+    # which in these groups mostly name different cosets
+    sys, (letters, table, _) = walked(name)
+    text = WALKED[name][0]
+    rng = random.Random(9)
+    seen = set()
+    for i in range(30):
+        if i % 2:
+            w1, w2 = relator_pair(rng, text, rng.randint(0, 12))
+        else:
+            w1, w2 = random_word(rng, letters, 12), random_word(rng, letters, 12)
+        different = coset_of(w1, letters, table) != coset_of(w2, letters, table)
+        outcome = prove(w1, w2, sys)
+        assert (outcome is Verdict.NOT_EQUAL) == different, (w1, w2)
+        if not different:
+            assert tc.target(outcome, sys.rule_map) == w2
+        seen.add(different)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", NINE_GROUPS)
+def test_heap_order_reaches_the_reduced_system(name, monkeypatch):
+    # ROADMAP item 2's reference: completion that takes the shortest live
+    # superposition first ends at the same reduced system as FIFO, and between
+    # two added rules it resolves branchings by nondecreasing length
+    text, order = NINE_GROUPS[name]
+    resolve, runs = helpers.resolve, [[]]
+
+    def recorded_resolve(overlap, sys):
+        outcome = resolve(overlap, sys)
+        runs[-1].append(len(overlap.superposition))
+        if outcome is not None:
+            runs.append([])
+        return outcome
+
+    monkeypatch.setattr(helpers, "resolve", recorded_resolve)
+    init = system_from_presentation(parse_presentation(text))
+    result = heap_knuth_bendix(init)
+    assert result.system.complete and not result.pending
+    assert active_rules(result.system) == sorted(reduced_system(text)[1].items())
+    assert sum(count_normal_forms(result.system, 200)) == order
+    assert all(run == sorted(run) for run in runs)
+    # stopped after one derived rule, it leaves branchings pending, and resuming ends alike
+    stopped = heap_knuth_bendix(init, CompletionLimits(len(init.rules) + 1, 64))
+    if len(result.system.rules) > len(init.rules) + 1:
+        assert stopped.pending and not stopped.system.complete
+    assert active_rules(heap_knuth_bendix(stopped.system).system) == active_rules(result.system)
 
 
 # two series written out, to check the formula as well as the counts
