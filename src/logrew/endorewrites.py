@@ -6,7 +6,8 @@ loops of all branchings generate every endorewrite up to interchange and
 conjugacy (Squier 1987), so ``generate`` makes each one a generator;
 ``express`` finds such a decomposition by eliminating peaks of a loop's
 walk, taking each overlapping diamond from the generator of its
-branching, so that the extracted product replays to the input exactly.
+branching, so that the extracted product replays to the input exactly;
+a loop with no peak left rotates its last step into the conjugator.
 """
 
 from __future__ import annotations
@@ -196,14 +197,15 @@ def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
 def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     """Peak elimination: rewrite a free-reduced loop away, extracting diamonds.
 
-    A peak is resolved in place and its diamond factor taken at once.  A
-    loop without peaks descends from its base and climbs back: when its
-    outer steps differ, their diamond is taken at once too and the way
-    round it goes in front of the rest of the loop; the second outer step
-    then moves conj into the loop.  Invariant: input ~ factors . conj .
-    loop . conj^-1 in the free sesquigroupoid, so the factors come in the
-    order the loop is rewritten and their product replays to the input.
-    A diamond's ends are its two distinct forward steps, which free
+    Factors are taken at the leftmost peak only: its diamond is the
+    factor, and the way round it replaces the peak.  A loop without
+    peaks descends from its base and climbs back, so it rotates its last
+    step s2^-1 to the front, and s2 moves into conj: the loop then starts
+    at the peak s2^-1 . s1, or the rotation cancels both steps when its
+    first step s1 is s2.  Invariant: input ~ factors . conj . loop .
+    conj^-1 in the free sesquigroupoid, so the factors come in the order
+    the loop is rewritten and their product replays to the input.  A
+    diamond's ends are its two distinct forward steps, which free
     reduction never cancels; its inner steps, reversed and inverted, are
     the way round it that replaces them.  The loop, conj and every
     diamond are free reduced, so each product of them is a join.
@@ -228,17 +230,11 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
             factors.append(factor)
             steps = twocell.join(twocell.join(steps[:peak], around), steps[peak + 2:])
             continue
-        # no internal peak: descending then ascending around the base
-        m = next((i for i, s in enumerate(steps) if s.exp == -1), len(steps))
-        assert 0 < m < len(steps), "a nonempty monotone loop cannot close"
-        s1, s2 = steps[0], twocell.invert_step(steps[-1])
-        steps = steps[1:-1]
-        if s1 != s2:  # s1 . steps . s2^-1 ~ the diamond . s2 . around . steps . s2^-1
-            factor, around = _diamond(conj, back, s1, s2, gens)
-            factors.append(factor)
-            steps = twocell.join(around, steps)
-        conj = TwoCell(conj.source, twocell.join(conj.steps, (s2,)))
-        back = twocell.join((twocell.invert_step(s2),), back)
+        # no peak: the loop descends, then climbs back; rotate its last step s2^-1 to the front
+        assert steps[0].exp == 1 and steps[-1].exp == -1, "a nonempty monotone loop cannot close"
+        conj = TwoCell(conj.source, twocell.join(conj.steps, (twocell.invert_step(steps[-1]),)))
+        back = twocell.join(steps[-1:], back)
+        steps = twocell.join(steps[-1:], steps[:-1])
     return factors
 
 

@@ -328,7 +328,8 @@ def test_critical_pairs_read_off_the_automaton_equal_the_pairwise_search(name, m
 @given(text=presentations(), start=st.integers(0, 300), mask=st.integers(0, 2 ** 300))
 @example(text=LADDER["triangle_r4"][0], start=7, mask=0b1010110)
 @example(text="monoid\nletters: a b\norder: shortlex\nrules:\na = 1\na = 1\n", start=0, mask=0)  # equal lhs
-@settings(max_examples=60, deadline=None)
+# a fixed seed: with fresh draws each run its time ranged from 1.2 s to 28.6 s
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_critical_pairs_equal_the_pairwise_search_on_random_presentations(limits, text, start, mask):
     # every pass of the completion, then any new_start and any gone set, on
     # the grown system, checked; on one built afresh from its rules, the same

@@ -416,8 +416,8 @@ def test_factor_cells_are_conjugated_diamonds(se_generators, a5_generators):
 
 def test_factors_replay_in_rewrite_order(se_generators, a5_generators):
     # the factor list is the order peak elimination rewrites the loop in:
-    # each factor is the diamond at the leftmost peak or, with none left,
-    # at the loop's outer steps, conjugated by the path to it
+    # each factor is the diamond at the leftmost peak, conjugated by the
+    # path to it; a loop with no peak left rotates its last step to the front
     for loop in map(loop_cell, SE_LOOPS):
         replay_in_order(loop, express(loop, se_generators).factors)
     s4_generators = generate(logged_knuth_bendix(system_from_presentation(parse_presentation(S4))))
