@@ -25,7 +25,7 @@ from .twocell import ChainError, TwoCell
 OK, USAGE, LIMIT, NOT_EQUAL, BAD_CERT = 0, 1, 2, 3, 4
 
 # what reading a bad certificate or cell file raises (ParseError included)
-BAD_CELL_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+BAD_CELL_ERRORS = (AttributeError, KeyError, RecursionError, TypeError, ValueError)
 
 
 def _warn(message: str) -> None:

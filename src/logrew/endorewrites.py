@@ -158,12 +158,10 @@ Decomposition = namedtuple("Decomposition", (
 ))
 
 
-def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
-             gens: GeneratorSet) -> tuple[Factor, tuple[Step, ...]]:
+def _diamond(a: Step, b: Step, gens: GeneratorSet) -> tuple[str | None, int, Word, Word, tuple[Step, ...]]:
     """The diamond a . leg_a . leg_b^-1 . b^-1 of two distinct forward steps
-    from v, the source of a, as a factor conjugated by conj (a cell ending
-    at v, whose steps reversed and inverted are back), and the way round
-    it: its inner steps, reversed and inverted.
+    from one word: its generator id (None for a disjoint pair), exponent,
+    whiskers x and z, and free-reduced steps.
 
     Overlapping steps take their generator's loop, whiskered; a generator
     holds its steps in its branching's order, so the other order inverts
@@ -189,9 +187,7 @@ def _diamond(conj: TwoCell, back: tuple[Step, ...], a: Step, b: Step,
         dia = twocell.whisker(x, gen.cell, z).steps
         if place_a != (gen.origin.left.rule, len(gen.origin.left.prefix)):
             dia, exp = twocell.invert_steps(dia), -1
-    # conj . dia never cancels: conj ends forward, or in a step the free-reduced loop follows by dia's first
-    cell = TwoCell(conj.source, twocell.join(conj.steps + dia, back))
-    return Factor(gid, x, z, conj, exp, cell), twocell.invert_steps(dia[1:-1])
+    return gid, exp, x, z, dia
 
 
 def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
@@ -210,30 +206,26 @@ def _decompose(loop: TwoCell, gens: GeneratorSet) -> list[Factor]:
     the way round it that replaces them.  The loop, conj and every
     diamond are free reduced, so each product of them is a join.
     """
-    conj = twocell.identity(loop.source)  # always free reduced
-    back: tuple[Step, ...] = ()  # conj's steps reversed and inverted
+    base, conj = loop.source, ()  # conj is always free reduced
     factors: list[Factor] = []
     steps = loop.steps  # the loop left, based where conj ends
     while steps:
-        peak = next(
-            (i for i in range(len(steps) - 1)
-             if steps[i].exp == -1 and steps[i + 1].exp == 1),
-            None,
-        )
+        peak = next((i for i in range(len(steps) - 1)
+                     if steps[i].exp == -1 and steps[i + 1].exp == 1), None)
         if peak is not None:
-            down_a, down_b = twocell.invert_step(steps[peak]), steps[peak + 1]
-            # the factor is the diamond down_b . leg_b . leg_a^-1 . down_a^-1;
-            # the peak down_a^-1 . down_b becomes the way round, leg_a . leg_b^-1
-            up = TwoCell(conj.source, twocell.join(conj.steps, steps[:peak + 1]))
-            up_back = twocell.join(twocell.invert_steps(steps[:peak + 1]), back)
-            factor, around = _diamond(up, up_back, down_b, down_a, gens)
-            factors.append(factor)
+            # the factor is the diamond b . leg_b . leg_a^-1 . a^-1 of the peak
+            # a^-1 . b, which becomes the way round, leg_a . leg_b^-1
+            gid, exp, x, z, dia = _diamond(steps[peak + 1], twocell.invert_step(steps[peak]), gens)
+            up = twocell.join(conj, steps[:peak + 1])
+            # up . dia never cancels: up ends forward, or in a step the free-reduced loop follows by dia's first
+            cell = TwoCell(base, twocell.join(up + dia, twocell.invert_steps(up)))
+            factors.append(Factor(gid, x, z, TwoCell(base, up), exp, cell))
+            around = twocell.invert_steps(dia[1:-1])
             steps = twocell.join(twocell.join(steps[:peak], around), steps[peak + 2:])
             continue
         # no peak: the loop descends, then climbs back; rotate its last step s2^-1 to the front
         assert steps[0].exp == 1 and steps[-1].exp == -1, "a nonempty monotone loop cannot close"
-        conj = TwoCell(conj.source, twocell.join(conj.steps, (twocell.invert_step(steps[-1]),)))
-        back = twocell.join(steps[-1:], back)
+        conj = twocell.join(conj, (twocell.invert_step(steps[-1]),))
         steps = twocell.join(steps[-1:], steps[:-1])
     return factors
 

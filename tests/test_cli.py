@@ -777,6 +777,21 @@ def test_bad_cell_input_exits_4(capsys, tmp_path):
             assert out == "", (command, name)
 
 
+def test_a_cell_nested_too_deep_is_malformed(capsys, tmp_path):
+    # json.loads gives up on deep nesting with a RecursionError: the file is
+    # malformed, one line on stderr; Python words the reason differently
+    # across versions, so only the prefix is matched
+    cellfile = tmp_path / "nested.json"
+    cellfile.write_text("[" * 5000 + "]" * 5000)
+    for command, what in (("verify", "certificate"), ("express", "cell")):
+        code, out, err = run(capsys, command, SE, str(cellfile))
+        assert (code, out, err.count("\n")) == (4, "", 1), command
+        assert err.startswith(f"malformed {what}: "), (command, err)
+    code, out, err = run_cold("verify", SE, str(cellfile))
+    assert (code, out, err.count("\n")) == (4, "", 1), err
+    assert err.startswith("malformed certificate: ") and "Traceback" not in err
+
+
 def test_a_cell_names_its_first_foreign_letter_under_any_hash_seed(tmp_path):
     # the letters are checked as one set, whose order follows the hash seed;
     # the message names the first foreign letter in the cell's own order

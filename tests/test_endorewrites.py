@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 
 from logrew.core import parse_presentation, word_from_str, word_to_str
-from logrew.engine import expand_log, normal_form, system_from_presentation
+from logrew.engine import expand_log, normal_form, reduce_logged, system_from_presentation
 from logrew.completion import (
     CompletionLimits, CompletionResult, logged_knuth_bendix,
 )
@@ -97,8 +97,8 @@ def test_delta_whisker_coherence(se_generators, se_system):
     inner = _pair_on(se_system, W("s s s e"), 0, "r2", 1, "r3")
     word, a, b = _pair_on(se_system, W("e s s s e s s"), 1, "r2", 2, "r3")
     d_inner = delta(*inner, se_system)
-    outer, _ = _diamond(identity(word), (), a, b, se_generators)
-    assert tc.free_reduce(outer.cell) == tc.free_reduce(
+    outer = TwoCell(word, _diamond(a, b, se_generators)[4])
+    assert tc.free_reduce(outer) == tc.free_reduce(
         tc.whisker(W("e"), d_inner, W("s s")))
 
 
@@ -267,8 +267,8 @@ def test_diamond_either_order(name, se_generators, a5_generators):
     # every pair of forward redexes on words up to 7 letters: the diamond
     # runs from a to b^-1, is the generator's loop whiskered (inverted when
     # the pair is not in branching order), and taken the other way round it is
-    # inverted and its exponent negated; the way round is its inner steps,
-    # reversed and inverted; a disjoint pair closes by its interchange square.
+    # inverted and its exponent negated; a disjoint pair closes by its
+    # interchange square.
     # The reference finds the generator by its two origin steps, context words
     # and all, not by the (rule id, offset) pairs that key origin_index
     gens, letters = {"se": (se_generators, "se"), "A5": (a5_generators, "ab")}[name]
@@ -280,11 +280,9 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                  for p, rid in scan_redexes(v, gens.system)]
         for i, a in enumerate(steps):
             for b in steps[i + 1:]:
-                factor, around = _diamond(identity(v), (), a, b, gens)
-                dia, x, z = factor.cell, factor.x, factor.z
-                assert dia.source == v
+                gid, exp, x, z, dia_steps = _diamond(a, b, gens)
+                dia = TwoCell(v, dia_steps)
                 assert dia.steps[0] == a and dia.steps[-1] == tc.invert_step(b)
-                assert around == tc.invert_steps(dia.steps[1:-1])
                 inner_a, inner_b = (
                     Step(s.prefix[len(x):], s.rule, s.exp, s.suffix[:len(s.suffix) - len(z)])
                     for s in (a, b))
@@ -293,9 +291,9 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                     in_order = inner_a == gen.origin.left
                     whiskered = tc.whisker(x, gen.cell, z)
                     assert dia == (whiskered if in_order else invert(whiskered, rules))
-                    assert (factor.gen, factor.exp) == (gen.gid, 1 if in_order else -1)
+                    assert (gid, exp) == (gen.gid, 1 if in_order else -1)
                 else:
-                    assert factor.gen is None
+                    assert gid is None
                     # the interchange square: b moved across a, then a moved
                     # across b inverted; they cancel only where they are one
                     # step (two erasing redexes side by side)
@@ -303,10 +301,9 @@ def test_diamond_either_order(name, se_generators, a5_generators):
                                        for s, t in ((a, b), (b, a)))
                     assert dia.steps[1:-1] == (
                         (b_across, tc.invert_step(a_across)) if b_across != a_across else ())
-                other, _ = _diamond(identity(v), (), b, a, gens)
-                assert other.cell == invert(dia, rules)
-                assert (other.gen, other.x, other.z, other.exp) == (
-                    factor.gen, x, z, -factor.exp)
+                *other, other_steps = _diamond(b, a, gens)
+                assert TwoCell(v, other_steps) == invert(dia, rules)
+                assert other == [gid, -exp, x, z]
                 kinds["disjoint" if gen is None else "generator"] += 1
     assert kinds["disjoint"] > 0 and kinds["generator"] > 0
 
@@ -329,8 +326,7 @@ def test_diamonds_find_their_generator_by_rule_and_offset(name):
         x, z = random_word(rng, letters, 3), random_word(rng, letters, 3)
         a, b = (Step(x + s.prefix, s.rule, 1, s.suffix + z) for s in (gen.origin.left, gen.origin.right))
         for s, t, exp in ((a, b, 1), (b, a, -1)):
-            factor, _ = _diamond(identity(x + gen.cell.source + z), (), s, t, gens)
-            assert (factor.gen, factor.exp, factor.x, factor.z) == (gen.gid, exp, x, z)
+            assert _diamond(s, t, gens)[:4] == (gen.gid, exp, x, z)
 
 
 def test_express_takes_diamonds_from_the_table(monkeypatch, se_generators, a5_generators):
@@ -427,6 +423,30 @@ def test_factors_replay_in_rewrite_order(se_generators, a5_generators):
             base = random_word(rng, letters, 6, min_len=1)
             loop = random_loop(rng, gens.system, base, rng.randint(1, 5))
             replay_in_order(loop, express(loop, gens).factors)
+
+
+def test_two_reductions_of_one_word_close_into_a_loop_with_long_conjugators(a5_generators):
+    # reduce_logged against a reduction by random redexes, both of one
+    # 30-letter word to its normal form: peak elimination then walks far
+    # into the loop, so conjugators grow well past the endos loops' few steps
+    s4_generators = generate(logged_knuth_bendix(system_from_presentation(parse_presentation(S4))))
+    rng, longest = random.Random(3), 0
+    for gens, letters in ((a5_generators, ("a", "b")), (s4_generators, ("a", "b", "c"))):
+        sys, rules = gens.system, gens.system.rule_map
+        for _ in range(20):
+            word = w = tuple(rng.choice(letters) for _ in range(30))
+            steps = []
+            while redexes := scan_redexes(w, sys):
+                pos, rid = rng.choice(redexes)
+                lhs, rhs = rules[rid].lhs, rules[rid].rhs
+                steps.append(Step(w[:pos], rid, 1, w[pos + len(lhs):]))
+                w = w[:pos] + rhs + w[pos + len(lhs):]
+            loop = TwoCell(word, reduce_logged(word, sys).steps + tc.invert_steps(tuple(steps)))
+            dec = express(loop, gens)
+            assert dec.residual == identity(word)
+            replay_in_order(loop, dec.factors)
+            longest = max([longest, *(len(f.conjugator.steps) for f in dec.factors)])
+    assert longest >= 10
 
 
 def test_express_rejects_missing_origin(se_generators):
