@@ -72,7 +72,7 @@ def write_json(value, out: list[str], indent: str = "\n") -> None:
         out.append((indent if pairs else "") + ("}" if is_dict else "]"))
 
 
-def _emit(data: dict, as_json: bool, render) -> None:
+def _emit(data: dict | str, as_json: bool, render) -> None:
     if as_json:
         out: list[str] = []
         write_json(data, out)
@@ -149,7 +149,7 @@ def cmd_complete(args) -> int:
 def cmd_nf(args) -> int:
     presentation, result = _completed(args)
     word = word_from_str(args.word, presentation.alphabet)
-    print(word_to_str(normal_form(word, result.system)))
+    _emit(word_to_str(normal_form(word, result.system)), args.json, print)
     return OK if result.status == "complete" else LIMIT
 
 
@@ -256,7 +256,7 @@ def cmd_express(args) -> int:
     return OK
 
 
-COMMON = ("--json", "--limits", "--interreduce")
+COMMON = ("--json", "--limits")
 # command -> (handler, operands, flags); every flag but --limits takes no value
 COMMANDS = {
     "complete": (cmd_complete, ("file",), COMMON),
@@ -278,10 +278,9 @@ USAGE_TEXT = """usage: logrew COMMAND FILE [OPERAND ...] [FLAG ...]
   express FILE CELL        express a two-cell JSON endorewrite in the generators
 
 FILE is a presentation file; a WORD is space separated letters, or 1.
-Flags, the first three on every command but verify:
+Flags, the first two on every command but verify:
   --json                   emit JSON
   --limits R,L             completion limits MAX_RULES,MAX_WORD_LENGTH
-  --interreduce            accepted for compatibility; has no effect
   --expand                 (reduce, prove) expand derived-rule steps to initial rules
   --minimize               (endos) drop generators whose abelianization the kept ones span
   -h, --help               print this text

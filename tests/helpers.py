@@ -7,8 +7,10 @@ overlap search that compares every pair of left-hand sides by slicing,
 retirement by slicing every lhs, completion that builds every overlap
 before it filters them, and the same in heap order, shortest
 superposition first, a rotation search that keys every rotation
-afresh, Steinberg's growth series of an infinite Coxeter group, summed
-from its labels, and Solomon's of a finite one, from its degrees, and
+afresh, Steinberg's growth series of an infinite Coxeter group, a
+quotient of polynomials read off its labels, with the length to which
+counts must agree with it (``growth_length``), and Solomon's series of a
+finite one, from its degrees, and
 the Cayley graph of a finite group read off a Todd-Coxeter coset table,
 with each element's least word and the reduced complete system, with no
 rewriting.  Tests compare the library against
@@ -27,7 +29,7 @@ the order its loop is rewritten (``replay_in_order``).
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import count, product, zip_longest
 
 from logrew import completion, endorewrites, parse_presentation
 from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap
@@ -141,6 +143,17 @@ def growth(sys: LoggedSystem, n: int) -> list[int]:
     return counts
 
 
+def growth_length(sys: LoggedSystem, num: list, den: list) -> int:
+    """A length n at which ``growth(sys, n) == _series_quotient(num, den, n)``
+    proves the counts equal to num / den at every length.  The counts are
+    u A^k 1 for the transfer matrix A of the N live states of the lhs index
+    (out 0), so their series is P / Q with deg Q <= N and deg P < N.  Then
+    (P den - num Q) / (Q den) is the difference, and its numerator has degree
+    below N + max(deg den, deg num + 1): agreement on that many coefficients
+    makes it zero."""
+    return sum(not o for o in sys._out) + max(len(den) - 1, len(num))
+
+
 def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
     """``growth`` up to the first length with no irreducible word.  Raises
     ValueError if words longer than bound remain: the monoid is infinite or
@@ -160,18 +173,34 @@ def _series_quotient(num: list, den: list, n: int) -> list[Fraction]:
     return q
 
 
-def steinberg_growth(letters, labels, n: int) -> list[Fraction]:
-    """The growth series to length n of an infinite Coxeter group of rank 3,
-    labelled as ``coxeter`` reads it, all of whose proper parabolic subgroups
-    W_T are finite (Steinberg 1968): 1 / sum over T of (-1)^|T| t^N_T / W_T(t),
-    N_T the length of W_T's longest element.  W_T(t) is 1 for T empty, 1 + t
-    for one letter (N_T 1) and (1 + t)(1 + t + ... + t^(m-1)) for a pair
-    labelled m (N_T m)."""
+def poly_mul(*polys: list) -> list:
+    """The product of polynomials given as coefficient lists, lowest first."""
+    result = [1]
+    for poly in polys:
+        result = [sum(result[i] * poly[k - i] for i in range(len(result)) if 0 <= k - i < len(poly))
+                  for k in range(len(result) + len(poly) - 1)]
+    return result
+
+
+def poly_sum(*polys: list) -> list:
+    """The sum of polynomials given as coefficient lists, lowest first."""
+    return [sum(column) for column in zip_longest(*polys, fillvalue=0)]
+
+
+def steinberg_growth(letters, labels) -> tuple[list, list]:
+    """The growth series of an infinite Coxeter group of rank 3, labelled as
+    ``coxeter`` reads it, all of whose proper parabolic subgroups W_T are
+    finite (Steinberg 1968), as polynomials (num, den): the series is
+    1 / sum over T of (-1)^|T| t^N_T / W_T(t), N_T the length of W_T's
+    longest element.  W_T(t) is 1 for T empty, 1 + t for one letter (N_T 1)
+    and (1 + t)[m] for a pair labelled m (N_T m), [m] = 1 + t + ... + t^(m-1).
+    Over the common denominator B = (1 + t) prod [m] of the pairs, the series
+    is B / (B - 3t prod [m] + sum over pairs of t^m prod of the other [m])."""
     assert len(letters) == 3
-    terms = [([1], [1])] + [([0, -1], [1, 1])] * 3  # (numerator, denominator)
-    terms += [([0] * m + [1], [1] + [2] * (m - 1) + [1]) for m in pair_labels(letters, labels).values()]
-    total = [sum(column) for column in zip(*(_series_quotient(num, den, n) for num, den in terms))]
-    return _series_quotient([1], total, n)
+    qs = [[1] * m for m in pair_labels(letters, labels).values()]
+    b = poly_mul([1, 1], *qs)
+    pairs = [poly_mul([0] * m + [1], *qs[:i], *qs[i + 1:]) for i, m in enumerate(map(len, qs))]
+    return b, poly_sum(b, [0, *(-3 * c for c in poly_mul(*qs))], *pairs)
 
 
 def solomon_growth(degrees) -> list[int]:

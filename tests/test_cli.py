@@ -270,6 +270,11 @@ LIMITS_MESSAGE = "expected --limits MAX_RULES,MAX_WORD_LENGTH"
     (["complete", SE, "--limits=0,64"], LIMITS_MESSAGE),
     (["complete", SE, "--limits", "3,64,64"], LIMITS_MESSAGE),  # there is no pass limit
     (["complete", SE, "--limits", "3"], LIMITS_MESSAGE),
+    # completion already retires redundant rules, so there is no --interreduce
+    *((argv, f"unknown flag --interreduce for {argv[0]}") for argv in (
+        ["complete", SE, "--interreduce"], ["nf", SE, "s", "--interreduce"],
+        ["reduce", SE, "s", "--interreduce"], ["prove", SE, "s", "s", "--interreduce"],
+        ["endos", SE, "--interreduce"], ["express", SE, SE, "--interreduce"])),
 ])
 def test_usage_error_exits_1_with_usage_and_reason(capsys, argv, reason):
     code, out, err = run(capsys, *argv)
@@ -606,22 +611,37 @@ def test_json_outputs_stable_between_runs(capsys):
 
 
 @pytest.mark.parametrize("name", ["A5", "S4"])
-def test_interreduce_changes_no_output(capsys, tmp_path, name):
+def test_saved_complete_json_loads_back(capsys, tmp_path, name):
+    # complete --json writes the retired rules too, and loads with its logs
     text = {"A5": A5, "S4": S4}[name]
     f = tmp_path / f"{name}.txt"
     f.write_text(text)
-    for argv in (["complete", str(f)], ["complete", str(f), "--json"],
-                 ["endos", str(f)], ["endos", str(f), "--json"]):
-        plain = run(capsys, *argv)
-        assert plain[0] == 0
-        assert run(capsys, *argv, "--interreduce") == plain
-    # the reduced system is the completed one, and loads with its logs
-    code, out, _ = run(capsys, "complete", str(f), "--interreduce", "--json")
+    code, out, _ = run(capsys, "complete", str(f), "--json")
     data = json.loads(out)
-    assert any(rule.get("retired") for rule in data["rules"])
+    assert code == 0 and any(rule.get("retired") for rule in data["rules"])
     init = system_from_presentation(parse_presentation(text))
     loaded = system_from_json(data, init.order).system
     assert loaded.rules == logged_knuth_bendix(init).system.rules
+
+
+def test_every_flag_acts(capsys, tmp_path):
+    # each flag of cli.COMMANDS changes the exit code or stdout of one argv:
+    # ab_monoid reduces a a b b through its derived rule r4, so --expand
+    # changes the log and --limits 3,64 stops the completion before r4;
+    # se_monoid's 28 generators minimize to 16
+    _, out, _ = run(capsys, "endos", AB, "--json")
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(json.loads(out)["generators"][0]["cell"]))
+    operands = {"complete": [AB], "nf": [AB, "a a b b"], "reduce": [AB, "a a b b"],
+                "prove": [AB, "a a b b", "a b"], "endos": [AB], "express": [AB, str(loop)]}
+    idle = []
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        for flag in flags:
+            argv = [command, *operands[command]] if flag != "--minimize" else [command, SE]
+            given = [flag, "3,64"] if flag == "--limits" else [flag]
+            if run(capsys, *argv)[:2] == run(capsys, *argv, *given)[:2]:
+                idle.append(f"{command} {flag}")
+    assert not idle, f"flags that change neither exit code nor stdout: {idle}"
 
 
 def test_complete_text_marks_retired_rules(capsys, tmp_path):

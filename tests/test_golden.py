@@ -13,10 +13,8 @@ sides are long, so redexes overlap and the reduction strategy's
 tie-breaks decide the logs there.  ``prove`` also runs on an ab_monoid
 pair whose reductions end alike, so that its certificate drops their
 shared tail.
-``complete`` and ``endos`` also run with ``--interreduce``, which must
-change nothing.  The expected exit codes and sha256 digests of stdout
-live in ``tests/golden.json``; a refactor must leave every one of them
-unchanged.
+The expected exit codes and sha256 digests of stdout live in
+``tests/golden.json``; a refactor must leave every one of them unchanged.
 
 Record the file afresh (only when an output is meant to change) with
 
@@ -65,7 +63,6 @@ def presentation_cases(name: str) -> dict[str, list[str]]:
     commands = {
         "complete": ["complete", path],
         "complete-limit": ["complete", path, "--limits", "3,64"],
-        "complete-interreduce": ["complete", path, "--interreduce"],
         "nf": ["nf", path, word],
         "reduce": ["reduce", path, word],
         "reduce-expand": ["reduce", path, word, "--expand"],
@@ -74,7 +71,6 @@ def presentation_cases(name: str) -> dict[str, list[str]]:
         "prove-unequal": ["prove", path, *unequal],
         "endos": ["endos", path],
         "endos-minimize": ["endos", path, "--minimize"],
-        "endos-interreduce": ["endos", path, "--interreduce"],
     }
     cases = {}
     for label, argv in commands.items():
