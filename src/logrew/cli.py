@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 parse or usage error or stdout closed or full,
-2 completion limit exceeded, 3 words not equal, 4 invalid certificate or
+2 completion or expansion limit exceeded, 3 words not equal, 4 invalid certificate or
 cell (malformed, over letters outside the alphabet, or not replaying).
 Data goes to stdout, diagnostics to stderr (dropped if it is closed or
 full); ``--json`` switches the rendering, the JSON being the source of
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from .core import Alphabet, ParseError, Word, orient, parse_presentation, word_from_str, word_to_str
 from . import twocell
 from .engine import (
-    Verdict, expand_log, normal_form, prove, reduce_logged,
+    ExpansionTooLong, Verdict, expand_log, normal_form, prove, reduce_logged,
     system_from_presentation,
 )
 from .completion import CompletionLimits, logged_knuth_bendix, system_to_json
@@ -336,6 +336,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         _warn(f"parse error: {err}")
         return USAGE
+    except ExpansionTooLong as err:  # before anything is printed
+        _warn(str(err))
+        return LIMIT
     except OSError as err:
         if err.filename is not None:  # open() names the file it could not open
             _warn(f"cannot read {err.filename}: {err.strerror}")

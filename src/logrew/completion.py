@@ -69,29 +69,29 @@ class CompletionResult(namedtuple("CompletionResult", "system pending", defaults
 NewRule = namedtuple("NewRule", "rule log")
 
 
-def sides(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[TwoCell, Word], ...]:
-    """Each of two forward steps on word followed by the logged reduction of
-    its target, paired with the normal form that reduction ends at.
-    ``_new_rule`` orients the two into a rule, and ``endorewrites._resolved``
-    closes them into the loop of a branching that resolves."""
-    cells, rules = [], sys.rule_map
+def sides(s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[tuple[Step, ...], Word], ...]:
+    """Each of two forward steps followed by the logged reduction of its
+    target, and the normal form that reduction reaches.  ``_new_rule``
+    orients the two into a rule's log, and ``endorewrites.generate`` closes
+    them into the loop of a branching that resolves."""
+    found, rules = [], sys.rule_map
     for s in (s1, s2):
         top, moves = s.prefix + rules[s.rule].rhs + s.suffix, []
         end = reduce_into(top, sys, moves)
-        cells.append((TwoCell(word, (s, *replay_moves(top, moves, sys))), end))
-    return tuple(cells)
+        found.append(((s, *replay_moves(top, moves, sys)), end))
+    return tuple(found)
 
 
 def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:
     """The rule of a branching whose reducts differ, logged by its ``sides``."""
-    (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
+    (left, z_left), (right, z_right) = sides(overlap.left, overlap.right, sys)
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
     # steps, so the log is free reduced
     (lhs, up), (rhs, over) = (z_left, left), (z_right, right)
     if not sys.order.greater(z_left, z_right):
         (lhs, up), (rhs, over) = (rhs, over), (lhs, up)
-    log = TwoCell(lhs, twocell.invert_steps(up.steps) + over.steps)
+    log = TwoCell(lhs, twocell.invert_steps(up) + over)
     k = len(sys.rules) + 1
     while f"r{k}" in sys.rule_map:  # a loaded system may use any ids
         k += 1

@@ -47,16 +47,6 @@ def _across(s: Step, t: Step, rules: dict[str, Rule]) -> Step:
     return tuple.__new__(Step, (p, rule, exp, q[:len(q) - len(lhs) - len(t.suffix)] + rhs + t.suffix))
 
 
-def _resolved(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> tuple[TwoCell, Word]:
-    """The loop of two overlapping forward steps on word: the side of s1
-    against the side of s2, and the normal form both sides reach.  Each
-    side is forward steps only, so it is free reduced and the two join."""
-    (side1, end1), (side2, end2) = sides(word, s1, s2, sys)
-    if end1 != end2:
-        raise ValueError("critical branching does not resolve; the system is incomplete")
-    return TwoCell(word, twocell.join(side1.steps, twocell.invert_steps(side2.steps))), end1
-
-
 Generator = namedtuple("Generator", (
     "gid",
     "cell",  # based at the superposition of its origin
@@ -89,7 +79,8 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
 
     Every listed rule counts, retired ones included, since reduction uses
     them all.  ``init`` is not read; the benchmark's endos workload passes it.
-    Each unordered branching gives one generator, its loop.  Ids follow
+    Each unordered branching gives one generator, its loop: the side of
+    its left step against the side of its right, from ``sides``.  Ids follow
     the base element, the normal form of the superposition: shortest
     first, the greatest word first within a length, then discovery.  A
     duplicate loop leaves the set generating, so none is merged away.
@@ -97,8 +88,13 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
     sys = comp.system
-    overlaps = (_overlap(sys.rules, key) for key in _branchings(sys, 0, frozenset()))
-    found = [(o, *_resolved(o.superposition, o.left, o.right, sys)) for o in overlaps]
+    found = []
+    for o in (_overlap(sys.rules, key) for key in _branchings(sys, 0, frozenset())):
+        # each side is forward steps only, so it is free reduced and the two join
+        (left, meet), (right, end) = sides(o.left, o.right, sys)
+        if meet != end:
+            raise ValueError("critical branching does not resolve; the system is incomplete")
+        found.append((o, TwoCell(o.superposition, twocell.join(left, twocell.invert_steps(right))), meet))
     found.sort(key=lambda f: (len(f[2]), sys.order.key(f[2])))  # stable: discovery breaks ties
     generators = tuple(
         Generator(f"g{n}", loop, meet, o)

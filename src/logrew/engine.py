@@ -27,6 +27,8 @@ from .core import OrderSpec, Presentation, Rule, Word, orient
 from . import twocell
 from .twocell import Step, TwoCell
 
+EXPANSION_LIMIT = 10 ** 6  # steps: expand_log builds no longer expansion
+
 
 class Verdict(enum.Enum):
     NOT_EQUAL = "not-equal"
@@ -213,13 +215,21 @@ def prove(w1: Word, w2: Word, sys: LoggedSystem) -> TwoCell | Verdict:
     return TwoCell(w1, replay_moves(w1, moves1, sys) + twocell.invert_steps(replay_moves(w2, moves2, sys)))
 
 
+class ExpansionTooLong(ValueError):
+    """An expansion of more than ``EXPANSION_LIMIT`` steps; ``length`` is its exact number of steps."""
+
+    def __init__(self, length: int):
+        self.length = length
+        super().__init__(f"expansion of {length} steps exceeds the limit of {EXPANSION_LIMIT}")
+
+
 def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
     """Replace derived-rule steps by their stored logs until only initial rules remain.
 
     A log names only earlier rules, so each derived rule reached expands in list
-    order, once per system: the expansions are kept in the system's table, each
-    stored only once complete, and a system's logs never change.  A log runs
-    from its rule's lhs to its rhs, so a -1 step reads its expansion backwards."""
+    order, once per system, into the system's table (an entry is stored complete;
+    logs never change).  A log runs from lhs to rhs, so a -1 step reads it backwards.
+    Lengths are summed first: past ``EXPANSION_LIMIT`` steps it raises, building none."""
     logs, expanded, new = sys.logs, sys._expanded, tuple.__new__  # steps without namedtuple's frame
     reached = {step.rule for step in cell.steps if step.rule in logs and step.rule not in expanded}
     if reached:
@@ -227,6 +237,12 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
             if rule.rid in reached:
                 reached.update(step.rule for step in logs[rule.rid].steps
                                if step.rule in logs and step.rule not in expanded)
+    sizes = {rid: len(steps) for rid, steps in expanded.items()}  # expanded lengths; an initial rule's is 1
+    for rule in sys.rules:  # in list order, so a log's derived rules are sized before it
+        if rule.rid in reached:
+            sizes[rule.rid] = sum(sizes.get(r, 1) for _, r, _, _ in logs[rule.rid].steps)
+    if (length := sum(sizes.get(r, 1) for _, r, _, _ in cell.steps)) > EXPANSION_LIMIT:
+        raise ExpansionTooLong(length)
 
     def _expand(steps: tuple[Step, ...]) -> tuple[Step, ...]:
         out: list[Step] = []

@@ -9,8 +9,11 @@ before it filters them, and the same in heap order, shortest
 superposition first, a rotation search that keys every rotation
 afresh, Steinberg's growth series of an infinite Coxeter group, a
 quotient of polynomials read off its labels, with the length to which
-counts must agree with it (``growth_length``), and Solomon's series of a
-finite one, from its degrees, and
+counts must agree with it (``growth_length``), Solomon's series of a
+finite one, from its degrees, and Deligne's of a spherical Artin monoid,
+from its labels, with Garside's presentation of the positive braid
+monoids (``garside``), Squier's complex over ZM, whose ranks over
+GF(2^31 - 1) check a generator set linearly (``squier_ranks``), and
 the Cayley graph of a finite group read off a Todd-Coxeter coset table,
 with each element's least word and the reduced complete system, with no
 rewriting.  Tests compare the library against
@@ -29,7 +32,7 @@ the order its loop is rewritten (``replay_in_order``).
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count, product, zip_longest
+from itertools import combinations, count, product, zip_longest
 
 from logrew import completion, endorewrites, parse_presentation
 from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap
@@ -61,6 +64,10 @@ a b a b a b = 1
 a c a c = 1
 b c b c b c = 1
 """
+
+# the README's Notes example: completion stops at 200 rules on the word-length
+# limit, and its rule r199 expands to 113,966,313,867,687,395 steps
+NOTES = "monoid\nletters: a b c\norder: shortlex\nrules:\na a b a = c b c\nc c = a\nb b c a = b b\n"
 
 # completes to 24 branchings; five of their loops equal the loop of another
 # up to interchange, inversion and conjugacy
@@ -125,22 +132,23 @@ INFINITE_COXETER = {
 }
 
 
-def growth(sys: LoggedSystem, n: int) -> list[int]:
-    """The number of irreducible words of each length 0 to n, read off the lhs
-    index (Sims 1994): an irreducible word is a path from the root that never
-    enters a state whose word has an lhs as a suffix (out != 0)."""
+def growth(sys: LoggedSystem, n: int, weight: dict | None = None) -> list[int]:
+    """The number of irreducible words of each length 0 to n, or of each weight
+    0 to n when weight maps each letter to a positive integer, a word weighing
+    the sum of its letters', read off the lhs index (Sims 1994): an irreducible
+    word is a path from the root that never enters a state whose word has an
+    lhs as a suffix (out != 0)."""
     step, out, letters = sys._step, sys._out, sys.order.alphabet.letters
-    counts, layer = [], {0: 1}  # state -> number of irreducible words that reach it
-    for _ in range(n + 1):
-        counts.append(sum(layer.values()))
-        after = {}
-        for s, k in layer.items():
+    weight = weight or dict.fromkeys(letters, 1)
+    at = [{} for _ in range(n + 1)]  # at[k]: state -> number of irreducible words of weight k reaching it
+    at[0][0] = 1
+    for k, layer in enumerate(at):
+        for s, c in layer.items():
             for letter in letters:
-                t = step[s].get(letter, 0)
-                if not out[t]:
-                    after[t] = after.get(t, 0) + k
-        layer = after
-    return counts
+                t, j = step[s].get(letter, 0), k + weight[letter]
+                if j <= n and not out[t]:
+                    at[j][t] = at[j].get(t, 0) + c
+    return [sum(layer.values()) for layer in at]
 
 
 def growth_length(sys: LoggedSystem, num: list, den: list) -> int:
@@ -201,6 +209,22 @@ def steinberg_growth(letters, labels) -> tuple[list, list]:
     b = poly_mul([1, 1], *qs)
     pairs = [poly_mul([0] * m + [1], *qs[:i], *qs[i + 1:]) for i, m in enumerate(map(len, qs))]
     return b, poly_sum(b, [0, *(-3 * c for c in poly_mul(*qs))], *pairs)
+
+
+def deligne_growth(letters, labels) -> list:
+    """The denominator of the growth series of a spherical Artin monoid, its
+    Coxeter diagram labelled as ``coxeter`` reads it, in the length over its
+    Artin generators (Deligne 1972; Saito 2009): the series is 1 / sum over the
+    subsets J of letters of (-1)^|J| t^l(w_J), l(w_J) the length of the longest
+    element of the parabolic subgroup W_J, read off ``cayley_walk`` as its
+    longest least word, with no rewriting."""
+    marks = pair_labels(letters, labels)
+    den = []
+    for k in range(len(letters) + 1):
+        for subset in map("".join, combinations(letters, k)):
+            longest = max(map(len, cayley_walk(coxeter(subset, marks))[2])) if subset else 0
+            den = poly_sum(den, [0] * longest + [(-1) ** k])
+    return den
 
 
 def solomon_growth(degrees) -> list[int]:
@@ -335,6 +359,103 @@ def reduced_system(text: str) -> tuple[int, dict[Word, Word]]:
     return len(table), rules
 
 
+def garside(n: int) -> str:
+    """Garside's presentation of the positive braid monoid on n strands: one
+    letter per non-identity permutation of S_n, named by its alphabetically
+    first reduced word over a, b, ... (the adjacent transpositions), longest
+    first, and [u][v] = [uv] whenever the lengths of u and v add.  A
+    breadth-first search from the identity, trying a first, meets each
+    permutation first by that word."""
+    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
+    names, queue = {tuple(range(n)): ""}, [tuple(range(n))]
+    for p in queue:
+        for i, s in enumerate(swaps):
+            q = tuple(p[k] for k in s)
+            if q not in names:
+                names[q] = names[p] + "abcdefgh"[i]
+                queue.append(q)
+    del names[tuple(range(n))]
+    simple = sorted(names, key=lambda p: -len(names[p]))  # stable: the search's order within a length
+    relations = [((names[u], names[v]), (names[uv],)) for u in simple for v in simple
+                 if len(names.get(uv := tuple(u[k] for k in v), "")) == len(names[u]) + len(names[v])]
+    return _presentation([names[p] for p in simple], relations)
+
+
+def normal_forms(sys: LoggedSystem) -> list[Word]:
+    """The irreducible words of a system of a finite monoid, breadth first, read
+    off the lhs index as ``growth`` reads them: one per element."""
+    step, out, letters = sys._step, sys._out, sys.order.alphabet.letters
+    words, layer = [EMPTY], [(0, EMPTY)]
+    while layer:
+        layer = [(t, w + (x,)) for s, w in layer for x in letters if not out[t := step[s].get(x, 0)]]
+        words += [w for _, w in layer]
+    return words
+
+
+PRIME = 2 ** 31 - 1
+
+
+def rank_mod_p(rows) -> int:
+    """The rank over GF(2^31 - 1) of integer rows given as dicts column -> entry,
+    by elimination on the least column of each row."""
+    pivots = {}  # column -> a reduced row whose least column it is, scaled to 1 there
+    for row in rows:
+        row = {c: v % PRIME for c, v in row.items() if v % PRIME}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inverse = pow(row[col], PRIME - 2, PRIME)
+                pivots[col] = {c: v * inverse % PRIME for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivots[col].items():
+                if x := (row.get(c, 0) - factor * v) % PRIME:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def squier_ranks(gens: endorewrites.GeneratorSet) -> tuple[int, int, int]:
+    """|M| and the ranks over GF(2^31 - 1) of two maps of Squier's complex of
+    the free ZM-modules ZM[generators] -> ZM[rules] -> ZM[letters] (Squier
+    1987; Lafont 1995), for the finite monoid M of a generator set's system,
+    its elements the ``normal_forms``, every listed rule counted: d2(m . rule)
+    = m . (Fox(lhs) - Fox(rhs)) (Fox 1953), Fox(x1 ... xk) the sum over i of
+    [x1 ... x(i-1)] . xi, and d3(m . g) the sum over the steps of g's loop of
+    exp . [m . prefix] . rule.  The complex is exact at ZM[letters] when rank
+    d2 is (#letters - 1) |M| + 1, and at ZM[rules] when rank d3 is #rules |M|
+    - rank d2."""
+    sys = gens.system
+    words = normal_forms(sys)
+    index = {w: i for i, w in enumerate(words)}
+    letters = sys.order.alphabet.letters
+    times = {(i, x): index[normal_form(w + (x,), sys)] for i, w in enumerate(words) for x in letters}
+
+    def times_word(m, word):
+        for x in word:
+            m = times[m, x]
+        return m
+
+    def fox(m, word, sign, row):  # m . Fox(word), times sign, into row
+        for x in word:
+            row[m, x] = row.get((m, x), 0) + sign
+            m = times[m, x]
+
+    d2, d3 = [], []
+    for m in range(len(words)):
+        for rule in sys.rules:
+            d2.append({})
+            fox(m, rule.lhs, 1, d2[-1])
+            fox(m, rule.rhs, -1, d2[-1])
+        for gen in gens.generators:
+            d3.append({})
+            for step in gen.cell.steps:
+                key = times_word(m, step.prefix), step.rule
+                d3[-1][key] = d3[-1].get(key, 0) + step.exp
+    return len(words), rank_mod_p(d2), rank_mod_p(d3)
+
+
 def occurrences(needle: Word, haystack: Word) -> list[int]:
     k = len(needle)
     return [p for p in range(len(haystack) - k + 1) if haystack[p:p + k] == needle]
@@ -414,18 +535,21 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
     """Completion's verdict on a branching, read off its logged sides rather
     than ``completion._joins``'s unlogged reducts: None when the two sides
     end at one normal form, else the rule ``completion._new_rule`` logs."""
-    (_, left), (_, right) = completion.sides(overlap.superposition, overlap.left, overlap.right, sys)
+    (_, left), (_, right) = completion.sides(overlap.left, overlap.right, sys)
     return None if left == right else completion._new_rule(overlap, sys)
 
 
 def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
-    """The loop of two forward steps on word: the interchange square of
-    disjoint ones, ``endorewrites._square``, else the loop
-    ``endorewrites._resolved`` closes from their ``completion.sides``,
-    which must stand on their superposition."""
+    """The loop on word of two forward steps on it: the interchange square of
+    disjoint ones, ``endorewrites._square``, else their ``completion.sides``
+    closed as ``endorewrites.generate`` closes a branching's, which raises
+    ValueError when the two sides end apart."""
     if endorewrites._disjoint(s1, s2, sys.rule_map):
         return TwoCell(word, endorewrites._square(s1, s2, sys.rule_map))
-    return endorewrites._resolved(word, s1, s2, sys)[0]
+    (left, meet), (right, end) = completion.sides(s1, s2, sys)
+    if meet != end:
+        raise ValueError("critical branching does not resolve; the system is incomplete")
+    return TwoCell(word, tc.join(left, tc.invert_steps(right)))
 
 
 def every_branching_resolves(sys: LoggedSystem) -> bool:

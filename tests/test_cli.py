@@ -25,7 +25,7 @@ from logrew.engine import expand_log, reduce_logged
 import logrew.twocell as tc
 
 from fixture_loops import SE_LOOPS, loop_cell
-from helpers import A5, S4
+from helpers import A5, NOTES, S4
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 SE = str(PRESENTATIONS / "se_monoid.txt")
@@ -372,6 +372,22 @@ def test_reduce_expand_uses_initial_rules_only(capsys, ab_init):
     cell = tc.cell_from_json(json.loads(out))
     assert tc.validate(cell, ab_init.rule_map) is None
     assert {step.rule for step in cell.steps} <= {"r1", "r2"}
+
+
+def test_expand_past_the_limit_exits_2_with_one_line(capsys, tmp_path):
+    # r199 of the README's Notes example expands to about 1.1e17 steps:
+    # --expand refuses it before building a step, with nothing on stdout
+    f = tmp_path / "notes.txt"
+    f.write_text(NOTES)
+    code, out, _ = run(capsys, "complete", str(f), "--json")
+    assert code == 2
+    rule = next(rule for rule in json.loads(out)["rules"] if rule["id"] == "r199")
+    code, out, _ = run(capsys, "reduce", str(f), rule["lhs"], "--json")
+    assert code == 2 and [step["rule"] for step in json.loads(out)["steps"]] == ["r199"]
+    line = "expansion of 113966313867687395 steps exceeds the limit of 1000000\n"
+    for command, *operands in (["reduce", rule["lhs"]], ["reduce", rule["lhs"], "--json"],
+                               ["prove", rule["lhs"], rule["rhs"]]):
+        assert run(capsys, command, str(f), *operands, "--expand") == (2, "", line)
 
 
 def test_prove_equal_words(capsys, se_init):

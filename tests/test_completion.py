@@ -20,7 +20,7 @@ from logrew.twocell import Step, TwoCell
 
 import helpers
 from helpers import (
-    LADDER, NINE_GROUPS, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
+    LADDER, NINE_GROUPS, NOTES, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
     count_normal_forms, critical_pairs, delta, every_branching_resolves, expanded_lengths,
     filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, resolve, scan_retired, step_ends,
     words_over,
@@ -352,12 +352,12 @@ def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
 
     def checked(overlap, sys):
         outcome = new_rule(overlap, sys)
-        (left, z_left), (right, z_right) = sides(overlap.superposition, overlap.left, overlap.right, sys)
+        (left, z_left), (right, z_right) = sides(overlap.left, overlap.right, sys)
         assert z_left != z_right
         (up, lhs), (over, rhs) = sorted(
             [(left, z_left), (right, z_right)], key=lambda side: sys.order.key(side[1]))
         assert outcome == NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs),
-                                  TwoCell(lhs, tc.invert_steps(up.steps) + over.steps))
+                                  TwoCell(lhs, tc.invert_steps(up) + over))
         outcomes.append(outcome)
         return outcome
 
@@ -533,11 +533,11 @@ def test_retirement_invariants(name):
     result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
     assert result.status == "complete"
     check_retirement(result.system)
-    # each side's end word is where its cell replays to
+    # each side's end word is where its steps replay to from the superposition
     sys = result.system
     for overlap in critical_pairs(sys, 0):
-        for cell, end in sides(overlap.superposition, overlap.left, overlap.right, sys):
-            assert end == tc.target(cell, sys.rule_map)
+        for steps, end in sides(overlap.left, overlap.right, sys):
+            assert end == tc.target(TwoCell(overlap.superposition, steps), sys.rule_map)
 
 
 @pytest.mark.parametrize("relations,letters,gone", [
@@ -573,9 +573,7 @@ def test_saved_ladder_system_loads(name):
 @pytest.mark.parametrize("limits", [CompletionLimits(), CompletionLimits(max_rules=4)],
                          ids=["default", "max_rules=4"])
 @given(text=presentations())
-# stops at the word-length limit; its rule r199 expands to about 1.1e17 steps
-@example(text="monoid\nletters: a b c\norder: shortlex\nrules:\n"
-              "a a b a = c b c\nc c = a\nb b c a = b b\n")
+@example(text=NOTES)  # stops at the word-length limit; its rule r199 expands to about 1.1e17 steps
 @settings(max_examples=40, deadline=None)
 def test_saved_system_round_trips(limits, text):
     # complete and partial systems alike: the loaded one writes the same

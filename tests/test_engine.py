@@ -5,6 +5,7 @@ import copy
 import random
 import sys as _sys
 import threading
+import time
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -24,8 +25,9 @@ import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell, identity
 
 from helpers import (
-    LADDER, S4, all_normal_forms, critical_pairs, intermediate_words, random_cell, random_loop,
-    random_word, relator_pair, scan_redexes, scan_reduce, scan_retired, words_over,
+    LADDER, NOTES, S4, all_normal_forms, critical_pairs, expanded_lengths, intermediate_words,
+    random_cell, random_loop, random_word, relator_pair, scan_redexes, scan_reduce, scan_retired,
+    words_over,
 )
 from test_endorewrites import presentations
 
@@ -499,23 +501,58 @@ def test_expand_log_random_cells(rng, abc_completion):
         assert all(step.rule in initial for step in expanded.steps)
 
 
-def test_expand_log_follows_a_chain_of_logs_deeper_than_the_recursion_limit():
-    # r_k: a^k b -> b, logged as a r_(k-1) then r1, so r600 expands to 600
-    # steps of r1 through a chain of 599 logs
-    depth = 600
-    assert 2 * depth > _sys.getrecursionlimit()
+def chain(depth: int) -> LoggedSystem:
+    """r_k: a^k b -> b for k = 1 to depth, r_k logged as a r_(k-1) then r1, so
+    r_k expands to k steps of r1 through a chain of k - 1 logs."""
     entries = [{"id": "r1", "lhs": "a b", "rhs": "b"}]
     for k in range(2, depth + 1):
         lhs = ("a",) * k + ("b",)
         log = TwoCell(lhs, (Step(("a",), f"r{k - 1}", 1, ()), Step((), "r1", 1, ())))
         entries.append({"id": f"r{k}", "lhs": tc.word_to_str(lhs), "rhs": "b",
                         "provenance": "derived", "log": tc.cell_to_json(log)})
-    sys = system_from_json({"status": "limit", "rules": entries}, OrderSpec(Alphabet(("a", "b")))).system
+    return system_from_json({"status": "limit", "rules": entries}, OrderSpec(Alphabet(("a", "b")))).system
+
+
+def test_expand_log_follows_a_chain_of_logs_deeper_than_the_recursion_limit():
+    depth = 600
+    assert 2 * depth > _sys.getrecursionlimit()
+    sys = chain(depth)
     down = tuple(Step(("a",) * j, "r1", 1, ()) for j in reversed(range(depth)))
     lhs = sys.rule_map[f"r{depth}"].lhs
     assert expand_log(TwoCell(lhs, (Step((), f"r{depth}", 1, ()),)), sys) == TwoCell(lhs, down)
     up = TwoCell(W("b"), (Step((), f"r{depth}", -1, ()),))
     assert expand_log(up, sys) == TwoCell(W("b"), tuple(Step(s.prefix, "r1", -1, ()) for s in reversed(down)))
+
+
+def test_expand_log_sizes_an_expansion_before_building_it():
+    # r199 of the README's Notes example expands to about 1.1e17 steps: the
+    # exact length is summed through the logs and refused, with no step built
+    result = logged_knuth_bendix(system_from_presentation(parse_presentation(NOTES)))
+    sys = result.system
+    assert (result.status, len(sys.rules)) == ("limit", 200)
+    lhs = sys.rule_map["r199"].lhs
+    start = time.perf_counter()
+    with pytest.raises(engine.ExpansionTooLong, match="^expansion of 113966313867687395 steps "
+                                                      "exceeds the limit of 1000000$") as caught:
+        expand_log(TwoCell(lhs, (Step((), "r199", 1, ()),)), sys)
+    assert time.perf_counter() - start < 1
+    assert caught.value.length == expanded_lengths(sys)["r199"] == 113_966_313_867_687_395
+    assert isinstance(caught.value, ValueError) and sys._expanded == {}
+
+
+def test_expand_log_builds_an_expansion_of_exactly_the_limit(monkeypatch):
+    # initial steps count one each, and a rule already expanded counts its
+    # table entry's length
+    monkeypatch.setattr(engine, "EXPANSION_LIMIT", 12)
+    sys, source = chain(10), W("a a a a a a a a a a b")
+    at_limit = TwoCell(source, (Step((), "r10", 1, ()), Step((), "r1", -1, ()), Step((), "r1", 1, ())))
+    assert len(expand_log(at_limit, sys).steps) == 12 and set(sys._expanded) == {f"r{k}" for k in range(2, 11)}
+    over = TwoCell(source, (Step((), "r10", 1, ()), Step((), "r10", -1, ())))
+    untouched = chain(10)
+    for system in (sys, untouched):  # r10 sized from the table, then through the logs
+        with pytest.raises(engine.ExpansionTooLong, match="^expansion of 20 steps exceeds the limit of 12$"):
+            expand_log(over, system)
+    assert len(sys._expanded) == 9 and untouched._expanded == {}
 
 
 @pytest.fixture(scope="module")

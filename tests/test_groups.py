@@ -23,7 +23,13 @@ the nine groups.  The four infinite Coxeter groups of
 rank 3 are counted by ``growth`` against Steinberg's series, and PSL(2,Z)
 and Z x Z against the series of their factors, each to the length that
 ``growth_length`` computes from the live states of the lhs index and the
-series' degrees, which proves them equal at every length.
+series' degrees, which proves them equal at every length.  So are Z and the
+free monoid of ``presentations/``.  Positive braid monoids, Garside's
+presentations of B3+ and B4+ and B3+ with Delta, are counted by weight
+against Deligne's series, and B3+ on its two Artin generators is shown to
+stop at its limit.  On four finite groups the generator set makes Squier's
+complex exact, over GF(2^31 - 1), at ZM[letters] and ZM[rules], and a
+minimized set is shown to fall short.
 """
 
 from functools import cache
@@ -35,7 +41,7 @@ import pytest
 
 from logrew import parse_presentation, system_from_presentation
 from logrew.completion import CompletionLimits, logged_knuth_bendix
-from logrew.endorewrites import express, generate
+from logrew.endorewrites import express, generate, minimize
 from logrew.engine import Verdict, expand_log, normal_form, prove
 import logrew.twocell as tc
 
@@ -43,10 +49,12 @@ from logrew.core import Alphabet, OrderSpec
 from logrew.engine import LoggedSystem
 
 import helpers
+from conftest import PRESENTATIONS
 from helpers import (
     A5, INFINITE_COXETER, LADDER, NINE_GROUPS, S4, SCALE_GROUPS, _series_quotient, cayley_walk, coset_of,
-    count_normal_forms, coxeter, growth, growth_length, heap_knuth_bendix, poly_mul, poly_sum, random_cell,
-    random_loop, random_word, reduced_system, relator_pair, solomon_growth, steinberg_growth,
+    count_normal_forms, coxeter, deligne_growth, garside, growth, growth_length, heap_knuth_bendix, poly_mul,
+    poly_sum, random_cell, random_loop, random_word, reduced_system, relator_pair, solomon_growth,
+    squier_ranks, steinberg_growth,
 )
 
 A4 = """monoid
@@ -346,3 +354,85 @@ def test_count_of_an_infinite_monoid_stops_at_the_bound():
     free = LoggedSystem((), order=OrderSpec(Alphabet(("a", "b"))))
     with pytest.raises(ValueError, match="longer than 5"):
         count_normal_forms(free, 5)
+
+
+# Squier's complex over ZM, ranks over GF(2^31 - 1): name -> (rank d2, rank d3)
+SQUIER = {"S4": (49, 311), "triangle_r3": (13, 83), "triangle_r4": (25, 239), "Z8xZ9": (73, 143)}
+
+
+@cache
+def ladder_generators(name):
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER[name][0])))
+    assert completion.status == "complete"
+    return generate(completion)
+
+
+@pytest.mark.parametrize("name", SQUIER)
+def test_generators_make_squiers_complex_exact(name):
+    # the loops of generate span the kernel of d2, linearly over ZM: a set
+    # that missed a loop, or logged one with a wrong exponent or prefix, would
+    # give d3 another rank (every exponent +1 reads 360 on S4, no prefix 288)
+    gens = ladder_generators(name)
+    size, d2, d3 = squier_ranks(gens)
+    assert size == LADDER[name][1]
+    assert d2 == (len(gens.system.order.alphabet.letters) - 1) * size + 1
+    assert d3 == len(gens.system.rules) * size - d2
+    assert (d2, d3) == SQUIER[name]
+
+
+@pytest.mark.parametrize("name, kept", [("S4", 310), ("Z8xZ9", 135)])
+def test_a_minimized_set_is_not_a_homotopy_basis(name, kept):
+    # minimize compares abelianizations only: its kept set falls short of
+    # exactness at ZM[rules] (ROADMAP item 8; item 10 would close the gap)
+    assert squier_ranks(minimize(ladder_generators(name)))[2] == kept < SQUIER[name][1]
+
+
+B3_DELTA = "monoid\nletters: D a b\norder: shortlex\nrules:\na b a = b a b\na b a = D\n"
+
+
+def simple_lengths(text):
+    """Each letter of a Garside presentation to its simple braid's length."""
+    return {x: len(x) for x in parse_presentation(text).alphabet.letters}
+
+
+def test_delignes_series_of_b3_and_b4():
+    assert deligne_growth("ab", [3]) == [1, -2, 0, 1]
+    assert deligne_growth("abc", [3, 3]) == [1, -3, 1, 2, 0, 0, -1]
+
+
+@pytest.mark.parametrize("text, weight, labels, rules", [
+    (garside(3), simple_lengths(garside(3)), [3], 12),
+    (garside(4), simple_lengths(garside(4)), [3, 3], 342),
+    (B3_DELTA, {"D": 3, "a": 1, "b": 1}, [3], 6),
+], ids=["Garside B3+", "Garside B4+", "B3+ with Delta"])
+def test_artin_monoids_grow_as_delignes_series(text, weight, labels, rules):
+    # positive braid monoids, each letter weighted by its length over the
+    # Artin generators: their irreducible words of each weight are the
+    # monoid's elements of that length, whose series Deligne's sum gives
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(text)),
+                                     CompletionLimits(max_rules=400))
+    assert (completion.status, len(completion.system.rules)) == ("complete", rules)
+    den = deligne_growth("abc"[:len(labels) + 1], labels)
+    assert growth(completion.system, 13, weight) == _series_quotient([1], den, 13)
+
+
+@pytest.mark.parametrize("name, series", [("int_monoid", ([1, 1], [1, -1])), ("free_monoid", ([1], [1, -2]))])
+def test_monoids_of_the_presentations_grow_as_their_series(name, series):
+    # Z = <a, b | a b, b a>, (1 + t) / (1 - t), and the free monoid on two letters, 1 / (1 - 2t)
+    text = (PRESENTATIONS / f"{name}.txt").read_text(encoding="utf-8")
+    completion = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    assert completion.status == "complete"
+    n = growth_length(completion.system, *series)
+    assert growth(completion.system, n) == _series_quotient(*series, n)
+
+
+def test_positive_braid_monoid_on_two_letters_stops_at_its_limit():
+    # B3+ = <a, b | a b a = b a b> has no finite shortlex completion on {a, b}:
+    # it derives a b^n a b -> b a b b a^(n-1) for each n >= 2 until an lhs
+    # would pass 64 letters
+    text = "monoid\nletters: a b\norder: shortlex\nrules:\na b a = b a b\n"
+    result = logged_knuth_bendix(system_from_presentation(parse_presentation(text)))
+    assert result.status == "limit" and result.pending
+    family = [(("a",) + ("b",) * n + ("a", "b"), ("b", "a", "b", "b") + ("a",) * (n - 1))
+              for n in range(2, 62)]
+    assert [rule[1:] for rule in result.system.rules] == [(("a", "b", "a"), ("b", "a", "b")), *family]
