@@ -237,12 +237,10 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
             if rule.rid in reached:
                 reached.update(step.rule for step in logs[rule.rid].steps
                                if step.rule in logs and step.rule not in expanded)
-    sizes = {rid: len(steps) for rid, steps in expanded.items()}  # expanded lengths; an initial rule's is 1
-    for rule in sys.rules:  # in list order, so a log's derived rules are sized before it
-        if rule.rid in reached:
-            sizes[rule.rid] = sum(sizes.get(r, 1) for _, r, _, _ in logs[rule.rid].steps)
-    if (length := sum(sizes.get(r, 1) for _, r, _, _ in cell.steps)) > EXPANSION_LIMIT:
-        raise ExpansionTooLong(length)
+    sizes: dict[str, int] = {}  # the reached rules' expanded lengths
+
+    def length(steps: tuple[Step, ...]) -> int:  # the shared table is looked up, never walked
+        return sum(sizes[r] if r in sizes else len(expanded[r]) if r in expanded else 1 for _, r, _, _ in steps)
 
     def _expand(steps: tuple[Step, ...]) -> tuple[Step, ...]:
         out: list[Step] = []
@@ -256,6 +254,11 @@ def expand_log(cell: TwoCell, sys: LoggedSystem) -> TwoCell:
                 out += [new(Step, (prefix + p, r, -e, s + suffix)) for p, r, e, s in reversed(expanded[rid])]
         return tuple(out)
 
+    for rule in sys.rules:  # in list order, so a log's derived rules are sized before it
+        if rule.rid in reached:
+            sizes[rule.rid] = length(logs[rule.rid].steps)
+    if (total := length(cell.steps)) > EXPANSION_LIMIT:
+        raise ExpansionTooLong(total)
     for rule in sys.rules:
         if rule.rid in reached:
             expanded[rule.rid] = _expand(logs[rule.rid].steps)

@@ -542,8 +542,11 @@ def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
 def delta(word: Word, s1: Step, s2: Step, sys: LoggedSystem) -> TwoCell:
     """The loop on word of two forward steps on it: the interchange square of
     disjoint ones, ``endorewrites._square``, else their ``completion.sides``
-    closed as ``endorewrites.generate`` closes a branching's, which raises
-    ValueError when the two sides end apart."""
+    closed as ``endorewrites.generate`` closes a branching's, raising its
+    ValueError when the two sides end apart.  This mirrors ``generate``, so it
+    is checked against it: ``test_generate_is_one_loop_per_branching`` asserts
+    that each generator's loop is ``delta`` of its branching, and the library's
+    own raise is tested through ``generate``."""
     if endorewrites._disjoint(s1, s2, sys.rule_map):
         return TwoCell(word, endorewrites._square(s1, s2, sys.rule_map))
     (left, meet), (right, end) = completion.sides(s1, s2, sys)

@@ -85,12 +85,12 @@ def test_delta_and_generate_need_a_complete_system(ab_init):
     # ab_monoid's initial rules take a b a to a a one way and to a the other
     [overlap] = [o for o in critical_pairs(ab_init, 0) if o.superposition == W("a b a")]
     unresolved = "^critical branching does not resolve; the system is incomplete$"
-    with pytest.raises(ValueError, match=unresolved):
+    with pytest.raises(ValueError, match=unresolved):  # the helper's mirror of generate's check
         delta(overlap.superposition, overlap.left, overlap.right, ab_init)
     with pytest.raises(ValueError, match="^generator extraction needs a completed system$"):
         generate(CompletionResult(ab_init))
-    # a system flagged complete that is not: generate closes each branching
-    # itself and finds the one that does not resolve
+    # the library's check: given a system flagged complete that is not,
+    # generate closes each branching itself and finds the one that does not resolve
     flagged = ab_init._copy()
     flagged.complete = True
     with pytest.raises(ValueError, match=unresolved):

@@ -674,6 +674,23 @@ def test_expansions_shared_across_threads(s5):
     assert shared._expanded == alone._expanded
 
 
+def test_expand_log_never_walks_the_shared_table(s5):
+    # another thread may store an entry at any moment, and a walk over the
+    # table would then raise; it is only looked up, entry by entry
+    class Unwalkable(dict):
+        def __iter__(self):
+            raise AssertionError("the table was walked")
+
+        keys = values = items = __iter__
+
+    cells = s5_proofs(s5, 3, 40)
+    expected = [expand_log(cell, fresh(s5)) for cell in cells]
+    sys = fresh(s5)
+    sys._expanded = Unwalkable()
+    assert [expand_log(cell, sys) for cell in cells] == expected  # cold, then warm
+    assert [expand_log(cell, sys) for cell in cells] == expected and sys._expanded
+
+
 def test_expansions_do_not_leak_between_systems(s5):
     # a second system with the same ids, one derived rule's log taking a
     # detour: its first step, undone, then the log as stored
