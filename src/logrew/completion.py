@@ -66,9 +66,6 @@ class CompletionResult(namedtuple("CompletionResult", "system pending", defaults
         return "complete" if self.system.complete else "limit"
 
 
-NewRule = namedtuple("NewRule", "rule log")
-
-
 def sides(s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[tuple[Step, ...], Word], ...]:
     """Each of two forward steps followed by the logged reduction of its
     target, and the normal form that reduction reaches.  ``_new_rule``
@@ -82,8 +79,8 @@ def sides(s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[tuple[Step, ...]
     return tuple(found)
 
 
-def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:
-    """The rule of a branching whose reducts differ, logged by its ``sides``."""
+def _new_rule(overlap: Overlap, sys: LoggedSystem) -> tuple[Rule, TwoCell]:
+    """The rule of a branching whose reducts differ, and its log from its ``sides``."""
     (left, z_left), (right, z_right) = sides(overlap.left, overlap.right, sys)
     # new rule: greater reduct -> smaller reduct, logged up the greater side
     # and down the other; the one change of sign is between two distinct
@@ -95,7 +92,7 @@ def _new_rule(overlap: Overlap, sys: LoggedSystem) -> NewRule:
     k = len(sys.rules) + 1
     while f"r{k}" in sys.rule_map:  # a loaded system may use any ids
         k += 1
-    return NewRule(Rule(f"r{k}", lhs, rhs), log)
+    return Rule(f"r{k}", lhs, rhs), log
 
 
 def _branchings(sys: LoggedSystem, new_start: int, gone: frozenset | set) -> list[tuple]:
@@ -194,11 +191,11 @@ def logged_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             if not live(key) or _joins(sys, key):
                 continue
             overlap = _overlap(sys.rules, key)
-            outcome = _new_rule(overlap, sys)
-            if len(sys.rules) >= limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
+            rule, log = _new_rule(overlap, sys)
+            if len(sys.rules) >= limits.max_rules or len(rule.lhs) > limits.max_word_length:
                 rest = (_overlap(sys.rules, later) for later in keys[n + 1:] if live(later))
                 return CompletionResult(sys, (overlap, *rest))
-            sys._add_rule(outcome.rule, outcome.log)
+            sys._add_rule(rule, log)
         if len(sys.rules) == new_start:
             sys.complete = True
             return CompletionResult(sys)

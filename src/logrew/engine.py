@@ -21,7 +21,7 @@ and reads on from it, so no letter is read twice but a right-hand side's.
 
 from __future__ import annotations
 
-import enum
+from collections import namedtuple
 
 from .core import OrderSpec, Presentation, Rule, Word, orient
 from . import twocell
@@ -30,9 +30,8 @@ from .twocell import Step, TwoCell
 EXPANSION_LIMIT = 10 ** 6  # steps: expand_log builds no longer expansion
 
 
-class Verdict(enum.Enum):
-    NOT_EQUAL = "not-equal"
-    UNKNOWN = "unknown"
+Verdict = namedtuple("Verdict", "value")
+Verdict.NOT_EQUAL, Verdict.UNKNOWN = Verdict("not-equal"), Verdict("unknown")
 
 
 class LoggedSystem:

@@ -35,7 +35,7 @@ from heapq import heappop, heappush
 from itertools import combinations, count, product, zip_longest
 
 from logrew import completion, endorewrites, parse_presentation
-from logrew.completion import CompletionLimits, CompletionResult, NewRule, Overlap
+from logrew.completion import CompletionLimits, CompletionResult, Overlap
 from logrew.core import EMPTY, Rule, Word, word_to_str
 from logrew.engine import LoggedSystem, normal_form, reduce_logged
 from logrew.twocell import ChainError, Step, TwoCell
@@ -158,8 +158,14 @@ def growth_length(sys: LoggedSystem, num: list, den: list) -> int:
     (out 0), so their series is P / Q with deg Q <= N and deg P < N.  Then
     (P den - num Q) / (Q den) is the difference, and its numerator has degree
     below N + max(deg den, deg num + 1): agreement on that many coefficients
-    makes it zero."""
-    return sum(not o for o in sys._out) + max(len(den) - 1, len(num))
+    makes it zero.  Two systems' counts agree at every length, by the same
+    argument, once they agree to the sum of their ``live_states``."""
+    return live_states(sys) + max(len(den) - 1, len(num))
+
+
+def live_states(sys: LoggedSystem) -> int:
+    """The number of states of the lhs index whose word has no lhs as a suffix (out 0)."""
+    return sum(not o for o in sys._out)
 
 
 def count_normal_forms(sys: LoggedSystem, bound: int) -> list[int]:
@@ -531,10 +537,10 @@ def scan_retired(sys: LoggedSystem) -> set[str]:
     }
 
 
-def resolve(overlap: Overlap, sys: LoggedSystem) -> NewRule | None:
+def resolve(overlap: Overlap, sys: LoggedSystem) -> tuple[Rule, TwoCell] | None:
     """Completion's verdict on a branching, read off its logged sides rather
     than ``completion._joins``'s unlogged reducts: None when the two sides
-    end at one normal form, else the rule ``completion._new_rule`` logs."""
+    end at one normal form, else the rule and log ``completion._new_rule`` builds."""
     (_, left), (_, right) = completion.sides(overlap.left, overlap.right, sys)
     return None if left == right else completion._new_rule(overlap, sys)
 
@@ -604,13 +610,11 @@ def filter_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = No
             outcome = resolve(overlap, sys) if live(overlap) else None
             if outcome is None:
                 continue
-            if (
-                len(sys.rules) + 1 > limits.max_rules
-                or len(outcome.rule.lhs) > limits.max_word_length
-            ):
+            rule, log = outcome
+            if len(sys.rules) + 1 > limits.max_rules or len(rule.lhs) > limits.max_word_length:
                 return CompletionResult(sys, tuple(filter(live, (overlap, *queue))))
-            gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
-            sys = LoggedSystem(sys.rules + (outcome.rule,), {**sys.logs, outcome.rule.rid: outcome.log},
+            gone.update(r.rid for r in sys.rules if occurrences(rule.lhs, r.lhs))
+            sys = LoggedSystem(sys.rules + (rule,), {**sys.logs, rule.rid: log},
                                order=sys.order)
         if len(sys.rules) == new_start:
             sys.complete = True
@@ -644,10 +648,11 @@ def heap_knuth_bendix(init: LoggedSystem, limits: CompletionLimits | None = None
         outcome = resolve(overlap, sys) if live(overlap) else None
         if outcome is None:
             continue
-        if len(sys.rules) + 1 > limits.max_rules or len(outcome.rule.lhs) > limits.max_word_length:
+        rule, log = outcome
+        if len(sys.rules) + 1 > limits.max_rules or len(rule.lhs) > limits.max_word_length:
             return CompletionResult(sys, tuple(filter(live, (overlap, *(entry[-1] for entry in sorted(heap))))))
-        gone.update(r.rid for r in sys.rules if occurrences(outcome.rule.lhs, r.lhs))
-        sys = LoggedSystem(sys.rules + (outcome.rule,), {**sys.logs, outcome.rule.rid: outcome.log},
+        gone.update(r.rid for r in sys.rules if occurrences(rule.lhs, r.lhs))
+        sys = LoggedSystem(sys.rules + (rule,), {**sys.logs, rule.rid: log},
                            order=sys.order)
         push(len(sys.rules) - 1)
     sys.complete = True

@@ -119,11 +119,13 @@ def test_import_loads_no_module_it_does_not_use():
 
 
 def test_a_cold_import_without_site_loads_no_typing():
-    # a .pth file that site runs can load typing before the package does,
-    # which hides it from the test above; under -S nothing is preloaded
+    # a .pth file that site runs can load typing, enum and functools before
+    # the package does, which hides them from the test above; under -S
+    # nothing is preloaded.  Every value type is a namedtuple, Verdict's two
+    # constants included, so the package needs neither enum nor functools
     modules = loaded_modules("import logrew.cli, logrew.endorewrites", "-S")
     assert "logrew.endorewrites" in modules
-    assert "typing" not in modules
+    assert not modules & {"typing", "enum", "functools"}
 
 
 @pytest.mark.parametrize("argv,endorewrites", [
@@ -156,7 +158,7 @@ def test_record_types_keep_their_public_surface(se_init):
     # the fields, default, checks, tuple equality and repr that callers and
     # saved outputs rely on, and the rule and prefix of a generator's origin
     # steps that its origin_index key is read off, however the classes are declared
-    from logrew import completion, core, endorewrites
+    from logrew import completion, core, endorewrites, engine
     fields = {
         core.OrderSpec: ("alphabet",),
         core.Rule: ("rid", "lhs", "rhs"),
@@ -166,7 +168,7 @@ def test_record_types_keep_their_public_surface(se_init):
         completion.Overlap: ("case", "superposition", "left", "right"),
         completion.CompletionLimits: ("max_rules", "max_word_length"),
         completion.CompletionResult: ("system", "pending"),
-        completion.NewRule: ("rule", "log"),
+        engine.Verdict: ("value",),
         endorewrites.Generator: ("gid", "cell", "base_element", "origin"),
         endorewrites.Factor: ("gen", "x", "z", "conjugator", "exp", "cell"),
         endorewrites.Decomposition: ("factors", "residual"),
@@ -179,6 +181,7 @@ def test_record_types_keep_their_public_surface(se_init):
         assert record._replace(**{names[0]: 7}) == (7, *values[1:]), cls.__name__
     assert completion.CompletionResult(se_init).pending == ()
     assert completion.CompletionLimits() == (256, 64)
+    assert (engine.Verdict.NOT_EQUAL.value, engine.Verdict.UNKNOWN.value) == ("not-equal", "unknown")
     with pytest.raises(ValueError, match="^completion limits must be positive$"):
         completion.CompletionLimits()._replace(max_rules=0)
     step = tc.Step(("s",), "r2", -1, ())

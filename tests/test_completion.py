@@ -13,7 +13,7 @@ from logrew.engine import (
     LoggedSystem, expand_log, normal_form, prove, reduce_logged, system_from_presentation,
 )
 from logrew.completion import (
-    CompletionLimits, NewRule, is_complete, logged_knuth_bendix, sides, system_from_json, system_to_json,
+    CompletionLimits, is_complete, logged_knuth_bendix, sides, system_from_json, system_to_json,
 )
 import logrew.twocell as tc
 from logrew.twocell import Step, TwoCell
@@ -22,12 +22,12 @@ import helpers
 from helpers import (
     LADDER, NINE_GROUPS, NOTES, SCALE_GROUPS, brute_force_overlaps, check_retirement, congruence_classes,
     count_normal_forms, critical_pairs, delta, every_branching_resolves, expanded_lengths,
-    filter_knuth_bendix, find_overlaps, pairwise_critical_pairs, resolve, scan_retired, step_ends,
-    words_over,
+    filter_knuth_bendix, find_overlaps, growth, live_states, pairwise_critical_pairs, resolve, scan_retired,
+    step_ends, words_over,
 )
 from test_endorewrites import presentations
 from test_engine import system, systems_and_words
-from test_groups import PSL27
+from test_groups import INFINITE, PSL27
 
 W = word_from_str
 
@@ -123,14 +123,13 @@ def test_every_published_pair_resolves(se_init):
 def test_resolve_new_rule_ab(ab_init):
     r1, r2 = ab_init.rule_map["r1"], ab_init.rule_map["r2"]
     [ov] = [o for o in find_overlaps(r1, r2) if o.superposition == W("a b a")]
-    outcome = resolve(ov, ab_init)
-    assert isinstance(outcome, NewRule)
-    assert outcome.rule.lhs == W("a a") and outcome.rule.rhs == W("a")
+    rule, log = resolve(ov, ab_init)
+    assert rule == Rule("r3", W("a a"), W("a"))
     # the log witnesses aa -> a over the two initial rules in three steps
-    assert len(outcome.log.steps) == 3
-    assert outcome.log.source == W("a a")
-    assert tc.target(outcome.log, ab_init.rule_map) == W("a")
-    assert {s.rule for s in outcome.log.steps} == {"r1", "r2"}
+    assert len(log.steps) == 3
+    assert log.source == W("a a")
+    assert tc.target(log, ab_init.rule_map) == W("a")
+    assert {s.rule for s in log.steps} == {"r1", "r2"}
 
 
 def test_knuth_bendix_published_system(se_init, se_completion):
@@ -356,8 +355,7 @@ def test_resolve_logs_only_the_pairs_that_become_rules(name, monkeypatch):
         assert z_left != z_right
         (up, lhs), (over, rhs) = sorted(
             [(left, z_left), (right, z_right)], key=lambda side: sys.order.key(side[1]))
-        assert outcome == NewRule(Rule(f"r{len(sys.rules) + 1}", lhs, rhs),
-                                  TwoCell(lhs, tc.invert_steps(up) + over))
+        assert outcome == (Rule(f"r{len(sys.rules) + 1}", lhs, rhs), TwoCell(lhs, tc.invert_steps(up) + over))
         outcomes.append(outcome)
         return outcome
 
@@ -431,7 +429,8 @@ def test_is_complete_reports_witness(ab_init):
     assert not ok
     assert witness is not None
     assert witness.superposition in (W("a b a"), W("b a b"))
-    assert isinstance(resolve(witness, ab_init), NewRule)
+    rule, log = resolve(witness, ab_init)
+    assert isinstance(rule, Rule) and isinstance(log, TwoCell)
 
 
 def test_is_complete_empty_system():
@@ -796,14 +795,15 @@ def test_resumed_completion_keeps_normal_forms(name, max_rules):
         assert normal_form(w, resumed.system) == normal_form(w, direct.system), w
 
 
-@pytest.mark.parametrize("name", sorted(LADDER))
+@pytest.mark.parametrize("name", [*sorted(LADDER), *INFINITE])
 def test_max_rules_alone_stops_and_resumes(name):
     # each max_rules from the initial rule count to the completed one: the
     # run lists at most that many rules, its pending branchings of a retired
-    # rule are inclusions, and resuming it reaches a direct run's normal forms
-    init = system_from_presentation(parse_presentation(LADDER[name][0]))
+    # rule are inclusions, and resuming it reaches a direct run's normal forms,
+    # counted on a group and on an infinite monoid compared at every length
+    init = system_from_presentation(parse_presentation(LADDER[name][0] if name in LADDER else INFINITE[name]))
     done = logged_knuth_bendix(init).system
-    counts, touching = count_normal_forms(done, 200), 0
+    counts, touching = count_normal_forms(done, 200) if name in LADDER else None, 0
     for max_rules in range(len(init.rules), len(done.rules) + 1):
         result = logged_knuth_bendix(init, CompletionLimits(max_rules))
         assert len(result.system.rules) <= max_rules
@@ -813,5 +813,10 @@ def test_max_rules_alone_stops_and_resumes(name):
         assert set(cases) <= {"i", "iv"}, max_rules
         touching += len(cases)
         resumed = logged_knuth_bendix(result.system)
-        assert resumed.status == "complete" and count_normal_forms(resumed.system, 200) == counts, max_rules
+        assert resumed.status == "complete", max_rules
+        if counts is None:  # equal to this length, so at every length (helpers.growth_length)
+            length = live_states(done) + live_states(resumed.system)
+            assert growth(resumed.system, length) == growth(done, length), max_rules
+        else:
+            assert count_normal_forms(resumed.system, 200) == counts, max_rules
     assert touching or not done.retired

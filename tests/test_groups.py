@@ -1,13 +1,14 @@
-"""Invariants on finite groups beyond the s/e fixture.
+"""Invariants on groups and monoids beyond the s/e fixture.
 
-Four presentations: the alternating group A4 as the triangle group
+Four finite groups: the alternating group A4 as the triangle group
 <a, b | a^2, b^3, (ab)^3> and Z4 x Z5, written out here, and the
 Coxeter group S4 and A5 = <a, b | a^2, b^3, (ab)^5> from the helpers.
 For each, the completed system must have as many normal forms
-as the group has elements, every derived log must expand to a cell on
-the initial rules from the rule's lhs to its rhs, proofs of equal words
-must replay on the initial rules, and ``express`` must leave an identity
-residual on random loops.
+as the group has elements.  On them, and on five infinite monoids (the
+four infinite Coxeter groups of rank 3 and B3+ with Delta), every derived
+log must expand to a cell on the initial rules from the rule's lhs to its
+rhs, proofs of equal words must replay on the initial rules, and
+``express`` must leave an identity residual on random loops.
 
 The ladder, PSL(2,7), H4 and E6 are counted off the lhs index instead,
 by ``count_normal_forms``; the element search above checks reduction,
@@ -77,15 +78,24 @@ b a = a b
 
 GROUPS = {"S4": (S4, 24), "A4": (A4, 12), "Z4xZ5": (Z4_Z5, 20), "A5": (A5, 60)}
 
+B3_DELTA = "monoid\nletters: D a b\norder: shortlex\nrules:\na b a = b a b\na b a = D\n"
 
-@pytest.fixture(scope="module", params=sorted(GROUPS))
-def group(request):
-    text, order = GROUPS[request.param]
-    presentation = parse_presentation(text)
+# infinite monoids with a finite complete system: name -> presentation
+INFINITE = {**{name: coxeter("abc", labels) for name, labels in INFINITE_COXETER.items()},
+            "B3+ with Delta": B3_DELTA}
+
+# the invariants hold on every complete system, so they run on both
+MONOIDS = {**{name: GROUPS[name][0] for name in sorted(GROUPS)}, **INFINITE}
+
+
+@cache
+def completed(name):
+    """The letters, initial system and completion of ``MONOIDS[name]``."""
+    presentation = parse_presentation(MONOIDS[name])
     init = system_from_presentation(presentation)
     completion = logged_knuth_bendix(init)
     assert completion.status == "complete"
-    return presentation.alphabet.letters, init, completion, order
+    return presentation.alphabet.letters, init, completion
 
 
 def elements(letters, sys):
@@ -102,13 +112,15 @@ def elements(letters, sys):
     return seen
 
 
-def test_normal_forms_count_group_elements(group):
-    letters, _, completion, order = group
-    assert len(elements(letters, completion.system)) == order
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_normal_forms_count_group_elements(name):
+    letters, _, completion = completed(name)
+    assert len(elements(letters, completion.system)) == GROUPS[name][1]
 
 
-def test_derived_logs_expand_to_initial_rules(group):
-    _, init, completion, _ = group
+@pytest.mark.parametrize("name", MONOIDS)
+def test_derived_logs_expand_to_initial_rules(name):
+    _, init, completion = completed(name)
     sys = completion.system
     derived = [rule for rule in sys.rules if rule.rid in sys.logs]
     for rule in derived:
@@ -117,8 +129,9 @@ def test_derived_logs_expand_to_initial_rules(group):
         assert tc.target(expanded, init.rule_map) == rule.rhs
 
 
-def test_proofs_of_equal_words_replay_on_initial_rules(group):
-    letters, init, completion, _ = group
+@pytest.mark.parametrize("name", MONOIDS)
+def test_proofs_of_equal_words_replay_on_initial_rules(name):
+    letters, init, completion = completed(name)
     sys = completion.system
     rng = random.Random(7)
     for _ in range(20):
@@ -130,8 +143,9 @@ def test_proofs_of_equal_words_replay_on_initial_rules(group):
         assert tc.target(certificate, init.rule_map) == w2
 
 
-def test_express_leaves_identity_residual(group):
-    letters, init, completion, _ = group
+@pytest.mark.parametrize("name", MONOIDS)
+def test_express_leaves_identity_residual(name):
+    letters, init, completion = completed(name)
     gens = generate(completion, init)
     rng = random.Random(11)
     factors = 0
@@ -385,9 +399,6 @@ def test_a_minimized_set_is_not_a_homotopy_basis(name, kept):
     # minimize compares abelianizations only: its kept set falls short of
     # exactness at ZM[rules] (ROADMAP item 8; item 10 would close the gap)
     assert squier_ranks(minimize(ladder_generators(name)))[2] == kept < SQUIER[name][1]
-
-
-B3_DELTA = "monoid\nletters: D a b\norder: shortlex\nrules:\na b a = b a b\na b a = D\n"
 
 
 def simple_lengths(text):
