@@ -66,16 +66,24 @@ class CompletionResult(namedtuple("CompletionResult", "system pending", defaults
         return "complete" if self.system.complete else "limit"
 
 
-def sides(s1: Step, s2: Step, sys: LoggedSystem) -> tuple[tuple[tuple[Step, ...], Word], ...]:
+def sides(s1: Step, s2: Step, sys: LoggedSystem,
+          words: dict | None = None) -> tuple[tuple[tuple[Step, ...], Word], ...]:
     """Each of two forward steps followed by the logged reduction of its
     target, and the normal form that reduction reaches.  ``_new_rule``
     orients the two into a rule's log, and ``endorewrites.generate`` closes
-    them into the loop of a branching that resolves."""
+    them into the loop of a branching that resolves; its table ``words`` keeps
+    one tuple per word and, under (target,), each target's steps and end."""
     found, rules = [], sys.rule_map
     for s in (s1, s2):
-        top, moves = s.prefix + rules[s.rule].rhs + s.suffix, []
-        end = reduce_into(top, sys, moves)
-        found.append(((s, *replay_moves(top, moves, sys)), end))
+        top = s.prefix + rules[s.rule].rhs + s.suffix
+        side = None if words is None else words.get((top,))
+        if side is None:
+            moves = []
+            end = reduce_into(top, sys, moves)
+            side = replay_moves(top, moves, sys, words), end
+            if words is not None:
+                words[(top,)] = side
+        found.append(((s, *side[0]), side[1]))
     return tuple(found)
 
 
@@ -149,14 +157,16 @@ def _joins(sys: LoggedSystem, key: tuple) -> bool:
     return reduce_into(ra + lb[k:], sys, None) == reduce_into(la[:-k] + rb, sys, None)
 
 
-def _overlap(rules: tuple[Rule, ...], key: tuple) -> Overlap:
-    """The ``Overlap`` of a branching's key, built without namedtuple's frame."""
+def _overlap(rules: tuple[Rule, ...], key: tuple, words: dict | None = None) -> Overlap:
+    """The ``Overlap`` of a branching's key, built without namedtuple's frame;
+    ``words``, ``generate``'s table, gives each of its words its one tuple there."""
     i, j, case, k, new = *key, tuple.__new__
+    w = (lambda x: x) if words is None else lambda x: words.setdefault(x, x)
     (ra, la, _), (rb, lb, _) = (rules[j], rules[i]) if case < 2 else (rules[i], rules[j])
     if case in (0, 3):
-        word, sa, sb = la, new(Step, (EMPTY, ra, 1, EMPTY)), new(Step, (la[:k], rb, 1, la[k + len(lb):]))
+        word, sa, sb = w(la), new(Step, (EMPTY, ra, 1, EMPTY)), new(Step, (w(la[:k]), rb, 1, w(la[k + len(lb):])))
     else:
-        word, sa, sb = la + lb[k:], new(Step, (EMPTY, ra, 1, lb[k:])), new(Step, (la[:-k], rb, 1, EMPTY))
+        word, sa, sb = w(la + lb[k:]), new(Step, (EMPTY, ra, 1, w(lb[k:]))), new(Step, (w(la[:-k]), rb, 1, EMPTY))
     return new(Overlap, (("i", "ii", "iii", "iv")[case], word, *((sb, sa) if case < 2 else (sa, sb))))
 
 

@@ -87,14 +87,15 @@ def generate(comp: CompletionResult, init: LoggedSystem | None = None) -> Genera
     """
     if comp.status != "complete":
         raise ValueError("generator extraction needs a completed system")
-    sys = comp.system
-    found = []
-    for o in (_overlap(sys.rules, key) for key in _branchings(sys, 0, frozenset())):
+    sys, found, words = comp.system, [], {}  # words, for this call only: one tuple per word, one replay per side
+    for o in (_overlap(sys.rules, key, words) for key in _branchings(sys, 0, frozenset())):
         # each side is forward steps only, so it is free reduced and the two join
-        (left, meet), (right, end) = sides(o.left, o.right, sys)
+        (left, meet), (right, end) = sides(o.left, o.right, sys, words)
         if meet != end:
             raise ValueError("critical branching does not resolve; the system is incomplete")
-        found.append((o, TwoCell(o.superposition, twocell.join(left, twocell.invert_steps(right))), meet))
+        loop = TwoCell(o.superposition, twocell.join(left, twocell.invert_steps(right)))
+        found.append((o, loop, words.setdefault(meet, meet)))
+    words.clear()  # before the sort keys and the generators, so that the peak holds only one of them
     found.sort(key=lambda f: (len(f[2]), sys.order.key(f[2])))  # stable: discovery breaks ties
     generators = tuple(
         Generator(f"g{n}", loop, meet, o)

@@ -179,12 +179,14 @@ def reduce_into(w: Word, sys: LoggedSystem, moves: list | None) -> Word:
     return tuple(current)
 
 
-def replay_moves(w: Word, moves: list, sys: LoggedSystem) -> tuple[Step, ...]:
-    """The steps of moves, (start, rule index) pairs, applied in turn from w."""
+def replay_moves(w: Word, moves: list, sys: LoggedSystem, words: dict | None = None) -> tuple[Step, ...]:
+    """The steps of moves, (start, rule index) pairs, applied in turn from w;
+    ``words``, ``generate``'s table, gives each context its one tuple there."""
     current, steps = list(w), []
+    word = tuple if words is None else lambda part: words.setdefault(part := tuple(part), part)
     for start, x in moves:
         rid, lhs, rhs = sys.rules[x]
-        steps.append(tuple.__new__(Step, (tuple(current[:start]), rid, 1, tuple(current[start + len(lhs):]))))
+        steps.append(tuple.__new__(Step, (word(current[:start]), rid, 1, word(current[start + len(lhs):]))))
         current[start:start + len(lhs)] = rhs
     return tuple(steps)
 

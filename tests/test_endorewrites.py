@@ -2,6 +2,7 @@
 of loops over the generators."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from helpers import (
     scan_redexes, signed_factor_sum, step_ends, transport, words_over,
 )
 from fixture_loops import SE_LOOPS, loop_cell
-from test_groups import PSL27
+from test_groups import PSL27, ladder_generators
 
 W = word_from_str
 
@@ -522,6 +523,42 @@ def test_generate_is_one_loop_per_branching(text):
         assert gens.origin_index[frozenset(((o.left.rule, len(o.left.prefix)),
                                             (o.right.rule, len(o.right.prefix))))] is gen
     assert len(gens.origin_index) == len(branchings)
+
+
+def _words_held(gens):
+    """Every word a generator set holds: each loop's source and base element,
+    each origin's superposition, and the prefix and suffix of each step of a
+    loop or an origin."""
+    for gen in gens.generators:
+        yield from (gen.cell.source, gen.base_element, gen.origin.superposition)
+        for s in (*gen.cell.steps, gen.origin.left, gen.origin.right):
+            yield from (s.prefix, s.suffix)
+
+
+@pytest.mark.parametrize("name", [*LADDER, "PSL(2,7)"])
+def test_generate_keeps_one_tuple_per_distinct_word(name):
+    # generate's table gives each word it stores one tuple for the call:
+    # building them anew, A5's loops held 4,434 context tuples of 153 values
+    if name == "PSL(2,7)":
+        gens = generate(logged_knuth_bendix(system_from_presentation(parse_presentation(PSL27))))
+    else:
+        gens = ladder_generators(name)
+    held = list(_words_held(gens))
+    assert len({id(w) for w in held}) == len(set(held))
+
+
+def test_generate_table_of_f4_stays_small():
+    # F4's 1,010 generators trace about 4.5 MB; with a tuple built for every
+    # stored word they traced 9.4 MB
+    comp = logged_knuth_bendix(system_from_presentation(parse_presentation(LADDER["F4"][0])))
+    tracemalloc.start()
+    try:
+        gens = generate(comp)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(gens.generators) == 1010
+    assert size < 6_000_000
 
 
 @given(presentations())
